@@ -1,16 +1,17 @@
 # Tier-1 verification flow (see ROADMAP.md): build + vet + tests, plus
 # a one-iteration fleet bench so the benchmark code compiles and runs
-# on every PR, the determinism audit over the robustness matrix, the
-# godoc-coverage check, a sightd serving smoke test and a 2-replica
-# cluster smoke test with a mid-sweep node kill. `make race` adds the
-# concurrency stress pass that covers the multi-tenant scheduler, the
-# serving layer and the cluster tier.
+# on every PR, vet + tests of the separate sightbench module, the
+# determinism audit over the robustness matrix, the godoc-coverage
+# check, a sightd serving smoke test and a 2-replica cluster smoke test
+# with a mid-sweep node kill. `make race` adds the concurrency stress
+# pass that covers the multi-tenant scheduler, the serving layer and
+# the cluster tier.
 
 GO ?= go
 
-.PHONY: tier1 build vet test bench-smoke audit docs serve-smoke scale-smoke cluster-smoke incremental-smoke advise-smoke stats-smoke race fuzz bench fleet-bench serve-bench scale-bench cluster-bench incremental-bench advise-bench ldp-bench
+.PHONY: tier1 build vet test bench-smoke sightbench-check audit docs serve-smoke scale-smoke cluster-smoke incremental-smoke advise-smoke stats-smoke race fuzz bench fleet-bench serve-bench scale-bench cluster-bench incremental-bench advise-bench ldp-bench
 
-tier1: build vet test bench-smoke audit docs serve-smoke scale-smoke cluster-smoke incremental-smoke advise-smoke stats-smoke
+tier1: build vet test bench-smoke sightbench-check audit docs serve-smoke scale-smoke cluster-smoke incremental-smoke advise-smoke stats-smoke
 
 build:
 	$(GO) build ./...
@@ -25,6 +26,12 @@ test:
 # benchmark harness without paying for a real measurement.
 bench-smoke:
 	$(GO) test -run=NONE -bench=Fleet -benchtime=1x ./internal/fleet/
+
+# The end-to-end benchmark (sightbench/, run by BENCHMARK.json) is its
+# own Go module, so `go test ./...` never compiles it: vet and test it
+# here so an internal API change that breaks it fails tier-1.
+sightbench-check:
+	cd sightbench && $(GO) vet ./... && $(GO) test ./...
 
 # Determinism audit: run the robustness matrix twice per topology with
 # the event auditor attached and fail on the first divergent event

@@ -69,6 +69,8 @@ type AccessController struct {
 
 // Enforce binds the policy to a network and a risk report, producing
 // the controller that answers access checks for the report's owner.
+// The controller reads the network's friendships as of this call;
+// enforce again after changing them.
 func (p AccessPolicy) Enforce(n *Network, rep *Report) (*AccessController, error) {
 	if n == nil || rep == nil {
 		return nil, fmt.Errorf("sight: network and report must not be nil")
@@ -77,7 +79,7 @@ func (p AccessPolicy) Enforce(n *Network, rep *Report) (*AccessController, error
 	for _, sr := range rep.Strangers {
 		labels[sr.User] = sr.Label
 	}
-	e, err := advisor.NewEnforcer(n.g, rep.Owner, labels, p.inner)
+	e, err := advisor.NewEnforcer(n.snapshot(), rep.Owner, labels, p.inner)
 	if err != nil {
 		return nil, err
 	}
@@ -374,13 +376,14 @@ func TuneParameters(n *Network, owner UserID, priorLabels map[UserID]Label) (Tun
 	if n == nil {
 		return TunedParameters{}, fmt.Errorf("sight: nil network")
 	}
-	strangers := n.Strangers(owner)
+	snap := n.snapshot()
+	strangers := snap.Strangers(owner)
 	if len(strangers) == 0 {
 		return TunedParameters{}, fmt.Errorf("sight: owner %d has no strangers to tune on", owner)
 	}
 	scores := make([]float64, len(strangers))
 	for i, s := range strangers {
-		scores[i] = similarity.NS(n.g, owner, s)
+		scores[i] = similarity.NS(snap, owner, s)
 	}
 	out := TunedParameters{
 		Alpha: autotune.SuggestAlpha(scores, 20),

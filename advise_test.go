@@ -5,8 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
+
+	"sightrisk/internal/profile"
 )
 
 func TestDefaultSensitivityFacade(t *testing.T) {
@@ -329,5 +333,57 @@ func TestAdviseRequestFacade(t *testing.T) {
 	snapNet := WrapSnapshot(net.Graph().Snapshot(), net.profiles)
 	if _, err := policy.AdviseRequest(context.Background(), snapNet, owner, candidate, ann, opts); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("snapshot-backed network: err = %v, want ErrReadOnly", err)
+	}
+
+	// Tuning and access control only read the graph, so they work on
+	// the snapshot-backed network and match the graph-backed results.
+	tuned, err := TuneParameters(net, owner, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapTuned, err := TuneParameters(snapNet, owner, nil)
+	if err != nil {
+		t.Fatalf("TuneParameters on snapshot-backed network: %v", err)
+	}
+	if !reflect.DeepEqual(snapTuned, tuned) {
+		t.Fatalf("TuneParameters: snapshot-backed %+v, graph-backed %+v", snapTuned, tuned)
+	}
+	ctl, err := policy.Enforce(net, rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapCtl, err := policy.Enforce(snapNet, rep)
+	if err != nil {
+		t.Fatalf("Enforce on snapshot-backed network: %v", err)
+	}
+	if !reflect.DeepEqual(snapCtl.Audience(), ctl.Audience()) {
+		t.Fatalf("Audience: snapshot-backed %v, graph-backed %v", snapCtl.Audience(), ctl.Audience())
+	}
+	viewers := append([]UserID{owner, 987654}, net.Friends(owner)...)
+	for _, sr := range rep.Strangers {
+		viewers = append(viewers, sr.User)
+	}
+	for _, v := range viewers {
+		for _, item := range profile.Items() {
+			okS, whyS := snapCtl.CanSee(v, string(item))
+			okG, whyG := ctl.CanSee(v, string(item))
+			if okS != okG || whyS != whyG {
+				t.Fatalf("CanSee(%d, %s): snapshot-backed (%v, %q), graph-backed (%v, %q)", v, item, okS, whyS, okG, whyG)
+			}
+		}
+	}
+}
+
+// TestFriendsCallerOwned: on a snapshot-backed network Friends returns
+// a copy, so writing to it cannot reach the snapshot row (which may be
+// a read-only mmap page).
+func TestFriendsCallerOwned(t *testing.T) {
+	net, owner := demoNetwork(t, 3, 10)
+	snapNet := WrapSnapshot(net.Graph().Snapshot(), net.profiles)
+	fs := snapNet.Friends(owner)
+	want := slices.Clone(fs)
+	fs[0] = 987654
+	if got := snapNet.Friends(owner); !slices.Equal(got, want) {
+		t.Fatalf("Friends after caller write = %v, want %v", got, want)
 	}
 }

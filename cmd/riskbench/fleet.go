@@ -355,7 +355,7 @@ func microBenches(seed int64) map[string]microResult {
 		"montecarlo_snapshot": record(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := propagation.MonteCarloSnapshot(snap, owner.ID, targets, pcfg); err != nil {
+				if _, err := propagation.MonteCarlo(snap, owner.ID, targets, pcfg); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -327,7 +327,7 @@ func cmdRun(args []string) error {
 			if len(theta) == 0 {
 				theta = nil
 			}
-			ann = prompt.New(os.Stdin, os.Stdout, ds.Graph, store, id, theta)
+			ann = prompt.New(os.Stdin, os.Stdout, ds.Graph.Snapshot(), store, id, theta)
 		}
 		opts.Checkpointing.Sink, opts.Checkpointing.Resume = nil, nil
 		if *checkpoint != "" {

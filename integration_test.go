@@ -36,7 +36,7 @@ func TestInteractiveFlowEndToEnd(t *testing.T) {
 		script.WriteString([]string{"1\n", "2\n", "3\n"}[i%3])
 	}
 	var out strings.Builder
-	ann := prompt.New(strings.NewReader(script.String()), &out, study.Graph, study.Profiles, owner.ID, nil)
+	ann := prompt.New(strings.NewReader(script.String()), &out, study.Graph.Snapshot(), study.Profiles, owner.ID, nil)
 
 	rep, err := EstimateRisk(context.Background(), net, owner.ID, ann, DefaultOptions())
 	if err != nil {

@@ -28,22 +28,22 @@ type Decision struct {
 //  4. everyone else — unlabeled strangers included — is denied:
 //     no label, no access.
 type Enforcer struct {
-	g      *graph.Graph
+	snap   *graph.Snapshot
 	owner  graph.UserID
 	labels map[graph.UserID]label.Label
 	policy Policy
 }
 
-// NewEnforcer builds an enforcer from the owner's risk labels and an
-// access policy.
-func NewEnforcer(g *graph.Graph, owner graph.UserID, labels map[graph.UserID]label.Label, policy Policy) (*Enforcer, error) {
-	if g == nil {
-		return nil, fmt.Errorf("advisor: nil graph")
+// NewEnforcer builds an enforcer from a snapshot of the owner's graph,
+// the owner's risk labels and an access policy.
+func NewEnforcer(snap *graph.Snapshot, owner graph.UserID, labels map[graph.UserID]label.Label, policy Policy) (*Enforcer, error) {
+	if snap == nil {
+		return nil, fmt.Errorf("advisor: nil snapshot")
 	}
-	if !g.HasNode(owner) {
+	if !snap.HasNode(owner) {
 		return nil, fmt.Errorf("advisor: owner %d not in graph", owner)
 	}
-	return &Enforcer{g: g, owner: owner, labels: labels, policy: policy}, nil
+	return &Enforcer{snap: snap, owner: owner, labels: labels, policy: policy}, nil
 }
 
 // CanSee decides whether viewer may see the owner's item.
@@ -51,7 +51,7 @@ func (e *Enforcer) CanSee(viewer graph.UserID, item profile.Item) Decision {
 	if viewer == e.owner {
 		return Decision{true, "owner"}
 	}
-	if e.g.HasEdge(e.owner, viewer) {
+	if e.snap.HasEdge(e.owner, viewer) {
 		return Decision{true, "direct friend"}
 	}
 	l, ok := e.labels[viewer]

@@ -8,7 +8,7 @@ import (
 	"sightrisk/internal/profile"
 )
 
-func enforcerWorld(t *testing.T) (*graph.Graph, graph.UserID) {
+func enforcerWorld(t *testing.T) (*graph.Snapshot, graph.UserID) {
 	t.Helper()
 	g := graph.New()
 	owner := graph.UserID(1)
@@ -23,7 +23,7 @@ func enforcerWorld(t *testing.T) (*graph.Graph, graph.UserID) {
 		}
 	}
 	g.AddNode(7)
-	return g, owner
+	return g.Snapshot(), owner
 }
 
 func testPolicy() Policy {
@@ -51,7 +51,7 @@ func newTestEnforcer(t *testing.T) *Enforcer {
 func TestNewEnforcerValidation(t *testing.T) {
 	g, owner := enforcerWorld(t)
 	if _, err := NewEnforcer(nil, owner, nil, testPolicy()); err == nil {
-		t.Fatal("nil graph accepted")
+		t.Fatal("nil snapshot accepted")
 	}
 	if _, err := NewEnforcer(g, 999, nil, testPolicy()); err == nil {
 		t.Fatal("unknown owner accepted")

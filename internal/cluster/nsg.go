@@ -25,37 +25,44 @@ type NSG struct {
 	Score map[graph.UserID]float64
 }
 
-// BuildNSG computes NS(owner, s) for every stranger and buckets them
-// into alpha equal-width groups. Strangers follow the order returned
-// within each bucket (ascending UserID, since inputs come from
-// graph.Strangers).
-func BuildNSG(g *graph.Graph, owner graph.UserID, strangers []graph.UserID, alpha int) (*NSG, error) {
-	return BuildNSGWith(g, owner, strangers, alpha, similarity.NS)
+// BuildNSGSnapshot computes NS(owner, s) for every stranger over the
+// snapshot and buckets them into alpha equal-width groups. Strangers
+// follow the order given within each bucket (ascending UserID, since
+// inputs come from Snapshot.Strangers). One intersection buffer is
+// reused across the whole stranger set, so scoring allocates nothing
+// per stranger.
+func BuildNSGSnapshot(s *graph.Snapshot, owner graph.UserID, strangers []graph.UserID, alpha int) (*NSG, error) {
+	return buildNSG(s, owner, strangers, alpha, nil)
 }
 
-// BuildNSGWith is BuildNSG with a custom network-similarity measure —
-// used by the measure ablation, which swaps the paper's NS for the
-// classical alternatives.
-func BuildNSGWith(g *graph.Graph, owner graph.UserID, strangers []graph.UserID, alpha int, measure similarity.NetworkMeasure) (*NSG, error) {
+// buildNSG is BuildNSGSnapshot under a custom network-similarity
+// measure — the measure ablation swaps the paper's NS for the classical
+// alternatives. A nil measure is the paper's NS.
+func buildNSG(s *graph.Snapshot, owner graph.UserID, strangers []graph.UserID, alpha int, measure similarity.NetworkMeasure) (*NSG, error) {
 	if alpha < 1 {
 		return nil, fmt.Errorf("cluster: alpha must be >= 1, got %d", alpha)
 	}
 	if measure == nil {
-		measure = similarity.NS
+		buf := make([]graph.UserID, 0, 64)
+		measure = func(s *graph.Snapshot, o, t graph.UserID) float64 {
+			var ns float64
+			ns, buf = similarity.NSInto(s, o, t, buf)
+			return ns
+		}
 	}
 	out := &NSG{
 		Alpha:  alpha,
 		Groups: make([][]graph.UserID, alpha),
 		Score:  make(map[graph.UserID]float64, len(strangers)),
 	}
-	for _, s := range strangers {
-		ns := measure(g, owner, s)
-		out.Score[s] = ns
+	for _, st := range strangers {
+		ns := measure(s, owner, st)
+		out.Score[st] = ns
 		idx := int(math.Floor(ns * float64(alpha)))
 		if idx >= alpha { // NS exactly 1 lands in the top group
 			idx = alpha - 1
 		}
-		out.Groups[idx] = append(out.Groups[idx], s)
+		out.Groups[idx] = append(out.Groups[idx], st)
 	}
 	return out, nil
 }

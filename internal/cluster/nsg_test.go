@@ -4,11 +4,12 @@ import (
 	"testing"
 
 	"sightrisk/internal/graph"
+	"sightrisk/internal/similarity"
 )
 
 // starGraph builds an owner with f friends and strangers attached to
-// the given numbers of mutual friends.
-func starGraph(t *testing.T, friends int, mutuals []int) (*graph.Graph, graph.UserID, []graph.UserID) {
+// the given numbers of mutual friends, and returns its snapshot.
+func starGraph(t *testing.T, friends int, mutuals []int) (*graph.Snapshot, graph.UserID, []graph.UserID) {
 	t.Helper()
 	g := graph.New()
 	owner := graph.UserID(1)
@@ -29,22 +30,22 @@ func starGraph(t *testing.T, friends int, mutuals []int) (*graph.Graph, graph.Us
 			}
 		}
 	}
-	return g, owner, strangers
+	return g.Snapshot(), owner, strangers
 }
 
 func TestBuildNSGValidation(t *testing.T) {
-	g, owner, strangers := starGraph(t, 5, []int{1})
-	if _, err := BuildNSG(g, owner, strangers, 0); err == nil {
+	snap, owner, strangers := starGraph(t, 5, []int{1})
+	if _, err := BuildNSGSnapshot(snap, owner, strangers, 0); err == nil {
 		t.Fatal("alpha 0 accepted")
 	}
-	if _, err := BuildNSG(g, owner, strangers, -3); err == nil {
+	if _, err := BuildNSGSnapshot(snap, owner, strangers, -3); err == nil {
 		t.Fatal("negative alpha accepted")
 	}
 }
 
 func TestBuildNSGBucketing(t *testing.T) {
-	g, owner, strangers := starGraph(t, 10, []int{1, 2, 5, 9})
-	nsg, err := BuildNSG(g, owner, strangers, 10)
+	snap, owner, strangers := starGraph(t, 10, []int{1, 2, 5, 9})
+	nsg, err := BuildNSGSnapshot(snap, owner, strangers, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,8 +74,8 @@ func TestBuildNSGBucketing(t *testing.T) {
 }
 
 func TestNSGGroupOfUnknown(t *testing.T) {
-	g, owner, strangers := starGraph(t, 5, []int{1})
-	nsg, err := BuildNSG(g, owner, strangers, 10)
+	snap, owner, strangers := starGraph(t, 5, []int{1})
+	nsg, err := BuildNSGSnapshot(snap, owner, strangers, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,8 +85,8 @@ func TestNSGGroupOfUnknown(t *testing.T) {
 }
 
 func TestNSGCountsAndNonEmpty(t *testing.T) {
-	g, owner, strangers := starGraph(t, 10, []int{1, 1, 9})
-	nsg, err := BuildNSG(g, owner, strangers, 5)
+	snap, owner, strangers := starGraph(t, 10, []int{1, 1, 9})
+	nsg, err := BuildNSGSnapshot(snap, owner, strangers, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestNSGTopBucketClosed(t *testing.T) {
 	if err := g.AddEdge(10, 11); err != nil {
 		t.Fatal(err)
 	}
-	nsg, err := BuildNSG(g, owner, []graph.UserID{s}, 10)
+	nsg, err := BuildNSGSnapshot(g.Snapshot(), owner, []graph.UserID{s}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,9 +138,9 @@ func TestNSGTopBucketClosed(t *testing.T) {
 }
 
 func TestBuildNSGWithCustomMeasure(t *testing.T) {
-	g, owner, strangers := starGraph(t, 10, []int{1, 5, 9})
-	constant := func(*graph.Graph, graph.UserID, graph.UserID) float64 { return 0.55 }
-	nsg, err := BuildNSGWith(g, owner, strangers, 10, constant)
+	snap, owner, strangers := starGraph(t, 10, []int{1, 5, 9})
+	constant := func(*graph.Snapshot, graph.UserID, graph.UserID) float64 { return 0.55 }
+	nsg, err := buildNSG(snap, owner, strangers, 10, constant)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,11 +149,11 @@ func TestBuildNSGWithCustomMeasure(t *testing.T) {
 		t.Fatalf("counts = %v, want all in group 6", nsg.Counts())
 	}
 	// Nil measure falls back to NS.
-	withNil, err := BuildNSGWith(g, owner, strangers, 10, nil)
+	withNil, err := buildNSG(snap, owner, strangers, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	withNS, err := BuildNSG(g, owner, strangers, 10)
+	withNS, err := buildNSG(snap, owner, strangers, 10, similarity.NS)
 	if err != nil {
 		t.Fatal(err)
 	}

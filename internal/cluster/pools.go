@@ -55,7 +55,8 @@ type PoolConfig struct {
 	Strategy Strategy
 	Squeezer SqueezerConfig // used by NPP only
 	// NetworkSim is the network-similarity measure driving the NSG
-	// bucketing; nil means the paper's NS.
+	// bucketing, evaluated over the run's graph snapshot like the
+	// paper's NS; nil means the paper's NS.
 	NetworkSim similarity.NetworkMeasure
 }
 
@@ -83,18 +84,39 @@ func (c PoolConfig) Validate() error {
 	return nil
 }
 
-// BuildPools groups the owner's strangers into disjoint pools
-// according to the configured strategy and returns the pools together
-// with the underlying NSG (useful for reporting Figure 4 / Figure 7
-// style series).
-func BuildPools(g *graph.Graph, store *profile.Store, owner graph.UserID, strangers []graph.UserID, cfg PoolConfig) ([]Pool, *NSG, error) {
-	nsg, err := BuildNSGWith(g, owner, strangers, cfg.Alpha, cfg.NetworkSim)
+// BuildPoolsSnapshot groups the owner's strangers into disjoint pools
+// according to the configured strategy — NSG buckets under
+// cfg.NetworkSim, refined by Squeezer profile clusters for NPP — and
+// returns the pools together with the underlying NSG (useful for
+// reporting Figure 4 / Figure 7 style series).
+func BuildPoolsSnapshot(s *graph.Snapshot, store *profile.Store, owner graph.UserID, strangers []graph.UserID, cfg PoolConfig) ([]Pool, *NSG, error) {
+	nsg, err := buildNSG(s, owner, strangers, cfg.Alpha, cfg.NetworkSim)
 	if err != nil {
 		return nil, nil, err
 	}
-	pools, err := poolsFromNSG(store, nsg, cfg)
-	if err != nil {
-		return nil, nil, err
+	var pools []Pool
+	for gi, members := range nsg.Groups {
+		if len(members) == 0 {
+			continue
+		}
+		switch cfg.Strategy {
+		case NSP:
+			pools = append(pools, Pool{NSGIndex: gi + 1, Members: members})
+		case NPP:
+			clusters, err := Squeezer(store, members, cfg.Squeezer)
+			if err != nil {
+				return nil, nil, err
+			}
+			for ci, c := range clusters {
+				pools = append(pools, Pool{
+					NSGIndex:     gi + 1,
+					ClusterIndex: ci + 1,
+					Members:      c,
+				})
+			}
+		default:
+			return nil, nil, fmt.Errorf("cluster: unknown strategy %v", cfg.Strategy)
+		}
 	}
 	return pools, nsg, nil
 }

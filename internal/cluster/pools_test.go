@@ -8,12 +8,13 @@ import (
 
 	"sightrisk/internal/graph"
 	"sightrisk/internal/profile"
+	"sightrisk/internal/similarity"
 )
 
 // testWorld builds an owner graph plus stranger profiles for pool
 // tests: friends 100..100+f-1, strangers with varying mutual-friend
-// counts and alternating profiles.
-func testWorld(t testing.TB, friends, strangers int) (*graph.Graph, *profile.Store, graph.UserID, []graph.UserID) {
+// counts and alternating profiles. It returns the graph's snapshot.
+func testWorld(t testing.TB, friends, strangers int) (*graph.Snapshot, *profile.Store, graph.UserID, []graph.UserID) {
 	t.Helper()
 	g := graph.New()
 	store := profile.NewStore()
@@ -43,12 +44,12 @@ func testWorld(t testing.TB, friends, strangers int) (*graph.Graph, *profile.Sto
 		p.SetAttr(profile.AttrLastName, locales[i%3]+"-fam")
 		store.Put(p)
 	}
-	return g, store, owner, ss
+	return g.Snapshot(), store, owner, ss
 }
 
 func TestBuildPoolsNPPPartition(t *testing.T) {
-	g, store, owner, strangers := testWorld(t, 12, 60)
-	pools, nsg, err := BuildPools(g, store, owner, strangers, DefaultPoolConfig())
+	snap, store, owner, strangers := testWorld(t, 12, 60)
+	pools, nsg, err := BuildPoolsSnapshot(snap, store, owner, strangers, DefaultPoolConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,10 +71,10 @@ func TestBuildPoolsNPPPartition(t *testing.T) {
 }
 
 func TestBuildPoolsNSPPartition(t *testing.T) {
-	g, store, owner, strangers := testWorld(t, 12, 60)
+	snap, store, owner, strangers := testWorld(t, 12, 60)
 	cfg := DefaultPoolConfig()
 	cfg.Strategy = NSP
-	pools, _, err := BuildPools(g, store, owner, strangers, cfg)
+	pools, _, err := BuildPoolsSnapshot(snap, store, owner, strangers, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestBuildPoolsNSPPartition(t *testing.T) {
 		}
 	}
 	// NSP pools = one per non-empty NSG group.
-	nsg, err := BuildNSG(g, owner, strangers, cfg.Alpha)
+	nsg, err := BuildNSGSnapshot(snap, owner, strangers, cfg.Alpha)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,14 +97,14 @@ func TestBuildPoolsNSPPartition(t *testing.T) {
 }
 
 func TestNPPRefinesNSP(t *testing.T) {
-	g, store, owner, strangers := testWorld(t, 12, 60)
-	npp, _, err := BuildPools(g, store, owner, strangers, DefaultPoolConfig())
+	snap, store, owner, strangers := testWorld(t, 12, 60)
+	npp, _, err := BuildPoolsSnapshot(snap, store, owner, strangers, DefaultPoolConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := DefaultPoolConfig()
 	cfg.Strategy = NSP
-	nsp, _, err := BuildPools(g, store, owner, strangers, cfg)
+	nsp, _, err := BuildPoolsSnapshot(snap, store, owner, strangers, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,27 +130,65 @@ func TestNPPRefinesNSP(t *testing.T) {
 	}
 }
 
+// TestBuildPoolsSnapshotCustomMeasure: a custom network measure runs
+// on the snapshot, buckets every stranger by its own score, and the
+// paper's NS passed explicitly (as the measure ablation does) builds
+// exactly the default pools.
+func TestBuildPoolsSnapshotCustomMeasure(t *testing.T) {
+	snap, store, owner, strangers := testWorld(t, 12, 60)
+	cfg := DefaultPoolConfig()
+	cfg.NetworkSim = similarity.Cosine
+	pools, nsg, err := BuildPoolsSnapshot(snap, store, owner, strangers, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Validate(pools, strangers); err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range strangers {
+		if got, want := nsg.Score[st], similarity.Cosine(snap, owner, st); got != want {
+			t.Fatalf("stranger %d scored %v, want Cosine %v", st, got, want)
+		}
+	}
+
+	def, defNSG, err := BuildPoolsSnapshot(snap, store, owner, strangers, DefaultPoolConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.NetworkSim = similarity.NS
+	explicit, explicitNSG, err := BuildPoolsSnapshot(snap, store, owner, strangers, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(explicit, def) || !reflect.DeepEqual(explicitNSG, defNSG) {
+		t.Fatal("explicit NS measure built different pools than the default")
+	}
+	if reflect.DeepEqual(nsg.Score, defNSG.Score) {
+		t.Fatal("Cosine scores equal NS scores; the measure was ignored")
+	}
+}
+
 func TestBuildPoolsUnknownStrategy(t *testing.T) {
-	g, store, owner, strangers := testWorld(t, 6, 10)
+	snap, store, owner, strangers := testWorld(t, 6, 10)
 	cfg := DefaultPoolConfig()
 	cfg.Strategy = Strategy(42)
-	if _, _, err := BuildPools(g, store, owner, strangers, cfg); err == nil {
+	if _, _, err := BuildPoolsSnapshot(snap, store, owner, strangers, cfg); err == nil {
 		t.Fatal("unknown strategy accepted")
 	}
 }
 
 func TestBuildPoolsDeterministic(t *testing.T) {
-	g, store, owner, strangers := testWorld(t, 12, 60)
-	a, _, err := BuildPools(g, store, owner, strangers, DefaultPoolConfig())
+	snap, store, owner, strangers := testWorld(t, 12, 60)
+	a, _, err := BuildPoolsSnapshot(snap, store, owner, strangers, DefaultPoolConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := BuildPools(g, store, owner, strangers, DefaultPoolConfig())
+	b, _, err := BuildPoolsSnapshot(snap, store, owner, strangers, DefaultPoolConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a, b) {
-		t.Fatal("BuildPools is not deterministic")
+		t.Fatal("BuildPoolsSnapshot is not deterministic")
 	}
 }
 
@@ -217,14 +256,15 @@ func TestPropPoolsAlwaysPartition(t *testing.T) {
 				store.Put(p)
 			}
 		}
-		strangers := g.Strangers(owner)
+		snap := g.Snapshot()
+		strangers := snap.Strangers(owner)
 		for _, strat := range []Strategy{NPP, NSP} {
 			for _, alpha := range []int{1, 5, 10} {
 				cfg := DefaultPoolConfig()
 				cfg.Alpha = alpha
 				cfg.Strategy = strat
 				cfg.Squeezer.Beta = float64(rng.Intn(10)) / 10
-				pools, _, err := BuildPools(g, store, owner, strangers, cfg)
+				pools, _, err := BuildPoolsSnapshot(snap, store, owner, strangers, cfg)
 				if err != nil {
 					return false
 				}

@@ -55,21 +55,19 @@ type Config struct {
 	// runtime.GOMAXPROCS(0); 1 runs the exact legacy serial path.
 	// Results are identical for every value — see RunOwner.
 	Workers int
-	// Snapshot, when non-nil, is a frozen CSR view of the run's graph:
-	// stranger enumeration and NSG construction route through its
-	// allocation-free sorted-slice walks instead of the mutable graph's
-	// map walks, with bit-identical results. The caller must take the
-	// snapshot from the same graph passed to RunOwner (the fleet
-	// scheduler shares one snapshot across every tenant's runs). When
-	// nil and the pool config uses the paper's NS, RunOwner freezes its
-	// own snapshot — one O(V+E log d) pass that the per-stranger NS
-	// computations repay. A custom Pool.NetworkSim keeps the legacy
-	// *graph.Graph path, snapshot or not.
+	// Snapshot, when non-nil, is the frozen CSR view of the run's graph
+	// that stranger enumeration, NS and NSG construction (under the
+	// paper's NS or a custom Pool.NetworkSim) read. The caller must take
+	// it from the same graph passed to RunOwner (the fleet scheduler
+	// shares one snapshot across every tenant's runs). When nil,
+	// RunOwner reads the graph's cached snapshot (see
+	// graph.Graph.Snapshot: one build per change to the graph, shared
+	// by every reader).
 	//
-	// With a Snapshot set (and the paper's NS), RunOwner also accepts a
-	// nil graph: every structural query is answered by the snapshot.
-	// This is how mmap-backed snapshot files (graph/snapfile) run — no
-	// mutable graph is ever materialized.
+	// With a Snapshot set, RunOwner also accepts a nil graph: every
+	// structural query is answered by the snapshot. This is how
+	// mmap-backed snapshot files (graph/snapfile) run — no mutable
+	// graph is ever materialized.
 	Snapshot *graph.Snapshot
 	// Weights, when non-nil, is a shared content-keyed cache for the
 	// per-pool PS weight matrices. Pools whose membership, attribute
@@ -341,20 +339,20 @@ func (e *Engine) RunOwner(ctx context.Context, g *graph.Graph, store *profile.St
 	if store == nil {
 		return nil, fmt.Errorf("core: profile store must not be nil")
 	}
-	// A nil graph is allowed when a frozen snapshot can serve every
+	// A nil graph is allowed when a frozen snapshot serves every
 	// structural query (the mmap-backed path, where no mutable graph
-	// ever exists); the legacy NetworkSim path walks the graph itself.
-	if g == nil && (e.cfg.Snapshot == nil || e.cfg.Pool.NetworkSim != nil) {
-		return nil, fmt.Errorf("core: graph and profile store must not be nil")
+	// ever exists).
+	snap := e.cfg.Snapshot
+	if snap == nil {
+		if g == nil {
+			return nil, fmt.Errorf("core: graph and profile store must not be nil")
+		}
+		snap = g.Snapshot()
 	}
 	if ann == nil {
 		return nil, fmt.Errorf("core: annotator must not be nil")
 	}
-	if g != nil {
-		if !g.HasNode(owner) {
-			return nil, fmt.Errorf("core: owner %d not in graph", owner)
-		}
-	} else if !e.cfg.Snapshot.HasNode(owner) {
+	if !snap.HasNode(owner) {
 		return nil, fmt.Errorf("core: owner %d not in graph", owner)
 	}
 	if e.cfg.Resume != nil {
@@ -367,25 +365,8 @@ func (e *Engine) RunOwner(ctx context.Context, g *graph.Graph, store *profile.St
 		ctx, cancel = context.WithTimeout(ctx, e.cfg.Retry.SessionTimeout)
 		defer cancel()
 	}
-	var strangers []graph.UserID
-	var pools []cluster.Pool
-	var nsg *cluster.NSG
-	var err error
-	if e.cfg.Pool.NetworkSim == nil {
-		// Fast path: the paper's NS over a frozen snapshot. Bit-identical
-		// to the mutable-graph path (see the snapshot equivalence tests).
-		snap := e.cfg.Snapshot
-		if snap == nil {
-			snap = g.Snapshot()
-		}
-		strangers = snap.Strangers(owner)
-		pools, nsg, err = cluster.BuildPoolsSnapshot(snap, store, owner, strangers, e.cfg.Pool)
-	} else {
-		// Measure ablations supply graph-based measures; stay on the
-		// legacy path.
-		strangers = g.Strangers(owner)
-		pools, nsg, err = cluster.BuildPools(g, store, owner, strangers, e.cfg.Pool)
-	}
+	strangers := snap.Strangers(owner)
+	pools, nsg, err := cluster.BuildPoolsSnapshot(snap, store, owner, strangers, e.cfg.Pool)
 	if err != nil {
 		return nil, fmt.Errorf("core: owner %d: %w", owner, err)
 	}

@@ -43,6 +43,7 @@ func PrivacyScoreContrast(e *Env) ([]ContrastRow, error) {
 		naive, irt, benefitC, ns, naiveBenefit, prop, propNS []float64
 	}
 	var c corrs
+	snap := e.Study.Graph.Snapshot()
 	for _, o := range e.Study.Owners {
 		strangers := o.Strangers()
 		if len(strangers) < 3 {
@@ -57,7 +58,7 @@ func PrivacyScoreContrast(e *Env) ([]ContrastRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		propRisk, err := propagation.PathLowerBound(e.Study.Graph, o.ID, strangers, propagation.DefaultConfig())
+		propRisk, err := propagation.PathLowerBound(snap, o.ID, strangers, propagation.DefaultConfig())
 		if err != nil {
 			return nil, err
 		}
@@ -67,7 +68,7 @@ func PrivacyScoreContrast(e *Env) ([]ContrastRow, error) {
 		for _, s := range strangers {
 			labels[s] = float64(o.LabelStranger(s))
 			benefits[s] = benefit.Score(o.Theta, e.Study.Profiles.Get(s))
-			nsScores[s] = similarity.NS(e.Study.Graph, o.ID, s)
+			nsScores[s] = similarity.NS(snap, o.ID, s)
 		}
 		push := func(dst *[]float64, v float64) {
 			if !math.IsNaN(v) {

@@ -24,8 +24,9 @@ func Fig4(e *Env) ([]Fig4Row, error) {
 	alpha := e.Cfg.Pool.Alpha
 	counts := make([]int, alpha)
 	total := 0
+	snap := e.Study.Graph.Snapshot()
 	for _, o := range e.Study.Owners {
-		nsg, err := cluster.BuildNSG(e.Study.Graph, o.ID, o.Strangers(), alpha)
+		nsg, err := cluster.BuildNSGSnapshot(snap, o.ID, o.Strangers(), alpha)
 		if err != nil {
 			return nil, err
 		}

@@ -90,9 +90,9 @@ type Tenant struct {
 	ID string
 	// Graph is the tenant's social graph. It may be nil when Snapshot
 	// is set — the mmap-backed tenant shape, where a graph/snapfile
-	// mapping is the only graph representation that exists — as long as
-	// the engine runs the paper's network-similarity (no custom
-	// Pool.NetworkSim, which needs a live *graph.Graph).
+	// mapping is the only graph representation that exists. Every
+	// engine option, a custom Pool.NetworkSim included, runs on the
+	// snapshot alone.
 	Graph *graph.Graph
 	// Store holds the tenant's user profiles.
 	Store *profile.Store
@@ -234,9 +234,6 @@ func Run(ctx context.Context, cfg Config, tenants []Tenant) (*Result, error) {
 		}
 		if t.Graph == nil && t.Snapshot == nil {
 			return nil, fmt.Errorf("fleet: tenant %q: graph or snapshot must not be nil", t.ID)
-		}
-		if t.Graph == nil && cfg.Engine.Pool.NetworkSim != nil {
-			return nil, fmt.Errorf("fleet: tenant %q: a custom NetworkSim needs a live graph, not only a snapshot", t.ID)
 		}
 		if t.Snapshot == nil {
 			t.Snapshot = t.Graph.Snapshot()

@@ -2,8 +2,10 @@ package fleet
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -12,6 +14,7 @@ import (
 	"sightrisk/internal/graph"
 	"sightrisk/internal/graph/snapfile"
 	"sightrisk/internal/label"
+	"sightrisk/internal/similarity"
 	"sightrisk/internal/synthetic"
 )
 
@@ -414,7 +417,8 @@ func BenchmarkFleet(b *testing.B) {
 
 // TestFleetSnapshotOnlyTenant: a tenant backed purely by an mmap'd
 // snapshot file (nil Graph) produces runs byte-identical to the same
-// tenant holding the live graph.
+// tenant holding the live graph, under the paper's NS and under a
+// custom network measure.
 func TestFleetSnapshotOnlyTenant(t *testing.T) {
 	ref := fleetStudy(t, 2, 100, 11)
 	want := serialBaseline(t, ref)
@@ -457,10 +461,25 @@ func TestFleetSnapshotOnlyTenant(t *testing.T) {
 	if _, err := Run(context.Background(), Config{Engine: core.DefaultConfig()}, []Tenant{{ID: "x", Store: s.Profiles}}); err == nil {
 		t.Fatal("tenant without graph or snapshot accepted")
 	}
-	// A nil-graph tenant with a custom NetworkSim is a config error.
-	bad := Config{Engine: core.DefaultConfig()}
-	bad.Engine.Pool.NetworkSim = func(g *graph.Graph, o, u graph.UserID) float64 { return 0 }
-	if _, err := Run(context.Background(), bad, []Tenant{{ID: "x", Snapshot: f.Snapshot(), Store: s.Profiles}}); err == nil {
-		t.Fatal("nil-graph tenant with custom NetworkSim accepted")
+
+	// A custom NetworkSim runs on the snapshot-only tenant too, and
+	// matches a graph-backed tenant's run under the same measure.
+	custom := Config{Engine: core.DefaultConfig(), Workers: 2}
+	custom.Engine.Pool.NetworkSim = similarity.Cosine
+	res, err = Run(context.Background(), custom, []Tenant{tn, tenantOf("graph", fleetStudy(t, 2, 100, 11))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapRuns, graphRuns := res.Tenants[0], res.Tenants[1]
+	for ji, run := range snapRuns.Runs {
+		if err := errors.Join(snapRuns.Errs[ji], graphRuns.Errs[ji]); err != nil {
+			t.Fatalf("job %d: %v", ji, err)
+		}
+		if d := diffRuns(run, graphRuns.Runs[ji]); d != "" {
+			t.Fatalf("owner %d: snapshot-only run under a custom measure differs from the graph-backed one: %s", run.Owner, d)
+		}
+		if reflect.DeepEqual(run.NSG.Score, want[run.Owner].NSG.Score) {
+			t.Fatalf("owner %d: custom measure scored like NS; it was not applied", run.Owner)
+		}
 	}
 }

@@ -101,13 +101,13 @@ type SchedulerConfig struct {
 type Job struct {
 	// Graph and Store hold the tenant's social graph and profiles.
 	// Graph may be nil when Snapshot is set (an mmap-backed
-	// graph/snapfile tenant) and the engine runs the paper's
-	// network-similarity.
+	// graph/snapfile tenant).
 	Graph *graph.Graph
 	// Store holds the tenant's user profiles.
 	Store *profile.Store
 	// Snapshot, when non-nil, is the frozen CSR view shared by the
-	// tenant's jobs (the engine freezes its own otherwise).
+	// tenant's jobs (the engine reads the graph's cached snapshot
+	// otherwise).
 	Snapshot *graph.Snapshot
 	// Owner is the user the estimate is for.
 	Owner graph.UserID

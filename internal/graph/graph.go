@@ -9,6 +9,10 @@
 // owner's strangers, i.e. second-hop contacts that are not already
 // friends of the owner.
 //
+// Graph is the mutable form that changes go through; the risk
+// pipeline's algorithms read its frozen CSR view, Snapshot, which
+// Graph.Snapshot caches until the next structural change.
+//
 // All mutating and reading methods are safe for concurrent use.
 // Iteration orders are deterministic (sorted by UserID) so that
 // experiments are reproducible.
@@ -18,6 +22,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // UserID identifies a user (node) in the social graph.
@@ -30,6 +35,10 @@ type Graph struct {
 	adj map[UserID]map[UserID]struct{}
 
 	edgeCount int
+	// snap caches the Snapshot of the current structure. It is stored
+	// only under the read lock and cleared under the write lock by
+	// every structural change, so a cached view is never outdated.
+	snap atomic.Pointer[Snapshot]
 }
 
 // New returns an empty graph.
@@ -47,6 +56,7 @@ func (g *Graph) AddNode(id UserID) {
 func (g *Graph) addNodeLocked(id UserID) {
 	if _, ok := g.adj[id]; !ok {
 		g.adj[id] = make(map[UserID]struct{})
+		g.snap.Store(nil)
 	}
 }
 
@@ -66,6 +76,7 @@ func (g *Graph) AddEdge(a, b UserID) error {
 	g.adj[a][b] = struct{}{}
 	g.adj[b][a] = struct{}{}
 	g.edgeCount++
+	g.snap.Store(nil)
 	return nil
 }
 
@@ -79,6 +90,7 @@ func (g *Graph) RemoveEdge(a, b UserID) {
 	delete(g.adj[a], b)
 	delete(g.adj[b], a)
 	g.edgeCount--
+	g.snap.Store(nil)
 }
 
 // RemoveNode deletes the node and all its incident edges.
@@ -94,6 +106,7 @@ func (g *Graph) RemoveNode(id UserID) {
 		g.edgeCount--
 	}
 	delete(g.adj, id)
+	g.snap.Store(nil)
 }
 
 // HasNode reports whether the node exists.

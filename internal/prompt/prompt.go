@@ -25,7 +25,7 @@ type Annotator struct {
 	in  *bufio.Reader
 	out io.Writer
 
-	g     *graph.Graph
+	snap  *graph.Snapshot
 	store *profile.Store
 	owner graph.UserID
 	theta benefit.Theta
@@ -38,17 +38,17 @@ type Annotator struct {
 	MaxAttempts int
 }
 
-// New builds an interactive annotator for the owner. theta weights the
-// benefit figure shown in the prompt (nil means the paper's Table III
-// averages).
-func New(in io.Reader, out io.Writer, g *graph.Graph, store *profile.Store, owner graph.UserID, theta benefit.Theta) *Annotator {
+// New builds an interactive annotator for the owner over a snapshot of
+// the owner's graph. theta weights the benefit figure shown in the
+// prompt (nil means the paper's Table III averages).
+func New(in io.Reader, out io.Writer, snap *graph.Snapshot, store *profile.Store, owner graph.UserID, theta benefit.Theta) *Annotator {
 	if theta == nil {
 		theta = benefit.PaperTheta()
 	}
 	return &Annotator{
 		in:          bufio.NewReader(in),
 		out:         out,
-		g:           g,
+		snap:        snap,
 		store:       store,
 		owner:       owner,
 		theta:       theta,
@@ -60,7 +60,7 @@ func New(in io.Reader, out io.Writer, g *graph.Graph, store *profile.Store, owne
 // Question renders the paper's labeling question for the stranger,
 // with the similarity and benefit percentages filled in.
 func (a *Annotator) Question(s graph.UserID) string {
-	sim := 100 * similarity.NS(a.g, a.owner, s)
+	sim := 100 * similarity.NS(a.snap, a.owner, s)
 	ben := benefit.Percent(a.theta, a.store.Get(s))
 	name := fmt.Sprintf("stranger %d", s)
 	if p := a.store.Get(s); p != nil {

@@ -9,7 +9,7 @@ import (
 	"sightrisk/internal/profile"
 )
 
-func world(t *testing.T) (*graph.Graph, *profile.Store, graph.UserID, graph.UserID) {
+func world(t *testing.T) (*graph.Snapshot, *profile.Store, graph.UserID, graph.UserID) {
 	t.Helper()
 	g := graph.New()
 	owner, friend, stranger := graph.UserID(1), graph.UserID(2), graph.UserID(3)
@@ -24,7 +24,7 @@ func world(t *testing.T) (*graph.Graph, *profile.Store, graph.UserID, graph.User
 	p.SetAttr(profile.AttrLastName, "Rossi-1")
 	p.SetVisible(profile.ItemPhoto, true)
 	store.Put(p)
-	return g, store, owner, stranger
+	return g.Snapshot(), store, owner, stranger
 }
 
 func TestParse(t *testing.T) {

@@ -85,34 +85,14 @@ func (c Config) forward(u graph.UserID) float64 {
 // information legitimately); returned values cover the given targets
 // only.
 //
-// The simulation runs on a frozen graph.Snapshot: the hot loop used to
-// call g.Friends(u) — an allocation plus a sort — for every frontier
-// node in every hop of every one of the (default 500) rounds. The
-// snapshot path walks preindexed adjacency rows and flat []bool state
-// instead; BenchmarkMonteCarlo guards the allocs/op drop and
-// TestMonteCarloSnapshotEquivalence pins the results (and the RNG
-// stream) to the map-based implementation bit for bit.
-func MonteCarlo(g *graph.Graph, owner graph.UserID, targets []graph.UserID, cfg Config) (map[graph.UserID]float64, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if !g.HasNode(owner) {
-		return nil, fmt.Errorf("propagation: owner %d not in graph", owner)
-	}
-	return MonteCarloSnapshot(g.Snapshot(), owner, targets, cfg)
-}
-
-// MonteCarloSnapshot is MonteCarlo over an already-frozen snapshot —
-// the entry point for callers that amortize one snapshot across many
-// simulations (the fleet scheduler, the contrast experiment's stranger
-// sweep).
-//
-// Results are identical to the map-based simulation on the graph the
-// snapshot was taken from: adjacency rows are walked in the same
-// ascending order and the RNG is consulted under exactly the same
-// conditions, so the two implementations consume the same random
-// stream.
-func MonteCarloSnapshot(s *graph.Snapshot, owner graph.UserID, targets []graph.UserID, cfg Config) (map[graph.UserID]float64, error) {
+// The simulation walks the snapshot's preindexed adjacency rows with
+// flat []bool state, so one snapshot serves many simulations. Rows are
+// walked in ascending order and the RNG is consulted under exactly the
+// conditions of MonteCarloReference, so the two consume the same
+// random stream and return identical results;
+// TestMonteCarloSnapshotEquivalence pins that down and
+// BenchmarkMonteCarlo guards the allocs/op drop.
+func MonteCarlo(s *graph.Snapshot, owner graph.UserID, targets []graph.UserID, cfg Config) (map[graph.UserID]float64, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -191,10 +171,10 @@ func MonteCarloSnapshot(s *graph.Snapshot, owner graph.UserID, targets []graph.U
 	return out, nil
 }
 
-// MonteCarloReference is the original map-based simulation, kept as
-// the oracle for the snapshot-equivalence test and as the baseline
-// side of BenchmarkMonteCarlo and the riskbench micro-benchmarks. Use
-// MonteCarlo (or MonteCarloSnapshot) in production code.
+// MonteCarloReference is the original map-based simulation over the
+// mutable graph, kept as the oracle for the snapshot-equivalence test
+// and as the baseline side of BenchmarkMonteCarlo and the riskbench
+// micro-benchmarks. Use MonteCarlo in production code.
 func MonteCarloReference(g *graph.Graph, owner graph.UserID, targets []graph.UserID, cfg Config) (map[graph.UserID]float64, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -271,18 +251,20 @@ func MonteCarloReference(g *graph.Graph, owner graph.UserID, targets []graph.Use
 //
 // It lower-bounds MonteCarlo (longer paths only add probability) and
 // is exact when MaxHops = 1.
-func PathLowerBound(g *graph.Graph, owner graph.UserID, targets []graph.UserID, cfg Config) (map[graph.UserID]float64, error) {
+func PathLowerBound(s *graph.Snapshot, owner graph.UserID, targets []graph.UserID, cfg Config) (map[graph.UserID]float64, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	out := make(map[graph.UserID]float64, len(targets))
+	var mutual []graph.UserID
 	for _, t := range targets {
-		if t == owner || g.HasEdge(owner, t) {
+		if t == owner || s.HasEdge(owner, t) {
 			out[t] = 0
 			continue
 		}
 		miss := 1.0
-		for _, m := range g.MutualFriends(owner, t) {
+		mutual = s.AppendMutualFriends(mutual[:0], owner, t)
+		for _, m := range mutual {
 			miss *= 1 - cfg.forward(m)
 		}
 		out[t] = 1 - miss

@@ -28,11 +28,11 @@ func TestConfigValidation(t *testing.T) {
 		{Forward: 0.5, MaxHops: 2, Rounds: 0},
 	}
 	for i, cfg := range bad {
-		if _, err := MonteCarlo(g, 1, nil, cfg); err == nil {
+		if _, err := MonteCarlo(g.Snapshot(), 1, nil, cfg); err == nil {
 			t.Fatalf("bad config %d accepted", i)
 		}
 	}
-	if _, err := MonteCarlo(g, 99, nil, DefaultConfig()); err == nil {
+	if _, err := MonteCarlo(g.Snapshot(), 99, nil, DefaultConfig()); err == nil {
 		t.Fatal("unknown owner accepted")
 	}
 }
@@ -42,7 +42,7 @@ func TestMonteCarloPathProbability(t *testing.T) {
 	// so P(reach 3) = p exactly (up to sampling error).
 	g := pathWorld(t)
 	cfg := Config{Forward: 0.3, MaxHops: 1, Rounds: 20000, Seed: 7}
-	risk, err := MonteCarlo(g, 1, []graph.UserID{3, 4}, cfg)
+	risk, err := MonteCarlo(g.Snapshot(), 1, []graph.UserID{3, 4}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestMonteCarloTwoHops(t *testing.T) {
 	// With two hops, node 4 is reached iff both forwards fire: p².
 	g := pathWorld(t)
 	cfg := Config{Forward: 0.5, MaxHops: 2, Rounds: 20000, Seed: 8}
-	risk, err := MonteCarlo(g, 1, []graph.UserID{4}, cfg)
+	risk, err := MonteCarlo(g.Snapshot(), 1, []graph.UserID{4}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestMonteCarloTwoHops(t *testing.T) {
 
 func TestMonteCarloAuthorizedAreZero(t *testing.T) {
 	g := pathWorld(t)
-	risk, err := MonteCarlo(g, 1, []graph.UserID{1, 2}, DefaultConfig())
+	risk, err := MonteCarlo(g.Snapshot(), 1, []graph.UserID{1, 2}, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestMonteCarloMoreMutualsMoreRisk(t *testing.T) {
 		}
 	}
 	cfg := Config{Forward: 0.3, MaxHops: 2, Rounds: 5000, Seed: 9}
-	risk, err := MonteCarlo(g, owner, []graph.UserID{100, 200}, cfg)
+	risk, err := MonteCarlo(g.Snapshot(), owner, []graph.UserID{100, 200}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,11 +110,11 @@ func TestMonteCarloMoreMutualsMoreRisk(t *testing.T) {
 func TestMonteCarloDeterministic(t *testing.T) {
 	g := pathWorld(t)
 	cfg := DefaultConfig()
-	a, err := MonteCarlo(g, 1, []graph.UserID{3, 4}, cfg)
+	a, err := MonteCarlo(g.Snapshot(), 1, []graph.UserID{3, 4}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := MonteCarlo(g, 1, []graph.UserID{3, 4}, cfg)
+	b, err := MonteCarlo(g.Snapshot(), 1, []graph.UserID{3, 4}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestPathLowerBound(t *testing.T) {
 		}
 	}
 	cfg := Config{Forward: 0.5, MaxHops: 1, Rounds: 1}
-	lb, err := PathLowerBound(g, 1, []graph.UserID{3, 1, 10}, cfg)
+	lb, err := PathLowerBound(g.Snapshot(), 1, []graph.UserID{3, 1, 10}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,11 +166,11 @@ func TestPathLowerBoundMatchesMonteCarloOneHop(t *testing.T) {
 		}
 	}
 	cfg := Config{Forward: 0.4, MaxHops: 1, Rounds: 30000, Seed: 3}
-	mc, err := MonteCarlo(g, owner, targets, cfg)
+	mc, err := MonteCarlo(g.Snapshot(), owner, targets, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lb, err := PathLowerBound(g, owner, targets, cfg)
+	lb, err := PathLowerBound(g.Snapshot(), owner, targets, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestPerUserForwarding(t *testing.T) {
 		}
 		return 1
 	}
-	risk, err := MonteCarlo(g, 1, []graph.UserID{3}, cfg)
+	risk, err := MonteCarlo(g.Snapshot(), 1, []graph.UserID{3}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,21 +53,12 @@ func TestMonteCarloSnapshotEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := MonteCarlo(g, owner, targets, cfg)
+			got, err := MonteCarlo(g.Snapshot(), owner, targets, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d cfg %d: snapshot MonteCarlo diverged from map implementation", seed, ci)
-			}
-			// Reusing one snapshot across calls must not change results.
-			s := g.Snapshot()
-			got2, err := MonteCarloSnapshot(s, owner, targets, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got2, want) {
-				t.Fatalf("seed %d cfg %d: MonteCarloSnapshot diverged", seed, ci)
 			}
 		}
 	}
@@ -76,15 +67,14 @@ func TestMonteCarloSnapshotEquivalence(t *testing.T) {
 // TestMonteCarloSnapshotMissingOwner mirrors the map path's error.
 func TestMonteCarloSnapshotMissingOwner(t *testing.T) {
 	g := randomPropGraph(1, 10, 20)
-	if _, err := MonteCarloSnapshot(g.Snapshot(), 99999, g.Nodes(), DefaultConfig()); err == nil {
+	if _, err := MonteCarlo(g.Snapshot(), 99999, g.Nodes(), DefaultConfig()); err == nil {
 		t.Fatal("expected error for absent owner")
 	}
 }
 
 // BenchmarkMonteCarlo contrasts the map-based hot loop (g.Friends per
 // frontier node per hop per round: one alloc + sort each) against the
-// snapshot walk. The snapshot side includes the freeze cost via
-// MonteCarlo; the amortized sub-benchmark reuses one snapshot.
+// snapshot walk over one shared snapshot.
 func BenchmarkMonteCarlo(b *testing.B) {
 	g := randomPropGraph(1, 300, 2400)
 	nodes := g.Nodes()
@@ -102,17 +92,9 @@ func BenchmarkMonteCarlo(b *testing.B) {
 	})
 	b.Run("snapshot", func(b *testing.B) {
 		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := MonteCarlo(g, owner, targets, cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("snapshot-amortized", func(b *testing.B) {
-		b.ReportAllocs()
 		s := g.Snapshot()
 		for i := 0; i < b.N; i++ {
-			if _, err := MonteCarloSnapshot(s, owner, targets, cfg); err != nil {
+			if _, err := MonteCarlo(s, owner, targets, cfg); err != nil {
 				b.Fatal(err)
 			}
 		}

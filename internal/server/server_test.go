@@ -40,7 +40,10 @@ func testDataset(t testing.TB, owners, strangers int, seed int64) *dataset.Datas
 }
 
 // newTestServer stands a server up behind httptest and returns a
-// client pointed at it (with a short long-poll for fast tests).
+// client pointed at it (with a short long-poll for fast tests). At
+// cleanup the server is drained before the listener closes, so no job
+// is still writing its final record when the test's temporary state
+// directory is removed.
 func newTestServer(t testing.TB, cfg server.Config) (*server.Server, *httptest.Server, *client.Client) {
 	t.Helper()
 	if cfg.Logf == nil {
@@ -52,6 +55,13 @@ func newTestServer(t testing.TB, cfg server.Config) (*server.Server, *httptest.S
 	}
 	hs := httptest.NewServer(srv)
 	t.Cleanup(hs.Close)
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := srv.Drain(ctx); err != nil {
+			t.Errorf("drain at cleanup: %v", err)
+		}
+	})
 	c := client.New(hs.URL)
 	c.LongPoll = 250 * time.Millisecond
 	// The 429/503 tests assert on the first response; retries would turn

@@ -8,21 +8,21 @@ import (
 	"sightrisk/internal/graph"
 )
 
-// NetworkMeasure scores the network similarity of two users in [0,1].
-// NS is the paper's measure; the alternatives below are the classical
-// measures of the large-scale comparison the paper cites (Spertus et
-// al., KDD 2005), normalized into [0,1] so they can drive the NSG
-// bucketing interchangeably.
-type NetworkMeasure func(g *graph.Graph, a, b graph.UserID) float64
+// NetworkMeasure scores the network similarity of two users in [0,1]
+// over a frozen graph snapshot. NS is the paper's measure; the
+// alternatives below are the classical measures of the large-scale
+// comparison the paper cites (Spertus et al., KDD 2005), normalized
+// into [0,1] so they can drive the NSG bucketing interchangeably.
+type NetworkMeasure func(s *graph.Snapshot, a, b graph.UserID) float64
 
 // Cosine is the cosine similarity of the friend sets:
 // |M| / sqrt(deg(a)·deg(b)).
-func Cosine(g *graph.Graph, a, b graph.UserID) float64 {
-	m := len(g.MutualFriends(a, b))
+func Cosine(s *graph.Snapshot, a, b graph.UserID) float64 {
+	m := s.CountMutualFriends(a, b)
 	if m == 0 {
 		return 0
 	}
-	da, db := g.Degree(a), g.Degree(b)
+	da, db := s.Degree(a), s.Degree(b)
 	if da == 0 || db == 0 {
 		return 0
 	}
@@ -30,13 +30,13 @@ func Cosine(g *graph.Graph, a, b graph.UserID) float64 {
 }
 
 // Overlap is the overlap coefficient: |M| / min(deg(a), deg(b)).
-func Overlap(g *graph.Graph, a, b graph.UserID) float64 {
-	m := len(g.MutualFriends(a, b))
+func Overlap(s *graph.Snapshot, a, b graph.UserID) float64 {
+	m := s.CountMutualFriends(a, b)
 	if m == 0 {
 		return 0
 	}
-	d := g.Degree(a)
-	if db := g.Degree(b); db < d {
+	d := s.Degree(a)
+	if db := s.Degree(b); db < d {
 		d = db
 	}
 	if d == 0 {
@@ -53,18 +53,18 @@ func Overlap(g *graph.Graph, a, b graph.UserID) float64 {
 // attainable from a's friend list: Σ_{m∈M} 1/log2(1+deg(m)) divided by
 // Σ_{m∈F(a)} 1/log2(1+deg(m)). Mutual friends with small degree
 // (exclusive acquaintances) weigh more than hubs.
-func AdamicAdar(g *graph.Graph, a, b graph.UserID) float64 {
-	mutual := g.MutualFriends(a, b)
+func AdamicAdar(s *graph.Snapshot, a, b graph.UserID) float64 {
+	mutual := s.MutualFriends(a, b)
 	if len(mutual) == 0 {
 		return 0
 	}
 	score := 0.0
 	for _, m := range mutual {
-		score += 1 / math.Log2(1+float64(g.Degree(m)))
+		score += 1 / math.Log2(1+float64(s.Degree(m)))
 	}
 	max := 0.0
-	for _, f := range g.Friends(a) {
-		max += 1 / math.Log2(1+float64(g.Degree(f)))
+	for _, f := range s.Friends(a) {
+		max += 1 / math.Log2(1+float64(s.Degree(f)))
 	}
 	if max == 0 {
 		return 0
@@ -76,17 +76,12 @@ func AdamicAdar(g *graph.Graph, a, b graph.UserID) float64 {
 	return v
 }
 
-// JaccardMeasure adapts Jaccard to the NetworkMeasure signature.
-func JaccardMeasure(g *graph.Graph, a, b graph.UserID) float64 {
-	return Jaccard(g, a, b)
-}
-
 // Measures returns the registry of network measures by name; "NS" is
 // the paper's density-boosted measure.
 func Measures() map[string]NetworkMeasure {
 	return map[string]NetworkMeasure{
 		"NS":          NS,
-		"jaccard":     JaccardMeasure,
+		"jaccard":     Jaccard,
 		"cosine":      Cosine,
 		"overlap":     Overlap,
 		"adamic-adar": AdamicAdar,

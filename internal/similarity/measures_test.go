@@ -10,7 +10,7 @@ import (
 
 // measureWorld builds a graph where users 1 and 2 share mutual friends
 // 10 and 11; 1 also knows 12 and 13.
-func measureWorld(t *testing.T) *graph.Graph {
+func measureWorld(t *testing.T) *graph.Snapshot {
 	t.Helper()
 	return build(t, [][2]graph.UserID{
 		{1, 10}, {1, 11}, {1, 12}, {1, 13},
@@ -101,15 +101,16 @@ func TestAllMeasuresInUnitRange(t *testing.T) {
 			_ = g.AddEdge(a, b)
 		}
 	}
+	s := g.Snapshot()
 	for name, m := range Measures() {
 		for a := graph.UserID(0); a < n; a += 3 {
 			for b := a + 1; b < n; b += 2 {
-				v := m(g, a, b)
+				v := m(s, a, b)
 				if v < 0 || v > 1 || math.IsNaN(v) {
 					t.Fatalf("%s(%d,%d) = %g out of [0,1]", name, a, b, v)
 				}
 				// All measures are zero exactly without mutual friends.
-				if (len(g.MutualFriends(a, b)) == 0) != (v == 0) {
+				if (len(s.MutualFriends(a, b)) == 0) != (v == 0) {
 					t.Fatalf("%s(%d,%d) = %g disagrees with mutual-friend emptiness", name, a, b, v)
 				}
 			}

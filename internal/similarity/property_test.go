@@ -70,16 +70,17 @@ func TestPropNSRange(t *testing.T) {
 				_ = g.AddEdge(a, b)
 			}
 		}
+		s := g.Snapshot()
 		for a := graph.UserID(0); a < n; a++ {
 			for b := a + 1; b < n; b++ {
-				v := NS(g, a, b)
+				v := NS(s, a, b)
 				if v < 0 || v > 1 {
 					return false
 				}
 				if (len(g.MutualFriends(a, b)) == 0) != (v == 0) {
 					return false
 				}
-				if v != NS(g, b, a) {
+				if v != NS(s, b, a) {
 					return false
 				}
 			}

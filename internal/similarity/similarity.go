@@ -21,9 +21,9 @@ import (
 
 // Jaccard returns |F(a) ∩ F(b)| / |F(a) ∪ F(b)| over friend sets.
 // Users with no friends yield 0.
-func Jaccard(g *graph.Graph, a, b graph.UserID) float64 {
-	mutual := len(g.MutualFriends(a, b))
-	union := g.Degree(a) + g.Degree(b) - mutual
+func Jaccard(s *graph.Snapshot, a, b graph.UserID) float64 {
+	mutual := s.CountMutualFriends(a, b)
+	union := s.Degree(a) + s.Degree(b) - mutual
 	if union == 0 {
 		return 0
 	}
@@ -31,11 +31,11 @@ func Jaccard(g *graph.Graph, a, b graph.UserID) float64 {
 }
 
 // CommonNeighbors returns the number of mutual friends of a and b.
-func CommonNeighbors(g *graph.Graph, a, b graph.UserID) int {
-	return len(g.MutualFriends(a, b))
+func CommonNeighbors(s *graph.Snapshot, a, b graph.UserID) int {
+	return s.CountMutualFriends(a, b)
 }
 
-// NS returns the network similarity between owner o and stranger s,
+// NS returns the network similarity between owner o and stranger t,
 // in [0,1].
 //
 // Reconstruction of the measure of Akcora et al. (IRI 2011): unlike
@@ -46,26 +46,43 @@ func CommonNeighbors(g *graph.Graph, a, b graph.UserID) int {
 // density of the subgraph induced by the mutual friends M, capping at
 // 1:
 //
-//	NS(o,s) = min(1, Jaccard(o,s) · (1 + density(M)))
+//	NS(o,t) = min(1, Jaccard(o,t) · (1 + density(M)))
 //
 // Properties used downstream: NS = 0 iff no mutual friends; NS grows
 // with overlap; two strangers with equal overlap differ by mutual-
 // community density.
-func NS(g *graph.Graph, o, s graph.UserID) float64 {
-	mutual := g.MutualFriends(o, s)
-	if len(mutual) == 0 {
-		return 0
+//
+// NS allocates a fresh intersection buffer per call; hot loops (NSG
+// construction) use NSInto with a reused buffer instead.
+func NS(s *graph.Snapshot, o, t graph.UserID) float64 {
+	ns, _ := NSInto(s, o, t, nil)
+	return ns
+}
+
+// NSInto computes NS(o,t) using buf as the mutual-friend scratch
+// space, returning the similarity and the (possibly grown) buffer for
+// reuse. With a warm buffer the whole computation is allocation-free:
+// one sorted-slice intersection plus an induced-edge count over the
+// already-sorted intersection.
+func NSInto(s *graph.Snapshot, o, t graph.UserID, buf []graph.UserID) (float64, []graph.UserID) {
+	buf = s.AppendMutualFriends(buf[:0], o, t)
+	m := len(buf)
+	if m == 0 {
+		return 0, buf
 	}
-	union := g.Degree(o) + g.Degree(s) - len(mutual)
+	union := s.Degree(o) + s.Degree(t) - m
 	if union == 0 {
-		return 0
+		return 0, buf
 	}
-	j := float64(len(mutual)) / float64(union)
-	ns := j * (1 + g.InducedDensity(mutual))
+	density := 0.0
+	if m >= 2 {
+		density = float64(s.InducedEdgesSorted(buf)) / (float64(m) * float64(m-1) / 2)
+	}
+	ns := float64(m) / float64(union) * (1 + density)
 	if ns > 1 {
 		ns = 1
 	}
-	return ns
+	return ns, buf
 }
 
 // PSContext carries the value-frequency context PS needs: the paper

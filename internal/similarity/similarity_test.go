@@ -7,7 +7,8 @@ import (
 	"sightrisk/internal/profile"
 )
 
-func build(t *testing.T, edges [][2]graph.UserID) *graph.Graph {
+// build returns the snapshot of the graph with the given edges.
+func build(t *testing.T, edges [][2]graph.UserID) *graph.Snapshot {
 	t.Helper()
 	g := graph.New()
 	for _, e := range edges {
@@ -15,7 +16,7 @@ func build(t *testing.T, edges [][2]graph.UserID) *graph.Graph {
 			t.Fatal(err)
 		}
 	}
-	return g
+	return g.Snapshot()
 }
 
 func TestJaccard(t *testing.T) {

@@ -196,8 +196,9 @@ func (o *Owner) Score(s graph.UserID) float64 {
 	// than as a continuous value — so the closeness discount is
 	// quantized to tenths of NS (the same granularity as the α = 10
 	// network similarity groups). Above NS = 0.5 the discount
-	// saturates.
-	ns := similarity.NS(o.g, o.ID, s)
+	// saturates. The study graph's cached snapshot serves every score
+	// until churn changes the graph.
+	ns := similarity.NS(o.g.Snapshot(), o.ID, s)
 	nsNorm := math.Floor(ns*10) / 10 / 0.5
 	if nsNorm > 1 {
 		nsNorm = 1

@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"time"
 
 	"sightrisk/internal/active"
@@ -243,10 +244,12 @@ func (n *Network) NumFriendships() int {
 	return n.g.NumEdges()
 }
 
-// Friends returns a user's friends.
+// Friends returns a user's friends in ascending order, in a slice the
+// caller owns.
 func (n *Network) Friends(u UserID) []UserID {
 	if n.g == nil {
-		return n.snap.Friends(u)
+		// The snapshot row may live in a read-only mmap page.
+		return slices.Clone(n.snap.Friends(u))
 	}
 	return n.g.Friends(u)
 }
@@ -293,12 +296,21 @@ func (n *Network) SetVisibility(u UserID, item string, visible bool) {
 
 // NetworkSimilarity returns NS(o,s) ∈ [0,1]: the mutual-friend overlap
 // of the two users boosted by the density of the community their
-// mutual friends form.
+// mutual friends form. On a graph-backed network it reads the graph's
+// snapshot, which is built on the first call after each change to the
+// network's users or friendships and shared by every call until the
+// next one.
 func (n *Network) NetworkSimilarity(o, s UserID) float64 {
+	return similarity.NS(n.snapshot(), o, s)
+}
+
+// snapshot returns the frozen view the structural algorithms read: the
+// wrapped snapshot, or the graph's cached one.
+func (n *Network) snapshot() *graph.Snapshot {
 	if n.g == nil {
-		return similarity.NSSnapshot(n.snap, o, s)
+		return n.snap
 	}
-	return similarity.NS(n.g, o, s)
+	return n.g.Snapshot()
 }
 
 // Benefit returns B(o,s): the θ-weighted share of the stranger's
@@ -721,11 +733,9 @@ func EstimateRisk(ctx context.Context, n *Network, owner UserID, ann AnyAnnotato
 	if err != nil {
 		return nil, err
 	}
-	if n.snap != nil {
-		// Snapshot-backed network: the engine runs entirely on the
-		// frozen (possibly mmap-backed) CSR view, graph-free.
-		cfg.Snapshot = n.snap
-	}
+	// On a snapshot-backed network the engine runs entirely on the
+	// frozen (possibly mmap-backed) CSR view, graph-free.
+	cfg.Snapshot = n.snapshot()
 	engine := core.New(cfg)
 	run, err := engine.RunOwner(ctx, n.g, n.profiles, owner, fallible, math.NaN())
 	if err != nil {
