@@ -2,16 +2,17 @@
 # a one-iteration fleet bench so the benchmark code compiles and runs
 # on every PR, vet + tests of the separate sightbench module, the
 # determinism audit over the robustness matrix, the godoc-coverage
-# check, a sightd serving smoke test and a 2-replica cluster smoke test
-# with a mid-sweep node kill. `make race` adds the concurrency stress
-# pass that covers the multi-tenant scheduler, the serving layer and
-# the cluster tier.
+# check, a snapshot-file scale smoke test, a 2-replica cluster smoke
+# test with a mid-sweep node kill, an incremental-revision smoke test
+# that includes the advise counterfactual, and an LDP analytics smoke
+# test. `make race` adds the concurrency stress pass that covers the
+# multi-tenant scheduler, the serving layer and the cluster tier.
 
 GO ?= go
 
-.PHONY: tier1 build vet test bench-smoke sightbench-check audit docs serve-smoke scale-smoke cluster-smoke incremental-smoke advise-smoke stats-smoke race fuzz bench fleet-bench serve-bench scale-bench cluster-bench incremental-bench advise-bench ldp-bench
+.PHONY: tier1 build vet test bench-smoke sightbench-check audit docs scale-smoke cluster-smoke incremental-smoke stats-smoke race fuzz bench fleet-bench scale-bench cluster-bench incremental-bench ldp-bench
 
-tier1: build vet test bench-smoke sightbench-check audit docs serve-smoke scale-smoke cluster-smoke incremental-smoke advise-smoke stats-smoke
+tier1: build vet test bench-smoke sightbench-check audit docs scale-smoke cluster-smoke incremental-smoke stats-smoke
 
 build:
 	$(GO) build ./...
@@ -46,14 +47,6 @@ docs:
 	$(GO) vet ./...
 	$(GO) run ./cmd/doccheck
 
-# Serving smoke test: stand up an in-process sightd, run every owner
-# of the small study through the HTTP API on both annotator paths, and
-# fail unless the served reports are byte-identical to in-process
-# serial runs. Doubles as the BENCH_serve methodology at small scale;
-# the throwaway JSON keeps tier-1 from dirtying the checked-in numbers.
-serve-smoke:
-	$(GO) run ./cmd/riskbench -serve-rtt -serve-out /tmp/BENCH_serve_smoke.json
-
 # Scale-curve smoke test: one small population through the whole
 # snapshot-file pipeline — generate straight into CSR, pack, mmap
 # open, JSON-load comparison, owner estimates off the mapped pages,
@@ -72,21 +65,14 @@ cluster-smoke:
 	$(GO) run ./cmd/riskbench -nodes 2 -workers 2 -cluster-out /tmp/BENCH_cluster_smoke.json
 
 # Incremental smoke test: one small network through the delta
-# pipeline — apply update batches, revise against the prior run, and
-# fail unless the revision is byte-identical to a full recompute. The
-# real speedup curve (BENCH_incremental.json, 10^4-10^5 strangers)
-# comes from `make incremental-bench`.
+# pipeline — the advise counterfactual (candidate edge on a cloned
+# graph) and two mixed update batches, each revised against the prior
+# run — failing unless every revision is byte-identical to a full
+# recompute and the advise assessment is byte-identical across worker
+# counts. The real rows (BENCH_incremental.json, 2x10^3 and 10^4
+# strangers) come from `make incremental-bench`.
 incremental-smoke:
 	$(GO) run ./cmd/riskbench -incremental -incr-sizes 2000 -incr-deltas 1,10 -incr-out /tmp/BENCH_incremental_smoke.json
-
-# Advise smoke test: one small network through the pre-acceptance
-# friendship-request evaluator — candidate edge on a cloned graph,
-# counterfactual by delta.Revise against the prior run, byte-identity
-# against a full recompute and across worker counts. The real speedup
-# table (BENCH_advise.json, 10^4 strangers, >=10x required) comes from
-# `make advise-bench`.
-advise-smoke:
-	$(GO) run ./cmd/riskbench -advise -advise-sizes 2000 -advise-out /tmp/BENCH_advise_smoke.json
 
 # LDP analytics smoke test: a short ε sweep of the /v1/stats estimator
 # stack — visibility-aware noise must beat the all-edge baseline for
@@ -113,11 +99,6 @@ bench:
 fleet-bench:
 	$(GO) run ./cmd/riskbench -tenants 8 -scale medium
 
-# Serving-layer round trips: writes BENCH_serve.json (see
-# EXPERIMENTS.md for methodology).
-serve-bench:
-	$(GO) run ./cmd/riskbench -serve-rtt
-
 # Million-node scale curve: writes BENCH_scale.json (see EXPERIMENTS.md
 # "Scale curve" for methodology). Takes a few minutes.
 scale-bench:
@@ -129,19 +110,15 @@ scale-bench:
 cluster-bench:
 	$(GO) run ./cmd/riskbench -nodes 1,2,4 -scale medium
 
-# Incremental speedup curve: delta sizes 1/10/100 against 10^4- and
-# 10^5-stranger networks; writes BENCH_incremental.json (see
-# EXPERIMENTS.md "Incremental re-estimation" for methodology). Takes a
-# few minutes — the 10^5 full recomputes dominate.
+# Incremental speedup rows: the advise counterfactual plus mixed batches
+# of 1/10/100 updates against 2x10^3- and 10^4-stranger networks; fails
+# unless the advise revision is at least 10x faster than its full
+# recompute at 10^4 strangers. Writes BENCH_incremental.json (see
+# EXPERIMENTS.md "Incremental re-estimation" for methodology). Takes
+# about 10 minutes on 2 vCPUs — the five full-size runs at 10^4
+# strangers dominate.
 incremental-bench:
 	$(GO) run ./cmd/riskbench -incremental
-
-# Advise speedup table: counterfactual friendship-request evaluation vs
-# full recompute at 10^4 strangers; fails unless the counterfactual is
-# at least 10x faster. Writes BENCH_advise.json (see EXPERIMENTS.md
-# "Pre-acceptance advise" for methodology).
-advise-bench:
-	$(GO) run ./cmd/riskbench -advise
 
 # ε-vs-accuracy sweep for the differentially private analytics:
 # visibility-aware noise against the all-edge baseline at ε in

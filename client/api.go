@@ -437,8 +437,9 @@ type StatsResponse struct {
 	// Epoch echoes the release epoch.
 	Epoch uint64 `json:"epoch"`
 	// Generation is the dataset's update generation at release time.
-	// Applied update batches bump it; a bump refreshes the ε ledger and
-	// changes the release (same epoch, new data, new exact parts).
+	// Applied update batches bump it; a bump changes the release (same
+	// epoch, new data, fresh noise, new exact parts) and charges it
+	// afresh against the same ε ledger, which never refreshes.
 	Generation uint64 `json:"generation"`
 	// Noise is the regime the release was computed under.
 	Noise string `json:"noise"`
@@ -607,8 +608,8 @@ type HealthResponse struct {
 
 // FromReport converts a library report into its wire form — the exact
 // encoding the server produces, so callers can compare a served run
-// against an in-process one byte for byte (the end-to-end tests and
-// riskbench -serve-rtt do).
+// against an in-process one byte for byte (the end-to-end tests,
+// riskbench -nodes and sightbench do).
 func FromReport(r *sight.Report) *Report {
 	out := &Report{
 		Owner:           int64(r.Owner),

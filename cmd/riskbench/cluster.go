@@ -172,6 +172,15 @@ type clusterRun struct {
 	Identical      bool    `json:"identical_reports"`
 }
 
+// serialRun is the in-process serial baseline's throughput numbers.
+type serialRun struct {
+	Owners         int     `json:"owners"`
+	Queries        int     `json:"queries"`
+	ElapsedMillis  float64 `json:"elapsed_ms"`
+	OwnersPerSec   float64 `json:"owners_per_sec"`
+	MillisPerOwner float64 `json:"ms_per_owner"`
+}
+
 // clusterBenchReport is the BENCH_cluster.json shape.
 type clusterBenchReport struct {
 	Scale   string `json:"scale"`
@@ -180,14 +189,14 @@ type clusterBenchReport struct {
 	Workers int    `json:"workers"`
 	// Serial is the in-process baseline every served report is verified
 	// byte-identical against.
-	Serial serveSide    `json:"serial"`
+	Serial serialRun    `json:"serial"`
 	Runs   []clusterRun `json:"runs"`
 }
 
 // serialBaseline runs every owner through the in-process library path
 // and returns the wire-encoded report bytes the served runs must
 // reproduce, plus throughput numbers.
-func serialBaseline(ctx context.Context, ds *dataset.Dataset) (map[graph.UserID][]byte, serveSide, error) {
+func serialBaseline(ctx context.Context, ds *dataset.Dataset) (map[graph.UserID][]byte, serialRun, error) {
 	net := sight.WrapNetwork(ds.Graph, ds.ProfileStore())
 	want := make(map[graph.UserID][]byte, len(ds.Owners))
 	queries := 0
@@ -196,17 +205,17 @@ func serialBaseline(ctx context.Context, ds *dataset.Dataset) (map[graph.UserID]
 		ann := dataset.StoredAnnotator{Labels: rec.Labels, Fallback: label.Risky}
 		rep, err := sight.EstimateRisk(ctx, net, rec.ID, ann, sight.DefaultOptions())
 		if err != nil {
-			return nil, serveSide{}, fmt.Errorf("serial baseline: owner %d: %w", rec.ID, err)
+			return nil, serialRun{}, fmt.Errorf("serial baseline: owner %d: %w", rec.ID, err)
 		}
 		b, err := json.Marshal(client.FromReport(rep))
 		if err != nil {
-			return nil, serveSide{}, err
+			return nil, serialRun{}, err
 		}
 		want[rec.ID] = b
 		queries += rep.LabelsRequested
 	}
 	elapsed := time.Since(start)
-	side := serveSide{
+	side := serialRun{
 		Owners:         len(ds.Owners),
 		Queries:        queries,
 		ElapsedMillis:  float64(elapsed) / float64(time.Millisecond),

@@ -4,11 +4,21 @@
 //
 // Usage:
 //
-//	riskbench [-scale small|medium|full|sweep] [-seed N] [-only fig4,table1,...] [-workers N]
+//	riskbench [-scale small|medium|full] [-seed N] [-only fig4,table1,...] [-workers N]
 //	          [-fault-prob P] [-fault-latency D] [-fault-abandon N] [-fault-seed N] [-fault-retries N]
-//	          [-tenants N] [-tenant-rtt D] [-bench-out FILE]
-//	          [-serve-rtt] [-serve-out FILE]
-//	          [-scale-sizes 10000,...] [-scale-out FILE]
+//
+// or, in exactly one benchmark or audit mode,
+//
+//	riskbench -tenants N [-scale S] [-tenant-rtt D] [-bench-out FILE]
+//	riskbench -nodes 1,2,4 [-scale S] [-cluster-out FILE]
+//	riskbench -scale sweep [-scale-sizes 10000,...] [-scale-owners N] [-scale-out FILE]
+//	riskbench -incremental [-incr-sizes 2000,10000] [-incr-deltas 1,10,100] [-incr-out FILE]
+//	riskbench -ldp [-ldp-eps 0.5,1,...] [-ldp-trials N] [-ldp-strangers N] [-ldp-out FILE]
+//	riskbench -audit
+//
+// Every mode takes -seed, and all but -ldp take -workers.
+// Setting more than one mode, or naming an unknown -only step, is a
+// usage error (exit status 2).
 //
 // With -tenants N the command switches to fleet-benchmark mode: it
 // replicates the study for N tenants, runs every owner through the
@@ -17,34 +27,23 @@
 // sequentially, verifies the per-owner reports are byte-identical, and
 // writes throughput plus micro-benchmark numbers to BENCH_fleet.json.
 //
-// With -serve-rtt it benchmarks the serving layer instead: an
-// in-process sightd (internal/server) serves every owner over the
-// HTTP API — once with the server-side stored annotator, once with the
-// owner answering long-polled questions over the wire — verifies the
-// served reports byte-identical to in-process serial runs, and writes
-// endpoint latency plus per-question round-trip cost to
-// BENCH_serve.json.
+// With -nodes it runs every owner through an in-process N-replica
+// sightd cluster, kills one replica mid-sweep when N > 1, verifies the
+// reports byte-identical to the serial run and writes failover latency
+// plus throughput to BENCH_cluster.json.
 //
 // With -incremental it benchmarks the incremental re-estimation
 // engine: per -incr-sizes stranger count it runs one owner to
-// completion, then per -incr-deltas batch size applies that many
-// graph/profile updates and measures a full recompute against
-// delta.Revise on the same post-batch graph. The revised run must be
-// byte-identical to the full recompute every time (non-zero exit
-// otherwise); the full-vs-incremental speedup curve goes to
+// completion, then measures a full recompute against delta.Revise on
+// the same post-batch graph for two kinds of update batch — the
+// friendship-request counterfactual behind POST /v1/advise (the
+// best-connected candidate's edge on a clone of the graph) and one
+// mixed graph/profile batch per -incr-deltas size. Every revision must
+// be byte-identical to its full recompute, the advise assessment must
+// be byte-identical at workers 1, 2 and 4, and at 10^4 strangers and
+// above the advise revision must be at least 10x faster than the full
+// recompute (non-zero exit otherwise); the rows go to
 // BENCH_incremental.json.
-//
-// With -advise it benchmarks the pre-acceptance friendship-request
-// evaluator behind POST /v1/advise: per -advise-sizes stranger count
-// it runs one owner to completion, picks a candidate from the
-// stranger list, applies the (owner, candidate) edge to a clone of the
-// graph, and measures a full counterfactual recompute against
-// delta.Revise riding the prior run. The revision must be
-// byte-identical to the full recompute, the rendered advise assessment
-// must be byte-identical at workers 1, 2 and 4, and at 10^4 strangers
-// and above the counterfactual must be at least 10x faster than the
-// full recompute (non-zero exit otherwise); the speedup table goes to
-// BENCH_advise.json.
 //
 // With -ldp it benchmarks the differentially private analytics behind
 // GET/POST /v1/stats (internal/ldp): on one synthetic population it
@@ -82,6 +81,7 @@ import (
 	"math"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -115,20 +115,15 @@ func main() {
 	traceOut := flag.String("trace-out", "", "write the structured run-event stream (JSONL, one event per line) to this file")
 	metricsOut := flag.String("metrics-out", "", "write the per-stage metrics snapshot (JSON) to this file at exit")
 	audit := flag.Bool("audit", false, "determinism-audit mode: run the robustness matrix twice per topology with the event auditor attached, plus an mmap-vs-in-memory snapshot-file run, and report the first divergence (skips the experiment steps; non-zero exit on divergence)")
-	serveRTT := flag.Bool("serve-rtt", false, "serving-layer mode: stand up an in-process sightd, run every owner through the HTTP API on both the stored and the remote-annotator path, verify the served reports byte-identical to in-process serial runs, and write round-trip numbers to -serve-out (skips the experiment steps)")
-	serveOut := flag.String("serve-out", "BENCH_serve.json", "serve mode: where to write the round-trip JSON")
 	nodes := flag.String("nodes", "", "cluster mode: comma-separated replica counts (e.g. \"1,2,4\"); per count, run every owner through an in-process N-replica sightd cluster, kill one replica mid-sweep when N > 1, verify the reports byte-identical to the serial run, and write recovery latency plus throughput to -cluster-out (skips the experiment steps)")
 	clusterOut := flag.String("cluster-out", "BENCH_cluster.json", "cluster mode: where to write the failover/throughput JSON")
 	scaleSizes := flag.String("scale-sizes", "10000,100000,316000,1000000", "scale-sweep mode (-scale sweep): comma-separated population sizes; sizes that do not fit in available memory are skipped with a message")
 	scaleOut := flag.String("scale-out", "BENCH_scale.json", "scale-sweep mode: where to write the scale-curve JSON")
 	scaleOwners := flag.Int("scale-owners", 4, "scale-sweep mode: benchmark owners per population size")
-	incremental := flag.Bool("incremental", false, "incremental mode: per network size, apply update batches of each -incr-deltas size and measure a full recompute against delta.Revise on the same graph, asserting byte-identity; writes the speedup curve to -incr-out (skips the experiment steps)")
-	incrSizes := flag.String("incr-sizes", "10000,100000", "incremental mode: comma-separated stranger counts for the owner's network")
+	incremental := flag.Bool("incremental", false, "incremental mode: per network size, measure a full recompute against delta.Revise on the same graph for the advise counterfactual (one candidate edge on a cloned graph; >=10x required at 10^4 strangers) and for mixed update batches of each -incr-deltas size, asserting byte-identity; writes the rows to -incr-out (skips the experiment steps)")
+	incrSizes := flag.String("incr-sizes", "2000,10000", "incremental mode: comma-separated stranger counts for the owner's network")
 	incrDeltas := flag.String("incr-deltas", "1,10,100", "incremental mode: comma-separated update-batch sizes")
 	incrOut := flag.String("incr-out", "BENCH_incremental.json", "incremental mode: where to write the speedup-curve JSON")
-	advise := flag.Bool("advise", false, "advise mode: per network size, evaluate one pre-acceptance friendship request by full counterfactual recompute and by delta.Revise, asserting byte-identity and the >=10x speedup at 10^4 strangers; writes the table to -advise-out (skips the experiment steps)")
-	adviseSizes := flag.String("advise-sizes", "2000,10000", "advise mode: comma-separated stranger counts for the owner's network")
-	adviseOut := flag.String("advise-out", "BENCH_advise.json", "advise mode: where to write the speedup JSON")
 	ldpMode := flag.Bool("ldp", false, "ldp mode: sweep ε over -ldp-eps and measure the RMS relative error of every /v1/stats statistic under visibility-aware noise against the all-edge baseline, asserting visibility-aware strictly more accurate everywhere plus seeded reproducibility; writes the sweep to -ldp-out (skips the experiment steps)")
 	ldpEps := flag.String("ldp-eps", "0.5,1,2,4", "ldp mode: comma-separated ε values for the accuracy sweep")
 	ldpTrials := flag.Int("ldp-trials", 200, "ldp mode: noise epochs per (ε, mode) cell of the sweep")
@@ -136,64 +131,31 @@ func main() {
 	ldpOut := flag.String("ldp-out", "BENCH_ldp.json", "ldp mode: where to write the ε-vs-accuracy JSON")
 	flag.Parse()
 
-	if *ldpMode {
-		if err := runLDPBench(*ldpEps, *ldpTrials, *ldpStrangers, *seed, *ldpOut); err != nil {
-			fmt.Fprintln(os.Stderr, "riskbench:", err)
-			os.Exit(1)
-		}
-		return
+	usageErr := func(err error) {
+		fmt.Fprintln(os.Stderr, "riskbench:", err)
+		os.Exit(2)
 	}
-
-	if *advise {
-		if err := runAdviseBench(*adviseSizes, *seed, parallel.ResolveWorkers(*workers), *adviseOut); err != nil {
-			fmt.Fprintln(os.Stderr, "riskbench:", err)
-			os.Exit(1)
-		}
-		return
+	m, err := pickMode([]mode{
+		{"-ldp", *ldpMode, func() error { return runLDPBench(*ldpEps, *ldpTrials, *ldpStrangers, *seed, *ldpOut) }},
+		{"-incremental", *incremental, func() error {
+			return runIncrementalBench(*incrSizes, *incrDeltas, *seed, parallel.ResolveWorkers(*workers), *incrOut)
+		}},
+		{"-scale sweep", *scale == "sweep", func() error { return runScaleBench(*scaleSizes, *seed, *workers, *scaleOwners, *scaleOut) }},
+		{"-nodes", *nodes != "", func() error { return runClusterBench(*scale, *seed, *workers, *nodes, *clusterOut) }},
+		{"-audit", *audit, func() error { return runAudit(*seed, *workers) }},
+		{"-tenants", *tenants > 0, func() error {
+			return runFleetBench(*scale, *seed, *tenants, *workers, *tenantRTT, *benchOut)
+		}},
+	})
+	if err != nil {
+		usageErr(err)
 	}
-
-	if *incremental {
-		if err := runIncrementalBench(*incrSizes, *incrDeltas, *seed, parallel.ResolveWorkers(*workers), *incrOut); err != nil {
-			fmt.Fprintln(os.Stderr, "riskbench:", err)
-			os.Exit(1)
-		}
-		return
+	steps, err := selectSteps(paperSteps(*seed, *workers, *rounds), *only)
+	if err != nil {
+		usageErr(err)
 	}
-
-	if *scale == "sweep" {
-		if err := runScaleBench(*scaleSizes, *seed, *workers, *scaleOwners, *scaleOut); err != nil {
-			fmt.Fprintln(os.Stderr, "riskbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *nodes != "" {
-		if err := runClusterBench(*scale, *seed, *workers, *nodes, *clusterOut); err != nil {
-			fmt.Fprintln(os.Stderr, "riskbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *serveRTT {
-		if err := runServeBench(*scale, *seed, *workers, *serveOut); err != nil {
-			fmt.Fprintln(os.Stderr, "riskbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *audit {
-		if err := runAudit(*seed, *workers); err != nil {
-			fmt.Fprintln(os.Stderr, "riskbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *tenants > 0 {
-		if err := runFleetBench(*scale, *seed, *tenants, *workers, *tenantRTT, *benchOut); err != nil {
+	if m != nil {
+		if err := m.run(); err != nil {
 			fmt.Fprintln(os.Stderr, "riskbench:", err)
 			os.Exit(1)
 		}
@@ -280,41 +242,10 @@ func main() {
 	}
 	stage("generate", start)
 
-	want := map[string]bool{}
-	if *only != "" {
-		for _, id := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(strings.ToLower(id))] = true
-		}
-	}
-	enabled := func(id string) bool { return len(want) == 0 || want[id] }
-
 	fmt.Printf("riskbench: scale=%s seed=%d owners=%d strangers=%d (mean %.0f/owner)\n\n",
 		*scale, *seed, len(env.Study.Owners), env.Study.TotalStrangers(), env.Study.MeanStrangers())
 
-	type step struct {
-		id  string
-		run func(*experiments.Env) error
-	}
-	steps := []step{
-		{"fig4", printFig4},
-		{"headline", printHeadline},
-		{"fig5", func(e *experiments.Env) error { return printFig5(e, *rounds) }},
-		{"fig6", func(e *experiments.Env) error { return printFig6(e, *rounds) }},
-		{"fig7", printFig7},
-		{"table1", printTable1},
-		{"table2", printTable2},
-		{"table3", printTable3},
-		{"table4", printTable4},
-		{"table5", printTable5},
-		{"contrast", printContrast},
-		{"dynamics", printDynamics},
-		{"robustness", func(e *experiments.Env) error { return printRobustness(*scale, *seed, *workers) }},
-		{"faults", printFaults},
-	}
 	for _, s := range steps {
-		if !enabled(s.id) {
-			continue
-		}
 		stepStart := time.Now()
 		if err := s.run(env); err != nil {
 			fmt.Fprintf(os.Stderr, "riskbench: %s: %v\n", s.id, err)
@@ -334,6 +265,89 @@ func main() {
 	stage("total", start)
 }
 
+// mode is one benchmark or audit mode: set when its flag selects it.
+type mode struct {
+	flag string
+	set  bool
+	run  func() error
+}
+
+// pickMode returns the mode set (nil when none is: the paper's
+// experiment steps run), or an error listing every mode when more than
+// one is set.
+func pickMode(modes []mode) (*mode, error) {
+	var picked *mode
+	var set, all []string
+	for i := range modes {
+		all = append(all, modes[i].flag)
+		if modes[i].set {
+			picked = &modes[i]
+			set = append(set, modes[i].flag)
+		}
+	}
+	if len(set) > 1 {
+		return nil, fmt.Errorf("%s are separate modes; set at most one of %s", strings.Join(set, " and "), strings.Join(all, ", "))
+	}
+	return picked, nil
+}
+
+// step is one paper experiment riskbench prints.
+type step struct {
+	id  string
+	run func(*experiments.Env) error
+}
+
+// paperSteps is the experiment table -only selects from, in run order.
+func paperSteps(seed int64, workers, rounds int) []step {
+	return []step{
+		{"fig4", printFig4},
+		{"headline", printHeadline},
+		{"fig5", func(e *experiments.Env) error { return printFig5(e, rounds) }},
+		{"fig6", func(e *experiments.Env) error { return printFig6(e, rounds) }},
+		{"fig7", printFig7},
+		{"table1", printTable1},
+		{"table2", printTable2},
+		{"table3", printTable3},
+		{"table4", printTable4},
+		{"table5", printTable5},
+		{"contrast", printContrast},
+		{"dynamics", printDynamics},
+		{"robustness", func(*experiments.Env) error { return printRobustness(seed, workers) }},
+		{"faults", printFaults},
+	}
+}
+
+// selectSteps returns the steps the comma-separated -only list names,
+// in table order (all of them when only is empty), or an error listing
+// the valid ids when it names a step the table lacks.
+func selectSteps(steps []step, only string) ([]step, error) {
+	if only == "" {
+		return steps, nil
+	}
+	want := map[string]bool{}
+	for _, id := range strings.Split(only, ",") {
+		want[strings.TrimSpace(strings.ToLower(id))] = true
+	}
+	var picked []step
+	var ids []string
+	for _, s := range steps {
+		ids = append(ids, s.id)
+		if want[s.id] {
+			picked = append(picked, s)
+			delete(want, s.id)
+		}
+	}
+	if len(want) > 0 {
+		var unknown []string
+		for id := range want {
+			unknown = append(unknown, strconv.Quote(id))
+		}
+		sort.Strings(unknown)
+		return nil, fmt.Errorf("unknown -only step %s; valid steps are %s", strings.Join(unknown, ", "), strings.Join(ids, ", "))
+	}
+	return picked, nil
+}
+
 func printContrast(e *experiments.Env) error {
 	rows, err := experiments.PrivacyScoreContrast(e)
 	if err != nil {
@@ -348,7 +362,7 @@ func printContrast(e *experiments.Env) error {
 	return nil
 }
 
-func printRobustness(scale string, seed int64, workers int) error {
+func printRobustness(seed int64, workers int) error {
 	// Robustness builds its own (smaller) populations per topology, so
 	// it always runs at a bounded scale regardless of -scale.
 	cfg := synthetic.SmallStudyConfig()
@@ -360,7 +374,6 @@ func printRobustness(scale string, seed int64, workers int) error {
 	if err != nil {
 		return err
 	}
-	_ = scale
 	t := stats.NewTable("Robustness — headline results across friend-graph topologies",
 		"topology", "group-1 share", "max NSG group", "exact match", "rounds", "labels/owner")
 	for _, r := range rows {
@@ -373,8 +386,8 @@ func printRobustness(scale string, seed int64, workers int) error {
 
 // runAudit is -audit mode: the determinism auditor over the same
 // configuration printRobustness uses, two full runs per topology
-// diffed event by event, plus the snapfile leg (the same owners off
-// in-memory arrays vs mmap'd pages). Exits non-zero on any divergence.
+// diffed event by event, then the snapfile, cluster, revise and ldp
+// legs. Exits non-zero on any divergence.
 func runAudit(seed int64, workers int) error {
 	cfg := synthetic.SmallStudyConfig()
 	cfg.Owners = 6
@@ -385,100 +398,51 @@ func runAudit(seed int64, workers int) error {
 	if err != nil {
 		return err
 	}
-	diverged := false
+	passed := true
 	for _, v := range verdicts {
-		status := "PASS"
-		if !v.Passed {
-			status = "DIVERGED"
-			diverged = true
-		}
-		fmt.Printf("audit %-12s %-8s (%d events per run)\n", v.Topology, status, v.Events)
-		if v.Detail != "" {
-			for _, line := range strings.Split(v.Detail, "\n") {
-				fmt.Println("  " + line)
-			}
-		}
+		passed = auditLeg(v.Topology, fmt.Sprintf("%d events per run", v.Events), v.Detail) && passed
 	}
-	events, detail, err := auditSnapfile(seed, workers)
-	if err != nil {
-		return fmt.Errorf("snapfile audit: %w", err)
+	legs := []struct {
+		name, summary string // summary formats the leg's count
+		run           func() (int, string, error)
+	}{
+		{"snapfile", "%d events per run, mmap vs in-memory",
+			func() (int, string, error) { return auditSnapfile(seed, workers) }},
+		{"cluster", "%d checkpoints observed, 2-node failover vs single-node",
+			func() (int, string, error) { return auditCluster(seed, workers) }},
+		{"revise", "%d pools per worker count, advise and mixed batches revised vs full recompute at workers 1/2/4",
+			func() (int, string, error) { return auditRevise(seed) }},
+		{"ldp", "%d releases checked: replays identical; fresh epochs, generations and ε independent",
+			func() (int, string, error) { return auditLDP(seed) }},
 	}
+	for _, l := range legs {
+		n, detail, err := l.run()
+		if err != nil {
+			return fmt.Errorf("%s audit: %w", l.name, err)
+		}
+		passed = auditLeg(l.name, fmt.Sprintf(l.summary, n), detail) && passed
+	}
+	if !passed {
+		return fmt.Errorf("determinism audit failed")
+	}
+	fmt.Println("determinism audit passed: both runs of every topology were bit-identical, mmap-backed estimates matched in-memory ones bit for bit, the post-failover cluster report matched the single-node run byte for byte, revisions of the advise and mixed batches matched full recomputes at every worker count, and repeated differentially private releases reproduced byte for byte while fresh epochs, bumped generations and different ε all drew independent noise")
+	return nil
+}
+
+// auditLeg prints one audit leg's PASS or DIVERGED line, with the
+// divergence detail indented below it, and reports whether it passed.
+func auditLeg(name, summary, detail string) bool {
 	status := "PASS"
 	if detail != "" {
 		status = "DIVERGED"
-		diverged = true
 	}
-	fmt.Printf("audit %-12s %-8s (%d events per run, mmap vs in-memory)\n", "snapfile", status, events)
+	fmt.Printf("audit %-12s %-8s (%s)\n", name, status, summary)
 	if detail != "" {
 		for _, line := range strings.Split(detail, "\n") {
 			fmt.Println("  " + line)
 		}
 	}
-	cpCount, cDetail, err := auditCluster(seed, workers)
-	if err != nil {
-		return fmt.Errorf("cluster audit: %w", err)
-	}
-	status = "PASS"
-	if cDetail != "" {
-		status = "DIVERGED"
-		diverged = true
-	}
-	fmt.Printf("audit %-12s %-8s (%d checkpoints observed, 2-node failover vs single-node)\n", "cluster", status, cpCount)
-	if cDetail != "" {
-		for _, line := range strings.Split(cDetail, "\n") {
-			fmt.Println("  " + line)
-		}
-	}
-	iPools, iDetail, err := auditIncremental(seed)
-	if err != nil {
-		return fmt.Errorf("incremental audit: %w", err)
-	}
-	status = "PASS"
-	if iDetail != "" {
-		status = "DIVERGED"
-		diverged = true
-	}
-	fmt.Printf("audit %-12s %-8s (%d pools per run, revision vs full recompute at workers 1/2/4)\n", "incremental", status, iPools)
-	if iDetail != "" {
-		for _, line := range strings.Split(iDetail, "\n") {
-			fmt.Println("  " + line)
-		}
-	}
-	aPools, aDetail, err := auditAdvise(seed)
-	if err != nil {
-		return fmt.Errorf("advise audit: %w", err)
-	}
-	status = "PASS"
-	if aDetail != "" {
-		status = "DIVERGED"
-		diverged = true
-	}
-	fmt.Printf("audit %-12s %-8s (%d pools per run, counterfactual vs full recompute at workers 1/2/4)\n", "advise", status, aPools)
-	if aDetail != "" {
-		for _, line := range strings.Split(aDetail, "\n") {
-			fmt.Println("  " + line)
-		}
-	}
-	lReleases, lDetail, err := auditLDP(seed)
-	if err != nil {
-		return fmt.Errorf("ldp audit: %w", err)
-	}
-	status = "PASS"
-	if lDetail != "" {
-		status = "DIVERGED"
-		diverged = true
-	}
-	fmt.Printf("audit %-12s %-8s (%d releases checked: replays identical; fresh epochs, generations and ε independent)\n", "ldp", status, lReleases)
-	if lDetail != "" {
-		for _, line := range strings.Split(lDetail, "\n") {
-			fmt.Println("  " + line)
-		}
-	}
-	if diverged {
-		return fmt.Errorf("determinism audit failed")
-	}
-	fmt.Println("determinism audit passed: both runs of every topology were bit-identical, mmap-backed estimates matched in-memory ones bit for bit, the post-failover cluster report matched the single-node run byte for byte, incremental revisions matched full recomputes at every worker count, the advise counterfactual matched its full recompute byte for byte at every worker count, and repeated differentially private releases reproduced byte for byte while fresh epochs, bumped generations and different ε all drew independent noise")
-	return nil
+	return detail == ""
 }
 
 func printFaults(e *experiments.Env) error {

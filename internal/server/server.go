@@ -85,9 +85,9 @@ type Config struct {
 	// Limits holds per-tenant admission limits, applied at startup.
 	Limits map[string]fleet.TenantLimits
 	// StatsBudget caps the ε a (tenant, dataset) pair may spend on
-	// /v1/stats releases within one dataset generation; <= 0 selects
-	// DefaultStatsBudget. See docs/ANALYTICS.md for the accounting
-	// rules.
+	// /v1/stats releases over the server's lifetime; dataset updates
+	// do not refresh it. <= 0 selects DefaultStatsBudget. See
+	// docs/ANALYTICS.md for the accounting rules.
 	StatsBudget float64
 	// Metrics accumulates pipeline counters across all jobs and feeds
 	// /varz; a private one is created when nil.

@@ -34,12 +34,14 @@ import (
 
 // DefaultStatsBudget is the per-(tenant, dataset) ε capacity when
 // Config.StatsBudget is unset: at the default ε = 1 it admits eight
-// distinct releases (6ε each) per dataset generation.
+// distinct releases (6ε each) in all, however often the dataset
+// changes.
 const DefaultStatsBudget = 48.0
 
 // statsBudgetRetry is the retry hint returned with a budget-exhausted
-// 429. The ledger refreshes when the dataset's update generation
-// bumps, which the client cannot predict — a minute is a polite pause.
+// 429. Spent ε never comes back while the server runs — only replays
+// of releases already served at the current generation stay free — so
+// the hint just paces clients that retry blindly.
 const statsBudgetRetry = time.Minute
 
 // ldpEntry caches one dataset's estimator at the update generation it
@@ -49,10 +51,11 @@ type ldpEntry struct {
 	est *ldp.Estimator
 }
 
-// ldpLedger tracks one (tenant, dataset) pair's ε spend within the
-// current dataset generation. seen keys distinct releases
-// (epoch|epsilon|noise); replays of a seen release are free — the
-// seeded noise makes them byte-identical, so they leak nothing new.
+// ldpLedger tracks one (tenant, dataset) pair's ε spend across every
+// dataset generation. seen keys the distinct releases
+// (epoch|epsilon|noise) served at generation gen; replays of a seen
+// release are free — the seeded noise makes them byte-identical, so
+// they leak nothing new.
 type ldpLedger struct {
 	gen     uint64
 	spent   float64
@@ -165,8 +168,8 @@ func (s *Server) serveStats(w http.ResponseWriter, r *http.Request, req *client.
 	charged, ok := s.chargeStats(req.Tenant, req.Dataset, gen, req.Epoch, req.Epsilon, mode)
 	if !ok {
 		writeErr(w, http.StatusTooManyRequests, "over_budget",
-			fmt.Sprintf("tenant %q has exhausted its ε budget for dataset %q at generation %d (limit %g); the ledger refreshes when the dataset changes",
-				req.Tenant, req.Dataset, gen, s.statsBudget), statsBudgetRetry)
+			fmt.Sprintf("tenant %q has exhausted its ε budget for dataset %q (limit %g, spent across all generations); only replays of releases already served at generation %d stay free",
+				req.Tenant, req.Dataset, s.statsBudget, gen), statsBudgetRetry)
 		return
 	}
 	rep, err := est.Report(params, ldp.SeedFor(req.Tenant, req.Dataset, req.Epoch, gen, params))
@@ -237,12 +240,13 @@ func (s *Server) ldpEstimator(ds string) (*ldp.Estimator, uint64, *client.APIErr
 }
 
 // chargeStats debits one release from the (tenant, dataset) ledger.
-// Replays of a release already served at this generation are free;
-// a generation bump resets the ledger (new data is a fresh release
-// universe — sound because the generation is folded into the noise
-// seed, so the new generation's releases draw independent noise
-// rather than re-exposing the old draws against moved truth).
-// Returns the ε charged and whether the release is admitted.
+// Replays of a release already served at this generation are free. A
+// generation bump forgets which releases were served, since the
+// generation is folded into the noise seed and the same (epoch, ε,
+// noise) now draws fresh noise, but keeps the spent ε: an update that
+// restores or barely moves the graph leaves every other private edge
+// in place, so releases at successive generations compose. Returns
+// the ε charged and whether the release is admitted.
 func (s *Server) chargeStats(tenant, ds string, gen, epoch uint64, eps float64, mode ldp.Mode) (float64, bool) {
 	s.ldpMu.Lock()
 	defer s.ldpMu.Unlock()
@@ -254,7 +258,6 @@ func (s *Server) chargeStats(tenant, ds string, gen, epoch uint64, eps float64, 
 	}
 	if led.gen != gen {
 		led.gen = gen
-		led.spent = 0
 		led.seen = map[string]struct{}{}
 	}
 	qk := fmt.Sprintf("%d|%g|%s", epoch, eps, mode)

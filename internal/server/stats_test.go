@@ -243,23 +243,7 @@ func TestStatsEpsilonCorrelationResisted(t *testing.T) {
 // release.
 func TestStatsGenerationRedrawsNoise(t *testing.T) {
 	ds := testDataset(t, 1, 200, 10)
-	// Two existing, non-adjacent users: adding then removing their edge
-	// restores the exact original graph while bumping the update
-	// generation twice.
-	nodes := ds.Graph.Nodes()
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	a := nodes[0]
-	var b graph.UserID
-	found := false
-	for _, cand := range nodes[1:] {
-		if !ds.Graph.HasEdge(a, cand) {
-			b, found = cand, true
-			break
-		}
-	}
-	if !found {
-		t.Fatal("fixture's first node is adjacent to every other node")
-	}
+	flip := edgeFlipper(t, ds.Graph)
 	_, _, c := newTestServer(t, server.Config{
 		Datasets: map[string]*dataset.Dataset{"study": ds},
 		Workers:  1,
@@ -270,14 +254,8 @@ func TestStatsGenerationRedrawsNoise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kind := range []string{"edge_add", "edge_remove"} {
-		if _, err := c.Updates(ctx, &client.UpdatesRequest{
-			Dataset: "study",
-			Updates: []client.Update{{Kind: kind, A: int64(a), B: int64(b)}},
-		}); err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-	}
+	flip(c)
+	flip(c)
 	after, err := c.Stats(ctx, req)
 	if err != nil {
 		t.Fatal(err)
@@ -287,6 +265,80 @@ func TestStatsGenerationRedrawsNoise(t *testing.T) {
 	}
 	if after.EdgeCount.Value == before.EdgeCount.Value {
 		t.Fatal("generation bump re-served the old noise: identical release against an identical graph")
+	}
+}
+
+// edgeFlipper returns a function that toggles the edge between two
+// existing, non-adjacent users of g over /v1/updates: each call bumps
+// the dataset generation, and every second call restores the exact
+// original graph.
+func edgeFlipper(t *testing.T, g *graph.Graph) func(*client.Client) {
+	t.Helper()
+	nodes := g.Nodes()
+	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
+	a := nodes[0]
+	var b graph.UserID
+	found := false
+	for _, cand := range nodes[1:] {
+		if !g.HasEdge(a, cand) {
+			b, found = cand, true
+			break
+		}
+	}
+	if !found {
+		t.Fatal("fixture's first node is adjacent to every other node")
+	}
+	kinds := []string{"edge_add", "edge_remove"}
+	flips := 0
+	return func(c *client.Client) {
+		t.Helper()
+		kind := kinds[flips%2]
+		flips++
+		if _, err := c.Updates(context.Background(), &client.UpdatesRequest{
+			Dataset: "study",
+			Updates: []client.Update{{Kind: kind, A: int64(a), B: int64(b)}},
+		}); err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+	}
+}
+
+// TestStatsBudgetSpansGenerations: a generation bump does not refresh
+// the ε ledger. One tenant toggles a single edge between releases, so
+// every second generation holds the identical graph, and releases at
+// epoch 1 once per generation: the default 48ε admits exactly eight
+// ε=1 releases, then 429 over_budget. Were the ledger refreshed per
+// generation, averaging such releases would shrink the noise without
+// bound. Replays at the current generation stay free.
+func TestStatsBudgetSpansGenerations(t *testing.T) {
+	ds := testDataset(t, 1, 200, 10)
+	flip := edgeFlipper(t, ds.Graph)
+	_, hs, c := newTestServer(t, server.Config{
+		Datasets: map[string]*dataset.Dataset{"study": ds},
+		Workers:  1,
+	})
+	ctx := context.Background()
+	req := &client.StatsRequest{Dataset: "study", Tenant: "acme", Epoch: 1}
+	const admitted = 8 // DefaultStatsBudget's 48ε at 6ε per ε=1 release
+	var last []byte
+	for i := 0; i < admitted; i++ {
+		if i > 0 {
+			flip(c)
+		}
+		st, b := rawStats(t, hs.URL, req)
+		if st != http.StatusOK {
+			t.Fatalf("release %d of %d: status %d: %s", i+1, admitted, st, b)
+		}
+		last = b
+	}
+	if st, b := rawStats(t, hs.URL, req); st != http.StatusOK || !bytes.Equal(b, last) {
+		t.Fatalf("replay at the current generation = %d, bytes identical = %v", st, bytes.Equal(b, last))
+	}
+	flip(c)
+	_, err := c.Stats(ctx, req)
+	var apiErr *client.APIError
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusTooManyRequests || apiErr.Code != "over_budget" {
+		t.Fatalf("release %d, after %d generation bumps = %v, want 429 over_budget", admitted+1, admitted, err)
 	}
 }
 
