@@ -257,19 +257,15 @@ func (p AccessPolicy) AssessRequest(before, after *Report, candidate UserID) (*F
 }
 
 // AdviseRequest evaluates a pending friendship request end to end
-// before the owner accepts it: run (or reuse) the owner's current
-// estimate, construct the counterfactual network with the candidate
-// edge added, revise the estimate incrementally against the prior run
-// (see internal/delta — only pools the new edge dirties are recomputed)
-// and assess the per-item exposure delta under the policy. The
+// before the owner accepts it: run the owner's current estimate,
+// construct the counterfactual network with the candidate edge added,
+// revise the estimate incrementally against that run (see
+// internal/delta — only pools the new edge dirties are recomputed) and
+// assess the per-item exposure delta under the policy. The
 // counterfactual path is byte-identical to a full recompute on the
-// modified graph, at any Options.Workers value.
-//
-// prior, when non-nil, is the owner's current report computed earlier
-// with the same options against the same network; passing it skips the
-// baseline run. The network must be graph-backed (ErrReadOnly
-// otherwise) and is not modified: the counterfactual edge lands on a
-// clone.
+// modified graph, at any Options.Workers value. The network must be
+// graph-backed (ErrReadOnly otherwise) and is not modified: the
+// counterfactual edge lands on a clone.
 func (p AccessPolicy) AdviseRequest(ctx context.Context, n *Network, owner, candidate UserID, ann AnyAnnotator, opts Options) (*FriendRequestAssessment, error) {
 	if n == nil {
 		return nil, fmt.Errorf("sight: network must not be nil")

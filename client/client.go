@@ -394,8 +394,21 @@ func (c *Client) Health(ctx context.Context) (*HealthResponse, error) {
 // final status. It is the completion path for stored-annotator jobs;
 // remote-annotator jobs normally finish through Run instead.
 func (c *Client) Wait(ctx context.Context, id string) (*EstimateStatus, error) {
+	return wait(ctx, c, id)
+}
+
+// estimates is the part of the job API that the Wait, Run and Drive
+// loops call, so Client and Cluster share one copy of each loop.
+type estimates interface {
+	Submit(ctx context.Context, req *EstimateRequest) (*EstimateStatus, error)
+	Get(ctx context.Context, id string) (*EstimateStatus, error)
+	Questions(ctx context.Context, id string) (*QuestionsResponse, error)
+	Answer(ctx context.Context, id string, answers []Answer) (int, error)
+}
+
+func wait(ctx context.Context, api estimates, id string) (*EstimateStatus, error) {
 	for {
-		st, err := c.Get(ctx, id)
+		st, err := api.Get(ctx, id)
 		if err != nil {
 			return nil, err
 		}
@@ -537,19 +550,27 @@ type AnswerFunc func(stranger int64) (int, error)
 // system asks the owner about a few strangers per round and learns the
 // rest — carried over the wire.
 func (c *Client) Run(ctx context.Context, req *EstimateRequest, answer AnswerFunc) (*Report, error) {
-	st, err := c.Submit(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	return c.Drive(ctx, st.ID, answer)
+	return run(ctx, c, req, answer)
 }
 
 // Drive runs the answer loop for an already-submitted job until it
 // reaches a terminal state, then returns its report. A failed job
 // returns its *APIError.
 func (c *Client) Drive(ctx context.Context, id string, answer AnswerFunc) (*Report, error) {
+	return drive(ctx, c, id, answer)
+}
+
+func run(ctx context.Context, api estimates, req *EstimateRequest, answer AnswerFunc) (*Report, error) {
+	st, err := api.Submit(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	return drive(ctx, api, st.ID, answer)
+}
+
+func drive(ctx context.Context, api estimates, id string, answer AnswerFunc) (*Report, error) {
 	for {
-		qr, err := c.Questions(ctx, id)
+		qr, err := api.Questions(ctx, id)
 		if err != nil {
 			return nil, err
 		}
@@ -567,11 +588,11 @@ func (c *Client) Drive(ctx context.Context, id string, answer AnswerFunc) (*Repo
 			}
 			answers = append(answers, Answer{Stranger: q.Stranger, Label: lab})
 		}
-		if _, err := c.Answer(ctx, id, answers); err != nil {
+		if _, err := api.Answer(ctx, id, answers); err != nil {
 			return nil, err
 		}
 	}
-	st, err := c.Get(ctx, id)
+	st, err := api.Get(ctx, id)
 	if err != nil {
 		return nil, err
 	}

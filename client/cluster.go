@@ -222,69 +222,19 @@ func (cl *Cluster) Cancel(ctx context.Context, id string) error {
 // Wait polls until the job reaches a terminal state, surviving node
 // failovers in between. See Client.Wait.
 func (cl *Cluster) Wait(ctx context.Context, id string) (*EstimateStatus, error) {
-	for {
-		st, err := cl.Get(ctx, id)
-		if err != nil {
-			return nil, err
-		}
-		if st.Status == StatusDone || st.Status == StatusFailed {
-			return st, nil
-		}
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-time.After(50 * time.Millisecond):
-		}
-	}
+	return wait(ctx, cl, id)
 }
 
 // Run submits a remote-annotator job and drives it to completion
 // across the cluster. See Client.Run.
 func (cl *Cluster) Run(ctx context.Context, req *EstimateRequest, answer AnswerFunc) (*Report, error) {
-	st, err := cl.Submit(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	return cl.Drive(ctx, st.ID, answer)
+	return run(ctx, cl, req, answer)
 }
 
 // Drive runs the answer loop for an already-submitted job until it is
 // terminal, then returns its report. See Client.Drive.
 func (cl *Cluster) Drive(ctx context.Context, id string, answer AnswerFunc) (*Report, error) {
-	for {
-		qr, err := cl.Questions(ctx, id)
-		if err != nil {
-			return nil, err
-		}
-		if qr.Status == StatusDone || qr.Status == StatusFailed {
-			break
-		}
-		if len(qr.Questions) == 0 {
-			continue // long-poll timed out; ask again
-		}
-		answers := make([]Answer, 0, len(qr.Questions))
-		for _, q := range qr.Questions {
-			lab, err := answer(q.Stranger)
-			if err != nil {
-				return nil, fmt.Errorf("client: answer stranger %d: %w", q.Stranger, err)
-			}
-			answers = append(answers, Answer{Stranger: q.Stranger, Label: lab})
-		}
-		if _, err := cl.Answer(ctx, id, answers); err != nil {
-			return nil, err
-		}
-	}
-	st, err := cl.Get(ctx, id)
-	if err != nil {
-		return nil, err
-	}
-	if st.Status == StatusFailed {
-		if st.Error != nil {
-			return nil, st.Error
-		}
-		return nil, fmt.Errorf("client: job %s failed", id)
-	}
-	return st.Report, nil
+	return drive(ctx, cl, id, answer)
 }
 
 // Advise evaluates a pending friendship request on any live replica;

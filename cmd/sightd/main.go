@@ -2,8 +2,8 @@
 // of the paper's Sight system, which ran as a live social-network
 // application answering owner queries. It fronts the fleet scheduler:
 // jobs from many tenants share one worker budget, one weight cache and
-// per-tenant admission limits, while each job runs the exact serial
-// engine path so its report is byte-identical to an in-process run.
+// per-tenant admission limits, while each job runs the engine pool by
+// pool; its report is byte-identical to an in-process run.
 //
 //	sightd -addr :8321 -dataset study=study.json -state /var/lib/sightd \
 //	       -workers 8 -limit tenantA=4:1000

@@ -84,45 +84,52 @@ func (c *Checkpoint) MarshalIndented() ([]byte, error) {
 }
 
 // SaveCheckpointFile atomically and durably writes the checkpoint as
-// JSON: a temp file in the target directory, fsynced, renamed over the
-// destination, with the directory fsynced after the rename. A crash —
-// or a node death — at any point leaves either the previous checkpoint
-// or the new one, never a truncated or unsynced file; that guarantee
-// is what lets a surviving replica resume from the shared store.
+// JSON (see WriteFileAtomic). A crash — or a node death — at any point
+// leaves either the previous checkpoint or the new one, never a
+// truncated or unsynced file; that guarantee is what lets a surviving
+// replica resume from the shared store.
 func SaveCheckpointFile(path string, c *Checkpoint) error {
 	data, err := c.MarshalIndented()
 	if err != nil {
 		return fmt.Errorf("core: marshal checkpoint: %w", err)
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".checkpoint-*.json")
+	if err := WriteFileAtomic(path, append(data, '\n')); err != nil {
+		return fmt.Errorf("core: write checkpoint: %w", err)
+	}
+	return nil
+}
+
+// WriteFileAtomic durably replaces the file at path with data: a temp
+// file in the target directory, fsynced, renamed over the destination,
+// with the directory fsynced after the rename. Readers, and replicas
+// sharing the directory, see the old file or the new one, never a
+// half-written one. The temp file's name starts with a dot and does
+// not end in path's suffix, so directory scans by suffix skip it.
+func WriteFileAtomic(path string, data []byte) error {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")
 	if err != nil {
-		return fmt.Errorf("core: write checkpoint: %w", err)
+		return err
 	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("core: write checkpoint: %w", err)
+	if _, err = tmp.Write(data); err == nil {
+		err = tmp.Sync()
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("core: sync checkpoint: %w", err)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("core: write checkpoint: %w", err)
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
 	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("core: write checkpoint: %w", err)
+	if err != nil {
+		os.Remove(tmp.Name())
+		return err
 	}
 	// Make the rename itself durable. Directory fsync is best-effort:
 	// some filesystems reject it, and the data fsync above already
-	// rules out the truncated-checkpoint failure mode.
-	if dir, err := os.Open(filepath.Dir(path)); err == nil {
-		dir.Sync()
-		dir.Close()
+	// rules out the truncated-file failure mode.
+	if d, err := os.Open(dir); err == nil {
+		d.Sync()
+		d.Close()
 	}
 	return nil
 }

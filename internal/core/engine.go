@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"time"
 
 	"sightrisk/internal/active"
@@ -52,8 +53,9 @@ type Config struct {
 	Seed int64
 	// Workers bounds how many per-pool computations (weight-matrix
 	// builds and classifier solves) run concurrently. 0 means
-	// runtime.GOMAXPROCS(0); 1 runs the exact legacy serial path.
-	// Results are identical for every value — see RunOwner.
+	// runtime.GOMAXPROCS(0); 1 runs the pools one at a time, asking the
+	// owner pool by pool. Results are identical for every value — see
+	// RunOwner.
 	Workers int
 	// Snapshot, when non-nil, is the frozen CSR view of the run's graph
 	// that stranger enumeration, NS and NSG construction (under the
@@ -100,8 +102,8 @@ type Config struct {
 	// Observer, when non-nil, receives the structured event stream of
 	// the run: run/pool boundaries, every owner query, every learning
 	// round. The stream is identical for every Workers value on complete
-	// runs — the parallel path buffers per-pool events and flushes them
-	// in pool order. Nil costs nothing (no events are built).
+	// runs — above Workers = 1 each pool's events are buffered and
+	// flushed in pool order. Nil costs nothing (no events are built).
 	Observer obs.Observer
 	// Trace tunes what the Observer stream carries (e.g. order-sensitive
 	// stage digests for the determinism auditor).
@@ -128,9 +130,9 @@ type Config struct {
 	// to computing every pool.
 	Reuse *OwnerRun
 	// OnPool, when non-nil, is invoked once per pool, in pool order, as
-	// results become final: on the serial path right after each pool
-	// finishes (streaming), on the parallel path at merge time after all
-	// sessions complete. Partial pools are reported before fallback
+	// results become final: at Workers = 1 right after each pool
+	// finishes (streaming), above it at merge time after every pool
+	// finished. Partial pools are reported before fallback
 	// labels are synthesized; the assembled report remains authoritative.
 	// The callback must not mutate the run.
 	OnPool func(run *OwnerRun, pr PoolRun, index, total int)
@@ -321,14 +323,18 @@ func New(cfg Config) *Engine { return &Engine{cfg: cfg} }
 // hard failures (unexpected annotator errors, classifier errors,
 // failed checkpoint writes) return an error.
 //
-// With Config.Workers != 1 the per-pool work — weight-matrix builds
-// and active-learning sessions — runs concurrently, bounded by
-// Workers. The returned OwnerRun is identical to the serial one for
-// any deterministic annotator: pools are merged back in pool order,
-// every pool keeps its own derived RNG stream, and annotator queries
-// are serialized in a deterministic rotation (see runPoolsParallel).
-// The annotator therefore never needs to be thread-safe; it must only
-// be deterministic per stranger if reproducible reports are wanted.
+// Every pool runs the same per-pool step: splice a reused result, or
+// build the pool's weights and run its active-learning session. At
+// Workers = 1 (or with a single pool) the pools run one after another
+// and the owner is asked pool by pool; above it the steps run
+// concurrently, weight builds and classifier solves bounded by
+// Workers, and a gate rotates the owner's questions across pools (see
+// runParallel). The returned OwnerRun is identical for every Workers
+// value and any deterministic annotator: every pool keeps its own
+// derived RNG stream, results merge in pool order, and annotator
+// queries are serialized one at a time. The annotator therefore never
+// needs to be thread-safe; it must only be deterministic per stranger
+// if reproducible reports are wanted.
 func (e *Engine) RunOwner(ctx context.Context, g *graph.Graph, store *profile.Store, owner graph.UserID, ann active.FallibleAnnotator, confidence float64) (*OwnerRun, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -403,9 +409,9 @@ func (e *Engine) RunOwner(ctx context.Context, g *graph.Graph, store *profile.St
 	// annotator, innermost first: retries for transient failures, the
 	// abandonment grace window, then the shared abandonment latch. The
 	// per-pool layers (replay cache, checkpoint recorder) are stacked
-	// on top by chain(), and the parallel path finally adds the turn
-	// gate above everything so cached and fresh queries alike keep
-	// their deterministic slot in the rotation.
+	// on top by chain(), and above Workers = 1 the turn gate goes on
+	// top of everything so cached and fresh queries alike keep their
+	// deterministic slot in the rotation.
 	var k *checkpointer
 	if e.cfg.Checkpoint != nil {
 		k = newCheckpointer(owner, e.cfg.Seed, e.cfg.Checkpoint)
@@ -436,12 +442,15 @@ func (e *Engine) RunOwner(ctx context.Context, g *graph.Graph, store *profile.St
 	if exp == 0 {
 		exp = 4
 	}
-	reuse := e.reusePlan(store, owner, pools, exp)
-	if workers := parallel.ResolveWorkers(e.cfg.Workers); workers > 1 && len(pools) > 1 {
-		if err := e.runPoolsParallel(ctx, run, store, owner, pools, chain, k, learn, exp, workers, reuse); err != nil {
-			return nil, err
-		}
-	} else if err := e.runPoolsSerial(ctx, run, store, owner, pools, chain, k, learn, exp, reuse); err != nil {
+	workers := parallel.ResolveWorkers(e.cfg.Workers)
+	p := &ownerPools{e: e, store: store, owner: owner, pools: pools, learn: learn, exp: exp,
+		chain: chain, k: k, reuse: e.reusePlan(store, owner, pools, exp), limiter: parallel.NewLimiter(workers)}
+	if workers > 1 && len(pools) > 1 {
+		err = p.runParallel(ctx, run)
+	} else {
+		err = p.runSerial(ctx, run)
+	}
+	if err != nil {
 		return nil, err
 	}
 	if run.Partial {
@@ -513,20 +522,6 @@ func (e *Engine) poolObserve(sink obs.Observer, owner graph.UserID, poolID strin
 		ev.Pool = poolID
 		sink.Observe(ev)
 	}
-}
-
-// newClassifier builds a fresh per-pool harmonic classifier, wired into
-// the metrics' solver counters when configured.
-func (e *Engine) newClassifier() *classify.Harmonic {
-	h := classify.NewHarmonic()
-	if m := e.cfg.Metrics; m != nil {
-		h.Iterations = func(iters int) {
-			m.HarmonicSolves.Add(1)
-			m.HarmonicIters.Add(uint64(iters))
-			m.SolveIters.Observe(iters)
-		}
-	}
-	return h
 }
 
 // reusePlan maps each freshly-built pool index to the prior PoolRun
@@ -609,110 +604,173 @@ func (e *Engine) poolWeights(store *profile.Store, pool cluster.Pool, exp float6
 	return cluster.PoolWeights(store, pool, e.cfg.PSAttributes, exp)
 }
 
-// runPoolsSerial is the legacy one-pool-at-a-time path (Workers == 1,
-// or a single pool). On interruption it stops asking questions: the
-// interrupted pool keeps its partial result and every remaining pool
-// is synthesized as an empty partial run for fillFallbacks to
-// complete. Pools with a reuse plan entry splice the prior result and
-// skip their session (and weight build) entirely.
-func (e *Engine) runPoolsSerial(ctx context.Context, run *OwnerRun, store *profile.Store, owner graph.UserID, pools []cluster.Pool, chain func(string) active.FallibleAnnotator, k *checkpointer, learn active.Config, exp float64, reuse []*PoolRun) error {
-	labelsTotal := 0
-	sink := e.cfg.Observer
-	for pi, pool := range pools {
-		poolID := pool.ID()
-		if run.Partial {
-			pr := PoolRun{Pool: pool, Result: emptyInterruptedResult(pool), Status: PoolPartial}
-			run.Pools = append(run.Pools, pr)
-			if sink != nil {
-				sink.Observe(obs.Event{Kind: obs.KindPoolStart, Tenant: e.cfg.Tenant, Owner: int64(owner), Pool: poolID, N: len(pool.Members)})
-				sink.Observe(obs.Event{Kind: obs.KindPoolEnd, Tenant: e.cfg.Tenant, Owner: int64(owner), Pool: poolID, Note: "interrupted"})
-			}
-			e.emitPool(run, pr, pi, len(pools))
-			if e.cfg.Progress != nil {
-				e.cfg.Progress(pi+1, len(pools), labelsTotal)
-			}
-			continue
-		}
-		if reuse != nil && reuse[pi] != nil {
-			pr := reusedPoolRun(pool, reuse[pi])
-			run.Pools = append(run.Pools, pr)
-			if k != nil {
-				k.markDone(poolID)
-			}
-			if sink != nil {
-				sink.Observe(obs.Event{Kind: obs.KindPoolStart, Tenant: e.cfg.Tenant, Owner: int64(owner), Pool: poolID, N: len(pool.Members)})
-				sink.Observe(obs.Event{Kind: obs.KindPoolEnd, Tenant: e.cfg.Tenant, Owner: int64(owner), Pool: poolID, N: len(pr.Result.Rounds), Note: "reused"})
-			}
-			if m := e.cfg.Metrics; m != nil {
-				m.PoolsReused.Add(1)
-			}
-			e.emitPool(run, pr, pi, len(pools))
-			if e.cfg.Progress != nil {
-				e.cfg.Progress(pi+1, len(pools), labelsTotal)
-			}
-			continue
-		}
-		if sink != nil {
-			sink.Observe(obs.Event{Kind: obs.KindPoolStart, Tenant: e.cfg.Tenant, Owner: int64(owner), Pool: poolID, N: len(pool.Members)})
-		}
-		var wstart time.Time
-		if sink != nil {
-			wstart = time.Now()
-		}
-		weights, err := e.poolWeights(store, pool, exp)
-		if err != nil {
-			return fmt.Errorf("core: %w", err)
-		}
-		wkey := cluster.PoolKey(store, pool, e.cfg.PSAttributes, exp)
-		if sink != nil {
-			sink.Observe(obs.Event{Kind: obs.KindPoolWeights, Tenant: e.cfg.Tenant, Owner: int64(owner), Pool: poolID, N: len(pool.Members), Dur: time.Since(wstart)})
-		}
-		cfg := learn
-		cfg.Rand = rand.New(rand.NewSource(poolSeed(e.cfg.Seed, owner, pi)))
-		if k != nil {
-			cfg.AfterRound = func(r active.Round) error { return k.afterRound(poolID, r) }
-		}
-		cfg.Observe = e.poolObserve(sink, owner, poolID)
-		cfg.Digests = e.cfg.Trace.Digests
-		if cfg.Classifier == nil {
-			cfg.Classifier = e.newClassifier()
-		}
-		sess, err := active.NewSession(pool.Members, weights, chain(poolID), cfg)
-		if err != nil {
-			return fmt.Errorf("core: pool %s: %w", poolID, err)
-		}
-		res, err := sess.RunContext(ctx)
-		switch {
-		case err == nil:
-			if k != nil {
-				k.markDone(poolID)
-			}
-			run.Pools = append(run.Pools, PoolRun{Pool: pool, Result: res, Status: PoolComplete, WeightKey: wkey})
-		case isInterrupt(err) && res != nil:
-			run.Partial = true
-			run.Cause = err
-			run.Pools = append(run.Pools, PoolRun{Pool: pool, Result: res, Status: PoolPartial, WeightKey: wkey})
-		default:
-			return fmt.Errorf("core: pool %s: %w", poolID, err)
-		}
-		if sink != nil {
-			ev := obs.Event{Kind: obs.KindPoolEnd, Tenant: e.cfg.Tenant, Owner: int64(owner), Pool: poolID, N: len(res.Rounds), Note: string(res.Reason)}
-			sink.Observe(ev)
+// ownerPools is one owner's pool work: the built pools and what every
+// pool's session shares. runPool is the one per-pool step; the two
+// drivers, runSerial and runParallel, decide only when each pool runs
+// and what it is handed: the event sink, the annotator and the
+// classifier.
+type ownerPools struct {
+	e     *Engine
+	store *profile.Store
+	owner graph.UserID
+	pools []cluster.Pool
+	learn active.Config
+	exp   float64
+	chain func(poolID string) active.FallibleAnnotator
+	k     *checkpointer
+	reuse []*PoolRun
+	// limiter bounds the CPU-heavy sections, weight builds and (on the
+	// parallel driver) classifier solves, to Workers at once.
+	limiter *parallel.Limiter
+}
+
+// runPool is the per-pool step for pool i. A pool with a reuse plan
+// entry splices the prior result and skips its weight build and
+// session; any other pool builds and content-keys its weights under
+// the limiter, then runs its active-learning session. The step emits
+// the pool's pool.start, pool.weights and pool.end events to sink (nil
+// for none) and counts the pool in the metrics. The driver supplies
+// what differs between the drivers: the sink, the annotator and the
+// classifier. An interrupted session returns its partial PoolRun with
+// the interruption as cause; any other failure returns err.
+func (p *ownerPools) runPool(ctx context.Context, i int, sink obs.Observer, ann active.FallibleAnnotator, classifier classify.Classifier) (pr PoolRun, cause, err error) {
+	e, pool := p.e, p.pools[i]
+	poolID := pool.ID()
+	observe := e.poolObserve(sink, p.owner, poolID)
+	if observe != nil {
+		observe(obs.Event{Kind: obs.KindPoolStart, N: len(pool.Members)})
+	}
+	if p.reuse != nil && p.reuse[i] != nil {
+		pr = reusedPoolRun(pool, p.reuse[i])
+		p.k.markDone(poolID)
+		if observe != nil {
+			observe(obs.Event{Kind: obs.KindPoolEnd, N: len(pr.Result.Rounds), Note: "reused"})
 		}
 		if m := e.cfg.Metrics; m != nil {
-			m.Rounds.Add(uint64(len(res.Rounds)))
-			m.RoundsPerPool.Observe(len(res.Rounds))
-			m.Queries.Add(uint64(res.QueriedCount()))
+			m.PoolsReused.Add(1)
 		}
-		// Satellite fix: accumulate the owner-label total instead of
-		// rescanning every finished pool via run.QueriedCount().
-		labelsTotal += res.QueriedCount()
-		e.emitPool(run, run.Pools[len(run.Pools)-1], pi, len(pools))
-		if e.cfg.Progress != nil {
-			e.cfg.Progress(pi+1, len(pools), labelsTotal)
+		return pr, nil, nil
+	}
+	start := time.Now()
+	var weights [][]float64
+	p.limiter.Do(func() { weights, err = e.poolWeights(p.store, pool, p.exp) })
+	if err != nil {
+		return PoolRun{}, nil, fmt.Errorf("core: %w", err)
+	}
+	wkey := cluster.PoolKey(p.store, pool, e.cfg.PSAttributes, p.exp)
+	if observe != nil {
+		observe(obs.Event{Kind: obs.KindPoolWeights, N: len(pool.Members), Dur: time.Since(start)})
+	}
+	cfg := p.learn
+	cfg.Rand = rand.New(rand.NewSource(poolSeed(e.cfg.Seed, p.owner, i)))
+	cfg.Classifier = classifier
+	if p.k != nil {
+		cfg.AfterRound = func(r active.Round) error { return p.k.afterRound(poolID, r) }
+	}
+	cfg.Observe = observe
+	cfg.Digests = e.cfg.Trace.Digests
+	sess, err := active.NewSession(pool.Members, weights, ann, cfg)
+	if err != nil {
+		return PoolRun{}, nil, fmt.Errorf("core: pool %s: %w", poolID, err)
+	}
+	res, err := sess.RunContext(ctx)
+	pr = PoolRun{Pool: pool, Result: res, Status: PoolComplete, WeightKey: wkey}
+	switch {
+	case err == nil:
+		p.k.markDone(poolID)
+	case isInterrupt(err) && res != nil:
+		pr.Status, cause = PoolPartial, err
+	default:
+		return PoolRun{}, nil, fmt.Errorf("core: pool %s: %w", poolID, err)
+	}
+	if observe != nil {
+		observe(obs.Event{Kind: obs.KindPoolEnd, N: len(res.Rounds), Note: string(res.Reason)})
+	}
+	if m := e.cfg.Metrics; m != nil {
+		m.Rounds.Add(uint64(len(res.Rounds)))
+		m.RoundsPerPool.Observe(len(res.Rounds))
+		m.Queries.Add(uint64(res.QueriedCount()))
+	}
+	return pr, cause, nil
+}
+
+// classifier returns the classifier for one pool's session: the
+// configured one, or else a fresh harmonic classifier per session (so
+// warm-start scratch state is never shared) wired into the metrics'
+// solver counters. A configured classifier is shared by every pool's
+// session, concurrent ones included, so it must keep no state across
+// Predict calls — true of every classifier in this module.
+func (p *ownerPools) classifier() classify.Classifier {
+	if p.learn.Classifier != nil {
+		return p.learn.Classifier
+	}
+	h := classify.NewHarmonic()
+	if m := p.e.cfg.Metrics; m != nil {
+		h.Iterations = func(iters int) {
+			m.HarmonicSolves.Add(1)
+			m.HarmonicIters.Add(uint64(iters))
+			m.SolveIters.Observe(iters)
 		}
 	}
+	return h
+}
+
+// runSerial is the driver at Workers = 1 (or for a single pool): it
+// runs the pools one after another, so the owner is asked pool by
+// pool, and it streams each pool's events and OnPool call as the pool
+// finishes. After an interruption it asks nothing more: every later
+// pool gets an empty interrupted placeholder for fillFallbacks to
+// complete.
+func (p *ownerPools) runSerial(ctx context.Context, run *OwnerRun) error {
+	e := p.e
+	prog := &progress{fn: e.cfg.Progress, total: len(p.pools)}
+	for i, pool := range p.pools {
+		var pr PoolRun
+		if run.Partial {
+			pr = PoolRun{Pool: pool, Result: emptyInterruptedResult(pool), Status: PoolPartial}
+			if observe := e.poolObserve(e.cfg.Observer, p.owner, pool.ID()); observe != nil {
+				observe(obs.Event{Kind: obs.KindPoolStart, N: len(pool.Members)})
+				observe(obs.Event{Kind: obs.KindPoolEnd, Note: "interrupted"})
+			}
+		} else {
+			var cause, err error
+			pr, cause, err = p.runPool(ctx, i, e.cfg.Observer, p.chain(pool.ID()), p.classifier())
+			if err != nil {
+				return err
+			}
+			if cause != nil {
+				run.Partial, run.Cause = true, cause
+			}
+		}
+		run.Pools = append(run.Pools, pr)
+		e.emitPool(run, pr, i, len(p.pools))
+		prog.poolDone(pr)
+	}
 	return nil
+}
+
+// progress reports finished pools to Config.Progress. Labels count
+// the owner answers collected by this run, so reused pools add none.
+// The parallel driver finishes pools on many goroutines; the lock is
+// held across the callback so the counts it reports never go
+// backwards.
+type progress struct {
+	mu                  sync.Mutex
+	fn                  func(poolsDone, poolsTotal, labelsSoFar int)
+	total, done, labels int
+}
+
+func (p *progress) poolDone(pr PoolRun) {
+	if p.fn == nil {
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.done++
+	if !pr.Reused {
+		p.labels += pr.Result.QueriedCount()
+	}
+	p.fn(p.done, p.total, p.labels)
 }
 
 // emptyInterruptedResult stands in for a session that was never
@@ -728,8 +786,8 @@ func emptyInterruptedResult(pool cluster.Pool) *active.Result {
 }
 
 // poolSeed derives the per-pool sampling RNG seed. It depends only on
-// the base seed, the owner and the pool's index in pool order, so the
-// serial and parallel paths draw identical query samples.
+// the base seed, the owner and the pool's index in pool order, so both
+// drivers draw identical query samples.
 func poolSeed(seed int64, owner graph.UserID, pool int) int64 {
 	return seed + int64(owner)*7919 + int64(pool)*104729
 }

@@ -2,244 +2,95 @@ package core
 
 import (
 	"context"
-	"fmt"
-	"math/rand"
-	"sync"
-	"time"
 
 	"sightrisk/internal/active"
 	"sightrisk/internal/classify"
-	"sightrisk/internal/cluster"
 	"sightrisk/internal/graph"
 	"sightrisk/internal/label"
 	"sightrisk/internal/obs"
 	"sightrisk/internal/parallel"
-	"sightrisk/internal/profile"
 )
 
-// runPoolsParallel is the concurrent counterpart of RunOwner's serial
-// pool loop. It produces byte-identical PoolRuns in pool order, for
-// any deterministic annotator, by splitting the work into two stages:
+// runParallel is the driver at Workers > 1. It produces the PoolRuns
+// of runSerial, byte for byte and in pool order, for any deterministic
+// annotator, but rotates the owner's questions across pools instead of
+// asking pool by pool.
 //
-//  1. Weight matrices. Each pool's PS() matrix is self-contained
-//     (pool-local value frequencies, own backing array), so all builds
-//     run on a bounded worker Group with index-ordered results.
+// Every pool runs its step on its own goroutine — the query Gate's
+// rotation must be able to wait on any pool, so steps cannot share a
+// bounded pool of goroutines — while the CPU-heavy weight builds and
+// classifier solves share the limiter's Workers permits. All annotator
+// queries are routed through the Gate, which serializes them in a
+// rotation over pool indices that depends only on each session's own
+// deterministic behavior. The owner is therefore asked one question
+// at a time, in the same order for every Workers > 1 value and every
+// run.
 //
-//  2. Sessions. Every pool gets its own goroutine — the query Gate's
-//     rotation must be able to wait on any pool, so sessions cannot
-//     share a bounded pool of goroutines — while the CPU-heavy
-//     classifier solves share `workers` Limiter permits. All annotator
-//     queries are routed through the Gate, which serializes them in a
-//     rotation over pool indices that depends only on each session's
-//     own deterministic behavior. The owner is therefore asked one
-//     question at a time, in the same order for every Workers > 1
-//     value and every run. (Workers == 1 keeps the legacy order: all
-//     of pool 0's questions, then pool 1's, and so on.)
+// Each pool's events go to a private buffer, flushed to the observer
+// in pool order once every pool finished, and OnPool fires at that
+// merge: a driver that streamed mid-run would leak scheduler-dependent
+// order. The merged stream reads exactly like runSerial's.
 //
 // Failures cancel cooperatively: the first error flips the Group's
 // flag, in-flight sessions abort at their next classifier call, and
 // Wait reports the lowest-pool-index root cause so errors are as
 // deterministic as results.
 //
-// Interruptions (abandonment, ctx cancellation) are not failures:
-// the interrupted session stores its partial result, the shared
-// abandonment latch fails every later query fast, and the run's
-// Partial/Cause fields record the lowest-pool-index interrupt so the
-// degraded outcome is as deterministic as a successful one. When ctx
-// is canceled the gate is aborted, so sessions blocked waiting their
-// turn unblock promptly instead of waiting out other pools' compute.
-func (e *Engine) runPoolsParallel(ctx context.Context, run *OwnerRun, store *profile.Store, owner graph.UserID, pools []cluster.Pool, chain func(string) active.FallibleAnnotator, k *checkpointer, learn active.Config, exp float64, workers int, reuse []*PoolRun) error {
-	sink := e.cfg.Observer
-	weights := make([][][]float64, len(pools))
-	wkeys := make([]cluster.Key, len(pools))
-	var durs []time.Duration
-	if sink != nil {
-		durs = make([]time.Duration, len(pools))
+// Interruptions (abandonment, ctx cancellation) are not failures: the
+// interrupted session keeps its partial result, the shared abandonment
+// latch fails every later query fast, and the run's Partial/Cause
+// fields record the lowest-pool-index interrupt so the degraded
+// outcome is as deterministic as a successful one. When ctx is
+// canceled the gate is aborted, so sessions blocked waiting their turn
+// unblock promptly instead of waiting out other pools' compute.
+func (p *ownerPools) runParallel(ctx context.Context, run *OwnerRun) error {
+	e, n := p.e, len(p.pools)
+	var bufs []obs.Buffer
+	if e.cfg.Observer != nil {
+		bufs = make([]obs.Buffer, n)
 	}
-	build := parallel.NewGroup(workers)
-	for i := range pools {
-		i := i
-		if reuse != nil && reuse[i] != nil {
-			// Reused pools skip their weight build entirely — the spliced
-			// result already carries the content key that proved the
-			// matrix unchanged.
-			continue
-		}
-		build.Go(i, func() error {
-			if build.Canceled() {
-				return parallel.ErrCanceled
-			}
-			var start time.Time
-			if durs != nil {
-				start = time.Now()
-			}
-			w, err := e.poolWeights(store, pools[i], exp)
-			if err != nil {
-				return fmt.Errorf("core: %w", err)
-			}
-			if durs != nil {
-				durs[i] = time.Since(start)
-			}
-			weights[i] = w
-			wkeys[i] = cluster.PoolKey(store, pools[i], e.cfg.PSAttributes, exp)
-			return nil
-		})
-	}
-	if err := build.Wait(); err != nil {
-		return err
-	}
-
-	// Each pool's events go into a private buffer, flushed to the real
-	// sink in pool order after every session finished — so the observed
-	// stream is identical to the serial path's, for any Workers value.
-	var bufs []*obs.Buffer
-	if sink != nil {
-		bufs = make([]*obs.Buffer, len(pools))
-		for i := range bufs {
-			bufs[i] = &obs.Buffer{}
-		}
-	}
-
-	gate := parallel.NewGate(len(pools))
-	limiter := parallel.NewLimiter(workers)
-	sessions := parallel.NewGroup(len(pools)) // one goroutine per pool; CPU bounded by limiter
-	runs := make([]PoolRun, len(pools))
-	causes := make([]error, len(pools))
-
-	// Bridge ctx cancellation to the gate so waiters wake immediately.
-	watcherDone := make(chan struct{})
-	defer close(watcherDone)
-	go func() {
-		select {
-		case <-ctx.Done():
-			gate.Abort()
-		case <-watcherDone:
-		}
-	}()
-
-	// Progress reports completions as they happen; done counts and
-	// label totals stay monotone, but the completion order (unlike the
-	// results) is scheduler-dependent.
-	var progressMu sync.Mutex
-	poolsDone, labelsSoFar := 0, 0
-	progress := func(queried int) {
-		if e.cfg.Progress == nil {
-			return
-		}
-		progressMu.Lock()
-		poolsDone++
-		labelsSoFar += queried
-		e.cfg.Progress(poolsDone, len(pools), labelsSoFar)
-		progressMu.Unlock()
-	}
-
-	for i := range pools {
-		i := i
-		sessions.Go(i, func() error {
+	gate := parallel.NewGate(n)
+	stop := context.AfterFunc(ctx, gate.Abort)
+	defer stop()
+	steps := parallel.NewGroup(n) // one goroutine per pool; CPU bounded by the limiter
+	runs := make([]PoolRun, n)
+	causes := make([]error, n)
+	prog := &progress{fn: e.cfg.Progress, total: n}
+	for i, pool := range p.pools {
+		steps.Go(i, func() error {
 			defer gate.Done(i)
-			poolID := pools[i].ID()
-			if reuse != nil && reuse[i] != nil {
-				// Splice the prior result; the slot drops out of the query
-				// rotation immediately (via the deferred Done), exactly like
-				// a session that asks no questions.
-				if k != nil {
-					k.markDone(poolID)
-				}
-				runs[i] = reusedPoolRun(pools[i], reuse[i])
-				if bufs != nil {
-					bufs[i].Observe(obs.Event{Kind: obs.KindPoolStart, Tenant: e.cfg.Tenant, Owner: int64(owner), Pool: poolID, N: len(pools[i].Members)})
-					bufs[i].Observe(obs.Event{Kind: obs.KindPoolEnd, Tenant: e.cfg.Tenant, Owner: int64(owner), Pool: poolID, N: len(runs[i].Result.Rounds), Note: "reused"})
-				}
-				if m := e.cfg.Metrics; m != nil {
-					m.PoolsReused.Add(1)
-				}
-				progress(0)
-				return nil
-			}
-			cfg := learn
-			cfg.Rand = rand.New(rand.NewSource(poolSeed(e.cfg.Seed, owner, i)))
-			cfg.Classifier = &limitedClassifier{
-				inner:    e.parallelClassifier(learn.Classifier),
-				limiter:  limiter,
-				canceled: sessions.Canceled,
-			}
-			if k != nil {
-				cfg.AfterRound = func(r active.Round) error { return k.afterRound(poolID, r) }
-			}
+			var sink obs.Observer
 			if bufs != nil {
-				bufs[i].Observe(obs.Event{Kind: obs.KindPoolStart, Tenant: e.cfg.Tenant, Owner: int64(owner), Pool: poolID, N: len(pools[i].Members)})
-				bufs[i].Observe(obs.Event{Kind: obs.KindPoolWeights, Tenant: e.cfg.Tenant, Owner: int64(owner), Pool: poolID, N: len(pools[i].Members), Dur: durs[i]})
-				cfg.Observe = e.poolObserve(bufs[i], owner, poolID)
-				cfg.Digests = e.cfg.Trace.Digests
+				sink = &bufs[i]
 			}
-			ann := gatedAnnotator{gate: gate, slot: i, inner: chain(poolID)}
-			sess, err := active.NewSession(pools[i].Members, weights[i], ann, cfg)
+			ann := gatedAnnotator{gate: gate, slot: i, inner: p.chain(pool.ID())}
+			c := &limitedClassifier{inner: p.classifier(), limiter: p.limiter, canceled: steps.Canceled}
+			pr, cause, err := p.runPool(ctx, i, sink, ann, c)
 			if err != nil {
-				return fmt.Errorf("core: pool %s: %w", poolID, err)
+				return err
 			}
-			res, err := sess.RunContext(ctx)
-			switch {
-			case err == nil:
-				if k != nil {
-					k.markDone(poolID)
-				}
-				runs[i] = PoolRun{Pool: pools[i], Result: res, Status: PoolComplete, WeightKey: wkeys[i]}
-			case isInterrupt(err) && res != nil:
-				causes[i] = err
-				runs[i] = PoolRun{Pool: pools[i], Result: res, Status: PoolPartial, WeightKey: wkeys[i]}
-			default:
-				return fmt.Errorf("core: pool %s: %w", poolID, err)
-			}
-			if bufs != nil {
-				bufs[i].Observe(obs.Event{Kind: obs.KindPoolEnd, Tenant: e.cfg.Tenant, Owner: int64(owner), Pool: poolID, N: len(res.Rounds), Note: string(res.Reason)})
-			}
-			if m := e.cfg.Metrics; m != nil {
-				m.Rounds.Add(uint64(len(res.Rounds)))
-				m.RoundsPerPool.Observe(len(res.Rounds))
-				m.Queries.Add(uint64(res.QueriedCount()))
-			}
-			progress(res.QueriedCount())
+			runs[i], causes[i] = pr, cause
+			prog.poolDone(pr)
 			return nil
 		})
 	}
-	if err := sessions.Wait(); err != nil {
+	if err := steps.Wait(); err != nil {
 		return err
 	}
-	if bufs != nil {
-		// Flush per-pool buffers in pool order: the merged stream now
-		// reads exactly like the serial path's.
-		for _, b := range bufs {
-			b.FlushTo(sink)
-		}
+	for i := range bufs {
+		bufs[i].FlushTo(e.cfg.Observer)
 	}
 	run.Pools = runs
 	for _, cause := range causes {
 		if cause != nil {
-			run.Partial = true
-			run.Cause = cause
+			run.Partial, run.Cause = true, cause
 			break
 		}
 	}
-	// OnPool fires at merge time, in pool order — the parallel path
-	// cannot stream mid-run without leaking scheduler-dependent order.
 	for i := range runs {
-		e.emitPool(run, runs[i], i, len(runs))
+		e.emitPool(run, runs[i], i, n)
 	}
 	return nil
-}
-
-// parallelClassifier mirrors active.NewSession's default: a nil
-// configured classifier means each session gets its own Harmonic
-// instance (so the warm-start scratch state is never shared), wired to
-// the engine's solver metrics like the serial path. A non-nil
-// classifier is shared across concurrent sessions and must be
-// stateless across Predict calls — true of every classifier in this
-// module (Harmonic, Majority, KNN keep no per-call state).
-func (e *Engine) parallelClassifier(configured classify.Classifier) classify.Classifier {
-	if configured != nil {
-		return configured
-	}
-	return e.newClassifier()
 }
 
 // gatedAnnotator routes one pool's owner queries through the rotation
@@ -311,5 +162,4 @@ func (c *limitedClassifier) PredictFrom(weights [][]float64, labeled map[int]lab
 	return preds, err
 }
 
-var _ classify.Classifier = (*limitedClassifier)(nil)
 var _ warmStarter = (*limitedClassifier)(nil)

@@ -13,6 +13,7 @@ import (
 	"sightrisk/internal/active"
 	"sightrisk/internal/graph"
 	"sightrisk/internal/label"
+	"sightrisk/internal/profile"
 	"sightrisk/internal/synthetic"
 )
 
@@ -22,7 +23,7 @@ func diffOwnerRuns(a, b *OwnerRun) string { return DiffRuns(a, b) }
 
 // TestParallelMatchesSerial is the core determinism guarantee: for a
 // seeded synthetic study, every Workers value yields the exact
-// OwnerRun the legacy serial path (Workers 1) produces — same labels,
+// OwnerRun the pool-by-pool driver (Workers 1) produces — same labels,
 // same query traces, same round telemetry, bit-identical floats.
 func TestParallelMatchesSerial(t *testing.T) {
 	study := studyWorld(t)
@@ -188,6 +189,34 @@ func TestParallelErrorPropagation(t *testing.T) {
 	}
 	if msgs[0] != msgs[1] {
 		t.Fatalf("error differs between serial and parallel:\n  serial:   %s\n  parallel: %s", msgs[0], msgs[1])
+	}
+}
+
+// TestWeightBuildErrorSameAtAnyWorkers: a stranger without a profile
+// lands in a pool of its own whose weight build fails; both drivers
+// must fail the run with the same error.
+func TestWeightBuildErrorSameAtAnyWorkers(t *testing.T) {
+	study := studyWorld(t)
+	o := study.Owners[0]
+	victim := o.Strangers()[0]
+	store := profile.NewStore()
+	for _, u := range study.Profiles.Users() {
+		if u != victim {
+			store.Put(study.Profiles.Get(u))
+		}
+	}
+	var msgs []string
+	for _, workers := range []int{1, 4} {
+		cfg := DefaultConfig()
+		cfg.Workers = workers
+		_, err := New(cfg).RunOwner(context.Background(), study.Graph, store, o.ID, active.Infallible(o), o.Confidence)
+		if err == nil || !strings.Contains(err.Error(), "missing profiles") {
+			t.Fatalf("workers=%d: got %v, want the weight build's missing-profile error", workers, err)
+		}
+		msgs = append(msgs, err.Error())
+	}
+	if msgs[0] != msgs[1] {
+		t.Fatalf("error differs between drivers:\n  workers=1: %s\n  workers=4: %s", msgs[0], msgs[1])
 	}
 }
 

@@ -96,29 +96,17 @@ func (g graceAnnotator) LabelStranger(ctx context.Context, s graph.UserID) (labe
 }
 
 // graceContext returns a context that is canceled `grace` after the
-// parent is — never sooner. The caller must call stop to release the
-// watcher goroutine.
+// parent is — never sooner. The caller must call stop to release it; a
+// grace timer already started then fires into a context canceled
+// already.
 func graceContext(parent context.Context, grace time.Duration) (context.Context, context.CancelFunc) {
 	if grace <= 0 {
 		return parent, func() {}
 	}
 	ctx, cancel := context.WithCancel(context.WithoutCancel(parent))
-	stopped := make(chan struct{})
-	go func() {
-		select {
-		case <-parent.Done():
-			t := time.NewTimer(grace)
-			defer t.Stop()
-			select {
-			case <-t.C:
-				cancel()
-			case <-stopped:
-			}
-		case <-stopped:
-		}
-	}()
+	unwatch := context.AfterFunc(parent, func() { time.AfterFunc(grace, cancel) })
 	return ctx, func() {
-		close(stopped)
+		unwatch()
 		cancel()
 	}
 }

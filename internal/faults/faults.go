@@ -93,11 +93,6 @@ func Wrap(inner active.FallibleAnnotator, cfg Config) (*Injector, error) {
 	return &Injector{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), inner: inner}, nil
 }
 
-// WrapInfallible is Wrap over a legacy infallible annotator.
-func WrapInfallible(inner active.Annotator, cfg Config) (*Injector, error) {
-	return Wrap(active.Infallible(inner), cfg)
-}
-
 // LabelStranger implements active.FallibleAnnotator.
 func (in *Injector) LabelStranger(ctx context.Context, s graph.UserID) (label.Label, error) {
 	in.mu.Lock()

@@ -51,13 +51,6 @@ func (t *Tripwire) Observe() {
 	}
 }
 
-// Fired reports whether the action has run.
-func (t *Tripwire) Fired() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.fired
-}
-
 // Count returns how many events have been observed.
 func (t *Tripwire) Count() int {
 	t.mu.Lock()
@@ -103,15 +96,6 @@ func (p *Partition) Block(hosts ...string) {
 	defer p.mu.Unlock()
 	for _, h := range hosts {
 		p.blocked[h] = true
-	}
-}
-
-// Unblock heals the links to the given host:port targets.
-func (p *Partition) Unblock(hosts ...string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, h := range hosts {
-		delete(p.blocked, h)
 	}
 }
 

@@ -33,12 +33,11 @@
 //     frozen graph snapshot, so identical pool content across owners,
 //     tenants and repeat runs is computed once.
 //
-// Per-owner output is byte-identical to a standalone serial
-// core.Engine run: every owner job runs the engine's exact legacy
-// serial path (Workers = 1); fleet parallelism comes only from running
-// independent owner jobs concurrently, and nothing an owner's session
-// observes — pool order, RNG streams, answer values — depends on the
-// other jobs.
+// Per-owner output is byte-identical to a standalone core.Engine run.
+// Every owner job runs at Workers = 1, pool by pool: fleet parallelism
+// comes only from running independent owner jobs concurrently, and
+// nothing an owner's session observes — pool order, RNG streams,
+// answer values — depends on the other jobs.
 package fleet
 
 import (
@@ -111,8 +110,9 @@ type Tenant struct {
 // Config parameterizes a fleet run.
 type Config struct {
 	// Engine is the per-owner pipeline configuration. Workers is
-	// ignored: every owner job runs the exact serial path so its output
-	// is byte-identical to a standalone run.
+	// ignored: every owner job runs pool by pool (Workers = 1), so the
+	// shared worker budget is spent across jobs. Output is
+	// byte-identical to a standalone run at any Workers value.
 	Engine core.Config
 	// Workers bounds how many owner jobs run concurrently across all
 	// tenants. 0 means runtime.GOMAXPROCS(0).
@@ -243,7 +243,7 @@ func Run(ctx context.Context, cfg Config, tenants []Tenant) (*Result, error) {
 		cfg.Weights = cluster.NewWeightCache()
 	}
 	ecfg := cfg.Engine
-	ecfg.Workers = 1 // exact serial path per owner: byte-identical output
+	ecfg.Workers = 1 // pool by pool per owner; jobs share the worker budget
 	ecfg.Weights = cfg.Weights
 	if err := ecfg.Validate(); err != nil {
 		return nil, fmt.Errorf("fleet: %w", err)

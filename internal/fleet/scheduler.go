@@ -19,8 +19,8 @@ import (
 // accepts jobs one at a time — the arrival pattern of a serving layer
 // — while preserving the fleet invariants: one shared worker budget
 // across all tenants, per-tenant admission control, one shared
-// content-keyed weight cache, and the exact serial engine path per job
-// so every job's output is byte-identical to a standalone run.
+// content-keyed weight cache, and every job run pool by pool
+// (Workers = 1), its output byte-identical to a standalone run.
 //
 // The flow is two-phase so a front end can reject over-budget work
 // synchronously (HTTP 429) before queueing anything: Admit reserves a
@@ -87,7 +87,7 @@ func (e *OverBudgetError) Error() string {
 // SchedulerConfig parameterizes NewScheduler.
 type SchedulerConfig struct {
 	// Engine is the default per-job pipeline configuration. Workers is
-	// ignored: every job runs the exact serial path (see Config.Engine).
+	// ignored: every job runs pool by pool (see Config.Engine).
 	Engine core.Config
 	// Workers bounds how many jobs run concurrently across all tenants.
 	// 0 means runtime.GOMAXPROCS(0).
@@ -127,7 +127,7 @@ type Job struct {
 // scheduler.
 func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 	ecfg := cfg.Engine
-	ecfg.Workers = 1 // exact serial path per job: byte-identical output
+	ecfg.Workers = 1 // pool by pool per job; jobs share the worker budget
 	if err := ecfg.Validate(); err != nil {
 		return nil, fmt.Errorf("fleet: %w", err)
 	}
@@ -203,11 +203,11 @@ func (a *Admission) Cancel() {
 }
 
 // Run executes the job on the admission's slot: it waits for a shared
-// worker (honoring ctx), runs the engine's exact serial path with the
-// scheduler's shared weight cache, accounts the tenant's query spend,
-// and releases the admission. The returned run is byte-identical to a
-// standalone serial core.Engine run of the same job — scheduler
-// concurrency never leaks into results.
+// worker (honoring ctx), runs the engine pool by pool (Workers = 1)
+// with the scheduler's shared weight cache, accounts the tenant's
+// query spend, and releases the admission. The returned run is
+// byte-identical to a standalone core.Engine run of the same job —
+// scheduler concurrency never leaks into results.
 //
 // Interruptions degrade into partial runs per the engine's contract;
 // Run itself errors on hard failures and on cancellation while still
@@ -236,7 +236,9 @@ func (a *Admission) Run(ctx context.Context, job Job) (*core.OwnerRun, error) {
 	ecfg.Tenant = a.tenant
 	if job.Configure != nil {
 		job.Configure(&ecfg)
-		ecfg.Workers = 1 // the serial path is non-negotiable
+		// Pool by pool whatever Configure set: callers read the event
+		// stream and OnPool deltas as each pool finishes.
+		ecfg.Workers = 1
 		ecfg.Weights = a.s.weights
 	}
 	run, err := core.New(ecfg).RunOwner(ctx, job.Graph, job.Store, job.Owner, job.Annotator, job.Confidence)

@@ -162,21 +162,11 @@ func (b *TableBuilder) Add(p *profile.Profile) error {
 	return nil
 }
 
-// MarkPresentAt marks the node at dense index i as carrying a
-// (possibly empty) profile. The index-addressed builder surface —
-// MarkPresentAt, SetAttrAt, SetVisibleAt — exists for bulk producers
-// (the scale generator) that would otherwise materialize millions of
-// map-backed Profile values just to feed Add.
-func (b *TableBuilder) MarkPresentAt(i int) error {
-	if i < 0 || i >= len(b.t.ids) {
-		return fmt.Errorf("snapfile: node index %d out of range", i)
-	}
-	b.t.vis[i] |= visPresent
-	return nil
-}
-
 // SetAttrAt sets one attribute value for the node at dense index i,
-// marking it present.
+// marking it present. The index-addressed builder surface — SetAttrAt
+// and SetVisibleAt — exists for bulk producers (the scale generator)
+// that would otherwise materialize millions of map-backed Profile
+// values just to feed Add.
 func (b *TableBuilder) SetAttrAt(i int, a profile.Attribute, v string) error {
 	if i < 0 || i >= len(b.t.ids) {
 		return fmt.Errorf("snapfile: node index %d out of range", i)

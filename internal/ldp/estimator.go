@@ -278,10 +278,6 @@ func (e *Estimator) PublicUsers() int { return e.pubUsers }
 // PublicEdges returns the exact public-edge count.
 func (e *Estimator) PublicEdges() int { return e.pubEdges }
 
-// PrivateEdges returns the exact private-edge count. Library-only
-// ground truth for benchmarks — it is never released over the wire.
-func (e *Estimator) PrivateEdges() int { return e.edges - e.pubEdges }
-
 // DegreeCap returns the sensitivity cap of the star mechanisms.
 func (e *Estimator) DegreeCap() int { return e.degCap }
 

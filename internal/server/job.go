@@ -106,10 +106,16 @@ func (j *job) terminal() bool {
 	return st == client.StatusDone || st == client.StatusFailed
 }
 
+// setCancel stores the run's cancel function once the run is launched.
+// A DELETE that arrived before then cancels the run at once.
 func (j *job) setCancel(cancel context.CancelFunc) {
 	j.mu.Lock()
 	j.cancel = cancel
+	canceled := j.userCanceled
 	j.mu.Unlock()
+	if canceled {
+		cancel()
+	}
 }
 
 // requestCancel implements DELETE: it marks the cancellation as
@@ -184,19 +190,18 @@ func (j *job) questions() []client.Question {
 }
 
 // acceptAnswers stores answers that match pending questions and wakes
-// the wire annotator. Answers for strangers without a pending question
-// are ignored (long-poll redelivery makes duplicates routine).
+// the wire annotator. An answered question leaves the pending set at
+// once, so no long-poll redelivers it while the annotator has yet to
+// pick the answer up. Answers for strangers without a pending question
+// are ignored (a client may answer a question it was shown twice).
 func (j *job) acceptAnswers(answers []client.Answer) int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	accepted := 0
 	for _, a := range answers {
-		for _, q := range j.pending {
-			if q.Stranger == a.Stranger {
-				j.answers[a.Stranger] = label.Label(a.Label)
-				accepted++
-				break
-			}
+		if j.removePendingLocked(a.Stranger) {
+			j.answers[a.Stranger] = label.Label(a.Label)
+			accepted++
 		}
 	}
 	if accepted > 0 {
@@ -303,15 +308,16 @@ func (w wireAnnotator) LabelStranger(ctx context.Context, s graph.UserID) (label
 	}
 }
 
-// removePendingLocked drops the stranger's pending question. Callers
-// hold mu.
-func (j *job) removePendingLocked(stranger int64) {
+// removePendingLocked drops the stranger's pending question and
+// reports whether there was one. Callers hold mu.
+func (j *job) removePendingLocked(stranger int64) bool {
 	for i, q := range j.pending {
 		if q.Stranger == stranger {
 			j.pending = append(j.pending[:i], j.pending[i+1:]...)
-			return
+			return true
 		}
 	}
+	return false
 }
 
 // countingAnnotator wraps a server-side annotator so the live status

@@ -5,7 +5,7 @@
 // survive server restarts. The wire types live in the client package
 // (both sides import it); the endpoint reference is docs/API.md.
 //
-// Served runs execute the exact serial engine path through
+// Served runs execute the engine pool by pool (Workers = 1) through
 // fleet.Scheduler and assemble reports with sight.AssembleReport, so a
 // served report is byte-identical to what an in-process
 // sight.EstimateRisk call would produce for the same inputs — the
@@ -711,8 +711,8 @@ func (s *Server) launch(j *job, adm *fleet.Admission, resume *core.Checkpoint) {
 }
 
 // runJob executes one estimate end to end: materialize the request,
-// wire up checkpointing/observability, run the exact serial engine
-// path through the scheduler, and record the outcome. Drain
+// wire up checkpointing/observability, run the engine pool by pool
+// through the scheduler, and record the outcome. Drain
 // interruptions park the job (its checkpoint survives; a restarted
 // server resumes it); everything else — completion, deadline expiry,
 // client cancellation, hard failure — is terminal and persisted.

@@ -105,7 +105,7 @@ func (st *DirStore) PutJob(rec JobRecord) error {
 	if err != nil {
 		return err
 	}
-	return atomicWrite(st.jobPath(rec.ID), b)
+	return core.WriteFileAtomic(st.jobPath(rec.ID), b)
 }
 
 // GetJob implements Store.
@@ -142,7 +142,7 @@ func (st *DirStore) PutFinal(id string, fin FinalRecord) error {
 	if err != nil {
 		return err
 	}
-	return atomicWrite(st.finalPath(id), b)
+	return core.WriteFileAtomic(st.finalPath(id), b)
 }
 
 // GetFinal implements Store.
@@ -160,51 +160,6 @@ func (st *DirStore) PutCheckpoint(id string, cp *core.Checkpoint) error {
 // GetCheckpoint implements Store.
 func (st *DirStore) GetCheckpoint(id string) (*core.Checkpoint, error) {
 	return core.LoadCheckpointFile(st.cpPath(id))
-}
-
-// atomicWrite writes via a temp file + fsync + rename (+ directory
-// fsync) so readers — including other replicas sharing the directory —
-// and crashes never observe a half-written or unsynced file.
-func atomicWrite(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	cleanup := func(err error) error {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		return cleanup(err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return cleanup(err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	return syncDir(dir)
-}
-
-// syncDir fsyncs a directory so a rename survives power loss. Some
-// filesystems refuse to fsync directories; that is not worth failing
-// the write over.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return nil
-	}
-	defer d.Close()
-	d.Sync()
-	return nil
 }
 
 // readJSON reads and unmarshals one file.

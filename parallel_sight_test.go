@@ -46,7 +46,7 @@ func diffReports(t *testing.T, a, b *Report) string {
 
 // TestWorkersDeterminismProperty is the determinism property promised
 // by Options.Workers: for seeded synthetic studies of several shapes
-// and attitudes, Workers 1 (the legacy serial path), 4, and
+// and attitudes, Workers 1 (pool by pool), 4, and
 // GOMAXPROCS all produce identical Reports — same labels, same query
 // effort, same pool assignments, same telemetry.
 func TestWorkersDeterminismProperty(t *testing.T) {

@@ -92,8 +92,9 @@ const (
 // concurrent use. Even with Options.Workers > 1 the engine serializes
 // LabelStranger calls — the owner is asked one question at a time —
 // and the question order is a deterministic function of the network
-// and options (identical across runs and across any Workers > 1;
-// Workers == 1 asks pool by pool in the legacy order). Interactive
+// and options: Workers == 1 asks pool by pool, and any Workers > 1
+// rotates the questions across pools in one order, identical across
+// runs and worker counts. Interactive
 // annotators therefore work unchanged. For reproducible reports the
 // annotator must be deterministic per stranger: asking about the same
 // stranger twice must yield the same label, and the label must not
@@ -476,11 +477,12 @@ type Options struct {
 	Seed int64
 	// Workers bounds how many pools are processed concurrently
 	// (weight-matrix builds and classifier solves). 0 means one worker
-	// per CPU (runtime.GOMAXPROCS(0)); 1 forces the exact legacy
-	// serial path. The resulting Report is identical for every value —
-	// pools keep their own seeded RNG streams, results merge in pool
-	// order, and annotator queries are serialized one at a time in a
-	// deterministic order (see Annotator).
+	// per CPU (runtime.GOMAXPROCS(0)); 1 runs the pools one at a time,
+	// asking the owner pool by pool. The resulting Report is identical
+	// for every value — every pool runs the same per-pool step with its
+	// own seeded RNG stream, results merge in pool order, and annotator
+	// queries are serialized one at a time in a deterministic order
+	// (see Annotator).
 	Workers int
 }
 
