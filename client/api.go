@@ -291,7 +291,8 @@ type AdviseRequest struct {
 	// Candidate is the user asking to become a friend.
 	Candidate int64 `json:"candidate"`
 	// Options tunes the pipeline; nil keeps the paper's defaults. The
-	// seed must match a held prior run for the server to reuse it —
+	// server reuses a held prior run only when it is a stored-annotator
+	// estimate under the same resolved options, seed included —
 	// otherwise both sides of the counterfactual are recomputed (same
 	// bytes, more work).
 	Options *OptionsPayload `json:"options,omitempty"`

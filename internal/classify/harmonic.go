@@ -117,14 +117,16 @@ func (h *Harmonic) PredictFrom(weights [][]float64, labeled map[int]label.Label,
 	// and never updated.
 	f := make([][3]float64, n)
 	next := make([][3]float64, n)
+	clamped := make([]bool, n)
 	for idx, l := range labeled {
+		clamped[idx] = true
 		f[idx][int(l)-1] = 1
 	}
 	// Unlabeled nodes start from the warm-start masses when provided,
 	// uniform otherwise.
 	useInit := len(init) == n
 	for i := range f {
-		if _, ok := labeled[i]; ok {
+		if clamped[i] {
 			continue
 		}
 		if useInit {
@@ -134,42 +136,83 @@ func (h *Harmonic) PredictFrom(weights [][]float64, labeled map[int]label.Label,
 		f[i] = [3]float64{1.0 / 3, 1.0 / 3, 1.0 / 3}
 	}
 
+	// An unlabeled row's weight total is the same in every iteration:
+	// sum it once, over the same kept edges in the same ascending-j
+	// order the sweep accumulates in, so the division sees exactly the
+	// value a per-iteration sum would. A dense row drops no edge, so
+	// its sweep needs no per-element filter.
+	total := make([]float64, n)
+	dense := make([]bool, n)
+	for i, row := range weights {
+		if clamped[i] {
+			continue
+		}
+		t, d := 0.0, true
+		for j, w := range row {
+			if j == i {
+				continue
+			}
+			if w <= h.MinWeight {
+				d = false
+				continue
+			}
+			t += w
+		}
+		total[i], dense[i] = t, d
+	}
+
 	iters := 0
 	for iter := 0; iter < maxIter; iter++ {
 		iters++
 		maxDelta := 0.0
-		for i := 0; i < n; i++ {
-			if _, ok := labeled[i]; ok {
+		for i, row := range weights {
+			t := total[i]
+			if clamped[i] || t == 0 {
+				// Labeled nodes stay clamped; an isolated node keeps
+				// its prior.
 				next[i] = f[i]
 				continue
 			}
-			var acc [3]float64
-			total := 0.0
-			for j := 0; j < n; j++ {
-				if j == i {
-					continue
+			var a0, a1, a2 float64
+			if dense[i] {
+				lo, flo := row[:i], f[:i]
+				for j, w := range lo {
+					a0 += w * flo[j][0]
+					a1 += w * flo[j][1]
+					a2 += w * flo[j][2]
 				}
-				w := weights[i][j]
-				if w <= h.MinWeight {
-					continue
+				fhi := f[i+1:]
+				hi := row[i+1:][:len(fhi)]
+				for j, w := range hi {
+					a0 += w * fhi[j][0]
+					a1 += w * fhi[j][1]
+					a2 += w * fhi[j][2]
 				}
-				total += w
-				acc[0] += w * f[j][0]
-				acc[1] += w * f[j][1]
-				acc[2] += w * f[j][2]
-			}
-			if total == 0 {
-				// Isolated node: keep the uniform prior.
-				next[i] = f[i]
-				continue
-			}
-			for c := 0; c < 3; c++ {
-				acc[c] /= total
-				if d := math.Abs(acc[c] - f[i][c]); d > maxDelta {
-					maxDelta = d
+			} else {
+				fr := f[:len(row)]
+				for j, w := range row {
+					if j == i || w <= h.MinWeight {
+						continue
+					}
+					a0 += w * fr[j][0]
+					a1 += w * fr[j][1]
+					a2 += w * fr[j][2]
 				}
 			}
-			next[i] = acc
+			a0 /= t
+			a1 /= t
+			a2 /= t
+			fi := f[i]
+			if d := math.Abs(a0 - fi[0]); d > maxDelta {
+				maxDelta = d
+			}
+			if d := math.Abs(a1 - fi[1]); d > maxDelta {
+				maxDelta = d
+			}
+			if d := math.Abs(a2 - fi[2]); d > maxDelta {
+				maxDelta = d
+			}
+			next[i] = [3]float64{a0, a1, a2}
 		}
 		f, next = next, f
 		if maxDelta < tol {

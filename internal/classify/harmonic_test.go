@@ -2,6 +2,7 @@ package classify
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -295,4 +296,212 @@ func TestPredictFromWrongInitLengthIgnored(t *testing.T) {
 	if preds[1].Label != label.NotRisky || preds[4].Label != label.VeryRisky {
 		t.Fatal("fallback start did not converge")
 	}
+}
+
+// referencePredictFrom is the Jacobi loop PredictFrom ran before its
+// per-solve row totals, labeled mask and unfiltered dense sweeps: it
+// re-sums every row's total and re-tests every weight against
+// MinWeight in every iteration. TestPropHarmonicMatchesReference pins
+// PredictFrom to it bit for bit, and BenchmarkHarmonicPredictFrom
+// times both. It returns the predictions and the iteration count.
+func referencePredictFrom(h *Harmonic, weights [][]float64, labeled map[int]label.Label, init [][3]float64) ([]Prediction, int) {
+	n := len(weights)
+	maxIter := h.MaxIter
+	if maxIter <= 0 {
+		maxIter = 200
+	}
+	tol := h.Tol
+	if tol <= 0 {
+		tol = 1e-6
+	}
+	f := make([][3]float64, n)
+	next := make([][3]float64, n)
+	for idx, l := range labeled {
+		f[idx][int(l)-1] = 1
+	}
+	useInit := len(init) == n
+	for i := range f {
+		if _, ok := labeled[i]; ok {
+			continue
+		}
+		if useInit {
+			f[i] = init[i]
+			continue
+		}
+		f[i] = [3]float64{1.0 / 3, 1.0 / 3, 1.0 / 3}
+	}
+	iters := 0
+	for iter := 0; iter < maxIter; iter++ {
+		iters++
+		maxDelta := 0.0
+		for i := 0; i < n; i++ {
+			if _, ok := labeled[i]; ok {
+				next[i] = f[i]
+				continue
+			}
+			var acc [3]float64
+			total := 0.0
+			for j := 0; j < n; j++ {
+				if j == i {
+					continue
+				}
+				w := weights[i][j]
+				if w <= h.MinWeight {
+					continue
+				}
+				total += w
+				acc[0] += w * f[j][0]
+				acc[1] += w * f[j][1]
+				acc[2] += w * f[j][2]
+			}
+			if total == 0 {
+				next[i] = f[i]
+				continue
+			}
+			for c := 0; c < 3; c++ {
+				acc[c] /= total
+				if d := math.Abs(acc[c] - f[i][c]); d > maxDelta {
+					maxDelta = d
+				}
+			}
+			next[i] = acc
+		}
+		f, next = next, f
+		if maxDelta < tol {
+			break
+		}
+	}
+	return decisions(f, labeled), iters
+}
+
+// randomSolve draws one harmonic problem: a weight matrix that may be
+// asymmetric, carry all-zero rows and isolated nodes, and hold weights
+// exactly at the MinWeight threshold; one to all members labeled; and
+// a cold or warm start.
+func randomSolve(rng *rand.Rand) (h *Harmonic, w [][]float64, labeled map[int]label.Label, init [][3]float64) {
+	n := 1 + rng.Intn(40)
+	h = &Harmonic{MaxIter: 1 + rng.Intn(300), Tol: math.Pow(10, -float64(3+rng.Intn(8)))}
+	if rng.Intn(2) == 1 {
+		h.MinWeight = 0.05 + 0.4*rng.Float64()
+	}
+	// Weights come from a few levels so exact ties with MinWeight and
+	// exact zeros occur, plus a continuous draw.
+	levels := []float64{0, h.MinWeight, 0.25, 1}
+	symmetric := rng.Intn(2) == 0
+	w = make([][]float64, n)
+	for i := range w {
+		w[i] = make([]float64, n)
+	}
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if symmetric && j < i {
+				w[i][j] = w[j][i]
+				continue
+			}
+			if rng.Intn(3) == 0 {
+				w[i][j] = levels[rng.Intn(len(levels))]
+			} else {
+				w[i][j] = math.Pow(rng.Float64(), 4)
+			}
+		}
+	}
+	for k := rng.Intn(3); k > 0; k-- { // all-zero rows
+		r := rng.Intn(n)
+		for j := range w[r] {
+			w[r][j] = 0
+		}
+	}
+	for k := rng.Intn(3); k > 0; k-- { // isolated nodes
+		r := rng.Intn(n)
+		for j := 0; j < n; j++ {
+			w[r][j], w[j][r] = 0, 0
+		}
+	}
+	labeled = map[int]label.Label{}
+	for _, idx := range rng.Perm(n)[:1+rng.Intn(n)] {
+		labeled[idx] = label.Label(1 + rng.Intn(3))
+	}
+	if rng.Intn(2) == 0 {
+		init = make([][3]float64, n)
+		for i := range init {
+			init[i] = [3]float64{rng.Float64(), rng.Float64(), rng.Float64()}
+		}
+	}
+	return h, w, labeled, init
+}
+
+// TestPropHarmonicMatchesReference: PredictFrom returns exactly the
+// reference loop's bits — every score, every expected label, every
+// decision — and runs exactly as many iterations, over random problems
+// covering MinWeight zero and positive, all-zero rows, isolated nodes,
+// asymmetric weights, warm starts and one to all members labeled.
+func TestPropHarmonicMatchesReference(t *testing.T) {
+	rng := newRand(18)
+	for c := 0; c < 2000; c++ {
+		h, w, labeled, init := randomSolve(rng)
+		want, wantIters := referencePredictFrom(h, w, labeled, init)
+		gotIters := -1
+		h.Iterations = func(iters int) { gotIters = iters }
+		got, err := h.PredictFrom(w, labeled, init)
+		if err != nil {
+			t.Fatalf("case %d: %v", c, err)
+		}
+		if gotIters != wantIters {
+			t.Fatalf("case %d (n=%d MinWeight=%g): %d iterations, reference %d", c, len(w), h.MinWeight, gotIters, wantIters)
+		}
+		for i := range want {
+			g, r := got[i], want[i]
+			same := g.Label == r.Label && math.Float64bits(g.Expected) == math.Float64bits(r.Expected)
+			for k := 0; k < 3; k++ {
+				same = same && math.Float64bits(g.Scores[k]) == math.Float64bits(r.Scores[k])
+			}
+			if !same {
+				t.Fatalf("case %d (n=%d MinWeight=%g) node %d: got %+v, reference %+v", c, len(w), h.MinWeight, i, g, r)
+			}
+		}
+	}
+}
+
+// BenchmarkHarmonicPredictFrom times one cold-start solve of a
+// 300-member pool shaped like a PS-weighted one (a few profile
+// groups, weights raised to the fourth power, a dozen owner labels),
+// for PredictFrom and for the reference loop it replaced.
+func BenchmarkHarmonicPredictFrom(b *testing.B) {
+	const n = 300
+	rng := newRand(300)
+	group := make([]int, n)
+	for i := range group {
+		group[i] = rng.Intn(6)
+	}
+	w := make([][]float64, n)
+	for i := range w {
+		w[i] = make([]float64, n)
+	}
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			ps := 0.2 + 0.3*rng.Float64()
+			if group[i] == group[j] {
+				ps += 0.5
+			}
+			w[i][j] = math.Pow(ps, 4)
+			w[j][i] = w[i][j]
+		}
+	}
+	labeled := map[int]label.Label{}
+	for _, idx := range rng.Perm(n)[:12] {
+		labeled[idx] = label.Label(1 + group[idx]%3)
+	}
+	h := NewHarmonic()
+	b.Run("kernel", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := h.PredictFrom(w, labeled, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("reference", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			referencePredictFrom(h, w, labeled, nil)
+		}
+	})
 }

@@ -144,20 +144,22 @@ func NewWeightCache() *WeightCache {
 
 // PoolWeights returns the pool's weight matrix, computing and caching
 // it on first sight of this (members, attribute values, attrs,
-// exponent) content. The returned matrix is shared: callers must not
-// modify it.
-func (c *WeightCache) PoolWeights(store *profile.Store, pool Pool, attrs []profile.Attribute, exponent float64) ([][]float64, error) {
-	e, err := c.entry(store, pool, attrs, exponent)
+// exponent) content, together with the content Key it is cached under
+// (what PoolKey returns for the same arguments), so a caller that
+// records the key does not hash the pool a second time. The returned
+// matrix is shared: callers must not modify it.
+func (c *WeightCache) PoolWeights(store *profile.Store, pool Pool, attrs []profile.Attribute, exponent float64) ([][]float64, Key, error) {
+	e, key, err := c.entry(store, pool, attrs, exponent)
 	if err != nil {
-		return nil, err
+		return nil, key, err
 	}
-	return e.weights, nil
+	return e.weights, key, nil
 }
 
 // Context returns the cached PSContext for the pool (built alongside
 // the weight matrix). Shared; read-only.
 func (c *WeightCache) Context(store *profile.Store, pool Pool, attrs []profile.Attribute, exponent float64) (*similarity.PSContext, error) {
-	e, err := c.entry(store, pool, attrs, exponent)
+	e, _, err := c.entry(store, pool, attrs, exponent)
 	if err != nil {
 		return nil, err
 	}
@@ -172,7 +174,7 @@ func (c *WeightCache) hit() {
 	}
 }
 
-func (c *WeightCache) entry(store *profile.Store, pool Pool, attrs []profile.Attribute, exponent float64) (*weightEntry, error) {
+func (c *WeightCache) entry(store *profile.Store, pool Pool, attrs []profile.Attribute, exponent float64) (*weightEntry, Key, error) {
 	key := weightKey(store, pool, attrs, exponent)
 
 	c.mu.RLock()
@@ -180,7 +182,7 @@ func (c *WeightCache) entry(store *profile.Store, pool Pool, attrs []profile.Att
 	c.mu.RUnlock()
 	if ok {
 		c.hit()
-		return e, nil
+		return e, key, nil
 	}
 
 	// Build outside the lock: matrix construction is the expensive part
@@ -188,7 +190,7 @@ func (c *WeightCache) entry(store *profile.Store, pool Pool, attrs []profile.Att
 	ctx := similarity.NewPSContext(store, pool.Members, attrs)
 	weights := ctx.Matrix(store.Profiles(pool.Members))
 	if len(weights) != len(pool.Members) {
-		return nil, fmt.Errorf("cluster: pool %s: %d profiles for %d members (missing profiles)", pool.ID(), len(weights), len(pool.Members))
+		return nil, key, fmt.Errorf("cluster: pool %s: %d profiles for %d members (missing profiles)", pool.ID(), len(weights), len(pool.Members))
 	}
 	if exponent != 1 {
 		for i := range weights {
@@ -204,7 +206,7 @@ func (c *WeightCache) entry(store *profile.Store, pool Pool, attrs []profile.Att
 		// Another goroutine built the same content first; keep one copy.
 		c.mu.Unlock()
 		c.hit()
-		return prev, nil
+		return prev, key, nil
 	}
 	if c.max > 0 {
 		c.evictLocked(len(c.entries) + 1 - c.max)
@@ -215,7 +217,7 @@ func (c *WeightCache) entry(store *profile.Store, pool Pool, attrs []profile.Att
 	if m := c.metrics.Load(); m != nil {
 		m.CacheMisses.Add(1)
 	}
-	return built, nil
+	return built, key, nil
 }
 
 // Stats returns current cache counters.

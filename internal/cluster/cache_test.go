@@ -36,7 +36,7 @@ func TestWeightCacheBounded(t *testing.T) {
 	cache.SetMetrics(m)
 	cache.SetMaxEntries(2)
 	for _, p := range pools {
-		if _, err := cache.PoolWeights(store, p, nil, 4); err != nil {
+		if _, _, err := cache.PoolWeights(store, p, nil, 4); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -52,14 +52,18 @@ func TestWeightCacheBounded(t *testing.T) {
 		t.Fatalf("metrics evictions = %d, want %d", got, wantEvict)
 	}
 
-	// Every pool — evicted or not — still yields the identical matrix.
+	// Every pool — evicted or not — still yields the identical matrix,
+	// under the key PoolKey computes for it.
 	for i, p := range pools {
-		w, err := cache.PoolWeights(store, p, nil, 4)
+		w, key, err := cache.PoolWeights(store, p, nil, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(w, want[i]) {
 			t.Fatalf("pool %s: matrix after eviction differs from cold build", p.ID())
+		}
+		if key != PoolKey(store, p, nil, 4) {
+			t.Fatalf("pool %s: cache returned a key other than PoolKey's", p.ID())
 		}
 	}
 
@@ -71,7 +75,7 @@ func TestWeightCacheBounded(t *testing.T) {
 	// Removing the bound lets the cache grow again.
 	cache.SetMaxEntries(0)
 	for _, p := range pools {
-		if _, err := cache.PoolWeights(store, p, nil, 4); err != nil {
+		if _, _, err := cache.PoolWeights(store, p, nil, 4); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -138,13 +142,13 @@ func BenchmarkWeightCacheHitParallel(b *testing.B) {
 		}
 	}
 	cache := NewWeightCache()
-	if _, err := cache.PoolWeights(store, pool, nil, 4); err != nil {
+	if _, _, err := cache.PoolWeights(store, pool, nil, 4); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, err := cache.PoolWeights(store, pool, nil, 4); err != nil {
+			if _, _, err := cache.PoolWeights(store, pool, nil, 4); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -166,14 +170,14 @@ func TestWeightCacheMatchesPoolWeights(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := cache.PoolWeights(store, p, nil, exp)
+			got, _, err := cache.PoolWeights(store, p, nil, exp)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("pool %s exp %g: cached weights differ", p.ID(), exp)
 			}
-			again, err := cache.PoolWeights(store, p, nil, exp)
+			again, _, err := cache.PoolWeights(store, p, nil, exp)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -208,13 +212,13 @@ func TestWeightCacheKeyedByContent(t *testing.T) {
 	}
 	cache := NewWeightCache()
 	pool := Pool{NSGIndex: 1, ClusterIndex: 1, Members: members}
-	if _, err := cache.PoolWeights(store, pool, nil, 4); err != nil {
+	if _, _, err := cache.PoolWeights(store, pool, nil, 4); err != nil {
 		t.Fatal(err)
 	}
 
 	// Same content under a different pool label: hit.
 	renamed := Pool{NSGIndex: 9, ClusterIndex: 7, Members: members}
-	if _, err := cache.PoolWeights(store, renamed, nil, 4); err != nil {
+	if _, _, err := cache.PoolWeights(store, renamed, nil, 4); err != nil {
 		t.Fatal(err)
 	}
 	if st := cache.Stats(); st.Hits != 1 || st.Misses != 1 {
@@ -222,16 +226,16 @@ func TestWeightCacheKeyedByContent(t *testing.T) {
 	}
 
 	// Different exponent: miss.
-	if _, err := cache.PoolWeights(store, pool, nil, 1); err != nil {
+	if _, _, err := cache.PoolWeights(store, pool, nil, 1); err != nil {
 		t.Fatal(err)
 	}
 	// Different attrs: miss.
-	if _, err := cache.PoolWeights(store, pool, []profile.Attribute{profile.AttrGender}, 4); err != nil {
+	if _, _, err := cache.PoolWeights(store, pool, []profile.Attribute{profile.AttrGender}, 4); err != nil {
 		t.Fatal(err)
 	}
 	// Mutated profile content: miss.
 	store.Get(2).SetAttr(profile.AttrLocale, "it_IT")
-	if _, err := cache.PoolWeights(store, pool, nil, 4); err != nil {
+	if _, _, err := cache.PoolWeights(store, pool, nil, 4); err != nil {
 		t.Fatal(err)
 	}
 	if st := cache.Stats(); st.Misses != 4 {
@@ -255,7 +259,7 @@ func TestWeightCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				for _, p := range pools {
-					if _, err := cache.PoolWeights(store, p, nil, 4); err != nil {
+					if _, _, err := cache.PoolWeights(store, p, nil, 4); err != nil {
 						t.Error(err)
 						return
 					}
@@ -293,11 +297,11 @@ func BenchmarkWeightCache(b *testing.B) {
 	b.Run("cached", func(b *testing.B) {
 		b.ReportAllocs()
 		cache := NewWeightCache()
-		if _, err := cache.PoolWeights(store, pool, nil, 4); err != nil {
+		if _, _, err := cache.PoolWeights(store, pool, nil, 4); err != nil {
 			b.Fatal(err)
 		}
 		for i := 0; i < b.N; i++ {
-			if _, err := cache.PoolWeights(store, pool, nil, 4); err != nil {
+			if _, _, err := cache.PoolWeights(store, pool, nil, 4); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -595,13 +595,19 @@ func (e *Engine) emitPool(run *OwnerRun, pr PoolRun, index, total int) {
 }
 
 // poolWeights builds (or, with a shared Weights cache configured,
-// fetches) the pool's PS weight matrix. Cached matrices are shared and
-// read-only — identical by content to a fresh build.
-func (e *Engine) poolWeights(store *profile.Store, pool cluster.Pool, exp float64) ([][]float64, error) {
+// fetches) the pool's PS weight matrix, plus its content key
+// (cluster.PoolKey), which the cache computes anyway for its lookup.
+// Cached matrices are shared and read-only — identical by content to
+// a fresh build.
+func (e *Engine) poolWeights(store *profile.Store, pool cluster.Pool, exp float64) ([][]float64, cluster.Key, error) {
 	if e.cfg.Weights != nil {
 		return e.cfg.Weights.PoolWeights(store, pool, e.cfg.PSAttributes, exp)
 	}
-	return cluster.PoolWeights(store, pool, e.cfg.PSAttributes, exp)
+	w, err := cluster.PoolWeights(store, pool, e.cfg.PSAttributes, exp)
+	if err != nil {
+		return nil, cluster.Key{}, err
+	}
+	return w, cluster.PoolKey(store, pool, e.cfg.PSAttributes, exp), nil
 }
 
 // ownerPools is one owner's pool work: the built pools and what every
@@ -652,12 +658,14 @@ func (p *ownerPools) runPool(ctx context.Context, i int, sink obs.Observer, ann 
 		return pr, nil, nil
 	}
 	start := time.Now()
-	var weights [][]float64
-	p.limiter.Do(func() { weights, err = e.poolWeights(p.store, pool, p.exp) })
+	var (
+		weights [][]float64
+		wkey    cluster.Key
+	)
+	p.limiter.Do(func() { weights, wkey, err = e.poolWeights(p.store, pool, p.exp) })
 	if err != nil {
 		return PoolRun{}, nil, fmt.Errorf("core: %w", err)
 	}
-	wkey := cluster.PoolKey(p.store, pool, e.cfg.PSAttributes, p.exp)
 	if observe != nil {
 		observe(obs.Event{Kind: obs.KindPoolWeights, N: len(pool.Members), Dur: time.Since(start)})
 	}

@@ -24,8 +24,9 @@ import (
 //	                  edge added, before the owner accepts it
 //
 // The evaluation is synchronous (no job is created): the owner's
-// current run is taken from memory when a finished estimate for the
-// same dataset, owner, seed and update generation is still held, and
+// current run is taken from memory when the server holds a complete
+// stored-annotator estimate of the owner with the same resolved
+// options at the current update generation (see runKey), and
 // recomputed from the frozen snapshot otherwise — the latter is the
 // path a checkpoint-reconstructed (restarted or failed-over) node
 // takes, and the deterministic engine makes both produce the same
@@ -117,12 +118,17 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 
 	ann := active.Infallible(dataset.StoredAnnotator{Labels: rec.Labels, Fallback: label.Risky})
 
-	// Current side: reuse a finished run still held in memory when it
-	// matches this dataset state and seed; otherwise recompute from the
-	// frozen snapshot. The recompute branch is what a restarted or
-	// adopted node runs (held runs do not survive the process), and the
-	// deterministic engine guarantees it produces the same bytes.
-	before := s.heldRun(req.Dataset, owner, gen, ecfg.Seed)
+	// Current side: reuse the run held under this request's key — a
+	// complete stored-annotator estimate of the owner with the same
+	// resolved options — when it is current at this dataset state;
+	// otherwise recompute from the frozen snapshot. The recompute
+	// branch is what a restarted or adopted node runs (held runs do not
+	// survive the process), and the deterministic engine guarantees it
+	// produces the same bytes.
+	var before *core.OwnerRun
+	if h, ok := s.lookupHeld(newRunKey(req.Dataset, owner, client.AnnotatorStored, opts)); ok && h.gen == gen {
+		before = h.run
+	}
 	reused := before != nil
 	if before == nil {
 		bcfg := ecfg
@@ -156,31 +162,6 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	s.logf("sightd: advise dataset %s owner %d candidate %d: %s (prior reused=%v, pools reused %d/%d)",
 		req.Dataset, req.Owner, req.Candidate, assess.Verdict, reused, stats.PoolsReused, stats.PoolsTotal)
 	writeJSON(w, http.StatusOK, adviseWire(req.Dataset, req.Owner, assess))
-}
-
-// heldRun returns a finished, non-partial prior run for (dataset,
-// owner) computed at the given update generation and seed, when some
-// completed job still holds one in memory; nil otherwise. Any match is
-// byte-equivalent to any other (the engine is deterministic for fixed
-// inputs), so the scan needs no tie-break.
-func (s *Server) heldRun(ds string, owner graph.UserID, gen uint64, seed int64) *core.OwnerRun {
-	s.mu.Lock()
-	jobs := make([]*job, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		jobs = append(jobs, j)
-	}
-	s.mu.Unlock()
-	for _, j := range jobs {
-		if j.req.Dataset != ds || j.owner != owner {
-			continue
-		}
-		run, g := j.reusable()
-		if run == nil || run.Partial || g != gen || run.Seed != seed {
-			continue
-		}
-		return run
-	}
-	return nil
 }
 
 // adviseWire renders an assessment as the deterministic wire response.

@@ -116,6 +116,47 @@ func TestAdviseEndToEnd(t *testing.T) {
 	}
 }
 
+// TestAdviseIgnoresRunsFromOtherInputs: advise reuses only a held run
+// computed from its own inputs. A finished estimate of the same owner
+// under other options (fewer network-similarity groups, or one round
+// per pool), or answered over the wire instead of from the stored
+// labels, must not feed the current side: advise with default options
+// returns the bytes a server that ran no estimate returns.
+func TestAdviseIgnoresRunsFromOtherInputs(t *testing.T) {
+	ds := testDataset(t, 1, 120, 81)
+	owner := ds.Owners[0].ID
+	req := &client.AdviseRequest{Dataset: "study", Owner: int64(owner), Candidate: adviseCandidateFor(t, ds, owner)}
+	ctx := context.Background()
+
+	_, _, cFresh := newTestServer(t, server.Config{Datasets: map[string]*dataset.Dataset{"study": testDataset(t, 1, 120, 81)}, Workers: 1})
+	fresh, err := cFresh.Advise(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	alpha, maxRounds := 3, 1
+	notRisky := func(int64) (int, error) { return 1, nil }
+	for name, est := range map[string]*client.EstimateRequest{
+		"alpha 3":        {Annotator: client.AnnotatorStored, Options: &client.OptionsPayload{Alpha: &alpha}},
+		"max_rounds 1":   {Annotator: client.AnnotatorStored, Options: &client.OptionsPayload{MaxRounds: &maxRounds}},
+		"remote answers": {Annotator: client.AnnotatorRemote},
+	} {
+		_, _, c := newTestServer(t, server.Config{Datasets: map[string]*dataset.Dataset{"study": testDataset(t, 1, 120, 81)}, Workers: 1})
+		est.Dataset, est.Owner = "study", int64(owner)
+		if _, err := c.Run(ctx, est, notRisky); err != nil {
+			t.Fatalf("%s: estimate: %v", name, err)
+		}
+		got, err := c.Advise(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(adviseBytes(t, got), adviseBytes(t, fresh)) {
+			t.Errorf("%s: advise with default options reused the estimate's run:\ngot:   %s\nfresh: %s",
+				name, adviseBytes(t, got), adviseBytes(t, fresh))
+		}
+	}
+}
+
 // TestAdviseValidation: every invalid advise request fails fast with
 // the structured envelope and nothing is mutated.
 func TestAdviseValidation(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"time"
 
+	sight "sightrisk"
 	"sightrisk/client"
 	"sightrisk/internal/core"
 	"sightrisk/internal/dataset"
@@ -52,8 +53,9 @@ func toBatch(us []client.Update) delta.Batch {
 // same entries AssembleReport will emit for the pool, so a client
 // concatenating the stream reconstructs the report's stranger list.
 func poolDelta(run *core.OwnerRun, pr core.PoolRun, index, total int) client.PoolDelta {
+	id := pr.Pool.ID()
 	d := client.PoolDelta{
-		Pool:   pr.Pool.ID(),
+		Pool:   id,
 		Index:  index,
 		Total:  total,
 		Status: string(pr.Status),
@@ -65,11 +67,78 @@ func poolDelta(run *core.OwnerRun, pr core.PoolRun, index, total int) client.Poo
 			Label:             int(pr.Result.Labels[m]),
 			OwnerLabeled:      pr.Result.OwnerLabeled[m],
 			NetworkSimilarity: run.NSG.Score[m],
-			Pool:              pr.Pool.ID(),
+			Pool:              id,
 			Fallback:          pr.Fallback[m],
 		})
 	}
 	return d
+}
+
+// runKey names the inputs a served run's bytes depend on, apart from
+// the dataset state: the dataset and owner, where the owner's answers
+// come from, and the resolved engine options, seed included. Options
+// are keyed after defaults are filled in, so payloads that spell the
+// same options differently share a key. For the stored annotator, two
+// complete runs under one key at one update generation are
+// byte-identical, which is what lets revisions and advise reuse any of
+// them in place of a recompute.
+type runKey struct {
+	dataset   string
+	owner     graph.UserID
+	annotator string
+	seed      int64
+	pooling   sight.PoolingOptions
+	learning  sight.LearningOptions
+}
+
+// newRunKey builds the key of a run of a dataset-backed request. An
+// empty annotator is the remote one, as in resolve.
+func newRunKey(ds string, owner graph.UserID, annotator string, opts sight.Options) runKey {
+	if annotator == "" {
+		annotator = client.AnnotatorRemote
+	}
+	return runKey{dataset: ds, owner: owner, annotator: annotator, seed: opts.Seed, pooling: opts.Pooling, learning: opts.Learning}
+}
+
+// requestKey is newRunKey for a submitted request.
+func requestKey(req *client.EstimateRequest) (runKey, error) {
+	opts, err := optionsFrom(req.Options)
+	if err != nil {
+		return runKey{}, err
+	}
+	return newRunKey(req.Dataset, graph.UserID(req.Owner), req.Annotator, opts), nil
+}
+
+// heldRun is the newest complete run under a run key: the engine run
+// revisions splice pools from and advise reuses, the dataset update
+// generation it is current at, and the report it assembled into
+// (shared with the job that produced it).
+type heldRun struct {
+	run    *core.OwnerRun
+	gen    uint64
+	report *client.Report
+}
+
+// holdRun records h as the run held under key, releasing the run it
+// replaces. A run current at an older update generation than the held
+// one never replaces it (jobs can finish out of submission order).
+// Only complete runs of dataset-backed jobs are held: partial runs
+// cannot be spliced, and revise and advise need a dataset. In-memory
+// only — a restarted server holds nothing and recomputes.
+func (s *Server) holdRun(key runKey, h heldRun) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if cur, ok := s.held[key]; !ok || h.gen >= cur.gen {
+		s.held[key] = h
+	}
+}
+
+// lookupHeld returns the run held under key, if any.
+func (s *Server) lookupHeld(key runKey) (heldRun, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	h, ok := s.held[key]
+	return h, ok
 }
 
 // handleUpdates applies a delta batch to a mutable dataset. In cluster
@@ -277,7 +346,13 @@ func (s *Server) handleRevise(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("unknown dataset %q", j.req.Dataset), 0)
 		return
 	}
-	prior, priorGen := j.reusable()
+	// The prior run is whatever is held under the job's key: this
+	// job's own run, or a newer one that released it — byte-identical
+	// at equal generations, and more current otherwise. The job's
+	// options resolved when it was accepted, so the key does too (and
+	// the zero key holds nothing).
+	key, _ := requestKey(&j.req)
+	held, _ := s.lookupHeld(key)
 	var genNow uint64
 	solo := true // our batch (if any) was the only request in its drain
 	if len(batch) > 0 {
@@ -302,23 +377,22 @@ func (s *Server) handleRevise(w http.ResponseWriter, r *http.Request) {
 	// other requests' batches disqualifies, since their updates share
 	// our generation bump) and the batch cannot reach the owner's 2-hop
 	// view.
-	expectGen := priorGen
+	expectGen := held.gen
 	if len(batch) > 0 {
 		expectGen++
 	}
-	if prior != nil && !prior.Partial && genNow == expectGen && solo && !delta.Affected(rt.Graph, j.owner, batch) {
+	if held.run != nil && genNow == expectGen && solo && !delta.Affected(rt.Graph, j.owner, batch) {
 		j2 := s.allocJob(j.req)
 		if j2 == nil {
 			writeErr(w, http.StatusServiceUnavailable, "draining", "server is draining; retry against a live replica", time.Second)
 			return
 		}
-		j2.setGen(genNow)
-		j2.setLastRun(prior)
+		// The held run is current at genNow too: re-hold it there.
+		s.holdRun(key, heldRun{run: held.run, gen: genNow, report: held.report})
 		if err := s.persistJob(j2); err != nil {
 			s.logf("sightd: persist job %s: %v", j2.id, err)
 		}
-		st := j.snapshot()
-		j2.complete(st.Report, prior.QueriedCount())
+		j2.complete(held.report, held.run.QueriedCount())
 		s.persistFinal(j2)
 		s.logf("sightd: job %s revised as %s without recompute (no reachable updates)", j.id, j2.id)
 		writeJSON(w, http.StatusAccepted, j2.snapshot())
@@ -345,7 +419,7 @@ func (s *Server) handleRevise(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusServiceUnavailable, "draining", "server is draining; retry against a live replica", time.Second)
 		return
 	}
-	j2.reuse = prior // set before launch; never mutated afterwards
+	j2.reuse = held.run // set before launch; taken by the run
 	if err := s.persistJob(j2); err != nil {
 		s.logf("sightd: persist job %s: %v", j2.id, err)
 	}

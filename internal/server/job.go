@@ -43,14 +43,13 @@ type job struct {
 
 	// Incremental re-estimation state (in-memory only — a restarted
 	// server revises with a full recompute, which is still correct):
-	// lastRun is the finished engine run a later revision can splice
-	// pools from; reuse is the prior run this job revises against;
-	// gen is the dataset update generation the run resolved at; deltas
-	// accumulates the per-pool report deltas the stream endpoint serves.
-	lastRun *core.OwnerRun
-	reuse   *core.OwnerRun
-	gen     uint64
-	deltas  []client.PoolDelta
+	// reuse is the prior run this job revises against, dropped once the
+	// run has taken it; deltas accumulates the per-pool report deltas
+	// the stream endpoint serves. The finished run a later revision
+	// splices pools from is held by the server, one per run key (see
+	// Server.holdRun).
+	reuse  *core.OwnerRun
+	deltas []client.PoolDelta
 }
 
 func newJob(id string, req client.EstimateRequest) *job {
@@ -159,6 +158,31 @@ func (j *job) complete(rep *client.Report, queries int) {
 	j.signalLocked()
 }
 
+// shareDeltas points the job's pool deltas at the report's copy of the
+// same stranger entries, so a finished job keeps one copy instead of
+// two. Callers only pass reports of runs without fallback labels:
+// there every delta holds exactly its pool's slice of the report, in
+// report order (TestDeltaStreamMatchesReport pins this). Partial runs
+// synthesize fallback labels after their pools were streamed, so their
+// deltas keep their own entries.
+func (j *job) shareDeltas(rep *client.Report) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	off := 0
+	for _, d := range j.deltas {
+		off += len(d.Strangers)
+	}
+	if off != len(rep.Strangers) {
+		return
+	}
+	off = 0
+	for i := range j.deltas {
+		n := len(j.deltas[i].Strangers)
+		j.deltas[i].Strangers = rep.Strangers[off : off+n : off+n]
+		off += n
+	}
+}
+
 // fail records a terminal error.
 func (j *job) fail(apiErr *client.APIError) {
 	j.mu.Lock()
@@ -210,35 +234,16 @@ func (j *job) acceptAnswers(answers []client.Answer) int {
 	return accepted
 }
 
-// setGen records the dataset update generation the run resolved at.
-func (j *job) setGen(gen uint64) {
-	j.mu.Lock()
-	j.gen = gen
-	j.mu.Unlock()
-}
-
-// reusable returns the finished run a revision can splice pools from
-// and the update generation it was computed at. Nil until the job
-// completed in this process (recovered jobs revise from scratch).
-func (j *job) reusable() (*core.OwnerRun, uint64) {
+// takeReuse returns the prior run this job revises against (nil for
+// from-scratch jobs) and drops the job's reference to it: a job runs
+// at most once per process, and a finished revision must not keep its
+// prior run alive.
+func (j *job) takeReuse() *core.OwnerRun {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.lastRun, j.gen
-}
-
-// setLastRun retains the finished engine run for later revisions.
-func (j *job) setLastRun(run *core.OwnerRun) {
-	j.mu.Lock()
-	j.lastRun = run
-	j.mu.Unlock()
-}
-
-// reuseRun returns the prior run this job revises against (nil for
-// from-scratch jobs).
-func (j *job) reuseRun() *core.OwnerRun {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.reuse
+	prior := j.reuse
+	j.reuse = nil
+	return prior
 }
 
 // addPoolDelta appends one per-pool report delta and wakes stream

@@ -152,6 +152,12 @@ type Server struct {
 	ldpBuilds   map[string]*sync.Mutex
 	ldpLedgers  map[string]*ldpLedger
 	statsBudget float64
+
+	// held maps each run key to the newest complete run computed under
+	// it (deltas.go), the prior run revisions and advise reuse: one run
+	// per owner and option set, however many jobs finished. Guarded by
+	// mu.
+	held map[runKey]heldRun
 }
 
 // New builds a server: it validates the engine defaults, stands up the
@@ -197,6 +203,7 @@ func New(cfg Config) (*Server, error) {
 		ldpBuilds:    map[string]*sync.Mutex{},
 		ldpLedgers:   map[string]*ldpLedger{},
 		statsBudget:  cfg.StatsBudget,
+		held:         map[runKey]heldRun{},
 	}
 	if s.statsBudget <= 0 {
 		s.statsBudget = DefaultStatsBudget
@@ -554,6 +561,7 @@ type resolved struct {
 	ecfg   core.Config
 	stored *dataset.StoredAnnotator // nil for wire annotators
 	gen    uint64                   // dataset update generation at resolve time
+	key    runKey                   // held-run key (dataset-backed requests)
 }
 
 // resolve validates the request and materializes its network, options
@@ -624,6 +632,7 @@ func (s *Server) resolve(req *client.EstimateRequest) (*resolved, *client.APIErr
 	if err != nil {
 		return nil, bad("invalid options: %v", err)
 	}
+	res.key = newRunKey(req.Dataset, owner, req.Annotator, opts)
 	return res, nil
 }
 
@@ -735,7 +744,6 @@ func (s *Server) runJob(j *job, adm *fleet.Admission, resume *core.Checkpoint) {
 	}
 	defer cancel()
 	j.setCancel(cancel)
-	j.setGen(res.gen)
 
 	ecfg := res.ecfg
 	ecfg.Observer = j.trace
@@ -744,7 +752,7 @@ func (s *Server) runJob(j *job, adm *fleet.Admission, resume *core.Checkpoint) {
 	// Incremental plumbing: revisions splice unchanged pools from the
 	// prior run, and every job streams per-pool report deltas as its
 	// pools finish (GET /v1/estimates/{id}/stream).
-	ecfg.Reuse = j.reuseRun()
+	ecfg.Reuse = j.takeReuse()
 	ecfg.OnPool = func(run *core.OwnerRun, pr core.PoolRun, index, total int) {
 		j.addPoolDelta(poolDelta(run, pr, index, total))
 	}
@@ -810,7 +818,14 @@ func (s *Server) runJob(j *job, adm *fleet.Admission, resume *core.Checkpoint) {
 		return
 	}
 	rep := client.FromReport(sight.AssembleReport(run))
-	j.setLastRun(run)
+	if !run.Partial {
+		// Hold the run before the job turns done, so a client that
+		// sees it done can revise or advise against it at once.
+		if j.req.Dataset != "" {
+			s.holdRun(res.key, heldRun{run: run, gen: res.gen, report: rep})
+		}
+		j.shareDeltas(rep)
+	}
 	j.complete(rep, run.QueriedCount())
 	s.persistFinal(j)
 }

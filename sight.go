@@ -761,16 +761,21 @@ func AssembleReport(run *core.OwnerRun) *Report {
 		Interrupt:       run.Cause,
 		PoolStatus:      make(map[string]PoolStatus, len(run.Pools)),
 	}
+	if len(run.Strangers) > 0 {
+		// An owner without strangers keeps a nil list, as it always has.
+		rep.Strangers = make([]StrangerRisk, 0, len(run.Strangers))
+	}
 	rep.ExactMatchRate, _ = run.ExactMatchRate()
 	for _, pr := range run.Pools {
-		rep.PoolStatus[pr.Pool.ID()] = pr.Status
+		id := pr.Pool.ID()
+		rep.PoolStatus[id] = pr.Status
 		for _, m := range pr.Pool.Members {
 			rep.Strangers = append(rep.Strangers, StrangerRisk{
 				User:              m,
 				Label:             pr.Result.Labels[m],
 				OwnerLabeled:      pr.Result.OwnerLabeled[m],
 				NetworkSimilarity: run.NSG.Score[m],
-				Pool:              pr.Pool.ID(),
+				Pool:              id,
 				Fallback:          pr.Fallback[m],
 			})
 		}
