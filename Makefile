@@ -115,7 +115,7 @@ cluster-bench:
 # unless the advise revision is at least 10x faster than its full
 # recompute at 10^4 strangers. Writes BENCH_incremental.json (see
 # EXPERIMENTS.md "Incremental re-estimation" for methodology). Takes
-# about 10 minutes on 2 vCPUs — the five full-size runs at 10^4
+# about 20 seconds on 2 vCPUs — the five full-size runs at 10^4
 # strangers dominate.
 incremental-bench:
 	$(GO) run ./cmd/riskbench -incremental

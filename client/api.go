@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"sightrisk"
+	"sightrisk/internal/profile"
 )
 
 // Annotator modes accepted by EstimateRequest.Annotator.
@@ -696,20 +697,16 @@ func NetworkFrom(n *sight.Network) *NetworkPayload {
 		if p == nil {
 			continue
 		}
-		attrs := make(map[string]string, len(p.Attrs))
-		for a, v := range p.Attrs {
-			attrs[string(a)] = v
-		}
+		attrs := map[string]string{}
+		p.EachAttr(func(a profile.Attribute, v string) { attrs[string(a)] = v })
 		if len(attrs) > 0 {
 			if out.Attributes == nil {
 				out.Attributes = make(map[int64]map[string]string)
 			}
 			out.Attributes[int64(u)] = attrs
 		}
-		vis := make(map[string]bool, len(p.Visible))
-		for item, visible := range p.Visible {
-			vis[string(item)] = visible
-		}
+		vis := map[string]bool{}
+		p.EachVisible(func(item profile.Item, visible bool) { vis[string(item)] = visible })
 		if len(vis) > 0 {
 			if out.Visibility == nil {
 				out.Visibility = make(map[int64]map[string]bool)

@@ -46,8 +46,15 @@ type Annotator interface {
 	LabelStranger(s graph.UserID) label.Label
 }
 
-// warmStartClassifier is the optional fast path a classifier may
-// offer: seed the solve with the previous round's solution.
+// kernelClassifier is the fast path a classifier may offer: solve
+// over the pool's row-twin kernel, seeded with the previous round's
+// solution (init nil means a cold start).
+type kernelClassifier interface {
+	PredictKernel(k *classify.Kernel, labeled map[int]label.Label, init [][3]float64) ([]classify.Prediction, error)
+}
+
+// warmStartClassifier is the dense fallback's warm-start path: seed
+// the solve with the previous round's solution.
 type warmStartClassifier interface {
 	PredictFrom(weights [][]float64, labeled map[int]label.Label, init [][3]float64) ([]classify.Prediction, error)
 }
@@ -223,7 +230,8 @@ func (r *Result) ExactMatchStats() (matches, total int) {
 type Session struct {
 	cfg     Config
 	members []graph.UserID
-	weights [][]float64
+	kernel  *classify.Kernel
+	dense   [][]float64 // kernel.Dense(), for a classifier without PredictKernel
 	ann     FallibleAnnotator
 	clf     classify.Classifier
 	sampler Sampler
@@ -231,23 +239,26 @@ type Session struct {
 	rng     *rand.Rand
 }
 
-// NewSession prepares a session over the pool members with the given
-// symmetric profile-similarity weight matrix (weights[i][j] between
-// members[i] and members[j]). The annotator is fallible; wrap a legacy
-// infallible Annotator with Infallible.
-func NewSession(members []graph.UserID, weights [][]float64, ann FallibleAnnotator, cfg Config) (*Session, error) {
+// NewSession prepares a session over the pool members with the pool's
+// profile-similarity weights as a row-twin kernel (k.At(i, j) between
+// members[i] and members[j]; see classify.KernelOf). The kernel is only
+// read, so one kernel may serve concurrent sessions. A classifier
+// without PredictKernel gets the kernel's dense expansion, built once
+// here. The annotator is fallible; wrap a legacy infallible Annotator
+// with Infallible.
+func NewSession(members []graph.UserID, k *classify.Kernel, ann FallibleAnnotator, cfg Config) (*Session, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	if ann == nil {
 		return nil, fmt.Errorf("active: annotator must not be nil")
 	}
-	if len(weights) != len(members) {
-		return nil, fmt.Errorf("active: weight matrix is %dx?, want %dx%d", len(weights), len(members), len(members))
+	if k == nil || len(k.Class) != len(members) || len(k.W) != k.T*k.T {
+		return nil, fmt.Errorf("active: weight kernel does not cover the %d pool members", len(members))
 	}
-	for i, row := range weights {
-		if len(row) != len(members) {
-			return nil, fmt.Errorf("active: weight row %d has %d entries, want %d", i, len(row), len(members))
+	for i, c := range k.Class {
+		if c < 0 || int(c) >= k.T {
+			return nil, fmt.Errorf("active: weight kernel puts member %d in class %d of %d", i, c, k.T)
 		}
 	}
 	clf := cfg.Classifier
@@ -266,10 +277,15 @@ func NewSession(members []graph.UserID, weights [][]float64, ann FallibleAnnotat
 	if rng == nil {
 		rng = rand.New(rand.NewSource(1))
 	}
+	var dense [][]float64
+	if _, ok := clf.(kernelClassifier); !ok {
+		dense = k.Dense()
+	}
 	return &Session{
 		cfg:     cfg,
 		members: members,
-		weights: weights,
+		kernel:  k,
+		dense:   dense,
 		ann:     ann,
 		clf:     clf,
 		sampler: sampler,
@@ -399,7 +415,7 @@ func (s *Session) RunContext(ctx context.Context) (*Result, error) {
 		if k > len(unlabeled) {
 			k = len(unlabeled)
 		}
-		queryIdx := s.sampler.Select(s.rng, unlabeled, prev, s.weights, k)
+		queryIdx := s.sampler.Select(s.rng, unlabeled, prev, s.kernel, k)
 		tr := Round{Number: round, RMSE: math.NaN(), Unstabilized: -1}
 
 		// Collect owner labels; validate the previous round's
@@ -441,16 +457,21 @@ func (s *Session) RunContext(ctx context.Context) (*Result, error) {
 		// solution when the classifier supports it (the harmonic fixed
 		// point is unique given the labels, so warm starting only
 		// shortens the convergence path).
-		var preds []classify.Prediction
-		var err error
-		if ws, ok := s.clf.(warmStartClassifier); ok && prev != nil {
-			init := make([][3]float64, len(prev))
+		var init [][3]float64
+		if prev != nil {
+			init = make([][3]float64, len(prev))
 			for i, p := range prev {
 				init[i] = p.Scores
 			}
-			preds, err = ws.PredictFrom(s.weights, labeled, init)
+		}
+		var preds []classify.Prediction
+		var err error
+		if kc, ok := s.clf.(kernelClassifier); ok {
+			preds, err = kc.PredictKernel(s.kernel, labeled, init)
+		} else if ws, ok := s.clf.(warmStartClassifier); ok && init != nil {
+			preds, err = ws.PredictFrom(s.dense, labeled, init)
 		} else {
-			preds, err = s.clf.Predict(s.weights, labeled)
+			preds, err = s.clf.Predict(s.dense, labeled)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("active: round %d: %w", round, err)

@@ -1,8 +1,10 @@
 package active
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"sightrisk/internal/classify"
@@ -47,7 +49,7 @@ func truthAnnotator(truth map[graph.UserID]label.Label) Annotator {
 
 func newSession(t *testing.T, members []graph.UserID, weights [][]float64, ann Annotator, cfg Config) *Session {
 	t.Helper()
-	s, err := NewSession(members, weights, Infallible(ann), cfg)
+	s, err := NewSession(members, classify.KernelOf(weights), Infallible(ann), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,20 +66,24 @@ func TestConfigValidation(t *testing.T) {
 		{PerRound: 3, Confidence: 80, StableRounds: 0, RMSEThreshold: 0.5},
 		{PerRound: 3, Confidence: 80, StableRounds: 2, RMSEThreshold: -0.1},
 	}
+	k := classify.KernelOf(weights)
 	for i, cfg := range bad {
-		if _, err := NewSession(members, weights, Infallible(ann), cfg); err == nil {
+		if _, err := NewSession(members, k, Infallible(ann), cfg); err == nil {
 			t.Fatalf("bad config %d accepted", i)
 		}
 	}
-	if _, err := NewSession(members, weights, nil, DefaultConfig()); err == nil {
+	if _, err := NewSession(members, k, nil, DefaultConfig()); err == nil {
 		t.Fatal("nil annotator accepted")
 	}
-	if _, err := NewSession(members, weights[:3], Infallible(ann), DefaultConfig()); err == nil {
-		t.Fatal("mismatched matrix accepted")
+	if _, err := NewSession(members[:3], k, Infallible(ann), DefaultConfig()); err == nil {
+		t.Fatal("mismatched kernel accepted")
 	}
-	ragged := [][]float64{{0, 1}, {1}}
-	if _, err := NewSession(members[:2], ragged, Infallible(ann), DefaultConfig()); err == nil {
-		t.Fatal("ragged matrix accepted")
+	if _, err := NewSession(members, nil, Infallible(ann), DefaultConfig()); err == nil {
+		t.Fatal("nil kernel accepted")
+	}
+	bad2 := &classify.Kernel{Class: []int32{0, 1}, T: 1, W: []float64{0}}
+	if _, err := NewSession(members[:2], bad2, Infallible(ann), DefaultConfig()); err == nil {
+		t.Fatal("kernel with an out-of-range class accepted")
 	}
 }
 
@@ -320,6 +326,61 @@ func TestAlternativeClassifier(t *testing.T) {
 	for _, m := range members {
 		if res.Labels[m] != label.Risky {
 			t.Fatalf("label[%d] = %v, want risky", m, res.Labels[m])
+		}
+	}
+}
+
+// TestSessionsShareOneKernel: sessions running at once over one kernel
+// — solving over it, sampling through it, or expanding it for a dense
+// classifier — read it only, and each finishes exactly as it does
+// alone. Run under -race this is the kernel-sharing safety test.
+func TestSessionsShareOneKernel(t *testing.T) {
+	members, weights, truth := twoGroupPool(40, label.NotRisky, label.VeryRisky)
+	k := classify.KernelOf(weights)
+	configs := make([]Config, 6)
+	for i := range configs {
+		cfg := DefaultConfig()
+		cfg.Sampler = []Sampler{RandomSampler{}, DensitySampler{}, UncertaintyDensitySampler{}}[i%3]
+		if i >= 3 {
+			cfg.Classifier = classify.NewKNN(3)
+		}
+		configs[i] = cfg
+	}
+	run := func(i int) (*Result, error) {
+		cfg := configs[i]
+		cfg.Rand = rand.New(rand.NewSource(int64(i)))
+		s, err := NewSession(members, k, Infallible(truthAnnotator(truth)), cfg)
+		if err != nil {
+			return nil, err
+		}
+		return s.Run()
+	}
+	want := make([]*Result, len(configs))
+	for i := range configs {
+		res, err := run(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = res
+	}
+	got := make([]*Result, len(configs))
+	errs := make([]error, len(configs))
+	var wg sync.WaitGroup
+	for i := range configs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = run(i)
+		}(i)
+	}
+	wg.Wait()
+	for i := range configs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		// fmt prints maps sorted and NaN (round 1's RMSE) as itself.
+		if g, w := fmt.Sprint(*got[i]), fmt.Sprint(*want[i]); g != w {
+			t.Fatalf("session %d differs when run alongside the others:\n%s\nalone:\n%s", i, g, w)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"sightrisk/internal/classify"
 	"sightrisk/internal/graph"
 	"sightrisk/internal/label"
 )
@@ -53,7 +54,7 @@ func TestPropSessionInvariants(t *testing.T) {
 			cfg.Sampler = DensitySampler{}
 		}
 		ann := AnnotatorFunc(func(s graph.UserID) label.Label { return truth[s] })
-		sess, err := NewSession(members, weights, Infallible(ann), cfg)
+		sess, err := NewSession(members, classify.KernelOf(weights), Infallible(ann), cfg)
 		if err != nil {
 			return false
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"sightrisk/internal/classify"
 	"sightrisk/internal/graph"
 	"sightrisk/internal/label"
 )
@@ -199,7 +200,7 @@ func TestSessionInterruptReturnsPartialResult(t *testing.T) {
 		}
 		return truth[s], nil
 	})
-	sess, err := NewSession(members, weights, ann, DefaultConfig())
+	sess, err := NewSession(members, classify.KernelOf(weights), ann, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +231,7 @@ func TestSessionCancellationBeforeFirstQuery(t *testing.T) {
 		asked++
 		return truth[s], nil
 	})
-	sess, err := NewSession(members, weights, ann, DefaultConfig())
+	sess, err := NewSession(members, classify.KernelOf(weights), ann, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +261,7 @@ func TestAfterRoundErrorAbortsSession(t *testing.T) {
 		}
 		return nil
 	}
-	sess, err := NewSession(members, weights, Infallible(truthAnnotator(truth)), cfg)
+	sess, err := NewSession(members, classify.KernelOf(weights), Infallible(truthAnnotator(truth)), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +283,7 @@ func TestAfterRoundSeesEveryRound(t *testing.T) {
 		queried += len(r.Queried)
 		return nil
 	}
-	sess, err := NewSession(members, weights, Infallible(truthAnnotator(truth)), cfg)
+	sess, err := NewSession(members, classify.KernelOf(weights), Infallible(truthAnnotator(truth)), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

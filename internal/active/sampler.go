@@ -19,8 +19,8 @@ type Sampler interface {
 	Name() string
 	// Select returns k distinct indices drawn from unlabeled. prev is
 	// the previous round's predictions for every pool member (nil in
-	// round 1); weights is the pool's symmetric similarity matrix.
-	Select(rng *rand.Rand, unlabeled []int, prev []classify.Prediction, weights [][]float64, k int) []int
+	// round 1); w is the pool's similarity kernel.
+	Select(rng *rand.Rand, unlabeled []int, prev []classify.Prediction, w *classify.Kernel, k int) []int
 }
 
 // RandomSampler is the paper's strategy: uniform sampling without
@@ -31,7 +31,7 @@ type RandomSampler struct{}
 func (RandomSampler) Name() string { return "random" }
 
 // Select implements Sampler.
-func (RandomSampler) Select(rng *rand.Rand, unlabeled []int, _ []classify.Prediction, _ [][]float64, k int) []int {
+func (RandomSampler) Select(rng *rand.Rand, unlabeled []int, _ []classify.Prediction, _ *classify.Kernel, k int) []int {
 	if k > len(unlabeled) {
 		k = len(unlabeled)
 	}
@@ -52,9 +52,9 @@ type UncertaintySampler struct{}
 func (UncertaintySampler) Name() string { return "uncertainty" }
 
 // Select implements Sampler.
-func (UncertaintySampler) Select(rng *rand.Rand, unlabeled []int, prev []classify.Prediction, weights [][]float64, k int) []int {
+func (UncertaintySampler) Select(rng *rand.Rand, unlabeled []int, prev []classify.Prediction, w *classify.Kernel, k int) []int {
 	if prev == nil {
-		return RandomSampler{}.Select(rng, unlabeled, prev, weights, k)
+		return RandomSampler{}.Select(rng, unlabeled, prev, w, k)
 	}
 	if k > len(unlabeled) {
 		k = len(unlabeled)
@@ -98,9 +98,9 @@ type DensitySampler struct{}
 func (DensitySampler) Name() string { return "density" }
 
 // Select implements Sampler.
-func (DensitySampler) Select(rng *rand.Rand, unlabeled []int, prev []classify.Prediction, weights [][]float64, k int) []int {
-	if len(weights) == 0 {
-		return RandomSampler{}.Select(rng, unlabeled, prev, weights, k)
+func (DensitySampler) Select(rng *rand.Rand, unlabeled []int, prev []classify.Prediction, w *classify.Kernel, k int) []int {
+	if w == nil || len(w.Class) == 0 {
+		return RandomSampler{}.Select(rng, unlabeled, prev, w, k)
 	}
 	if k > len(unlabeled) {
 		k = len(unlabeled)
@@ -116,7 +116,7 @@ func (DensitySampler) Select(rng *rand.Rand, unlabeled []int, prev []classify.Pr
 			if other == idx {
 				continue
 			}
-			total += weights[idx][other]
+			total += w.At(idx, other)
 		}
 		d := 0.0
 		if len(unlabeled) > 1 {
@@ -147,9 +147,9 @@ type UncertaintyDensitySampler struct{}
 func (UncertaintyDensitySampler) Name() string { return "uncertainty-density" }
 
 // Select implements Sampler.
-func (UncertaintyDensitySampler) Select(rng *rand.Rand, unlabeled []int, prev []classify.Prediction, weights [][]float64, k int) []int {
+func (UncertaintyDensitySampler) Select(rng *rand.Rand, unlabeled []int, prev []classify.Prediction, w *classify.Kernel, k int) []int {
 	if prev == nil {
-		return DensitySampler{}.Select(rng, unlabeled, prev, weights, k)
+		return DensitySampler{}.Select(rng, unlabeled, prev, w, k)
 	}
 	if k > len(unlabeled) {
 		k = len(unlabeled)
@@ -165,7 +165,7 @@ func (UncertaintyDensitySampler) Select(rng *rand.Rand, unlabeled []int, prev []
 			if other == idx {
 				continue
 			}
-			total += weights[idx][other]
+			total += w.At(idx, other)
 		}
 		density := 0.0
 		if len(unlabeled) > 1 {

@@ -71,7 +71,7 @@ func TestDensitySamplerPicksDenseNodes(t *testing.T) {
 		{0.9, 0.1, 0},
 	}
 	rng := rand.New(rand.NewSource(1))
-	got := (DensitySampler{}).Select(rng, []int{0, 1, 2}, nil, w, 1)
+	got := (DensitySampler{}).Select(rng, []int{0, 1, 2}, nil, classify.KernelOf(w), 1)
 	if got[0] != 0 {
 		t.Fatalf("selected %v, want node 0 (densest)", got)
 	}
@@ -95,12 +95,12 @@ func TestUncertaintyDensitySampler(t *testing.T) {
 		{0.8, 0.0, 0},
 	}
 	rng := rand.New(rand.NewSource(1))
-	got := (UncertaintyDensitySampler{}).Select(rng, []int{0, 1, 2}, preds, w, 1)
+	got := (UncertaintyDensitySampler{}).Select(rng, []int{0, 1, 2}, preds, classify.KernelOf(w), 1)
 	if got[0] != 0 {
 		t.Fatalf("selected %v, want node 0", got)
 	}
 	// Round 1: density-only fallback still works.
-	got = (UncertaintyDensitySampler{}).Select(rng, []int{0, 1, 2}, nil, w, 1)
+	got = (UncertaintyDensitySampler{}).Select(rng, []int{0, 1, 2}, nil, classify.KernelOf(w), 1)
 	if got[0] != 0 {
 		t.Fatalf("round-1 fallback selected %v, want node 0", got)
 	}

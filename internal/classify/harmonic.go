@@ -81,7 +81,8 @@ func (h *Harmonic) Predict(weights [][]float64, labeled map[int]label.Label) ([]
 // given the labels, so warm starting changes only the convergence
 // path — in an active-learning session it cuts the iteration count
 // dramatically because each round's labels only perturb the previous
-// solution locally.
+// solution locally. It solves over the matrix's row-twin classes:
+// PredictKernel(KernelOf(weights), labeled, init).
 func (h *Harmonic) PredictFrom(weights [][]float64, labeled map[int]label.Label, init [][3]float64) ([]Prediction, error) {
 	n := len(weights)
 	if n == 0 {
@@ -90,6 +91,31 @@ func (h *Harmonic) PredictFrom(weights [][]float64, labeled map[int]label.Label,
 	for i, row := range weights {
 		if len(row) != n {
 			return nil, fmt.Errorf("classify: weight row %d has %d entries, want %d", i, len(row), n)
+		}
+	}
+	return h.PredictKernel(KernelOf(weights), labeled, init)
+}
+
+// PredictKernel is PredictFrom over a pool's row-twin kernel. Jacobi
+// keeps unlabeled twins that start from equal masses equal at every
+// iteration, so it iterates once per group of them — one group per
+// (class, starting masses) — and labeled members enter as a constant
+// term through per-class label counts. An iteration costs O(G²) over
+// G groups instead of O(n²) over n members, with the member loop's
+// MinWeight edge filter, isolated-node rule, tolerance, iteration cap
+// and Iterations hook.
+func (h *Harmonic) PredictKernel(k *Kernel, labeled map[int]label.Label, init [][3]float64) ([]Prediction, error) {
+	n := len(k.Class)
+	if n == 0 {
+		return nil, nil
+	}
+	t := k.T
+	if len(k.W) != t*t {
+		return nil, fmt.Errorf("classify: kernel has %d weights for %d classes", len(k.W), t)
+	}
+	for i, c := range k.Class {
+		if c < 0 || int(c) >= t {
+			return nil, fmt.Errorf("classify: kernel member %d in class %d, want [0,%d)", i, c, t)
 		}
 	}
 	if len(labeled) == 0 {
@@ -112,109 +138,128 @@ func (h *Harmonic) PredictFrom(weights [][]float64, labeled map[int]label.Label,
 	if tol <= 0 {
 		tol = 1e-6
 	}
+	keep := func(w float64) float64 {
+		if w <= h.MinWeight {
+			return 0
+		}
+		return w
+	}
 
-	// f[i][c] is the class-c mass of node i. Labeled nodes are one-hot
-	// and never updated.
-	f := make([][3]float64, n)
-	next := make([][3]float64, n)
-	clamped := make([]bool, n)
+	// Labeled members are clamped one-hot: count them per class.
+	group := make([]int32, n) // member -> group; -1 for labeled members
+	labels := make([][3]float64, t)
 	for idx, l := range labeled {
-		clamped[idx] = true
-		f[idx][int(l)-1] = 1
+		group[idx] = -1
+		labels[k.Class[idx]][int(l)-1]++
 	}
-	// Unlabeled nodes start from the warm-start masses when provided,
-	// uniform otherwise.
+	// Unlabeled members start from the warm-start masses when provided,
+	// uniform otherwise; members of one class with bitwise-equal starts
+	// form one group. first and sibling chain each class's groups.
 	useInit := len(init) == n
-	for i := range f {
-		if clamped[i] {
+	first := make([]int32, t)
+	for c := range first {
+		first[c] = -1
+	}
+	var (
+		f       [][3]float64
+		gClass  []int32
+		gSize   []float64
+		sibling []int32
+	)
+	for i, c := range k.Class {
+		if group[i] < 0 {
 			continue
 		}
+		start := [3]float64{1.0 / 3, 1.0 / 3, 1.0 / 3}
 		if useInit {
-			f[i] = init[i]
-			continue
+			start = init[i]
 		}
-		f[i] = [3]float64{1.0 / 3, 1.0 / 3, 1.0 / 3}
+		g := first[c]
+		for g >= 0 && !sameMasses(f[g], start) {
+			g = sibling[g]
+		}
+		if g < 0 {
+			g = int32(len(f))
+			f = append(f, start)
+			gClass = append(gClass, c)
+			gSize = append(gSize, 0)
+			sibling = append(sibling, first[c])
+			first[c] = g
+		}
+		gSize[g]++
+		group[i] = g
 	}
 
-	// An unlabeled row's weight total is the same in every iteration:
-	// sum it once, over the same kept edges in the same ascending-j
-	// order the sweep accumulates in, so the division sees exactly the
-	// value a per-iteration sum would. A dense row drops no edge, so
-	// its sweep needs no per-element filter.
-	total := make([]float64, n)
-	dense := make([]bool, n)
-	for i, row := range weights {
-		if clamped[i] {
-			continue
+	// One solve-long coefficient per pair of groups: the kept class
+	// weight times how many members of group h2 a member of group g
+	// sees (one fewer when h2 is g). The labeled members add a
+	// constant per class; a group's weight total is fixed for the
+	// whole solve.
+	ng := len(f)
+	coef := make([]float64, ng*ng)
+	clamp := make([][3]float64, t)
+	clampTotal := make([]float64, t)
+	for a := 0; a < t; a++ {
+		wa := k.W[a*t : (a+1)*t]
+		for b, lb := range labels {
+			w := keep(wa[b])
+			clamp[a][0] += w * lb[0]
+			clamp[a][1] += w * lb[1]
+			clamp[a][2] += w * lb[2]
+			clampTotal[a] += w * (lb[0] + lb[1] + lb[2])
 		}
-		t, d := 0.0, true
-		for j, w := range row {
-			if j == i {
-				continue
+	}
+	total := make([]float64, ng)
+	for g := 0; g < ng; g++ {
+		wa := k.W[int(gClass[g])*t:][:t]
+		row := coef[g*ng : (g+1)*ng]
+		sum := clampTotal[gClass[g]]
+		for h2 := range row {
+			cnt := gSize[h2]
+			if h2 == g {
+				cnt--
 			}
-			if w <= h.MinWeight {
-				d = false
-				continue
-			}
-			t += w
+			row[h2] = keep(wa[gClass[h2]]) * cnt
+			sum += row[h2]
 		}
-		total[i], dense[i] = t, d
+		total[g] = sum
 	}
 
+	nextF := make([][3]float64, ng)
 	iters := 0
 	for iter := 0; iter < maxIter; iter++ {
 		iters++
 		maxDelta := 0.0
-		for i, row := range weights {
-			t := total[i]
-			if clamped[i] || t == 0 {
-				// Labeled nodes stay clamped; an isolated node keeps
-				// its prior.
-				next[i] = f[i]
+		for g, fg := range f {
+			tot := total[g]
+			if tot == 0 {
+				// An isolated member keeps its prior.
+				nextF[g] = fg
 				continue
 			}
-			var a0, a1, a2 float64
-			if dense[i] {
-				lo, flo := row[:i], f[:i]
-				for j, w := range lo {
-					a0 += w * flo[j][0]
-					a1 += w * flo[j][1]
-					a2 += w * flo[j][2]
-				}
-				fhi := f[i+1:]
-				hi := row[i+1:][:len(fhi)]
-				for j, w := range hi {
-					a0 += w * fhi[j][0]
-					a1 += w * fhi[j][1]
-					a2 += w * fhi[j][2]
-				}
-			} else {
-				fr := f[:len(row)]
-				for j, w := range row {
-					if j == i || w <= h.MinWeight {
-						continue
-					}
-					a0 += w * fr[j][0]
-					a1 += w * fr[j][1]
-					a2 += w * fr[j][2]
-				}
+			cl := clamp[gClass[g]]
+			a0, a1, a2 := cl[0], cl[1], cl[2]
+			row := coef[g*ng : (g+1)*ng]
+			for h2, c := range row {
+				a0 += c * f[h2][0]
+				a1 += c * f[h2][1]
+				a2 += c * f[h2][2]
 			}
-			a0 /= t
-			a1 /= t
-			a2 /= t
-			fi := f[i]
-			if d := math.Abs(a0 - fi[0]); d > maxDelta {
+			a0 /= tot
+			a1 /= tot
+			a2 /= tot
+			if d := math.Abs(a0 - fg[0]); d > maxDelta {
 				maxDelta = d
 			}
-			if d := math.Abs(a1 - fi[1]); d > maxDelta {
+			if d := math.Abs(a1 - fg[1]); d > maxDelta {
 				maxDelta = d
 			}
-			if d := math.Abs(a2 - fi[2]); d > maxDelta {
+			if d := math.Abs(a2 - fg[2]); d > maxDelta {
 				maxDelta = d
 			}
-			next[i] = [3]float64{a0, a1, a2}
+			nextF[g] = [3]float64{a0, a1, a2}
 		}
-		f, next = next, f
+		f, nextF = nextF, f
 		if maxDelta < tol {
 			break
 		}
@@ -223,31 +268,42 @@ func (h *Harmonic) PredictFrom(weights [][]float64, labeled map[int]label.Label,
 		h.Iterations(iters)
 	}
 
-	return decisions(f, labeled), nil
+	preds := make([]Prediction, ng)
+	for g, fg := range f {
+		preds[g] = predictionOf(fg)
+	}
+	out := make([]Prediction, n)
+	for i, g := range group {
+		if g < 0 {
+			l := labeled[i]
+			out[i] = Prediction{Label: l, Scores: oneHot(l), Expected: float64(l)}
+			continue
+		}
+		out[i] = preds[g]
+	}
+	return out, nil
 }
 
-// decisions converts class-mass rows into Predictions; labeled nodes
-// echo their clamped label.
-func decisions(f [][3]float64, labeled map[int]label.Label) []Prediction {
-	out := make([]Prediction, len(f))
-	for i := range f {
-		var p Prediction
-		p.Scores = f[i]
-		sum := p.Scores[0] + p.Scores[1] + p.Scores[2]
-		if sum > 0 {
-			for c := 0; c < 3; c++ {
-				p.Scores[c] /= sum
-			}
+// sameMasses reports whether two mass vectors are bitwise equal.
+func sameMasses(a, b [3]float64) bool {
+	return math.Float64bits(a[0]) == math.Float64bits(b[0]) &&
+		math.Float64bits(a[1]) == math.Float64bits(b[1]) &&
+		math.Float64bits(a[2]) == math.Float64bits(b[2])
+}
+
+// predictionOf converts an unlabeled member's class masses into its
+// Prediction: normalized scores, their expected label and the argmax.
+func predictionOf(f [3]float64) Prediction {
+	p := Prediction{Scores: f}
+	sum := f[0] + f[1] + f[2]
+	if sum > 0 {
+		for c := 0; c < 3; c++ {
+			p.Scores[c] /= sum
 		}
-		p.Expected = p.Scores[0]*1 + p.Scores[1]*2 + p.Scores[2]*3
-		if l, ok := labeled[i]; ok {
-			p.Label = l
-		} else {
-			p.Label = argmaxLabel(p.Scores)
-		}
-		out[i] = p
 	}
-	return out
+	p.Expected = p.Scores[0]*1 + p.Scores[1]*2 + p.Scores[2]*3
+	p.Label = argmaxLabel(p.Scores)
+	return p
 }
 
 // argmaxLabel picks the class with the largest mass; ties break toward

@@ -3,6 +3,8 @@ package classify
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -298,12 +300,12 @@ func TestPredictFromWrongInitLengthIgnored(t *testing.T) {
 	}
 }
 
-// referencePredictFrom is the Jacobi loop PredictFrom ran before its
-// per-solve row totals, labeled mask and unfiltered dense sweeps: it
-// re-sums every row's total and re-tests every weight against
-// MinWeight in every iteration. TestPropHarmonicMatchesReference pins
-// PredictFrom to it bit for bit, and BenchmarkHarmonicPredictFrom
-// times both. It returns the predictions and the iteration count.
+// referencePredictFrom is the member-level Jacobi loop PredictKernel
+// replaced: it sweeps every member's dense row in every iteration,
+// re-summing the row total and re-testing every weight against
+// MinWeight. TestPropHarmonicMatchesReference pins PredictFrom to it
+// within rounding, and BenchmarkHarmonicPredictFrom times both. It
+// returns the predictions and the iteration count.
 func referencePredictFrom(h *Harmonic, weights [][]float64, labeled map[int]label.Label, init [][3]float64) ([]Prediction, int) {
 	n := len(weights)
 	maxIter := h.MaxIter
@@ -371,7 +373,15 @@ func referencePredictFrom(h *Harmonic, weights [][]float64, labeled map[int]labe
 			break
 		}
 	}
-	return decisions(f, labeled), iters
+	out := make([]Prediction, n)
+	for i := range f {
+		if l, ok := labeled[i]; ok {
+			out[i] = Prediction{Label: l, Scores: oneHot(l), Expected: float64(l)}
+			continue
+		}
+		out[i] = predictionOf(f[i])
+	}
+	return out, iters
 }
 
 // randomSolve draws one harmonic problem: a weight matrix that may be
@@ -417,10 +427,7 @@ func randomSolve(rng *rand.Rand) (h *Harmonic, w [][]float64, labeled map[int]la
 			w[r][j], w[j][r] = 0, 0
 		}
 	}
-	labeled = map[int]label.Label{}
-	for _, idx := range rng.Perm(n)[:1+rng.Intn(n)] {
-		labeled[idx] = label.Label(1 + rng.Intn(3))
-	}
+	labeled = randomLabels(rng, n)
 	if rng.Intn(2) == 0 {
 		init = make([][3]float64, n)
 		for i := range init {
@@ -430,15 +437,98 @@ func randomSolve(rng *rand.Rand) (h *Harmonic, w [][]float64, labeled map[int]la
 	return h, w, labeled, init
 }
 
-// TestPropHarmonicMatchesReference: PredictFrom returns exactly the
-// reference loop's bits — every score, every expected label, every
-// decision — and runs exactly as many iterations, over random problems
-// covering MinWeight zero and positive, all-zero rows, isolated nodes,
-// asymmetric weights, warm starts and one to all members labeled.
+// randomLabels labels one to all of n members at random.
+func randomLabels(rng *rand.Rand, n int) map[int]label.Label {
+	labeled := map[int]label.Label{}
+	for _, idx := range rng.Perm(n)[:1+rng.Intn(n)] {
+		labeled[idx] = label.Label(1 + rng.Intn(3))
+	}
+	return labeled
+}
+
+// twinSolve draws a twin-rich harmonic problem: members fall into a
+// few random classes, weights are drawn per ordered pair of classes
+// (symmetric or not, some at MinWeight or zero), and the start is
+// cold or warm from a solve with fewer labels, so groups of equal
+// starting masses split some classes.
+func twinSolve(rng *rand.Rand) (h *Harmonic, w [][]float64, labeled map[int]label.Label, init [][3]float64) {
+	n := 1 + rng.Intn(60)
+	t := 1 + rng.Intn(8)
+	h = &Harmonic{MaxIter: 1 + rng.Intn(300), Tol: math.Pow(10, -float64(3+rng.Intn(8)))}
+	if rng.Intn(2) == 1 {
+		h.MinWeight = 0.05 + 0.4*rng.Float64()
+	}
+	levels := []float64{0, h.MinWeight, 0.25, 1}
+	symmetric := rng.Intn(2) == 0
+	cw := make([][]float64, t)
+	for a := range cw {
+		cw[a] = make([]float64, t)
+		for b := range cw[a] {
+			if symmetric && b < a {
+				cw[a][b] = cw[b][a]
+				continue
+			}
+			if rng.Intn(4) == 0 {
+				cw[a][b] = levels[rng.Intn(len(levels))]
+			} else {
+				cw[a][b] = math.Pow(rng.Float64(), 4)
+			}
+		}
+	}
+	class := make([]int, n)
+	for i := range class {
+		class[i] = rng.Intn(t)
+	}
+	w = make([][]float64, n)
+	for i := range w {
+		w[i] = make([]float64, n)
+		for j := range w[i] {
+			w[i][j] = cw[class[i]][class[j]]
+		}
+		w[i][i] = 1
+	}
+	labeled = randomLabels(rng, n)
+	if len(labeled) > 1 && rng.Intn(2) == 0 {
+		// Warm start from the solve the session ran a round earlier:
+		// the same problem with some labels missing.
+		fewer := map[int]label.Label{}
+		for idx, l := range labeled {
+			if len(fewer) == 0 || rng.Intn(2) == 0 {
+				fewer[idx] = l
+			}
+		}
+		prev, _ := referencePredictFrom(h, w, fewer, nil)
+		init = make([][3]float64, n)
+		for i, p := range prev {
+			init[i] = p.Scores
+		}
+	}
+	return h, w, labeled, init
+}
+
+// randomKernelProblem draws a problem of either kind, alternating with
+// c: random and possibly asymmetric, or twin-rich.
+func randomKernelProblem(rng *rand.Rand, c int) (*Harmonic, [][]float64, map[int]label.Label, [][3]float64) {
+	if c%2 == 0 {
+		return randomSolve(rng)
+	}
+	return twinSolve(rng)
+}
+
+// TestPropHarmonicMatchesReference: the class-level solve agrees with
+// the member loop it replaced — every score and expected label within
+// 1e-12, the same iteration count, and the same label wherever the
+// reference's top two scores differ by more than 1e-12 (at an exact
+// tie the class solve keeps twins exactly equal and argmaxLabel breaks
+// toward risky, where the member loop's rounding may lean either way)
+// — over random problems covering MinWeight zero and positive,
+// all-zero rows, isolated nodes, asymmetric weights, warm starts and
+// one to all members labeled, and over twin-rich ones.
 func TestPropHarmonicMatchesReference(t *testing.T) {
+	const eps = 1e-12
 	rng := newRand(18)
-	for c := 0; c < 2000; c++ {
-		h, w, labeled, init := randomSolve(rng)
+	for c := 0; c < 4000; c++ {
+		h, w, labeled, init := randomKernelProblem(rng, c)
 		want, wantIters := referencePredictFrom(h, w, labeled, init)
 		gotIters := -1
 		h.Iterations = func(iters int) { gotIters = iters }
@@ -451,29 +541,130 @@ func TestPropHarmonicMatchesReference(t *testing.T) {
 		}
 		for i := range want {
 			g, r := got[i], want[i]
-			same := g.Label == r.Label && math.Float64bits(g.Expected) == math.Float64bits(r.Expected)
+			close := math.Abs(g.Expected-r.Expected) <= eps
 			for k := 0; k < 3; k++ {
-				same = same && math.Float64bits(g.Scores[k]) == math.Float64bits(r.Scores[k])
+				close = close && math.Abs(g.Scores[k]-r.Scores[k]) <= eps
 			}
-			if !same {
+			s := r.Scores
+			sort.Float64s(s[:])
+			if !close || (g.Label != r.Label && s[2]-s[1] > eps) {
 				t.Fatalf("case %d (n=%d MinWeight=%g) node %d: got %+v, reference %+v", c, len(w), h.MinWeight, i, g, r)
 			}
 		}
 	}
 }
 
-// BenchmarkHarmonicPredictFrom times one cold-start solve of a
-// 300-member pool shaped like a PS-weighted one (a few profile
-// groups, weights raised to the fourth power, a dozen owner labels),
-// for PredictFrom and for the reference loop it replaced.
-func BenchmarkHarmonicPredictFrom(b *testing.B) {
+// TestPredictFromIsPredictKernel pins PredictFrom bit for bit to
+// PredictKernel over the matrix's kernel, iteration count included.
+func TestPredictFromIsPredictKernel(t *testing.T) {
+	rng := newRand(19)
+	for c := 0; c < 1000; c++ {
+		h, w, labeled, init := randomKernelProblem(rng, c)
+		var itersDense, itersKernel int
+		h.Iterations = func(iters int) { itersDense = iters }
+		dense, err := h.PredictFrom(w, labeled, init)
+		if err != nil {
+			t.Fatalf("case %d: %v", c, err)
+		}
+		h.Iterations = func(iters int) { itersKernel = iters }
+		kern, err := h.PredictKernel(KernelOf(w), labeled, init)
+		if err != nil {
+			t.Fatalf("case %d: %v", c, err)
+		}
+		if itersDense != itersKernel {
+			t.Fatalf("case %d: %d iterations dense, %d over the kernel", c, itersDense, itersKernel)
+		}
+		for i := range dense {
+			g, r := dense[i], kern[i]
+			same := g.Label == r.Label && math.Float64bits(g.Expected) == math.Float64bits(r.Expected)
+			for k := 0; k < 3; k++ {
+				same = same && math.Float64bits(g.Scores[k]) == math.Float64bits(r.Scores[k])
+			}
+			if !same {
+				t.Fatalf("case %d node %d: PredictFrom %+v, PredictKernel %+v", c, i, g, r)
+			}
+		}
+	}
+}
+
+// TestKernelOfDenseRoundTrip: expanding a kernel and detecting its
+// classes again reproduces it exactly, and the kernel reproduces every
+// off-diagonal weight of the matrix it came from.
+func TestKernelOfDenseRoundTrip(t *testing.T) {
+	rng := newRand(20)
+	for c := 0; c < 1000; c++ {
+		_, w, _, _ := randomKernelProblem(rng, c)
+		k := KernelOf(w)
+		for i := range w {
+			for j := range w {
+				if i != j && math.Float64bits(k.At(i, j)) != math.Float64bits(w[i][j]) {
+					t.Fatalf("case %d: kernel weight (%d,%d) = %g, matrix %g", c, i, j, k.At(i, j), w[i][j])
+				}
+			}
+		}
+		again := KernelOf(k.Dense())
+		if again.T != k.T || !reflect.DeepEqual(again.Class, k.Class) || len(again.W) != len(k.W) {
+			t.Fatalf("case %d: KernelOf(Dense()) has %d classes %v, kernel %d classes %v", c, again.T, again.Class, k.T, k.Class)
+		}
+		for x := range k.W {
+			if math.Float64bits(again.W[x]) != math.Float64bits(k.W[x]) {
+				t.Fatalf("case %d: class weight %d = %g after the round trip, %g before", c, x, again.W[x], k.W[x])
+			}
+		}
+	}
+}
+
+// TestKernelOfClasses: twins share a class, classes are numbered by
+// first member, and a matrix without twins keeps one class per member.
+func TestKernelOfClasses(t *testing.T) {
+	w := blockMatrix(3, 2, 0.9, 0.1)
+	k := KernelOf(w)
+	if k.T != 2 || !reflect.DeepEqual(k.Class, []int32{0, 0, 0, 1, 1}) {
+		t.Fatalf("two cliques: %d classes %v", k.T, k.Class)
+	}
+	if !reflect.DeepEqual(k.W, []float64{0.9, 0.1, 0.1, 0.9}) {
+		t.Fatalf("two cliques: class weights %v", k.W)
+	}
+	distinct := [][]float64{{1, 0.1, 0.2}, {0.1, 1, 0.3}, {0.2, 0.3, 1}}
+	if k := KernelOf(distinct); k.T != 3 {
+		t.Fatalf("no twins: %d classes %v", k.T, k.Class)
+	}
+	// An asymmetric pair is not a twin pair even with equal rows
+	// elsewhere.
+	asym := [][]float64{{1, 0.5, 0.2}, {0.4, 1, 0.2}, {0.2, 0.2, 1}}
+	if k := KernelOf(asym); k.Class[0] == k.Class[1] {
+		t.Fatalf("asymmetric pair merged: %v", k.Class)
+	}
+	// Members 0 and 1 have equal rows, and their columns hold the same
+	// values in other positions, so they hash alike; they are still
+	// not twins, because members 2 and 3 weigh them differently.
+	perm := [][]float64{
+		{1, 0.5, 0.2, 0.3},
+		{0.5, 1, 0.2, 0.3},
+		{0.7, 0.9, 1, 0.4},
+		{0.9, 0.7, 0.4, 1},
+	}
+	if k := KernelOf(perm); k.Class[0] == k.Class[1] {
+		t.Fatalf("members weighed differently by others merged: %v", k.Class)
+	}
+	// Twins must weigh each other alike, whatever the hash says.
+	if rowTwins(asym, 0, 1) || !rowTwins(blockMatrix(2, 1, 0.9, 0.1), 0, 1) {
+		t.Fatal("rowTwins ignores the mutual weights")
+	}
+	if k := KernelOf(nil); k.T != 0 || len(k.Class) != 0 {
+		t.Fatalf("empty matrix: %+v", k)
+	}
+}
+
+// psLikeMatrix builds a 300-member matrix shaped like a PS-weighted
+// pool: a few profile groups, weights raised to the fourth power.
+func psLikeMatrix(rng *rand.Rand) (w [][]float64, group []int) {
 	const n = 300
-	rng := newRand(300)
-	group := make([]int, n)
+	group = make([]int, n)
 	for i := range group {
 		group[i] = rng.Intn(6)
 	}
-	w := make([][]float64, n)
+	w = make([][]float64, n)
 	for i := range w {
 		w[i] = make([]float64, n)
 	}
@@ -487,8 +678,20 @@ func BenchmarkHarmonicPredictFrom(b *testing.B) {
 			w[j][i] = w[i][j]
 		}
 	}
+	return w, group
+}
+
+// BenchmarkHarmonicPredictFrom times one cold-start solve of a
+// 300-member pool shaped like a PS-weighted one (a few profile
+// groups, weights raised to the fourth power, a dozen owner labels),
+// for PredictFrom and for the member loop it replaced. The weights are
+// continuous draws, so the pool has no row twins: this is the class
+// solver's worst case.
+func BenchmarkHarmonicPredictFrom(b *testing.B) {
+	rng := newRand(300)
+	w, group := psLikeMatrix(rng)
 	labeled := map[int]label.Label{}
-	for _, idx := range rng.Perm(n)[:12] {
+	for _, idx := range rng.Perm(len(w))[:12] {
 		labeled[idx] = label.Label(1 + group[idx]%3)
 	}
 	h := NewHarmonic()
@@ -504,4 +707,29 @@ func BenchmarkHarmonicPredictFrom(b *testing.B) {
 			referencePredictFrom(h, w, labeled, nil)
 		}
 	})
+}
+
+// BenchmarkKernelOf times class detection on a 300-member matrix:
+// the PS-shaped pool without twins, and a twin-rich one with 20
+// classes.
+func BenchmarkKernelOf(b *testing.B) {
+	rng := newRand(301)
+	w, _ := psLikeMatrix(rng)
+	twins := make([][]float64, len(w))
+	for i := range twins {
+		twins[i] = make([]float64, len(w))
+		for j := range twins[i] {
+			twins[i][j] = w[i%20][j%20]
+		}
+	}
+	for _, bc := range []struct {
+		name string
+		w    [][]float64
+	}{{"distinct", w}, {"twins", twins}} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				KernelOf(bc.w)
+			}
+		})
+	}
 }

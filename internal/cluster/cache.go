@@ -3,14 +3,13 @@ package cluster
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
 
+	"sightrisk/internal/classify"
 	"sightrisk/internal/obs"
 	"sightrisk/internal/profile"
-	"sightrisk/internal/similarity"
 )
 
 // Key is the content hash a pool's weight artifacts are cached under:
@@ -25,31 +24,31 @@ type Key [sha256.Size]byte
 // IsZero reports whether the key is unset (never computed).
 func (k Key) IsZero() bool { return k == Key{} }
 
-// PoolKey returns the content Key PoolWeights would cache this pool's
-// artifacts under. It never touches the cache; callers use it to test
+// PoolKey returns the content Key WeightCache.PoolKernel caches this
+// pool's kernel under. It never touches the cache; callers use it to test
 // whether a pool's weight content changed between two graph states.
 func PoolKey(store *profile.Store, pool Pool, attrs []profile.Attribute, exponent float64) Key {
 	return weightKey(store, pool, attrs, exponent)
 }
 
 // WeightCache is a process-wide, content-keyed cache for the expensive
-// per-pool similarity artifacts: the PSContext frequency tables and the
-// exponentiated PS weight matrix. The key is a hash of everything the
-// artifacts depend on — exponent, attribute list, member ids, and every
-// member's attribute values — so two pools hit the same entry exactly
-// when PoolWeights would compute the same matrix for both. That makes
-// the cache safe to share across owners, tenants, and even graph churn:
-// dynamics experiments mutate edges, and edges are not part of the
-// weight computation.
+// per-pool similarity artifact: the row-twin kernel of the
+// exponentiated PS weight matrix (see PoolKernel). The key is a hash of
+// everything the weights depend on — exponent, attribute list, member
+// ids, and every member's attribute values — so two pools hit the same
+// entry exactly when PoolWeights would compute the same matrix for
+// both. That makes the cache safe to share across owners, tenants, and
+// even graph churn: dynamics experiments mutate edges, and edges are
+// not part of the weight computation. An entry holds only the kernel,
+// never the n×n matrix it was found in.
 //
 // The multi-tenant fleet scheduler is the intended customer (N tenants
 // replaying the same study build each pool's weights once instead of N
 // times), but single-run pipelines benefit too whenever owners share
 // pool compositions.
 //
-// Returned matrices and contexts are shared and must be treated as
-// read-only; PoolWeights bakes the exponent in before insertion, and
-// the engine only ever reads the weights.
+// Returned kernels are shared and must be treated as read-only; the
+// engine only ever reads them.
 //
 // The cache can be bounded with SetMaxEntries; under graph churn stale
 // content keys would otherwise accumulate forever. Eviction never
@@ -58,7 +57,7 @@ func PoolKey(store *profile.Store, pool Pool, attrs []profile.Attribute, exponen
 // any cap.
 type WeightCache struct {
 	mu      sync.RWMutex
-	entries map[Key]*weightEntry
+	entries map[Key]*classify.Kernel
 	max     int
 
 	// Hit-path counters are atomics so a cache hit completes under
@@ -110,11 +109,6 @@ func (c *WeightCache) evictLocked(n int) {
 	}
 }
 
-type weightEntry struct {
-	ctx     *similarity.PSContext
-	weights [][]float64
-}
-
 // CacheStats is a point-in-time snapshot of cache effectiveness.
 type CacheStats struct {
 	// Entries is the live entry count.
@@ -139,67 +133,33 @@ func (s CacheStats) HitRate() float64 {
 // NewWeightCache returns an empty, unbounded cache, safe for
 // concurrent use.
 func NewWeightCache() *WeightCache {
-	return &WeightCache{entries: make(map[Key]*weightEntry)}
+	return &WeightCache{entries: make(map[Key]*classify.Kernel)}
 }
 
-// PoolWeights returns the pool's weight matrix, computing and caching
+// PoolKernel returns the pool's weight kernel, computing and caching
 // it on first sight of this (members, attribute values, attrs,
 // exponent) content, together with the content Key it is cached under
 // (what PoolKey returns for the same arguments), so a caller that
 // records the key does not hash the pool a second time. The returned
-// matrix is shared: callers must not modify it.
-func (c *WeightCache) PoolWeights(store *profile.Store, pool Pool, attrs []profile.Attribute, exponent float64) ([][]float64, Key, error) {
-	e, key, err := c.entry(store, pool, attrs, exponent)
-	if err != nil {
-		return nil, key, err
-	}
-	return e.weights, key, nil
-}
-
-// Context returns the cached PSContext for the pool (built alongside
-// the weight matrix). Shared; read-only.
-func (c *WeightCache) Context(store *profile.Store, pool Pool, attrs []profile.Attribute, exponent float64) (*similarity.PSContext, error) {
-	e, _, err := c.entry(store, pool, attrs, exponent)
-	if err != nil {
-		return nil, err
-	}
-	return e.ctx, nil
-}
-
-// hit counts one cache hit without taking any lock.
-func (c *WeightCache) hit() {
-	c.hits.Add(1)
-	if m := c.metrics.Load(); m != nil {
-		m.CacheHits.Add(1)
-	}
-}
-
-func (c *WeightCache) entry(store *profile.Store, pool Pool, attrs []profile.Attribute, exponent float64) (*weightEntry, Key, error) {
+// kernel is shared: callers must not modify it.
+func (c *WeightCache) PoolKernel(store *profile.Store, pool Pool, attrs []profile.Attribute, exponent float64) (*classify.Kernel, Key, error) {
 	key := weightKey(store, pool, attrs, exponent)
 
 	c.mu.RLock()
-	e, ok := c.entries[key]
+	k, ok := c.entries[key]
 	c.mu.RUnlock()
 	if ok {
 		c.hit()
-		return e, key, nil
+		return k, key, nil
 	}
 
-	// Build outside the lock: matrix construction is the expensive part
-	// and must not serialize concurrent misses on different pools.
-	ctx := similarity.NewPSContext(store, pool.Members, attrs)
-	weights := ctx.Matrix(store.Profiles(pool.Members))
-	if len(weights) != len(pool.Members) {
-		return nil, key, fmt.Errorf("cluster: pool %s: %d profiles for %d members (missing profiles)", pool.ID(), len(weights), len(pool.Members))
+	// Build outside the lock: the matrix and its classes are the
+	// expensive part and must not serialize concurrent misses on
+	// different pools.
+	built, err := PoolKernel(store, pool, attrs, exponent)
+	if err != nil {
+		return nil, key, err
 	}
-	if exponent != 1 {
-		for i := range weights {
-			for j := range weights[i] {
-				weights[i][j] = math.Pow(weights[i][j], exponent)
-			}
-		}
-	}
-	built := &weightEntry{ctx: ctx, weights: weights}
 
 	c.mu.Lock()
 	if prev, raced := c.entries[key]; raced {
@@ -218,6 +178,14 @@ func (c *WeightCache) entry(store *profile.Store, pool Pool, attrs []profile.Att
 		m.CacheMisses.Add(1)
 	}
 	return built, key, nil
+}
+
+// hit counts one cache hit without taking any lock.
+func (c *WeightCache) hit() {
+	c.hits.Add(1)
+	if m := c.metrics.Load(); m != nil {
+		m.CacheHits.Add(1)
+	}
 }
 
 // Stats returns current cache counters.

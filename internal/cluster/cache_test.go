@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"sightrisk/internal/classify"
 	"sightrisk/internal/graph"
 	"sightrisk/internal/obs"
 	"sightrisk/internal/profile"
@@ -12,7 +13,7 @@ import (
 
 // TestWeightCacheBounded: the entry cap is enforced on insert, every
 // removal is counted, and an evicted entry's re-lookup rebuilds the
-// exact same matrix (eviction only ever costs a rebuild).
+// exact same kernel (eviction only ever costs a rebuild).
 func TestWeightCacheBounded(t *testing.T) {
 	snap, store, owner, strangers := testWorld(t, 12, 80)
 	pools, _, err := BuildPoolsSnapshot(snap, store, owner, strangers, DefaultPoolConfig())
@@ -22,13 +23,13 @@ func TestWeightCacheBounded(t *testing.T) {
 	if len(pools) < 3 {
 		t.Fatalf("need >= 3 pools, got %d", len(pools))
 	}
-	want := make([][][]float64, len(pools))
+	want := make([]*classify.Kernel, len(pools))
 	for i, p := range pools {
-		w, err := PoolWeights(store, p, nil, 4)
+		k, err := PoolKernel(store, p, nil, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i] = w
+		want[i] = k
 	}
 
 	cache := NewWeightCache()
@@ -36,7 +37,7 @@ func TestWeightCacheBounded(t *testing.T) {
 	cache.SetMetrics(m)
 	cache.SetMaxEntries(2)
 	for _, p := range pools {
-		if _, _, err := cache.PoolWeights(store, p, nil, 4); err != nil {
+		if _, _, err := cache.PoolKernel(store, p, nil, 4); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -52,15 +53,15 @@ func TestWeightCacheBounded(t *testing.T) {
 		t.Fatalf("metrics evictions = %d, want %d", got, wantEvict)
 	}
 
-	// Every pool — evicted or not — still yields the identical matrix,
+	// Every pool — evicted or not — still yields the identical kernel,
 	// under the key PoolKey computes for it.
 	for i, p := range pools {
-		w, key, err := cache.PoolWeights(store, p, nil, 4)
+		w, key, err := cache.PoolKernel(store, p, nil, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(w, want[i]) {
-			t.Fatalf("pool %s: matrix after eviction differs from cold build", p.ID())
+			t.Fatalf("pool %s: kernel after eviction differs from cold build", p.ID())
 		}
 		if key != PoolKey(store, p, nil, 4) {
 			t.Fatalf("pool %s: cache returned a key other than PoolKey's", p.ID())
@@ -75,7 +76,7 @@ func TestWeightCacheBounded(t *testing.T) {
 	// Removing the bound lets the cache grow again.
 	cache.SetMaxEntries(0)
 	for _, p := range pools {
-		if _, _, err := cache.PoolWeights(store, p, nil, 4); err != nil {
+		if _, _, err := cache.PoolKernel(store, p, nil, 4); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -142,21 +143,23 @@ func BenchmarkWeightCacheHitParallel(b *testing.B) {
 		}
 	}
 	cache := NewWeightCache()
-	if _, _, err := cache.PoolWeights(store, pool, nil, 4); err != nil {
+	if _, _, err := cache.PoolKernel(store, pool, nil, 4); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, _, err := cache.PoolWeights(store, pool, nil, 4); err != nil {
+			if _, _, err := cache.PoolKernel(store, pool, nil, 4); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 }
 
-// TestWeightCacheMatchesPoolWeights: a cached matrix is exactly the
-// matrix PoolWeights computes, and repeated lookups hit.
+// TestWeightCacheMatchesPoolWeights: a cached kernel is exactly the
+// kernel of the matrix PoolWeights computes and expands back to that
+// matrix, repeated lookups hit and return the one shared kernel, and
+// an entry holds nothing but the kernel: no n×n matrix, no PSContext.
 func TestWeightCacheMatchesPoolWeights(t *testing.T) {
 	snap, store, owner, strangers := testWorld(t, 12, 60)
 	pools, _, err := BuildPoolsSnapshot(snap, store, owner, strangers, DefaultPoolConfig())
@@ -170,19 +173,19 @@ func TestWeightCacheMatchesPoolWeights(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := cache.PoolWeights(store, p, nil, exp)
+			got, _, err := cache.PoolKernel(store, p, nil, exp)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("pool %s exp %g: cached weights differ", p.ID(), exp)
+			if !reflect.DeepEqual(got, classify.KernelOf(want)) || !reflect.DeepEqual(got.Dense(), want) {
+				t.Fatalf("pool %s exp %g: cached kernel differs from the PoolWeights matrix", p.ID(), exp)
 			}
-			again, _, err := cache.PoolWeights(store, p, nil, exp)
+			again, _, err := cache.PoolKernel(store, p, nil, exp)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if &got[0][0] != &again[0][0] {
-				t.Fatalf("pool %s exp %g: second lookup did not return the shared matrix", p.ID(), exp)
+			if got != again {
+				t.Fatalf("pool %s exp %g: second lookup did not return the shared kernel", p.ID(), exp)
 			}
 		}
 	}
@@ -195,6 +198,14 @@ func TestWeightCacheMatchesPoolWeights(t *testing.T) {
 	}
 	if st.HitRate() != 0.5 {
 		t.Fatalf("hit rate = %v, want 0.5", st.HitRate())
+	}
+	if typ := reflect.TypeOf(cache.entries).Elem(); typ != reflect.TypeOf(&classify.Kernel{}) {
+		t.Fatalf("cache entries are %v, want *classify.Kernel", typ)
+	}
+	for _, k := range cache.entries {
+		if len(k.W) != k.T*k.T || k.T > len(k.Class) {
+			t.Fatalf("entry holds %d weights for %d classes of %d members", len(k.W), k.T, len(k.Class))
+		}
 	}
 }
 
@@ -212,13 +223,13 @@ func TestWeightCacheKeyedByContent(t *testing.T) {
 	}
 	cache := NewWeightCache()
 	pool := Pool{NSGIndex: 1, ClusterIndex: 1, Members: members}
-	if _, _, err := cache.PoolWeights(store, pool, nil, 4); err != nil {
+	if _, _, err := cache.PoolKernel(store, pool, nil, 4); err != nil {
 		t.Fatal(err)
 	}
 
 	// Same content under a different pool label: hit.
 	renamed := Pool{NSGIndex: 9, ClusterIndex: 7, Members: members}
-	if _, _, err := cache.PoolWeights(store, renamed, nil, 4); err != nil {
+	if _, _, err := cache.PoolKernel(store, renamed, nil, 4); err != nil {
 		t.Fatal(err)
 	}
 	if st := cache.Stats(); st.Hits != 1 || st.Misses != 1 {
@@ -226,16 +237,16 @@ func TestWeightCacheKeyedByContent(t *testing.T) {
 	}
 
 	// Different exponent: miss.
-	if _, _, err := cache.PoolWeights(store, pool, nil, 1); err != nil {
+	if _, _, err := cache.PoolKernel(store, pool, nil, 1); err != nil {
 		t.Fatal(err)
 	}
 	// Different attrs: miss.
-	if _, _, err := cache.PoolWeights(store, pool, []profile.Attribute{profile.AttrGender}, 4); err != nil {
+	if _, _, err := cache.PoolKernel(store, pool, []profile.Attribute{profile.AttrGender}, 4); err != nil {
 		t.Fatal(err)
 	}
 	// Mutated profile content: miss.
 	store.Get(2).SetAttr(profile.AttrLocale, "it_IT")
-	if _, _, err := cache.PoolWeights(store, pool, nil, 4); err != nil {
+	if _, _, err := cache.PoolKernel(store, pool, nil, 4); err != nil {
 		t.Fatal(err)
 	}
 	if st := cache.Stats(); st.Misses != 4 {
@@ -259,7 +270,7 @@ func TestWeightCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				for _, p := range pools {
-					if _, _, err := cache.PoolWeights(store, p, nil, 4); err != nil {
+					if _, _, err := cache.PoolKernel(store, p, nil, 4); err != nil {
 						t.Error(err)
 						return
 					}
@@ -273,7 +284,8 @@ func TestWeightCacheConcurrent(t *testing.T) {
 	}
 }
 
-// BenchmarkWeightCache contrasts a cold build against a cache hit.
+// BenchmarkWeightCache contrasts a cold build of the kernel against a
+// cache hit.
 func BenchmarkWeightCache(b *testing.B) {
 	snap, store, owner, strangers := testWorld(b, 12, 200)
 	pools, _, err := BuildPoolsSnapshot(snap, store, owner, strangers, DefaultPoolConfig())
@@ -289,7 +301,7 @@ func BenchmarkWeightCache(b *testing.B) {
 	b.Run("build", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := PoolWeights(store, pool, nil, 4); err != nil {
+			if _, err := PoolKernel(store, pool, nil, 4); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -297,11 +309,11 @@ func BenchmarkWeightCache(b *testing.B) {
 	b.Run("cached", func(b *testing.B) {
 		b.ReportAllocs()
 		cache := NewWeightCache()
-		if _, _, err := cache.PoolWeights(store, pool, nil, 4); err != nil {
+		if _, _, err := cache.PoolKernel(store, pool, nil, 4); err != nil {
 			b.Fatal(err)
 		}
 		for i := 0; i < b.N; i++ {
-			if _, _, err := cache.PoolWeights(store, pool, nil, 4); err != nil {
+			if _, _, err := cache.PoolKernel(store, pool, nil, 4); err != nil {
 				b.Fatal(err)
 			}
 		}

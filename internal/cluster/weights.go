@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"sightrisk/internal/classify"
 	"sightrisk/internal/profile"
 	"sightrisk/internal/similarity"
 )
@@ -32,4 +33,15 @@ func PoolWeights(store *profile.Store, pool Pool, attrs []profile.Attribute, exp
 		}
 	}
 	return weights, nil
+}
+
+// PoolKernel returns the pool's PoolWeights matrix as the row-twin
+// kernel the engine's sessions classify over. The dense matrix is
+// dropped once its classes are found.
+func PoolKernel(store *profile.Store, pool Pool, attrs []profile.Attribute, exponent float64) (*classify.Kernel, error) {
+	w, err := PoolWeights(store, pool, attrs, exponent)
+	if err != nil {
+		return nil, err
+	}
+	return classify.KernelOf(w), nil
 }

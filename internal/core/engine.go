@@ -72,11 +72,12 @@ type Config struct {
 	// graph is ever materialized.
 	Snapshot *graph.Snapshot
 	// Weights, when non-nil, is a shared content-keyed cache for the
-	// per-pool PS weight matrices. Pools whose membership, attribute
-	// values, attrs and exponent have been seen before — by any owner,
-	// tenant, or prior run sharing the cache — reuse the cached matrix
-	// instead of rebuilding the O(n²) computation. Matrices are read
-	// only; sharing is safe because the engine never mutates them.
+	// per-pool PS weight kernels (classify.Kernel). Pools whose
+	// membership, attribute values, attrs and exponent have been seen
+	// before — by any owner, tenant, or prior run sharing the cache —
+	// reuse the cached kernel instead of rebuilding the O(n²) matrix
+	// and its classes. Kernels are read only; sharing is safe because
+	// the engine never mutates them.
 	Weights *cluster.WeightCache
 	// Retry controls how transient annotator failures are retried and
 	// which deadlines bound queries and the whole session. The zero
@@ -122,7 +123,7 @@ type Config struct {
 	// then served from the prior run — session skipped entirely — iff it
 	// sits at the same index with the same id and member list and its
 	// weight-content key (cluster.PoolKey) is unchanged. Those conditions
-	// pin every input of the session (members, weight matrix, the
+	// pin every input of the session (members, weights, the
 	// index-derived RNG stream), so with a deterministic annotator and
 	// unchanged Learn options the spliced result is byte-identical to a
 	// full recompute. A Reuse run that does not match (different owner,
@@ -530,7 +531,7 @@ func (e *Engine) poolObserve(sink obs.Observer, owner graph.UserID, poolID strin
 // matches this one's owner and seed, completed fully, and the pool at
 // the same index has the same id, identical members and an unchanged
 // weight-content key — together those pin every session input: the
-// member list, the weight matrix (content-keyed) and the RNG stream
+// member list, the weights (content-keyed) and the RNG stream
 // (derived from seed, owner and pool index). Returns nil when nothing
 // is reusable.
 func (e *Engine) reusePlan(store *profile.Store, owner graph.UserID, pools []cluster.Pool, exp float64) []*PoolRun {
@@ -594,20 +595,20 @@ func (e *Engine) emitPool(run *OwnerRun, pr PoolRun, index, total int) {
 	}
 }
 
-// poolWeights builds (or, with a shared Weights cache configured,
-// fetches) the pool's PS weight matrix, plus its content key
+// poolKernel builds (or, with a shared Weights cache configured,
+// fetches) the pool's PS weight kernel, plus its content key
 // (cluster.PoolKey), which the cache computes anyway for its lookup.
-// Cached matrices are shared and read-only — identical by content to
-// a fresh build.
-func (e *Engine) poolWeights(store *profile.Store, pool cluster.Pool, exp float64) ([][]float64, cluster.Key, error) {
+// Cached kernels are shared and read-only — identical by content to a
+// fresh build.
+func (e *Engine) poolKernel(store *profile.Store, pool cluster.Pool, exp float64) (*classify.Kernel, cluster.Key, error) {
 	if e.cfg.Weights != nil {
-		return e.cfg.Weights.PoolWeights(store, pool, e.cfg.PSAttributes, exp)
+		return e.cfg.Weights.PoolKernel(store, pool, e.cfg.PSAttributes, exp)
 	}
-	w, err := cluster.PoolWeights(store, pool, e.cfg.PSAttributes, exp)
+	k, err := cluster.PoolKernel(store, pool, e.cfg.PSAttributes, exp)
 	if err != nil {
 		return nil, cluster.Key{}, err
 	}
-	return w, cluster.PoolKey(store, pool, e.cfg.PSAttributes, exp), nil
+	return k, cluster.PoolKey(store, pool, e.cfg.PSAttributes, exp), nil
 }
 
 // ownerPools is one owner's pool work: the built pools and what every
@@ -659,10 +660,10 @@ func (p *ownerPools) runPool(ctx context.Context, i int, sink obs.Observer, ann 
 	}
 	start := time.Now()
 	var (
-		weights [][]float64
-		wkey    cluster.Key
+		kernel *classify.Kernel
+		wkey   cluster.Key
 	)
-	p.limiter.Do(func() { weights, wkey, err = e.poolWeights(p.store, pool, p.exp) })
+	p.limiter.Do(func() { kernel, wkey, err = e.poolKernel(p.store, pool, p.exp) })
 	if err != nil {
 		return PoolRun{}, nil, fmt.Errorf("core: %w", err)
 	}
@@ -677,7 +678,7 @@ func (p *ownerPools) runPool(ctx context.Context, i int, sink obs.Observer, ann 
 	}
 	cfg.Observe = observe
 	cfg.Digests = e.cfg.Trace.Digests
-	sess, err := active.NewSession(pool.Members, weights, ann, cfg)
+	sess, err := active.NewSession(pool.Members, kernel, ann, cfg)
 	if err != nil {
 		return PoolRun{}, nil, fmt.Errorf("core: pool %s: %w", poolID, err)
 	}

@@ -64,7 +64,7 @@ func (p *ownerPools) runParallel(ctx context.Context, run *OwnerRun) error {
 				sink = &bufs[i]
 			}
 			ann := gatedAnnotator{gate: gate, slot: i, inner: p.chain(pool.ID())}
-			c := &limitedClassifier{inner: p.classifier(), limiter: p.limiter, canceled: steps.Canceled}
+			c := limitClassifier(p.classifier(), p.limiter, steps.Canceled)
 			pr, cause, err := p.runPool(ctx, i, sink, ann, c)
 			if err != nil {
 				return err
@@ -128,6 +128,12 @@ type warmStarter interface {
 	PredictFrom(weights [][]float64, labeled map[int]label.Label, init [][3]float64) ([]classify.Prediction, error)
 }
 
+// kernelPredictor mirrors the class-level fast path the active package
+// probes for (active.kernelClassifier).
+type kernelPredictor interface {
+	PredictKernel(k *classify.Kernel, labeled map[int]label.Label, init [][3]float64) ([]classify.Prediction, error)
+}
+
 // limitedClassifier wraps a session's classifier so each solve (the
 // pipeline's CPU hot spot) holds one Limiter permit, and so in-flight
 // sessions abort promptly after another pool fails. It forwards the
@@ -140,6 +146,16 @@ type limitedClassifier struct {
 	canceled func() bool
 }
 
+// limitClassifier wraps inner in a limitedClassifier that offers the
+// session the class-level path exactly when inner does.
+func limitClassifier(inner classify.Classifier, limiter *parallel.Limiter, canceled func() bool) classify.Classifier {
+	c := &limitedClassifier{inner: inner, limiter: limiter, canceled: canceled}
+	if _, ok := inner.(kernelPredictor); ok {
+		return limitedKernelClassifier{c}
+	}
+	return c
+}
+
 func (c *limitedClassifier) Name() string { return c.inner.Name() }
 
 func (c *limitedClassifier) Predict(weights [][]float64, labeled map[int]label.Label) ([]classify.Prediction, error) {
@@ -147,19 +163,37 @@ func (c *limitedClassifier) Predict(weights [][]float64, labeled map[int]label.L
 }
 
 func (c *limitedClassifier) PredictFrom(weights [][]float64, labeled map[int]label.Label, init [][3]float64) ([]classify.Prediction, error) {
+	return c.solve(func() ([]classify.Prediction, error) {
+		if ws, ok := c.inner.(warmStarter); ok && init != nil {
+			return ws.PredictFrom(weights, labeled, init)
+		}
+		return c.inner.Predict(weights, labeled)
+	})
+}
+
+// solve runs one prediction under a Limiter permit, unless another
+// pool already failed.
+func (c *limitedClassifier) solve(predict func() ([]classify.Prediction, error)) ([]classify.Prediction, error) {
 	if c.canceled() {
 		return nil, parallel.ErrCanceled
 	}
 	var preds []classify.Prediction
 	var err error
-	c.limiter.Do(func() {
-		if ws, ok := c.inner.(warmStarter); ok && init != nil {
-			preds, err = ws.PredictFrom(weights, labeled, init)
-			return
-		}
-		preds, err = c.inner.Predict(weights, labeled)
-	})
+	c.limiter.Do(func() { preds, err = predict() })
 	return preds, err
 }
 
-var _ warmStarter = (*limitedClassifier)(nil)
+// limitedKernelClassifier is a limitedClassifier over a classifier
+// with the class-level path, which it forwards.
+type limitedKernelClassifier struct{ *limitedClassifier }
+
+func (c limitedKernelClassifier) PredictKernel(k *classify.Kernel, labeled map[int]label.Label, init [][3]float64) ([]classify.Prediction, error) {
+	return c.solve(func() ([]classify.Prediction, error) {
+		return c.inner.(kernelPredictor).PredictKernel(k, labeled, init)
+	})
+}
+
+var (
+	_ warmStarter     = (*limitedClassifier)(nil)
+	_ kernelPredictor = limitedKernelClassifier{}
+)

@@ -8,6 +8,7 @@ import (
 	"sightrisk/internal/core"
 	"sightrisk/internal/delta"
 	"sightrisk/internal/graph"
+	"sightrisk/internal/profile"
 	"sightrisk/internal/synthetic"
 )
 
@@ -86,16 +87,16 @@ func TestUpdatesReplayReproducesKnown(t *testing.T) {
 		if got == nil {
 			t.Fatalf("profile %d missing after replay", s)
 		}
-		for a, v := range want.Attrs {
+		want.EachAttr(func(a profile.Attribute, v string) {
 			if got.Attr(a) != v {
 				t.Fatalf("profile %d attr %q = %q after replay, want %q", s, a, got.Attr(a), v)
 			}
-		}
-		for it, vis := range want.Visible {
+		})
+		want.EachVisible(func(it profile.Item, vis bool) {
 			if got.IsVisible(it) != vis {
 				t.Fatalf("profile %d item %q visibility diverged after replay", s, it)
 			}
-		}
+		})
 	}
 }
 

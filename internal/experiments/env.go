@@ -33,9 +33,9 @@ type Env struct {
 
 // NewEnv generates the study population and prepares the engine
 // configuration. Unless the caller brings their own, the Env installs
-// a shared content-keyed weight-matrix cache (cluster.WeightCache):
+// a shared content-keyed weight-kernel cache (cluster.WeightCache):
 // every experiment that re-runs the pipeline over the same owners then
-// reuses the pool weight matrices instead of rebuilding them — results
+// reuses the pool weight kernels instead of rebuilding them — results
 // are unchanged (the cache is keyed by pool content, attributes and
 // exponent), only repeated work disappears.
 func NewEnv(studyCfg synthetic.StudyConfig, coreCfg core.Config) (*Env, error) {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	sight "sightrisk"
@@ -141,6 +142,42 @@ func TestRoundTripTopologies(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestProfileAtOneAllocation: materializing a profile from the table
+// costs one allocation, the profile itself.
+func TestProfileAtOneAllocation(t *testing.T) {
+	f := packStudy(t, smallStudy(t, synthetic.Communities))
+	table := f.Profiles()
+	present := 0
+	for i := 0; i < table.Len() && present < 20; i++ {
+		if table.ProfileAt(i) == nil {
+			continue
+		}
+		present++
+		if allocs := testing.AllocsPerRun(50, func() { table.ProfileAt(i) }); allocs != 1 {
+			t.Fatalf("ProfileAt(%d): %g allocations, want 1", i, allocs)
+		}
+	}
+	if present == 0 {
+		t.Fatal("no profiles in the table")
+	}
+}
+
+// TestTableBuilderRejectsUnknownNames: the table's layout is fixed, so
+// a profile carrying an attribute or item outside it is refused.
+func TestTableBuilderRejectsUnknownNames(t *testing.T) {
+	ids := []graph.UserID{1}
+	p := profile.NewProfile(1)
+	p.SetAttr("nickname", "x")
+	if err := snapfile.NewTableBuilder(ids).Add(p); err == nil || !strings.Contains(err.Error(), "nickname") {
+		t.Fatalf("custom attribute: %v", err)
+	}
+	p = profile.NewProfile(1)
+	p.SetVisible("stories", false)
+	if err := snapfile.NewTableBuilder(ids).Add(p); err == nil || !strings.Contains(err.Error(), "stories") {
+		t.Fatalf("custom item: %v", err)
 	}
 }
 

@@ -56,12 +56,12 @@ func (t *ProfileTable) ProfileAt(i int) *profile.Profile {
 	n := len(t.ids)
 	for a, attr := range t.attrs {
 		if v := t.dicts[a][t.vals[a*n+i]]; v != "" {
-			p.Attrs[attr] = v
+			p.SetAttr(attr, v)
 		}
 	}
 	for j, item := range t.items {
 		if t.vis[i]&(1<<uint(j)) != 0 {
-			p.Visible[item] = true
+			p.SetVisible(item, true)
 		}
 	}
 	return p
@@ -134,21 +134,28 @@ func (b *TableBuilder) Add(p *profile.Profile) error {
 	if j >= len(ids) || ids[j] != p.User {
 		return fmt.Errorf("snapfile: profile for user %d: not a graph node", p.User)
 	}
+	var err error
 	vis := byte(visPresent)
-	for item, on := range p.Visible {
+	p.EachVisible(func(item profile.Item, on bool) {
 		pos, ok := b.itemPos[item]
 		if !ok {
-			return fmt.Errorf("snapfile: profile for user %d: unknown item %q", p.User, item)
+			if err == nil {
+				err = fmt.Errorf("snapfile: profile for user %d: unknown item %q", p.User, item)
+			}
+			return
 		}
 		if on {
 			vis |= 1 << uint(pos)
 		}
-	}
+	})
 	n := len(ids)
-	for attr, v := range p.Attrs {
+	p.EachAttr(func(attr profile.Attribute, v string) {
 		pos, ok := b.attrPos[attr]
 		if !ok {
-			return fmt.Errorf("snapfile: profile for user %d: unknown attribute %q", p.User, attr)
+			if err == nil {
+				err = fmt.Errorf("snapfile: profile for user %d: unknown attribute %q", p.User, attr)
+			}
+			return
 		}
 		idx, ok := b.intern[pos][v]
 		if !ok {
@@ -157,6 +164,9 @@ func (b *TableBuilder) Add(p *profile.Profile) error {
 			b.intern[pos][v] = idx
 		}
 		b.t.vals[pos*n+j] = idx
+	})
+	if err != nil {
+		return err
 	}
 	b.t.vis[j] = vis
 	return nil

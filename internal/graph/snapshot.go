@@ -290,27 +290,69 @@ func (s *Snapshot) InducedEdgesSorted(sorted []UserID) int {
 }
 
 // Strangers returns the owner's second-hop contacts in ascending
-// order, matching Graph.Strangers.
+// order, matching Graph.Strangers. Its cost follows the 2-hop view, not
+// the graph: it gathers the friends' rows, sorts and dedupes them, then
+// drops the owner and the friends by merging against the owner's
+// sorted row.
 func (s *Snapshot) Strangers(owner UserID) []UserID {
 	oi, ok := s.indexOf(owner)
 	if !ok {
 		return nil
 	}
-	mark := make([]bool, len(s.ids)) // true = owner, direct friend, or already seen
 	friends := s.FriendIndexesAt(oi)
-	mark[oi] = true
+	n := 0
 	for _, fi := range friends {
-		mark[fi] = true
+		n += len(s.FriendIndexesAt(fi))
 	}
-	var out []UserID
+	buf := make([]int32, 2*n)
+	cand := buf[:0:n]
 	for _, fi := range friends {
-		for _, ffi := range s.FriendIndexesAt(fi) {
-			if !mark[ffi] {
-				mark[ffi] = true
-				out = append(out, s.ids[ffi])
-			}
+		cand = append(cand, s.FriendIndexesAt(fi)...)
+	}
+	cand = radixSort(cand, buf[n:], int32(len(s.ids)))
+	out := make([]UserID, 0, len(cand))
+	j := 0
+	for k, c := range cand {
+		if k > 0 && c == cand[k-1] {
+			continue
 		}
+		for j < len(friends) && friends[j] < c {
+			j++
+		}
+		if c == oi || (j < len(friends) && friends[j] == c) {
+			continue
+		}
+		out = append(out, s.ids[c])
 	}
-	sortIDs(out)
+	if len(out) == 0 {
+		return nil
+	}
 	return out
+}
+
+// radixSort sorts a, whose values lie in [0, top), by least-significant
+// digit first, 11 bits a pass: linear in len(a) where a comparison sort
+// of the friends' concatenated rows is not. tmp is scratch of len(a);
+// the result is a or tmp.
+func radixSort(a, tmp []int32, top int32) []int32 {
+	const bits = 11
+	var count [1 << bits]int32
+	for shift := uint(0); (top-1)>>shift > 0; shift += bits {
+		count = [1 << bits]int32{}
+		for _, v := range a {
+			count[v>>shift&(1<<bits-1)]++
+		}
+		sum := int32(0)
+		for d, c := range count {
+			count[d] = sum
+			sum += c
+		}
+		for _, v := range a {
+			d := v >> shift & (1<<bits - 1)
+			tmp[count[d]] = v
+			count[d]++
+		}
+		a, tmp = tmp, a
+	}
+	return a
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -291,4 +292,55 @@ func BenchmarkMutualFriends(b *testing.B) {
 			buf = s.AppendMutualFriends(buf[:0], nodes[i%100], nodes[100+i%100])
 		}
 	})
+}
+
+// referenceStrangers is the body Snapshot.Strangers had before it
+// followed the 2-hop view: a mark per graph node, allocated on every
+// call. TestPropStrangersMatchesReference pins Strangers to it.
+func referenceStrangers(s *Snapshot, owner UserID) []UserID {
+	oi, ok := s.indexOf(owner)
+	if !ok {
+		return nil
+	}
+	mark := make([]bool, len(s.ids)) // true = owner, direct friend, or already seen
+	friends := s.FriendIndexesAt(oi)
+	mark[oi] = true
+	for _, fi := range friends {
+		mark[fi] = true
+	}
+	var out []UserID
+	for _, fi := range friends {
+		for _, ffi := range s.FriendIndexesAt(fi) {
+			if !mark[ffi] {
+				mark[ffi] = true
+				out = append(out, s.ids[ffi])
+			}
+		}
+	}
+	sortIDs(out)
+	return out
+}
+
+// TestPropStrangersMatchesReference: over random snapshots, dense and
+// sparse, with isolated nodes and absent owners, Strangers returns the
+// reference's slice exactly, nil for none included. The last seeds
+// build graphs of up to 10⁴ nodes, so the radix sort takes more than
+// one pass.
+func TestPropStrangersMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 44; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(80)
+		if seed > 40 {
+			n = 2000 + rng.Intn(8000)
+		}
+		g := randomSparseGraph(seed, n, rng.Intn(4*n+1))
+		s := g.Snapshot()
+		owners := append(append([]UserID(nil), s.Nodes()...), -1, UserID(n*7+100))
+		for _, o := range owners {
+			got, want := s.Strangers(o), referenceStrangers(s, o)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d owner %d: Strangers = %v, reference %v", seed, o, got, want)
+			}
+		}
+	}
 }

@@ -10,6 +10,7 @@
 package profile
 
 import (
+	"encoding/json"
 	"fmt"
 	"sort"
 	"sync"
@@ -42,10 +43,15 @@ func ClusteringAttributes() []Attribute {
 // AllAttributes returns every attribute a profile may carry, in a
 // stable order.
 func AllAttributes() []Attribute {
-	return []Attribute{
-		AttrGender, AttrLocale, AttrLastName, AttrHometown,
-		AttrEducation, AttrWork, AttrLocation,
-	}
+	a := slotAttrs
+	return a[:]
+}
+
+// slotAttrs names a Profile's fixed attribute slots, in AllAttributes
+// order.
+var slotAttrs = [numSlots]Attribute{
+	AttrGender, AttrLocale, AttrLastName, AttrHometown,
+	AttrEducation, AttrWork, AttrLocation,
 }
 
 // Item names a benefit item on a profile (Section II, "Benefits").
@@ -64,60 +70,282 @@ const (
 
 // Items returns all benefit items in the paper's Table IV column order.
 func Items() []Item {
-	return []Item{
-		ItemWall, ItemPhoto, ItemFriend, ItemLocation,
-		ItemEdu, ItemWork, ItemHometown,
-	}
+	i := slotItems
+	return i[:]
+}
+
+// slotItems names a Profile's fixed item slots, in Items order.
+var slotItems = [numSlots]Item{
+	ItemWall, ItemPhoto, ItemFriend, ItemLocation,
+	ItemEdu, ItemWork, ItemHometown,
 }
 
 // Profile is one user's categorical attributes and benefit-item
 // visibility. Visibility is as seen by a non-friend (the owner judging
 // the stranger).
+//
+// The seven attributes of AllAttributes and the seven items of Items
+// live in fixed slots: a value array plus bit masks for which
+// attributes are set and which items carry a visibility entry and are
+// visible, so a profile is one allocation. Any other attribute or item
+// name (custom PS attributes, arbitrary wire or JSON input) goes to an
+// overflow allocated on first use. The JSON encoding is the map form
+// {"user":…,"attrs":{…},"visible":{…}}, keys sorted: an attribute set
+// to "" and an item set to false stay distinct from absent ones, and a
+// profile decoded from null (or missing) maps encodes them as null
+// again.
 type Profile struct {
+	User graph.UserID
+
+	vals  [numSlots]string // attribute values, AllAttributes order
+	set   uint8            // bit a: attribute slot a holds a value
+	seen  uint8            // bit i: item slot i has a visibility entry
+	shown uint8            // bit i: item slot i is visible
+	maps  uint8            // hasAttrs, hasVisible: the JSON maps are non-null
+	more  *overflow        // names outside the fixed slots; nil when none
+}
+
+// numSlots is the number of fixed attribute slots and of fixed item
+// slots.
+const numSlots = 7
+
+// Bits of Profile.maps.
+const (
+	hasAttrs uint8 = 1 << iota
+	hasVisible
+)
+
+// overflow holds the attributes and items a profile carries outside
+// the fixed slots.
+type overflow struct {
+	attrs   map[Attribute]string
+	visible map[Item]bool
+}
+
+// attrSlot returns the fixed slot of an attribute (its slotAttrs
+// position), or -1. A switch, not a scan of slotAttrs: Attr sits on
+// the weight build's hot path.
+func attrSlot(a Attribute) int {
+	switch a {
+	case AttrGender:
+		return 0
+	case AttrLocale:
+		return 1
+	case AttrLastName:
+		return 2
+	case AttrHometown:
+		return 3
+	case AttrEducation:
+		return 4
+	case AttrWork:
+		return 5
+	case AttrLocation:
+		return 6
+	}
+	return -1
+}
+
+// itemSlot returns the fixed slot of an item (its slotItems position),
+// or -1.
+func itemSlot(i Item) int {
+	switch i {
+	case ItemWall:
+		return 0
+	case ItemPhoto:
+		return 1
+	case ItemFriend:
+		return 2
+	case ItemLocation:
+		return 3
+	case ItemEdu:
+		return 4
+	case ItemWork:
+		return 5
+	case ItemHometown:
+		return 6
+	}
+	return -1
+}
+
+// NewProfile returns an empty profile for the user.
+func NewProfile(u graph.UserID) *Profile {
+	return &Profile{User: u, maps: hasAttrs | hasVisible}
+}
+
+// Attr returns the value of the attribute, or "" when unset.
+func (p *Profile) Attr(a Attribute) string {
+	if s := attrSlot(a); s >= 0 {
+		return p.vals[s]
+	}
+	if p.more == nil {
+		return ""
+	}
+	return p.more.attrs[a]
+}
+
+// SetAttr sets an attribute value.
+func (p *Profile) SetAttr(a Attribute, v string) {
+	p.maps |= hasAttrs
+	if s := attrSlot(a); s >= 0 {
+		p.vals[s] = v
+		p.set |= 1 << s
+		return
+	}
+	o := p.overflow()
+	if o.attrs == nil {
+		o.attrs = make(map[Attribute]string)
+	}
+	o.attrs[a] = v
+}
+
+// IsVisible reports whether the benefit item is visible to non-friends.
+// This is Vs(i, o) of the benefit measure.
+func (p *Profile) IsVisible(i Item) bool {
+	if s := itemSlot(i); s >= 0 {
+		return p.shown&(1<<s) != 0
+	}
+	return p.more != nil && p.more.visible[i]
+}
+
+// SetVisible sets the visibility bit of a benefit item.
+func (p *Profile) SetVisible(i Item, v bool) {
+	p.maps |= hasVisible
+	if s := itemSlot(i); s >= 0 {
+		p.seen |= 1 << s
+		if v {
+			p.shown |= 1 << s
+		} else {
+			p.shown &^= 1 << s
+		}
+		return
+	}
+	o := p.overflow()
+	if o.visible == nil {
+		o.visible = make(map[Item]bool)
+	}
+	o.visible[i] = v
+}
+
+// overflow returns the profile's overflow, allocating it on first use.
+func (p *Profile) overflow() *overflow {
+	if p.more == nil {
+		p.more = &overflow{}
+	}
+	return p.more
+}
+
+// EachAttr calls fn for every attribute the profile sets, the fixed
+// ones in AllAttributes order, then any others by name.
+func (p *Profile) EachAttr(fn func(a Attribute, v string)) {
+	for s, a := range slotAttrs {
+		if p.set&(1<<s) != 0 {
+			fn(a, p.vals[s])
+		}
+	}
+	if p.more == nil {
+		return
+	}
+	names := make([]Attribute, 0, len(p.more.attrs))
+	for a := range p.more.attrs {
+		names = append(names, a)
+	}
+	sort.Slice(names, func(i, j int) bool { return names[i] < names[j] })
+	for _, a := range names {
+		fn(a, p.more.attrs[a])
+	}
+}
+
+// EachVisible calls fn for every item the profile carries a visibility
+// entry for, visible or not: the fixed ones in Items order, then any
+// others by name.
+func (p *Profile) EachVisible(fn func(i Item, visible bool)) {
+	for s, it := range slotItems {
+		if p.seen&(1<<s) != 0 {
+			fn(it, p.shown&(1<<s) != 0)
+		}
+	}
+	if p.more == nil {
+		return
+	}
+	names := make([]Item, 0, len(p.more.visible))
+	for it := range p.more.visible {
+		names = append(names, it)
+	}
+	sort.Slice(names, func(i, j int) bool { return names[i] < names[j] })
+	for _, it := range names {
+		fn(it, p.more.visible[it])
+	}
+}
+
+// Clone returns a deep copy.
+func (p *Profile) Clone() *Profile {
+	c := *p
+	if p.more != nil {
+		c.more = &overflow{}
+		if p.more.attrs != nil {
+			c.more.attrs = make(map[Attribute]string, len(p.more.attrs))
+			for k, v := range p.more.attrs {
+				c.more.attrs[k] = v
+			}
+		}
+		if p.more.visible != nil {
+			c.more.visible = make(map[Item]bool, len(p.more.visible))
+			for k, v := range p.more.visible {
+				c.more.visible[k] = v
+			}
+		}
+	}
+	return &c
+}
+
+// profileJSON is the wire form of a Profile.
+type profileJSON struct {
 	User    graph.UserID         `json:"user"`
 	Attrs   map[Attribute]string `json:"attrs"`
 	Visible map[Item]bool        `json:"visible"`
 }
 
-// NewProfile returns an empty profile for the user.
-func NewProfile(u graph.UserID) *Profile {
-	return &Profile{
-		User:    u,
-		Attrs:   make(map[Attribute]string),
-		Visible: make(map[Item]bool),
+// MarshalJSON encodes the profile in its map form.
+func (p *Profile) MarshalJSON() ([]byte, error) {
+	w := profileJSON{User: p.User}
+	if p.maps&hasAttrs != 0 {
+		w.Attrs = make(map[Attribute]string)
+		p.EachAttr(func(a Attribute, v string) { w.Attrs[a] = v })
 	}
+	if p.maps&hasVisible != 0 {
+		w.Visible = make(map[Item]bool)
+		p.EachVisible(func(i Item, v bool) { w.Visible[i] = v })
+	}
+	return json.Marshal(w)
 }
 
-// Attr returns the value of the attribute, or "" when unset.
-func (p *Profile) Attr(a Attribute) string { return p.Attrs[a] }
-
-// SetAttr sets an attribute value.
-func (p *Profile) SetAttr(a Attribute, v string) { p.Attrs[a] = v }
-
-// IsVisible reports whether the benefit item is visible to non-friends.
-// This is Vs(i, o) of the benefit measure.
-func (p *Profile) IsVisible(i Item) bool { return p.Visible[i] }
-
-// SetVisible sets the visibility bit of a benefit item.
-func (p *Profile) SetVisible(i Item, v bool) { p.Visible[i] = v }
-
-// Clone returns a deep copy.
-func (p *Profile) Clone() *Profile {
-	c := NewProfile(p.User)
-	for k, v := range p.Attrs {
-		c.Attrs[k] = v
+// UnmarshalJSON decodes the map form, replacing the profile's contents.
+func (p *Profile) UnmarshalJSON(b []byte) error {
+	var w profileJSON
+	if err := json.Unmarshal(b, &w); err != nil {
+		return err
 	}
-	for k, v := range p.Visible {
-		c.Visible[k] = v
+	*p = Profile{User: w.User}
+	if w.Attrs != nil {
+		p.maps |= hasAttrs
 	}
-	return c
+	if w.Visible != nil {
+		p.maps |= hasVisible
+	}
+	for a, v := range w.Attrs {
+		p.SetAttr(a, v)
+	}
+	for i, v := range w.Visible {
+		p.SetVisible(i, v)
+	}
+	return nil
 }
 
 // Validate checks that the profile carries at least the clustering
 // attributes the pipeline depends on.
 func (p *Profile) Validate() error {
 	for _, a := range ClusteringAttributes() {
-		if p.Attrs[a] == "" {
+		if p.Attr(a) == "" {
 			return fmt.Errorf("profile: user %d missing attribute %q", p.User, a)
 		}
 	}
@@ -250,7 +478,7 @@ func (s *Store) ValueFrequencies(users []graph.UserID, a Attribute) map[string]i
 		if p == nil {
 			continue
 		}
-		if v := p.Attrs[a]; v != "" {
+		if v := p.Attr(a); v != "" {
 			freq[v]++
 		}
 	}
@@ -268,7 +496,7 @@ func (s *Store) VisibilityRate(users []graph.UserID, i Item) float64 {
 			continue
 		}
 		n++
-		if p.Visible[i] {
+		if p.IsVisible(i) {
 			vis++
 		}
 	}

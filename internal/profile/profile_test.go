@@ -1,6 +1,9 @@
 package profile
 
 import (
+	"bytes"
+	"encoding/json"
+	"math/rand"
 	"testing"
 
 	"sightrisk/internal/graph"
@@ -186,5 +189,143 @@ func TestVisibilityRate(t *testing.T) {
 	}
 	if got := s.VisibilityRate([]graph.UserID{99}, ItemPhoto); got != 0 {
 		t.Fatalf("VisibilityRate(missing profiles) = %g, want 0", got)
+	}
+}
+
+// legacyProfile is the map-backed layout Profile had before its fixed
+// slots, with the same JSON tags: the reference its encoding must
+// match byte for byte.
+type legacyProfile struct {
+	User    graph.UserID         `json:"user"`
+	Attrs   map[Attribute]string `json:"attrs"`
+	Visible map[Item]bool        `json:"visible"`
+}
+
+// randomLegacy draws a profile in the legacy layout: fixed and custom
+// attribute names (some set to ""), fixed and custom items (some
+// false), values needing JSON escapes, and null or empty maps.
+func randomLegacy(rng *rand.Rand) legacyProfile {
+	attrs := append(AllAttributes(), "nickname", "<b>&co")
+	items := append(Items(), "stories", "map")
+	values := []string{"", "male", "it_IT", "Smith-1", "<script>", "é ", "a\"b\\c"}
+	p := legacyProfile{User: graph.UserID(rng.Intn(1000))}
+	if rng.Intn(6) > 0 {
+		p.Attrs = map[Attribute]string{}
+		for _, a := range attrs {
+			if rng.Intn(2) == 0 {
+				p.Attrs[a] = values[rng.Intn(len(values))]
+			}
+		}
+	}
+	if rng.Intn(6) > 0 {
+		p.Visible = map[Item]bool{}
+		for _, it := range items {
+			if rng.Intn(2) == 0 {
+				p.Visible[it] = rng.Intn(2) == 0
+			}
+		}
+	}
+	return p
+}
+
+// TestProfileJSONMatchesLegacyLayout: decoding the legacy encoding and
+// encoding it again gives back the same bytes, and every accessor
+// agrees with the legacy maps.
+func TestProfileJSONMatchesLegacyLayout(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for c := 0; c < 2000; c++ {
+		ref := randomLegacy(rng)
+		want, err := json.Marshal(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var p Profile
+		if err := json.Unmarshal(want, &p); err != nil {
+			t.Fatalf("case %d: %v", c, err)
+		}
+		got, err := json.Marshal(&p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("case %d: encoded\n%s\nlegacy\n%s", c, got, want)
+		}
+		if clone, _ := json.Marshal(p.Clone()); !bytes.Equal(clone, want) {
+			t.Fatalf("case %d: clone encodes as\n%s\nwant\n%s", c, clone, want)
+		}
+		attrs := map[Attribute]string{}
+		p.EachAttr(func(a Attribute, v string) { attrs[a] = v })
+		visible := map[Item]bool{}
+		p.EachVisible(func(i Item, v bool) { visible[i] = v })
+		if len(attrs) != len(ref.Attrs) || len(visible) != len(ref.Visible) {
+			t.Fatalf("case %d: accessors see %d attributes and %d items, legacy %d and %d", c, len(attrs), len(visible), len(ref.Attrs), len(ref.Visible))
+		}
+		for a, v := range ref.Attrs {
+			if attrs[a] != v || p.Attr(a) != v {
+				t.Fatalf("case %d: attribute %q = %q, legacy %q", c, a, p.Attr(a), v)
+			}
+		}
+		for i, v := range ref.Visible {
+			if visible[i] != v || p.IsVisible(i) != v {
+				t.Fatalf("case %d: item %q visible = %v, legacy %v", c, i, p.IsVisible(i), v)
+			}
+		}
+	}
+}
+
+// TestProfileSetEmptyIsNotAbsent: an attribute set to "" and an item
+// set to false are encoded, unlike absent ones, and a fresh profile
+// encodes empty maps where a zero one encodes null.
+func TestProfileSetEmptyIsNotAbsent(t *testing.T) {
+	p := NewProfile(3)
+	if b, _ := json.Marshal(p); string(b) != `{"user":3,"attrs":{},"visible":{}}` {
+		t.Fatalf("fresh profile: %s", b)
+	}
+	p.SetAttr(AttrWork, "")
+	p.SetVisible(ItemWall, false)
+	p.SetAttr("nickname", "")
+	if b, _ := json.Marshal(p); string(b) != `{"user":3,"attrs":{"nickname":"","work":""},"visible":{"wall":false}}` {
+		t.Fatalf("set-but-empty profile: %s", b)
+	}
+	if b, _ := json.Marshal(&Profile{User: 4}); string(b) != `{"user":4,"attrs":null,"visible":null}` {
+		t.Fatalf("zero profile: %s", b)
+	}
+}
+
+// TestProfileOneAllocation: a profile with only the fixed attributes
+// and items is a single allocation.
+func TestProfileOneAllocation(t *testing.T) {
+	allocs := testing.AllocsPerRun(100, func() {
+		p := NewProfile(1)
+		for _, a := range AllAttributes() {
+			p.SetAttr(a, "v")
+		}
+		for _, i := range Items() {
+			p.SetVisible(i, true)
+		}
+		sink = p
+	})
+	if allocs != 1 {
+		t.Fatalf("%g allocations per profile, want 1", allocs)
+	}
+}
+
+var sink *Profile
+
+// TestSlotsMatchNames: every fixed slot lookup lands on the slot its
+// name occupies, so the switch and the name tables cannot drift.
+func TestSlotsMatchNames(t *testing.T) {
+	for s, a := range AllAttributes() {
+		if got := attrSlot(a); got != s {
+			t.Fatalf("attribute %q: slot %d, want %d", a, got, s)
+		}
+	}
+	for s, it := range Items() {
+		if got := itemSlot(it); got != s {
+			t.Fatalf("item %q: slot %d, want %d", it, got, s)
+		}
+	}
+	if attrSlot("nickname") != -1 || itemSlot("stories") != -1 {
+		t.Fatal("a custom name got a fixed slot")
 	}
 }

@@ -144,13 +144,13 @@ func (s *Server) routeJob(w http.ResponseWriter, r *http.Request) *job {
 	if j := s.job(id); j != nil {
 		return j
 	}
-	if !s.clustered() || s.store == nil {
+	if s.store == nil {
 		writeErr(w, http.StatusNotFound, "not_found", "no such estimate", 0)
 		return nil
 	}
 	rec, err := s.store.GetJob(id)
 	if errors.Is(err, os.ErrNotExist) {
-		// The shared store is authoritative: no record means the id never
+		// The store is authoritative: no record means the id never
 		// existed on any replica.
 		writeErr(w, http.StatusNotFound, "not_found", "no such estimate", 0)
 		return nil
@@ -158,6 +158,22 @@ func (s *Server) routeJob(w http.ResponseWriter, r *http.Request) *job {
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, "internal", err.Error(), 0)
 		return nil
+	}
+	if !s.clustered() {
+		// Recovery put every persisted job in the table, so this is a
+		// finished job the table evicted: restore it from its final
+		// record. Without one there is nothing to serve, and nothing is
+		// relaunched.
+		j, err := s.restoreFinal(rec)
+		if errors.Is(err, os.ErrNotExist) {
+			writeErr(w, http.StatusNotFound, "not_found", "no such estimate", 0)
+			return nil
+		}
+		if err != nil {
+			writeErr(w, http.StatusInternalServerError, "internal", err.Error(), 0)
+			return nil
+		}
+		return j
 	}
 	if r.Header.Get(ForwardHeader) != "" {
 		// A peer already routed this here: we are the believed owner, so

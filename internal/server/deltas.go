@@ -393,7 +393,7 @@ func (s *Server) handleRevise(w http.ResponseWriter, r *http.Request) {
 			s.logf("sightd: persist job %s: %v", j2.id, err)
 		}
 		j2.complete(held.report, held.run.QueriedCount())
-		s.persistFinal(j2)
+		s.finish(j2)
 		s.logf("sightd: job %s revised as %s without recompute (no reachable updates)", j.id, j2.id)
 		writeJSON(w, http.StatusAccepted, j2.snapshot())
 		return

@@ -117,8 +117,11 @@ type Server struct {
 	baseCancel context.CancelFunc
 	wg         sync.WaitGroup
 
-	mu       sync.Mutex
-	jobs     map[string]*job
+	mu   sync.Mutex
+	jobs map[string]*job
+	// finished lists the ids of the finished jobs still in jobs, oldest
+	// first; retire keeps at most maxFinishedJobs of them.
+	finished []string
 	nextID   int
 	draining bool
 	killed   bool
@@ -730,7 +733,7 @@ func (s *Server) runJob(j *job, adm *fleet.Admission, resume *core.Checkpoint) {
 	if apiErr != nil {
 		adm.Cancel()
 		j.fail(apiErr)
-		s.persistFinal(j)
+		s.finish(j)
 		return
 	}
 	var (
@@ -807,7 +810,7 @@ func (s *Server) runJob(j *job, adm *fleet.Admission, resume *core.Checkpoint) {
 			code = "canceled"
 		}
 		j.fail(&client.APIError{Code: code, Message: err.Error()})
-		s.persistFinal(j)
+		s.finish(j)
 		return
 	}
 	if run.Partial && drained {
@@ -827,7 +830,7 @@ func (s *Server) runJob(j *job, adm *fleet.Admission, resume *core.Checkpoint) {
 		j.shareDeltas(rep)
 	}
 	j.complete(rep, run.QueriedCount())
-	s.persistFinal(j)
+	s.finish(j)
 }
 
 // ---- response helpers ----
