@@ -62,9 +62,10 @@ type Config struct {
 	// paper's NS or a custom Pool.NetworkSim) read. The caller must take
 	// it from the same graph passed to RunOwner (the fleet scheduler
 	// shares one snapshot across every tenant's runs). When nil,
-	// RunOwner reads the graph's cached snapshot (see
-	// graph.Graph.Snapshot: one build per change to the graph, shared
-	// by every reader).
+	// RunOwner reads the graph's current snapshot (see
+	// graph.Graph.Snapshot: the graph's frozen base, into which the
+	// first read after a change folds that change in one O(V + E)
+	// copy, shared by every reader until the next change).
 	//
 	// With a Snapshot set, RunOwner also accepts a nil graph: every
 	// structural query is answered by the snapshot. This is how

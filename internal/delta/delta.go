@@ -126,10 +126,7 @@ func (b Batch) ApplyCloned(g *graph.Graph, store *profile.Store) (*profile.Store
 	if g == nil || store == nil {
 		return nil, fmt.Errorf("delta: ApplyCloned needs a mutable graph and a profile store")
 	}
-	next := profile.NewStore()
-	for _, u := range store.Users() {
-		next.Put(store.Get(u))
-	}
+	next := store.Clone()
 	cloned := map[graph.UserID]bool{}
 	for _, u := range b {
 		if u.Kind != ProfileSet && u.Kind != VisibilitySet {

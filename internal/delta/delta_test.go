@@ -2,6 +2,8 @@ package delta_test
 
 import (
 	"context"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"sightrisk/internal/active"
@@ -143,6 +145,128 @@ func TestDirtyOwners(t *testing.T) {
 	dirty := delta.DirtyOwners(g, []graph.UserID{1, 6}, b)
 	if len(dirty) != 1 || dirty[0] != 6 {
 		t.Fatalf("dirty = %v, want [6]", dirty)
+	}
+}
+
+// referenceDirtyOwners is the per-owner loop DirtyOwners replaced: one
+// Affected call, so one 2-hop enumeration, per owner.
+func referenceDirtyOwners(g *graph.Graph, owners []graph.UserID, b delta.Batch) []graph.UserID {
+	var dirty []graph.UserID
+	for _, o := range owners {
+		if delta.Affected(g, o, b) {
+			dirty = append(dirty, o)
+		}
+	}
+	return dirty
+}
+
+// TestPropDirtyOwnersMatchesAffected: over random graphs, owner lists
+// (shuffled, with absent and repeated owners) and coalesced batches of
+// every kind — edge adds and removes between present nodes, to new
+// nodes and at owners, repeated endpoints, profile sets, node adds and
+// visibility flips — DirtyOwners returns exactly the per-owner
+// Affected loop's result, on the graph before the batch and after it.
+func TestPropDirtyOwnersMatchesAffected(t *testing.T) {
+	attrs := profile.ClusteringAttributes()
+	for seed := int64(1); seed <= 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(40)
+		g := graph.New()
+		for k := 0; k < n; k++ {
+			g.AddNode(graph.UserID(k))
+		}
+		for k := rng.Intn(3 * n); k > 0; k-- {
+			_ = g.AddEdge(graph.UserID(rng.Intn(n)), graph.UserID(rng.Intn(n)))
+		}
+		// Ids up to n+4 are absent: new nodes and absent owners.
+		node := func() graph.UserID { return graph.UserID(rng.Intn(n + 5)) }
+		var owners []graph.UserID
+		for k := 1 + rng.Intn(8); k > 0; k-- {
+			owners = append(owners, node())
+		}
+		var batches []delta.Batch
+		for k := 1 + rng.Intn(4); k > 0; k-- {
+			var b delta.Batch
+			for j := 1 + rng.Intn(4); j > 0; j-- {
+				a, c := node(), node()
+				switch rng.Intn(5) {
+				case 0:
+					if rng.Intn(3) == 0 {
+						a = owners[rng.Intn(len(owners))]
+					}
+					if a != c {
+						b = append(b, delta.Update{Kind: delta.EdgeAdd, A: a, B: c})
+					}
+				case 1:
+					if nb := g.Friends(a); len(nb) > 0 && rng.Intn(2) == 0 {
+						c = nb[rng.Intn(len(nb))]
+					}
+					if a != c {
+						b = append(b, delta.Update{Kind: delta.EdgeRemove, A: a, B: c})
+					}
+				case 2:
+					b = append(b, delta.Update{Kind: delta.ProfileSet, A: a, Attr: string(attrs[rng.Intn(len(attrs))]), Value: "v"})
+				case 3:
+					b = append(b, delta.Update{Kind: delta.NodeAdd, A: a})
+				default:
+					b = append(b, delta.Update{Kind: delta.VisibilitySet, A: a, Attr: string(profile.ItemWall), Visible: true})
+				}
+			}
+			batches = append(batches, b)
+		}
+		b := delta.Coalesce(batches)
+		for _, side := range []string{"before", "after"} {
+			if side == "after" {
+				if err := b.Apply(g, profile.NewStore()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, want := delta.DirtyOwners(g, owners, b), referenceDirtyOwners(g, owners, b)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d, %s the batch: owners %v batch %+v: DirtyOwners = %v, Affected loop %v", seed, side, owners, b, got, want)
+			}
+		}
+	}
+}
+
+// TestApplyClonedCopiesTouchedProfiles: ApplyCloned leaves the source
+// store as it was, shares every profile the batch did not touch, and
+// gives each touched one its own copy — so a SetAttr on a touched
+// profile in the clone never reaches the source.
+func TestApplyClonedCopiesTouchedProfiles(t *testing.T) {
+	g := graph.New()
+	store := profile.NewStore()
+	for u := graph.UserID(1); u <= 3; u++ {
+		p := profile.NewProfile(u)
+		p.SetAttr(profile.AttrLocale, "en_US")
+		store.Put(p)
+	}
+	b := delta.Batch{
+		{Kind: delta.ProfileSet, A: 1, Attr: string(profile.AttrLocale), Value: "it_IT"},
+		{Kind: delta.VisibilitySet, A: 2, Attr: string(profile.ItemWall), Visible: true},
+		{Kind: delta.ProfileSet, A: 4, Attr: string(profile.AttrLocale), Value: "fr_FR"},
+	}
+	next, err := b.ApplyCloned(g, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.Get(3) != store.Get(3) {
+		t.Fatal("untouched profile copied")
+	}
+	for _, u := range []graph.UserID{1, 2} {
+		if next.Get(u) == store.Get(u) {
+			t.Fatalf("touched profile %d shared with the source", u)
+		}
+	}
+	next.Get(2).SetAttr(profile.AttrLocale, "de_DE")
+	if got := store.Get(1).Attr(profile.AttrLocale); got != "en_US" {
+		t.Fatalf("source profile 1 locale = %q after the batch, want en_US", got)
+	}
+	if got := store.Get(2).Attr(profile.AttrLocale); got != "en_US" || store.Get(2).IsVisible(profile.ItemWall) {
+		t.Fatalf("source profile 2 changed: locale %q, wall visible %v", got, store.Get(2).IsVisible(profile.ItemWall))
+	}
+	if store.Has(4) || next.Get(4).Attr(profile.AttrLocale) != "fr_FR" || next.Get(1).Attr(profile.AttrLocale) != "it_IT" {
+		t.Fatal("batch not applied to the clone alone")
 	}
 }
 

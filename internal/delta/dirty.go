@@ -76,12 +76,61 @@ func Affected(g *graph.Graph, owner graph.UserID, b Batch) bool {
 // DirtyOwners filters owners down to those the batch can affect,
 // preserving input order. This is the server's fan-out: an update
 // batch invalidates only the dirty owners' prior estimates.
+//
+// The set equals what Affected returns owner by owner, computed from
+// the batch's side instead: hop distance is symmetric, so an edge
+// endpoint lies in an owner's 2-hop view exactly when the owner lies
+// within two hops of the endpoint, and a profile subject is the owner
+// or one of its strangers exactly when the owner is the subject or one
+// of the subject's strangers. Each distinct subject costs one
+// enumeration of its own 2-hop view, whatever the number of owners.
 func DirtyOwners(g *graph.Graph, owners []graph.UserID, b Batch) []graph.UserID {
-	var dirty []graph.UserID
+	if g == nil || len(b) == 0 {
+		return nil
+	}
+	dirty := make(map[graph.UserID]bool, len(owners)) // owner → reached
 	for _, o := range owners {
-		if Affected(g, o, b) {
-			dirty = append(dirty, o)
+		dirty[o] = false
+	}
+	mark := func(ids ...graph.UserID) {
+		for _, id := range ids {
+			if _, ok := dirty[id]; ok {
+				dirty[id] = true
+			}
 		}
 	}
-	return dirty
+	// reached records how far each subject's view is marked: 1 for the
+	// subject and its strangers, 2 for its friends as well.
+	reached := map[graph.UserID]int{}
+	reach := func(x graph.UserID, level int) {
+		if reached[x] >= level {
+			return
+		}
+		if reached[x] == 0 {
+			mark(x)
+			mark(g.Strangers(x)...)
+		}
+		if level == 2 {
+			mark(g.Friends(x)...)
+		}
+		reached[x] = level
+	}
+	for _, u := range b {
+		switch u.Kind {
+		case EdgeAdd, EdgeRemove:
+			reach(u.A, 2)
+			reach(u.B, 2)
+		case ProfileSet:
+			reach(u.A, 1)
+		case NodeAdd, VisibilitySet:
+			// Never dirties a report (see Affected).
+		}
+	}
+	var out []graph.UserID
+	for _, o := range owners {
+		if dirty[o] {
+			out = append(out, o)
+		}
+	}
+	return out
 }

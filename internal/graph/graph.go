@@ -4,14 +4,16 @@
 // The graph stores users as nodes identified by a stable UserID and
 // friendship links as undirected edges. It supports the structural
 // queries the ICDE 2012 risk paper relies on: mutual friends of two
-// users, the edge count and density of the subgraph induced by a node
-// set (used by the network-similarity measure), and enumeration of an
-// owner's strangers, i.e. second-hop contacts that are not already
-// friends of the owner.
+// users, the edge count of the subgraph induced by a node set (used by
+// the network-similarity measure), and enumeration of an owner's
+// strangers, i.e. second-hop contacts that are not already friends of
+// the owner.
 //
-// Graph is the mutable form that changes go through; the risk
-// pipeline's algorithms read its frozen CSR view, Snapshot, which
-// Graph.Snapshot caches until the next structural change.
+// Graph is the mutable form that changes go through: a frozen CSR base
+// plus an overlay of copy-on-write rows for the nodes changed since
+// that base. The risk pipeline's algorithms read the frozen CSR view,
+// Snapshot; Graph.Snapshot folds the overlay into a new base and
+// returns it, and a Clone shares that base.
 //
 // All mutating and reading methods are safe for concurrent use.
 // Iteration orders are deterministic (sorted by UserID) so that
@@ -20,30 +22,40 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
-	"sync/atomic"
 )
 
 // UserID identifies a user (node) in the social graph.
 type UserID int64
 
-// Graph is an undirected social graph. The zero value is not usable;
-// call New.
+// Graph is an undirected social graph: a frozen CSR base (a Snapshot)
+// plus an overlay holding the current sorted row of every node changed
+// since that base. The first change to a node copies its base row into
+// the overlay and later changes edit that copy, so an edge update
+// costs O(degree) and never touches the base, which clones and
+// snapshot readers share. Node ids only grow: nodes are never removed.
+// The zero value is not usable; call New.
 type Graph struct {
-	mu  sync.RWMutex
-	adj map[UserID]map[UserID]struct{}
-
-	edgeCount int
-	// snap caches the Snapshot of the current structure. It is stored
-	// only under the read lock and cleared under the write lock by
-	// every structural change, so a cached view is never outdated.
-	snap atomic.Pointer[Snapshot]
+	mu sync.RWMutex
+	// base is the frozen CSR the overlay applies to. It is never written
+	// after construction.
+	base *Snapshot
+	// rows is the overlay: the current row of every node changed since
+	// base, new nodes included. Rows are private to the graph; no read
+	// hands one out.
+	rows map[UserID][]UserID
+	// changed lists the overlay's nodes in first-change order, so the
+	// fold walks a slice instead of the map; added counts those absent
+	// from base.
+	changed []UserID
+	added   int
+	edges   int
 }
 
 // New returns an empty graph.
 func New() *Graph {
-	return &Graph{adj: make(map[UserID]map[UserID]struct{})}
+	return &Graph{base: &Snapshot{ids: []UserID{}, offsets: []int32{0}}}
 }
 
 // AddNode inserts the node if it is not already present.
@@ -54,29 +66,29 @@ func (g *Graph) AddNode(id UserID) {
 }
 
 func (g *Graph) addNodeLocked(id UserID) {
-	if _, ok := g.adj[id]; !ok {
-		g.adj[id] = make(map[UserID]struct{})
-		g.snap.Store(nil)
+	if !g.hasNodeLocked(id) {
+		g.touchLocked(id, true)
+		g.rows[id] = nil
 	}
 }
 
 // AddEdge inserts an undirected friendship edge between a and b,
 // creating either node if needed. Self loops are rejected.
 func (g *Graph) AddEdge(a, b UserID) error {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.addEdgeLocked(a, b)
+}
+
+func (g *Graph) addEdgeLocked(a, b UserID) error {
 	if a == b {
 		return fmt.Errorf("graph: self loop on user %d", a)
 	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.addNodeLocked(a)
-	g.addNodeLocked(b)
-	if _, ok := g.adj[a][b]; ok {
-		return nil
+	if !g.linkLocked(a, b, true) {
+		return nil // already friends
 	}
-	g.adj[a][b] = struct{}{}
-	g.adj[b][a] = struct{}{}
-	g.edgeCount++
-	g.snap.Store(nil)
+	g.linkLocked(b, a, true)
+	g.edges++
 	return nil
 }
 
@@ -84,44 +96,87 @@ func (g *Graph) AddEdge(a, b UserID) error {
 func (g *Graph) RemoveEdge(a, b UserID) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if _, ok := g.adj[a][b]; !ok {
-		return
+	if g.linkLocked(a, b, false) {
+		g.linkLocked(b, a, false)
+		g.edges--
 	}
-	delete(g.adj[a], b)
-	delete(g.adj[b], a)
-	g.edgeCount--
-	g.snap.Store(nil)
 }
 
-// RemoveNode deletes the node and all its incident edges.
-func (g *Graph) RemoveNode(id UserID) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	neigh, ok := g.adj[id]
-	if !ok {
-		return
+// linkLocked inserts b into a's row (add) or deletes it from there,
+// and reports whether the row changed. A row that changes for the
+// first time since the base is copied into the overlay first; adding
+// to the row of a node the graph lacks creates the node.
+func (g *Graph) linkLocked(a, b UserID, add bool) bool {
+	row, inOverlay := g.rows[a]
+	if !inOverlay {
+		row = g.base.Friends(a)
 	}
-	for n := range neigh {
-		delete(g.adj[n], id)
-		g.edgeCount--
+	j, found := search(row, b)
+	if found == add {
+		return false // b is already in the row (add) or already gone
 	}
-	delete(g.adj, id)
-	g.snap.Store(nil)
+	if !inOverlay {
+		g.touchLocked(a, len(row) == 0 && !g.base.HasNode(a))
+		row = append(make([]UserID, 0, len(row)+1), row...)
+	}
+	if add {
+		row = slices.Insert(row, j, b)
+	} else {
+		row = slices.Delete(row, j, j+1)
+	}
+	g.rows[a] = row
+	return true
+}
+
+// touchLocked records id's first change since the base, before its
+// row enters the overlay; added marks a node the base lacks.
+func (g *Graph) touchLocked(id UserID, added bool) {
+	if g.rows == nil {
+		g.rows = make(map[UserID][]UserID)
+	}
+	g.changed = append(g.changed, id)
+	if added {
+		g.added++
+	}
+}
+
+// search returns where x is, or belongs, in the ascending row. Rows
+// built in id order only ever append, so the end is checked first.
+func search(row []UserID, x UserID) (int, bool) {
+	if n := len(row); n == 0 || row[n-1] < x {
+		return n, false
+	}
+	return slices.BinarySearch(row, x)
+}
+
+// rowLocked returns id's current sorted row, from the overlay or the
+// base. Callers must not modify or retain it.
+func (g *Graph) rowLocked(id UserID) []UserID {
+	if row, ok := g.rows[id]; ok {
+		return row
+	}
+	return g.base.Friends(id)
+}
+
+func (g *Graph) hasNodeLocked(id UserID) bool {
+	if _, ok := g.rows[id]; ok {
+		return true
+	}
+	return g.base.HasNode(id)
 }
 
 // HasNode reports whether the node exists.
 func (g *Graph) HasNode(id UserID) bool {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	_, ok := g.adj[id]
-	return ok
+	return g.hasNodeLocked(id)
 }
 
 // HasEdge reports whether a and b are friends.
 func (g *Graph) HasEdge(a, b UserID) bool {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	_, ok := g.adj[a][b]
+	_, ok := search(g.rowLocked(a), b)
 	return ok
 }
 
@@ -129,51 +184,36 @@ func (g *Graph) HasEdge(a, b UserID) bool {
 func (g *Graph) NumNodes() int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return len(g.adj)
+	return g.base.NumNodes() + g.added
 }
 
 // NumEdges returns the undirected edge count.
 func (g *Graph) NumEdges() int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return g.edgeCount
+	return g.edges
 }
 
 // Degree returns the number of friends of id, or 0 if id is absent.
 func (g *Graph) Degree(id UserID) int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return len(g.adj[id])
+	return len(g.rowLocked(id))
 }
 
-// Nodes returns all node ids in ascending order.
+// Nodes returns all node ids in ascending order, in a new slice.
 func (g *Graph) Nodes() []UserID {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	out := make([]UserID, 0, len(g.adj))
-	for id := range g.adj {
-		out = append(out, id)
-	}
-	sortIDs(out)
-	return out
+	ids := g.Snapshot().Nodes()
+	return append(make([]UserID, 0, len(ids)), ids...)
 }
 
-// Friends returns the friends of id in ascending order.
+// Friends returns the friends of id in ascending order, in a new slice
+// the caller may modify.
 func (g *Graph) Friends(id UserID) []UserID {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return sortedKeysLocked(g.adj[id])
-}
-
-// FriendSet returns a copy of id's adjacency set.
-func (g *Graph) FriendSet(id UserID) map[UserID]struct{} {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	out := make(map[UserID]struct{}, len(g.adj[id]))
-	for n := range g.adj[id] {
-		out[n] = struct{}{}
-	}
-	return out
+	row := g.rowLocked(id)
+	return append(make([]UserID, 0, len(row)), row...)
 }
 
 // MutualFriends returns the users that are friends of both a and b,
@@ -181,122 +221,43 @@ func (g *Graph) FriendSet(id UserID) map[UserID]struct{} {
 func (g *Graph) MutualFriends(a, b UserID) []UserID {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	na, nb := g.adj[a], g.adj[b]
-	if len(nb) < len(na) {
-		na, nb = nb, na
-	}
-	var out []UserID
-	for n := range na {
-		if _, ok := nb[n]; ok {
-			out = append(out, n)
-		}
-	}
-	sortIDs(out)
-	return out
+	return appendCommon(nil, g.rowLocked(a), g.rowLocked(b))
 }
 
 // InducedEdges returns the number of edges of the subgraph induced by
 // the given node set. Nodes absent from the graph are ignored.
 func (g *Graph) InducedEdges(nodes []UserID) int {
+	set := slices.Clone(nodes)
+	slices.Sort(set)
+	set = slices.Compact(set)
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	set := make(map[UserID]struct{}, len(nodes))
-	for _, n := range nodes {
-		if _, ok := g.adj[n]; ok {
-			set[n] = struct{}{}
-		}
-	}
 	count := 0
-	for n := range set {
-		for m := range g.adj[n] {
-			if _, ok := set[m]; ok {
-				count++
-			}
-		}
+	for _, u := range set {
+		count += countCommon(g.rowLocked(u), set)
 	}
 	return count / 2
-}
-
-// InducedDensity returns the edge density (in [0,1]) of the subgraph
-// induced by the node set: edges / C(n,2). Sets with fewer than two
-// nodes have density 0.
-func (g *Graph) InducedDensity(nodes []UserID) float64 {
-	n := 0
-	g.mu.RLock()
-	for _, id := range nodes {
-		if _, ok := g.adj[id]; ok {
-			n++
-		}
-	}
-	g.mu.RUnlock()
-	if n < 2 {
-		return 0
-	}
-	possible := float64(n) * float64(n-1) / 2
-	return float64(g.InducedEdges(nodes)) / possible
 }
 
 // Strangers returns the owner's second-hop contacts: users at exactly
 // distance two, i.e. friends of the owner's friends that are neither
 // the owner nor the owner's direct friends. This is the stranger set
-// So of the paper (Section II). Result is in ascending order.
+// So of the paper (Section II). Result is in ascending order, in a new
+// slice. It reads the snapshot, so pending changes are folded first.
 func (g *Graph) Strangers(owner UserID) []UserID {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	own := g.adj[owner]
-	seen := make(map[UserID]struct{})
-	for f := range own {
-		for ff := range g.adj[f] {
-			if ff == owner {
-				continue
-			}
-			if _, direct := own[ff]; direct {
-				continue
-			}
-			seen[ff] = struct{}{}
-		}
+	if out := g.Snapshot().Strangers(owner); out != nil {
+		return out
 	}
-	return sortedKeysLocked(seen)
+	return []UserID{}
 }
 
-// BFSDistances returns the hop distance from src to every reachable
-// node (src itself has distance 0).
-func (g *Graph) BFSDistances(src UserID) map[UserID]int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	dist := map[UserID]int{}
-	if _, ok := g.adj[src]; !ok {
-		return dist
-	}
-	dist[src] = 0
-	queue := []UserID{src}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for n := range g.adj[cur] {
-			if _, ok := dist[n]; !ok {
-				dist[n] = dist[cur] + 1
-				queue = append(queue, n)
-			}
-		}
-	}
-	return dist
-}
-
-// Clone returns a deep copy of the graph.
+// Clone returns an independent copy of the graph. It folds any pending
+// changes into a new base (see Snapshot) and then shares that immutable
+// base, so cloning a graph whose snapshot is current costs O(1); each
+// side's later changes go to its own overlay.
 func (g *Graph) Clone() *Graph {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	c := New()
-	c.edgeCount = g.edgeCount
-	for id, neigh := range g.adj {
-		set := make(map[UserID]struct{}, len(neigh))
-		for n := range neigh {
-			set[n] = struct{}{}
-		}
-		c.adj[id] = set
-	}
-	return c
+	s := g.Snapshot()
+	return &Graph{base: s, edges: s.NumEdges()}
 }
 
 // DegreeStats summarizes the degree distribution.
@@ -308,36 +269,55 @@ type DegreeStats struct {
 // Degrees returns summary statistics over all node degrees. An empty
 // graph yields the zero value.
 func (g *Graph) Degrees() DegreeStats {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	if len(g.adj) == 0 {
+	s := g.Snapshot()
+	if s.NumNodes() == 0 {
 		return DegreeStats{}
 	}
 	st := DegreeStats{Min: int(^uint(0) >> 1)}
 	total := 0
-	for _, neigh := range g.adj {
-		d := len(neigh)
+	for i := range s.ids {
+		d := int(s.offsets[i+1] - s.offsets[i])
 		total += d
-		if d < st.Min {
-			st.Min = d
-		}
-		if d > st.Max {
-			st.Max = d
-		}
+		st.Min = min(st.Min, d)
+		st.Max = max(st.Max, d)
 	}
-	st.Mean = float64(total) / float64(len(g.adj))
+	st.Mean = float64(total) / float64(s.NumNodes())
 	return st
 }
 
-func sortIDs(ids []UserID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+// appendCommon appends the ids present in both ascending rows a and b
+// to dst, ascending, and returns the extended slice.
+func appendCommon(dst, a, b []UserID) []UserID {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			dst = append(dst, a[i])
+			i++
+			j++
+		}
+	}
+	return dst
 }
 
-func sortedKeysLocked(set map[UserID]struct{}) []UserID {
-	out := make([]UserID, 0, len(set))
-	for id := range set {
-		out = append(out, id)
+// countCommon returns how many ids the ascending rows a and b share.
+func countCommon(a, b []UserID) int {
+	i, j, n := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			n++
+			i++
+			j++
+		}
 	}
-	sortIDs(out)
-	return out
+	return n
 }

@@ -7,10 +7,12 @@ import "sort"
 // friends have coefficient 0.
 func (g *Graph) ClusteringCoefficient(id UserID) float64 {
 	friends := g.Friends(id)
-	if len(friends) < 2 {
+	n := len(friends)
+	if n < 2 {
 		return 0
 	}
-	return g.InducedDensity(friends)
+	possible := float64(n) * float64(n-1) / 2
+	return float64(g.InducedEdges(friends)) / possible
 }
 
 // MeanClusteringCoefficient averages the local clustering coefficient

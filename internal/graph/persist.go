@@ -38,16 +38,10 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 }
 
 func (g *Graph) toEdgeList() edgeList {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	el := edgeList{Nodes: make([]UserID, 0, len(g.adj))}
-	for id := range g.adj {
-		el.Nodes = append(el.Nodes, id)
-	}
-	sortIDs(el.Nodes)
-	for _, a := range el.Nodes {
-		neigh := sortedKeysLocked(g.adj[a])
-		for _, b := range neigh {
+	s := g.Snapshot()
+	el := edgeList{Nodes: append(make([]UserID, 0, len(s.ids)), s.ids...)}
+	for i, a := range s.ids {
+		for _, b := range s.adj[s.offsets[i]:s.offsets[i+1]] {
 			if a < b {
 				el.Edges = append(el.Edges, [2]UserID{a, b})
 			}
@@ -70,20 +64,19 @@ func (g *Graph) UnmarshalJSON(data []byte) error {
 		return fmt.Errorf("graph: decode: %w: %w", ErrMalformed, err)
 	}
 	// Build into a scratch graph so a bad edge cannot leave the
-	// receiver half-mutated.
+	// receiver half-mutated; nothing else sees it, so no lock is taken.
 	tmp := New()
 	for _, n := range el.Nodes {
 		tmp.addNodeLocked(n)
 	}
 	for _, e := range el.Edges {
-		if err := tmp.AddEdge(e[0], e[1]); err != nil {
+		if err := tmp.addEdgeLocked(e[0], e[1]); err != nil {
 			return fmt.Errorf("graph: decode: %w: %w", ErrMalformed, err)
 		}
 	}
+	base := tmp.foldLocked()
 	g.mu.Lock()
-	g.adj = tmp.adj
-	g.edgeCount = tmp.edgeCount
-	g.snap.Store(nil)
+	g.base, g.rows, g.changed, g.added, g.edges = base, nil, nil, 0, tmp.edges
 	g.mu.Unlock()
 	return nil
 }

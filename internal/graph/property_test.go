@@ -53,13 +53,9 @@ func TestPropStrangersDisjoint(t *testing.T) {
 	f := func(seed int64) bool {
 		g := randomGraph(seed, 40, 100)
 		owner := UserID(int(uint64(seed) % 40))
-		friends := g.FriendSet(owner)
-		dist := g.BFSDistances(owner)
+		dist := bfsDistances(g, owner)
 		for _, s := range g.Strangers(owner) {
-			if s == owner {
-				return false
-			}
-			if _, ok := friends[s]; ok {
+			if s == owner || g.HasEdge(owner, s) {
 				return false
 			}
 			if dist[s] != 2 {
@@ -85,8 +81,27 @@ func TestPropStrangersDisjoint(t *testing.T) {
 	}
 }
 
-// TestPropInducedBounds: induced edge counts and densities stay within
-// combinatorial bounds.
+// bfsDistances returns the hop distance from src to every node it
+// reaches (src itself at 0; nothing when src is absent).
+func bfsDistances(g *Graph, src UserID) map[UserID]int {
+	dist := map[UserID]int{}
+	if !g.HasNode(src) {
+		return dist
+	}
+	dist[src] = 0
+	for queue := []UserID{src}; len(queue) > 0; queue = queue[1:] {
+		for _, n := range g.Friends(queue[0]) {
+			if _, ok := dist[n]; !ok {
+				dist[n] = dist[queue[0]] + 1
+				queue = append(queue, n)
+			}
+		}
+	}
+	return dist
+}
+
+// TestPropInducedBounds: induced edge counts stay within combinatorial
+// bounds.
 func TestPropInducedBounds(t *testing.T) {
 	f := func(seed int64) bool {
 		g := randomGraph(seed, 25, 70)
@@ -95,12 +110,7 @@ func TestPropInducedBounds(t *testing.T) {
 		k := 1 + rng.Intn(len(nodes))
 		subset := nodes[:k]
 		edges := g.InducedEdges(subset)
-		maxEdges := k * (k - 1) / 2
-		if edges < 0 || edges > maxEdges {
-			return false
-		}
-		d := g.InducedDensity(subset)
-		return d >= 0 && d <= 1
+		return edges >= 0 && edges <= k*(k-1)/2
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
@@ -147,41 +157,15 @@ func TestPropCloneEqualButIndependent(t *testing.T) {
 			return false
 		}
 		before := g.NumEdges()
-		// Remove everything from the clone; original must be intact.
-		for _, n := range c.Nodes() {
-			c.RemoveNode(n)
+		// Remove every edge from the clone; original must be intact.
+		for _, a := range c.Nodes() {
+			for _, b := range c.Friends(a) {
+				c.RemoveEdge(a, b)
+			}
 		}
-		return g.NumEdges() == before && c.NumEdges() == 0
+		return g.NumEdges() == before && g.Snapshot().NumEdges() == before && c.NumEdges() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestPropRemoveNodeCleansEdges: after removing any node no edges
-// reference it and the edge count is consistent.
-func TestPropRemoveNodeCleansEdges(t *testing.T) {
-	f := func(seed int64) bool {
-		g := randomGraph(seed, 20, 60)
-		victim := UserID(int(uint64(seed) % 20))
-		g.RemoveNode(victim)
-		count := 0
-		for _, a := range g.Nodes() {
-			if a == victim {
-				return false
-			}
-			for _, b := range g.Friends(a) {
-				if b == victim {
-					return false
-				}
-				if a < b {
-					count++
-				}
-			}
-		}
-		return count == g.NumEdges()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
 }

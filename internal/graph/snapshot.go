@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -11,16 +12,15 @@ import (
 // for index-based traversals. It is the graph every structural
 // algorithm of the risk pipeline reads — NS and the classical
 // measures, NSG and pool construction, propagation, access
-// enforcement — while Graph is the mutable form that changes go
-// through. A Snapshot pays map iteration and sorting once at build
-// time; every read afterwards is a lock-free slice walk or binary
-// search.
+// enforcement — and the base a mutable Graph applies its changes to.
+// Every read is a lock-free slice walk or binary search.
 //
 // Snapshots are safe for unsynchronized concurrent use (they are never
-// mutated after construction) and are the unit of sharing in the
-// multi-tenant fleet scheduler: one frozen graph serves every tenant's
-// owner runs. A Snapshot does not observe later Graph mutations;
-// Graph.Snapshot returns a new one after the next change.
+// mutated after construction) and are the unit of sharing: one frozen
+// graph serves every tenant's owner runs in the fleet scheduler, and a
+// Graph and its clones share one as their base. A Snapshot does not
+// observe later Graph mutations; Graph.Snapshot returns a new one
+// after the next change.
 //
 // Every query is defined to return exactly what the corresponding
 // Graph method returned at freeze time; TestSnapshotEquivalence checks
@@ -93,61 +93,102 @@ func (s *Snapshot) indexOf(id UserID) (int32, bool) {
 }
 
 // Snapshot returns an immutable CSR view of the graph's current
-// structure. The view is built once, in O(V + E log d) for the per-row
-// sorts, and cached: every later call returns the same *Snapshot until
-// the next structural change (AddNode of a new node, AddEdge of a new
-// edge, RemoveEdge, RemoveNode, UnmarshalJSON), and the first call
-// after a change builds a fresh one. Every reader between two changes
-// shares one build; a graph that changes between every pair of reads
-// pays one build per read. The cache keeps the last view alive for as
-// long as the graph lives.
+// structure. A graph with no changes since its base returns that base,
+// so every later call returns the same *Snapshot until the next
+// structural change (AddNode of a new node, AddEdge of a new edge,
+// RemoveEdge of a present one, UnmarshalJSON). The first call after a
+// change folds the overlay into a new flat CSR, which becomes the new
+// base: one O(V + E) copy of the base arrays with the changed rows
+// spliced in. The fold shares the base's ids and id→index map when no
+// node was added, and does no map iteration and no per-row sort. Every
+// reader between two changes shares one fold; a graph that changes
+// between every pair of reads pays one fold per read.
 func (g *Graph) Snapshot() *Snapshot {
 	g.mu.RLock()
-	defer g.mu.RUnlock()
-	if s := g.snap.Load(); s != nil {
+	s, clean := g.base, len(g.rows) == 0
+	g.mu.RUnlock()
+	if clean {
 		return s
 	}
-	s := g.buildSnapshotLocked()
-	// Writers are excluded while the read lock is held, so s is
-	// current; readers that raced to build the same structure adopt
-	// the first one stored.
-	if !g.snap.CompareAndSwap(nil, s) {
-		s = g.snap.Load()
-	}
-	return s
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.foldLocked()
 }
 
-// buildSnapshotLocked freezes the structure into a new Snapshot. The
-// caller holds g.mu (read or write).
-func (g *Graph) buildSnapshotLocked() *Snapshot {
-	n := len(g.adj)
-	s := &Snapshot{
-		ids:     make([]UserID, 0, n),
-		index:   make(map[UserID]int32, n),
-		offsets: make([]int32, n+1),
-		adj:     make([]UserID, 0, 2*g.edgeCount),
-		adjIdx:  make([]int32, 0, 2*g.edgeCount),
-		edges:   g.edgeCount,
+// foldLocked folds the overlay into a new base and returns it. The
+// caller holds g.mu for writing.
+func (g *Graph) foldLocked() *Snapshot {
+	if len(g.rows) == 0 {
+		return g.base
 	}
-	for id := range g.adj {
-		s.ids = append(s.ids, id)
-	}
-	sortIDs(s.ids)
-	for i, id := range s.ids {
-		s.index[id] = int32(i)
-	}
-	for i, id := range s.ids {
-		row := s.adj[len(s.adj):]
-		for nb := range g.adj[id] {
-			row = append(row, nb)
+	b := g.base
+	changed := g.changed
+	slices.Sort(changed)
+	s := &Snapshot{ids: b.ids, index: b.index, edges: g.edges}
+	// remap takes a base index to its new index when nodes were added;
+	// nil means the indices are unchanged.
+	var remap []int32
+	if g.added > 0 {
+		s.ids = make([]UserID, 0, len(b.ids)+g.added)
+		remap = make([]int32, len(b.ids))
+		k := 0
+		for bi, id := range b.ids {
+			for ; k < len(changed) && changed[k] < id; k++ {
+				s.ids = append(s.ids, changed[k]) // added: no base id matched it
+			}
+			if k < len(changed) && changed[k] == id {
+				k++
+			}
+			remap[bi] = int32(len(s.ids))
+			s.ids = append(s.ids, id)
 		}
-		sortIDs(row)
-		s.adj = s.adj[:len(s.adj)+len(row)]
-		for _, nb := range row {
-			s.adjIdx = append(s.adjIdx, s.index[nb])
+		s.ids = append(s.ids, changed[k:]...)
+		s.index = make(map[UserID]int32, len(s.ids))
+		for i, id := range s.ids {
+			s.index[id] = int32(i)
 		}
-		s.offsets[i+1] = int32(len(s.adj))
 	}
+	s.offsets = make([]int32, len(s.ids)+1)
+	s.adj = make([]UserID, 2*g.edges)
+	s.adjIdx = make([]int32, 2*g.edges)
+	var pos int32 // next free slot of adj
+	row := 0      // next row of s to write
+	bi := 0       // next base row to copy
+	// copyBase copies the unchanged base rows [bi, end) in one block.
+	copyBase := func(end int) {
+		lo, hi := b.offsets[bi], b.offsets[end]
+		copy(s.adj[pos:], b.adj[lo:hi])
+		dst := s.adjIdx[pos : pos+hi-lo]
+		if remap == nil {
+			copy(dst, b.adjIdx[lo:hi])
+		} else {
+			for k, x := range b.adjIdx[lo:hi] {
+				dst[k] = remap[x]
+			}
+		}
+		for ; bi < end; bi++ {
+			row++
+			s.offsets[row] = b.offsets[bi+1] - lo + pos
+		}
+		pos += hi - lo
+	}
+	for _, id := range changed {
+		j, inBase := slices.BinarySearch(b.ids[bi:], id)
+		copyBase(bi + j)
+		nbrs := g.rows[id]
+		copy(s.adj[pos:], nbrs)
+		for k, nb := range nbrs {
+			s.adjIdx[int(pos)+k], _ = s.indexOf(nb)
+		}
+		pos += int32(len(nbrs))
+		row++
+		s.offsets[row] = pos
+		if inBase {
+			bi++
+		}
+	}
+	copyBase(len(b.ids))
+	g.base, g.rows, g.changed, g.added = s, nil, nil, 0
 	return s
 }
 
@@ -226,41 +267,13 @@ func (s *Snapshot) MutualFriends(a, b UserID) []UserID {
 // on; dst[:0] reuse across calls amortizes the buffer to zero
 // allocations.
 func (s *Snapshot) AppendMutualFriends(dst []UserID, a, b UserID) []UserID {
-	ra, rb := s.Friends(a), s.Friends(b)
-	i, j := 0, 0
-	for i < len(ra) && j < len(rb) {
-		switch {
-		case ra[i] < rb[j]:
-			i++
-		case ra[i] > rb[j]:
-			j++
-		default:
-			dst = append(dst, ra[i])
-			i++
-			j++
-		}
-	}
-	return dst
+	return appendCommon(dst, s.Friends(a), s.Friends(b))
 }
 
 // CountMutualFriends returns |F(a) ∩ F(b)| without materializing the
 // intersection.
 func (s *Snapshot) CountMutualFriends(a, b UserID) int {
-	ra, rb := s.Friends(a), s.Friends(b)
-	i, j, n := 0, 0, 0
-	for i < len(ra) && j < len(rb) {
-		switch {
-		case ra[i] < rb[j]:
-			i++
-		case ra[i] > rb[j]:
-			j++
-		default:
-			n++
-			i++
-			j++
-		}
-	}
-	return n
+	return countCommon(s.Friends(a), s.Friends(b))
 }
 
 // InducedEdgesSorted returns the number of edges of the subgraph
@@ -271,20 +284,7 @@ func (s *Snapshot) CountMutualFriends(a, b UserID) int {
 func (s *Snapshot) InducedEdgesSorted(sorted []UserID) int {
 	count := 0
 	for _, u := range sorted {
-		row := s.Friends(u)
-		i, j := 0, 0
-		for i < len(row) && j < len(sorted) {
-			switch {
-			case row[i] < sorted[j]:
-				i++
-			case row[i] > sorted[j]:
-				j++
-			default:
-				count++
-				i++
-				j++
-			}
-		}
+		count += countCommon(s.Friends(u), sorted)
 	}
 	return count / 2
 }

@@ -12,6 +12,7 @@ package profile
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 
@@ -387,6 +388,19 @@ func NewStore() *Store {
 // population.
 func NewLazyStore(fetch func(graph.UserID) *Profile) *Store {
 	return &Store{byUser: make(map[graph.UserID]*Profile), fetch: fetch}
+}
+
+// Clone returns a store holding the same profile pointers as s — the
+// profiles themselves are shared, not copied — and, for a lazy store,
+// the same fetch function. Later Puts on either store do not reach the
+// other; a caller that wants to change a shared profile in the clone
+// Puts a copy (Profile.Clone) first.
+func (s *Store) Clone() *Store {
+	if s.fetch != nil {
+		s.mu.RLock()
+		defer s.mu.RUnlock()
+	}
+	return &Store{byUser: maps.Clone(s.byUser), fetch: s.fetch}
 }
 
 // Put inserts or replaces the profile.

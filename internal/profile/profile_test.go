@@ -149,6 +149,43 @@ func TestStoreUsersSorted(t *testing.T) {
 	}
 }
 
+// TestStoreClone: a clone shares every profile pointer and a lazy
+// store's fetch function, and Puts on either side stay on that side.
+func TestStoreClone(t *testing.T) {
+	s := newStore(t, 3)
+	c := s.Clone()
+	for _, u := range s.Users() {
+		if c.Get(u) != s.Get(u) {
+			t.Fatalf("clone's profile %d is not the source's pointer", u)
+		}
+	}
+	c.Put(NewProfile(7))
+	s.Put(NewProfile(8))
+	if s.Has(7) || c.Has(8) || c.Len() != 4 || s.Len() != 4 {
+		t.Fatalf("Put crossed over: source has 7 %v, clone has 8 %v, lens %d/%d", s.Has(7), c.Has(8), s.Len(), c.Len())
+	}
+
+	fetched := 0
+	lazy := NewLazyStore(func(u graph.UserID) *Profile {
+		if u > 10 {
+			return nil
+		}
+		fetched++
+		return NewProfile(u)
+	})
+	first := lazy.Get(1)
+	lc := lazy.Clone()
+	if lc.Get(1) != first || fetched != 1 {
+		t.Fatalf("lazy clone re-fetched a materialized profile (%d fetches)", fetched)
+	}
+	if p := lc.Get(2); p == nil || p.User != 2 || fetched != 2 {
+		t.Fatalf("lazy clone lost the fetch function: Get(2) = %v after %d fetches", p, fetched)
+	}
+	if lc.Get(11) != nil || lazy.Len() != 1 {
+		t.Fatalf("lazy clone: Get(11) = %v, source materialized %d", lc.Get(11), lazy.Len())
+	}
+}
+
 func TestStoreProfilesSkipsMissing(t *testing.T) {
 	s := newStore(t, 3)
 	got := s.Profiles([]graph.UserID{0, 99, 2})

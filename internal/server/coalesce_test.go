@@ -65,7 +65,7 @@ func TestUpdatesCoalescePerDrain(t *testing.T) {
 	}
 	results := make(chan result, followers+1)
 	apply := func(node int64) {
-		resp, _, err := srv.applyUpdates("study", rt, delta.Batch{{Kind: delta.NodeAdd, A: graph.UserID(node)}})
+		resp, _, _, err := srv.applyUpdates("study", rt, delta.Batch{{Kind: delta.NodeAdd, A: graph.UserID(node)}})
 		results <- result{resp, err}
 	}
 

@@ -187,7 +187,7 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("dataset %q is snapshot-backed and read-only; updates need a mutable dataset", req.Dataset), 0)
 		return
 	}
-	resp, _, err := s.applyUpdates(req.Dataset, rt, batch)
+	resp, _, _, err := s.applyUpdates(req.Dataset, rt, batch)
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, "internal", err.Error(), 0)
 		return
@@ -203,6 +203,7 @@ type updWaiter struct {
 	done  chan struct{}
 	resp  *client.UpdatesResponse
 	gen   uint64
+	view  *graph.Graph
 	err   error
 }
 
@@ -223,9 +224,11 @@ type updQueue struct {
 // and one dirty-owner invalidation per drain, however many requests
 // merged into it. Followers just enqueue and wait; every request
 // merged into a drain shares its response, with Merged counting the
-// requests. Returns the wire response and the dataset's new
-// generation.
-func (s *Server) applyUpdates(name string, rt *dataset.Runtime, b delta.Batch) (*client.UpdatesResponse, uint64, error) {
+// requests. Returns the wire response, the dataset generation the
+// drain produced and the graph as of that drain: the leader applies
+// every drain that queued behind its own before it returns, so the
+// live graph may already be later than the generation.
+func (s *Server) applyUpdates(name string, rt *dataset.Runtime, b delta.Batch) (*client.UpdatesResponse, uint64, *graph.Graph, error) {
 	wtr := &updWaiter{batch: b, done: make(chan struct{})}
 	s.updMu.Lock()
 	q := s.updQ[name]
@@ -237,7 +240,7 @@ func (s *Server) applyUpdates(name string, rt *dataset.Runtime, b delta.Batch) (
 	if q.active {
 		s.updMu.Unlock()
 		<-wtr.done
-		return wtr.resp, wtr.gen, wtr.err
+		return wtr.resp, wtr.gen, wtr.view, wtr.err
 	}
 	q.active = true
 	for len(q.pending) > 0 {
@@ -251,16 +254,16 @@ func (s *Server) applyUpdates(name string, rt *dataset.Runtime, b delta.Batch) (
 		for i, dw := range drain {
 			batches[i] = dw.batch
 		}
-		resp, gen, err := s.applyDrain(name, rt, delta.Coalesce(batches), len(drain))
+		resp, gen, view, err := s.applyDrain(name, rt, delta.Coalesce(batches), len(drain))
 		for _, dw := range drain {
-			dw.resp, dw.gen, dw.err = resp, gen, err
+			dw.resp, dw.gen, dw.view, dw.err = resp, gen, view, err
 			close(dw.done)
 		}
 		s.updMu.Lock()
 	}
 	q.active = false
 	s.updMu.Unlock()
-	return wtr.resp, wtr.gen, wtr.err
+	return wtr.resp, wtr.gen, wtr.view, wtr.err
 }
 
 // applyDrain applies one coalesced drain to the dataset: the live
@@ -269,8 +272,9 @@ func (s *Server) applyUpdates(name string, rt *dataset.Runtime, b delta.Batch) (
 // copy-on-write clone, and a fresh snapshot is swapped in under the
 // server mutex together with the bumped update generation. applyMu is
 // held across the mutation so readers that need a consistent clone of
-// the live graph (/v1/advise) can quiesce it.
-func (s *Server) applyDrain(name string, rt *dataset.Runtime, b delta.Batch, merged int) (*client.UpdatesResponse, uint64, error) {
+// the live graph (/v1/advise) can quiesce it. It also returns the
+// graph as of this drain, a clone that shares the just-folded base.
+func (s *Server) applyDrain(name string, rt *dataset.Runtime, b delta.Batch, merged int) (*client.UpdatesResponse, uint64, *graph.Graph, error) {
 	s.applyMu.Lock()
 	defer s.applyMu.Unlock()
 	s.mu.Lock()
@@ -278,9 +282,10 @@ func (s *Server) applyDrain(name string, rt *dataset.Runtime, b delta.Batch, mer
 	s.mu.Unlock()
 	next, err := b.ApplyCloned(rt.Graph, store)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, nil, err
 	}
 	snap := rt.Graph.Snapshot()
+	view := rt.Graph.Clone()
 	owners := make([]graph.UserID, 0, len(rt.Owners))
 	for _, rec := range rt.Owners {
 		owners = append(owners, rec.ID)
@@ -295,7 +300,7 @@ func (s *Server) applyDrain(name string, rt *dataset.Runtime, b delta.Batch, mer
 	gen := s.dsGen[name]
 	s.mu.Unlock()
 	s.logf("sightd: dataset %s: applied %d updates from %d request(s) (gen %d, %d dirty owners)", name, len(b), merged, gen, len(dirty))
-	return &client.UpdatesResponse{Dataset: name, Applied: len(b), DirtyOwners: dirty, Node: s.nodeID, Merged: merged}, gen, nil
+	return &client.UpdatesResponse{Dataset: name, Applied: len(b), DirtyOwners: dirty, Node: s.nodeID, Merged: merged}, gen, view, nil
 }
 
 // handleRevise re-estimates a finished job as a new job, reusing
@@ -354,19 +359,20 @@ func (s *Server) handleRevise(w http.ResponseWriter, r *http.Request) {
 	key, _ := requestKey(&j.req)
 	held, _ := s.lookupHeld(key)
 	var genNow uint64
-	solo := true // our batch (if any) was the only request in its drain
+	var view *graph.Graph // the graph as of our batch's drain; nil without a batch
+	solo := true          // our batch (if any) was the only request in its drain
 	if len(batch) > 0 {
 		if rt.Graph == nil {
 			writeErr(w, http.StatusBadRequest, "bad_request",
 				fmt.Sprintf("dataset %q is snapshot-backed and read-only; updates need a mutable dataset", j.req.Dataset), 0)
 			return
 		}
-		resp, gen, err := s.applyUpdates(j.req.Dataset, rt, batch)
+		resp, gen, g, err := s.applyUpdates(j.req.Dataset, rt, batch)
 		if err != nil {
 			writeErr(w, http.StatusInternalServerError, "internal", err.Error(), 0)
 			return
 		}
-		genNow, solo = gen, resp.Merged <= 1
+		genNow, view, solo = gen, g, resp.Merged <= 1
 	} else {
 		s.mu.Lock()
 		genNow = s.dsGen[j.req.Dataset]
@@ -376,12 +382,13 @@ func (s *Server) handleRevise(w http.ResponseWriter, r *http.Request) {
 	// since it ran are this request's, if any — a drain that merged
 	// other requests' batches disqualifies, since their updates share
 	// our generation bump) and the batch cannot reach the owner's 2-hop
-	// view.
+	// view. Reachability is judged on the graph as of our drain: drains
+	// queued behind ours may already have changed the live graph.
 	expectGen := held.gen
 	if len(batch) > 0 {
 		expectGen++
 	}
-	if held.run != nil && genNow == expectGen && solo && !delta.Affected(rt.Graph, j.owner, batch) {
+	if held.run != nil && genNow == expectGen && solo && !delta.Affected(view, j.owner, batch) {
 		j2 := s.allocJob(j.req)
 		if j2 == nil {
 			writeErr(w, http.StatusServiceUnavailable, "draining", "server is draining; retry against a live replica", time.Second)

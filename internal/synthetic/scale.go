@@ -15,8 +15,8 @@ import (
 // models the paper's 47-owner ego-network study in full detail — this
 // targets raw social-graph scale: a single connected-ish population of
 // 10⁶–10⁷ nodes with a SNAP-Facebook-like heavy-tailed degree
-// distribution, generated straight into CSR arrays (no map-of-maps
-// Graph is ever built, which is what makes 10⁷ feasible).
+// distribution, generated straight into CSR arrays (no mutable Graph
+// is ever built, which is what makes 10⁷ feasible).
 type ScaleConfig struct {
 	// Seed drives the whole generation deterministically.
 	Seed int64
