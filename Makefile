@@ -10,9 +10,9 @@
 
 GO ?= go
 
-.PHONY: tier1 build vet test bench-smoke sightbench-check audit docs scale-smoke cluster-smoke incremental-smoke stats-smoke race fuzz bench fleet-bench scale-bench cluster-bench incremental-bench ldp-bench
+.PHONY: tier1 build vet test bench-smoke sightbench-check audit docs scale-smoke cluster-smoke incremental-smoke stats-smoke ldp-check race fuzz bench fleet-bench scale-bench cluster-bench incremental-bench ldp-bench
 
-tier1: build vet test bench-smoke sightbench-check audit docs scale-smoke cluster-smoke incremental-smoke stats-smoke
+tier1: build vet test bench-smoke sightbench-check audit docs scale-smoke cluster-smoke incremental-smoke stats-smoke ldp-check
 
 build:
 	$(GO) build ./...
@@ -81,6 +81,15 @@ incremental-smoke:
 # (BENCH_ldp.json, 200 trials per cell) comes from `make ldp-bench`.
 stats-smoke:
 	$(GO) run ./cmd/riskbench -ldp -ldp-trials 40 -ldp-strangers 800 -ldp-out /tmp/BENCH_ldp_smoke.json
+
+# LDP accuracy pin: rerun the full ε sweep (a few seconds) and require
+# every row of the checked-in BENCH_ldp.json to reproduce byte for
+# byte; only the generated_at timestamp may differ. Any change to the
+# bits of a release fails here instead of quietly moving the table.
+ldp-check:
+	$(GO) run ./cmd/riskbench -ldp -ldp-out /tmp/BENCH_ldp_check.json
+	grep -v '"generated_at"' BENCH_ldp.json > /tmp/BENCH_ldp_want.json
+	grep -v '"generated_at"' /tmp/BENCH_ldp_check.json | diff /tmp/BENCH_ldp_want.json -
 
 race:
 	$(GO) test -race ./...

@@ -116,6 +116,20 @@ func (b Batch) Validate() error {
 	return nil
 }
 
+// Users returns every user the batch names, in record order with
+// repeats: each record's A, plus B for the edge kinds. It is a
+// superset of the users whose friend row or profile the batch changes.
+func (b Batch) Users() []graph.UserID {
+	users := make([]graph.UserID, 0, 2*len(b))
+	for _, u := range b {
+		users = append(users, u.A)
+		if u.Kind == EdgeAdd || u.Kind == EdgeRemove {
+			users = append(users, u.B)
+		}
+	}
+	return users
+}
+
 // ApplyCloned applies the batch's graph updates to g in place but
 // leaves store untouched, returning a new store that shares every
 // unchanged profile and carries deep copies of only the profiles the

@@ -3,6 +3,7 @@ package ldp
 import (
 	"math"
 	"math/bits"
+	"slices"
 
 	"sightrisk/internal/graph"
 	"sightrisk/internal/profile"
@@ -111,31 +112,53 @@ type Report struct {
 // private incident edges, per-user triangle counts split the same way,
 // visibility bits, and the sensitivity caps. Building it costs one
 // triangle enumeration (O(Σ_(u,v)∈E min(d_u, d_v)) merge
-// intersections); every Report afterwards is a single cheap pass that
-// only draws noise, so a server can cache one Estimator per dataset
-// generation and serve releases from it.
+// intersections); every Report afterwards is a single pass over the
+// users that only draws noise, so a server can cache one Estimator
+// per dataset generation and serve releases from it.
+//
+// When the graph or the profiles change, Advance derives the next
+// generation's estimator from this one instead of rebuilding it. Its
+// contract: touched names every user whose friend row or profile
+// changed, and this estimator's node ids are a prefix of the new
+// snapshot's — new ids may only be appended above the largest old one,
+// since an id inserted lower shifts the dense indices, and with them
+// every user's noise stream. An advance costs O(n) array copies plus
+// O(Σ d²) merge work over the touched users, the corners of the
+// triangles their changed edges opened or closed, and the neighbors of
+// users whose friend list flipped between public and private. The
+// sensitivity caps stay exact across advances: count histograms of the
+// degrees and of the per-edge triangle support turn a falling maximum
+// into one walk down a histogram. The caps still come from the data
+// (see the caveat in docs/ANALYTICS.md).
 //
 // An Estimator is immutable after construction and safe for
-// unsynchronized concurrent use. It reads the snapshot only through
-// the CSR dense-index surface, so a snapfile-mmap'd snapshot and an
-// in-memory build of the same graph yield bit-identical reports.
+// unsynchronized concurrent use, Advance included. It reads the
+// snapshot only through the CSR dense-index surface, so a
+// snapfile-mmap'd snapshot and an in-memory build of the same graph
+// yield bit-identical reports.
 type Estimator struct {
-	n        int
+	snap     *graph.Snapshot // the graph described; Advance diffs against it
+	users    []userStats     // by dense index
 	profiles int
 	pubUsers int
 	pubEdges int
-	edges    int
-	degCap   int
-	triCap   int
+	// degHist[d] counts the users of degree d and supHist[s] the edges
+	// that close s triangles. Each ends at its last nonzero cell, so
+	// the caps are their top indices.
+	degHist []int
+	supHist []int
+}
 
-	pub        []bool // friend list visible to non-friends
-	hasProfile []bool
-	visBits    []uint8 // item-visibility bitmask, profile.Items order
-	deg        []int32
-	pubDeg     []int32 // incident edges with either endpoint public
-	tri        []int32 // triangles through the node
-	triPub     []int32 // triangles whose three edges are all public
-	noisyTri   []bool  // must randomize the triangle report
+// userStats is one user's share of every statistic.
+type userStats struct {
+	deg      int32 // incident edges
+	pubDeg   int32 // incident edges with either endpoint public
+	tri      int32 // triangles through the user
+	triPub   int32 // triangles whose three edges are all public
+	vis      uint8 // item-visibility bitmask, profile.Items order
+	pub      bool  // friend list visible to non-friends
+	profiled bool
+	noisyTri bool // must randomize the triangle report
 }
 
 // NewEstimator builds the estimator for one frozen snapshot.
@@ -143,83 +166,28 @@ type Estimator struct {
 // profile count as private and carry no visibility bits.
 func NewEstimator(snap *graph.Snapshot, profiles *profile.Store) *Estimator {
 	n := snap.NumNodes()
-	e := &Estimator{
-		n:          n,
-		edges:      snap.NumEdges(),
-		pub:        make([]bool, n),
-		hasProfile: make([]bool, n),
-		visBits:    make([]uint8, n),
-		deg:        make([]int32, n),
-		pubDeg:     make([]int32, n),
-		tri:        make([]int32, n),
-		triPub:     make([]int32, n),
-		noisyTri:   make([]bool, n),
-	}
+	e := &Estimator{snap: snap, users: make([]userStats, n)}
 	items := profile.Items()
 	for i, id := range snap.Nodes() {
-		p := profiles.Get(id)
-		if p == nil {
-			continue
-		}
-		e.hasProfile[i] = true
-		e.profiles++
-		var b uint8
-		for k, it := range items {
-			if p.IsVisible(it) {
-				b |= 1 << k
-			}
-		}
-		e.visBits[i] = b
-		if p.IsVisible(profile.ItemFriend) {
-			e.pub[i] = true
-			e.pubUsers++
-		}
+		e.setProfile(int32(i), profiles.Get(id), items)
 	}
-
-	// Degrees, their public split, and the triangle-noising set: a
-	// user must randomize the triangle report unless they are public
-	// AND at most one neighbor is private — only a pair of private
-	// neighbors can close a private triangle through a public node,
-	// and a private node's own incident edges are already private.
-	// Both conditions read only visibility policies and public friend
-	// lists, so the noising set itself leaks nothing.
 	pubEdgeEnds := 0
-	for i := 0; i < n; i++ {
-		row := snap.FriendIndexesAt(int32(i))
-		e.deg[i] = int32(len(row))
-		if len(row) > e.degCap {
-			e.degCap = len(row)
-		}
-		privNbrs := 0
-		for _, j := range row {
-			if !e.pub[j] {
-				privNbrs++
-			}
-		}
-		if e.pub[i] {
-			e.pubDeg[i] = int32(len(row))
-			e.noisyTri[i] = privNbrs >= 2
-		} else {
-			e.pubDeg[i] = int32(len(row) - privNbrs)
-			e.noisyTri[i] = true
-		}
-		pubEdgeEnds += int(e.pubDeg[i])
+	for i := range e.users {
+		e.setDegrees(int32(i))
+		pubEdgeEnds += int(e.users[i].pubDeg)
+		e.degHist = bump(e.degHist, int(e.users[i].deg))
 	}
 	e.pubEdges = pubEdgeEnds / 2
 
 	// Canonical triangle enumeration (i < j < k) by merge-intersecting
-	// sorted dense-index rows, tracking per-edge triangle support for
-	// the triangle sensitivity cap. A triangle's three edges are all
-	// public iff at least two of its corners are public.
+	// sorted dense-index rows, tracking each edge's triangle support at
+	// its slot in its lower endpoint's row.
 	_, offsets, _, _ := snap.CSR()
-	support := make([]int32, 0)
-	if e.edges > 0 {
-		support = make([]int32, 2*e.edges)
-	}
-	for i := 0; i < n; i++ {
-		ri := snap.FriendIndexesAt(int32(i))
+	support := make([]int32, 2*snap.NumEdges())
+	for i := int32(0); int(i) < n; i++ {
+		ri := snap.FriendIndexesAt(i)
 		for ji, j := range ri {
-			if j <= int32(i) {
+			if j <= i {
 				continue
 			}
 			rj := snap.FriendIndexesAt(j)
@@ -232,23 +200,12 @@ func NewEstimator(snap *graph.Snapshot, profiles *profile.Store) *Estimator {
 					b++
 				default:
 					if k := ri[a]; k > j {
-						e.tri[i]++
-						e.tri[j]++
-						e.tri[k]++
-						pubCorners := 0
-						if e.pub[i] {
-							pubCorners++
-						}
-						if e.pub[j] {
-							pubCorners++
-						}
-						if e.pub[k] {
-							pubCorners++
-						}
-						if pubCorners >= 2 {
-							e.triPub[i]++
-							e.triPub[j]++
-							e.triPub[k]++
+						pub := e.publicTriangle(i, j, k)
+						for _, c := range [3]int32{i, j, k} {
+							e.users[c].tri++
+							if pub {
+								e.users[c].triPub++
+							}
 						}
 						support[int(offsets[i])+ji]++
 						support[int(offsets[i])+a]++
@@ -259,18 +216,304 @@ func NewEstimator(snap *graph.Snapshot, profiles *profile.Store) *Estimator {
 				}
 			}
 		}
-	}
-	e.triCap = 1
-	for _, s := range support {
-		if int(s) > e.triCap {
-			e.triCap = int(s)
+		for ji, j := range ri {
+			if j > i {
+				e.supHist = bump(e.supHist, int(support[int(offsets[i])+ji]))
+			}
 		}
 	}
 	return e
 }
 
+// Advance returns the estimator of next, the snapshot this estimator's
+// graph became, under profiles: equal field for field to
+// NewEstimator(next, profiles), at the cost the Estimator doc gives.
+// touched must name every user whose friend row or profile changed
+// (ids absent from next are skipped, and users appended to next count
+// as touched). Advance returns nil when this estimator's node ids are
+// not a prefix of next's; the caller must then build afresh.
+func (e *Estimator) Advance(next *graph.Snapshot, profiles *profile.Store, touched []graph.UserID) *Estimator {
+	old, ids := e.snap, next.Nodes()
+	n0 := old.NumNodes()
+	if len(ids) < n0 || !slices.Equal(ids[:n0], old.Nodes()) {
+		return nil
+	}
+	a := &Estimator{
+		snap:     next,
+		users:    make([]userStats, len(ids)),
+		profiles: e.profiles,
+		pubUsers: e.pubUsers,
+		pubEdges: e.pubEdges,
+		degHist:  slices.Clone(e.degHist),
+		supHist:  slices.Clone(e.supHist),
+	}
+	copy(a.users, e.users)
+	region := make([]int32, 0, len(touched)+len(ids)-n0)
+	for _, id := range touched {
+		if i, ok := next.IndexOf(id); ok {
+			region = append(region, i)
+		}
+	}
+	for i := n0; i < len(ids); i++ {
+		region = append(region, int32(i))
+	}
+	region = sortedSet(region)
+
+	// Profiles. A user whose friend list flipped between public and
+	// private changes the public split of every neighbor's degree and
+	// triangles.
+	items := profile.Items()
+	var flipped, flipNbrs []int32
+	for _, i := range region {
+		was := a.users[i].pub
+		a.setProfile(i, profiles.Get(ids[i]), items)
+		if a.users[i].pub != was {
+			flipped = append(flipped, i)
+			flipNbrs = append(flipNbrs, next.FriendIndexesAt(i)...)
+		}
+	}
+
+	// Degrees, their public split and the triangle-noising flags.
+	pubEdgeEnds := 0
+	for _, i := range sortedSet(append(slices.Clone(region), flipNbrs...)) {
+		u := &a.users[i]
+		if int(i) < n0 {
+			a.degHist[u.deg]--
+			pubEdgeEnds -= int(u.pubDeg)
+		}
+		a.setDegrees(i)
+		a.degHist = bump(a.degHist, int(u.deg))
+		pubEdgeEnds += int(u.pubDeg)
+	}
+	a.pubEdges += pubEdgeEnds / 2
+
+	// The changed edges, from the touched users' rows before and after.
+	var changed []uint64
+	for _, i := range region {
+		var before []int32
+		if int(i) < n0 {
+			before = old.FriendIndexesAt(i)
+		}
+		changed = appendRowDiff(changed, i, before, next.FriendIndexesAt(i))
+	}
+	changed = sortedSet(changed)
+
+	// A changed edge moves the triangle support of itself and of every
+	// edge it shares a triangle with: one it opened, read on next, or
+	// one it closed, read on the old snapshot. The corners of those
+	// triangles, the flipped users and their neighbors are the users
+	// whose triangle counts can change.
+	var edges []uint64
+	corners := append(flipped, flipNbrs...)
+	var common []int32
+	for _, k := range changed {
+		x, y := edgeEnds(k)
+		s := old
+		if _, added := slices.BinarySearch(next.FriendIndexesAt(x), y); added {
+			s = next
+		}
+		common = appendCommon(common[:0], s.FriendIndexesAt(x), s.FriendIndexesAt(y))
+		edges = append(edges, k)
+		corners = append(corners, x, y)
+		for _, w := range common {
+			edges = append(edges, edgeKey(x, w), edgeKey(y, w))
+			corners = append(corners, w)
+		}
+	}
+	for _, k := range sortedSet(edges) {
+		x, y := edgeEnds(k)
+		if s, ok := supportOf(old, x, y); ok {
+			a.supHist[s]--
+		}
+		if s, ok := supportOf(next, x, y); ok {
+			a.supHist = bump(a.supHist, s)
+		}
+	}
+	for _, i := range sortedSet(corners) {
+		a.users[i].tri, a.users[i].triPub = a.trianglesAt(i)
+	}
+	a.degHist, a.supHist = trim(a.degHist), trim(a.supHist)
+	return a
+}
+
+// setProfile records user i's profile (nil for none) and keeps the
+// profile and public-user counts.
+func (e *Estimator) setProfile(i int32, p *profile.Profile, items []profile.Item) {
+	u := &e.users[i]
+	if u.profiled {
+		e.profiles--
+	}
+	if u.pub {
+		e.pubUsers--
+	}
+	u.vis, u.pub, u.profiled = 0, false, p != nil
+	if p == nil {
+		return
+	}
+	e.profiles++
+	for k, it := range items {
+		if p.IsVisible(it) {
+			u.vis |= 1 << k
+		}
+	}
+	if p.IsVisible(profile.ItemFriend) {
+		u.pub = true
+		e.pubUsers++
+	}
+}
+
+// setDegrees recomputes user i's degree, its public split and the
+// triangle-noising flag from i's row and its neighbors' visibility. A
+// user must randomize the triangle report unless they are public AND
+// at most one neighbor is private — only a pair of private neighbors
+// can close a private triangle through a public node, and a private
+// node's own incident edges are already private. Both conditions read
+// only visibility policies and public friend lists, so the noising
+// set itself leaks nothing.
+func (e *Estimator) setDegrees(i int32) {
+	row := e.snap.FriendIndexesAt(i)
+	privNbrs := int32(0)
+	for _, j := range row {
+		if !e.users[j].pub {
+			privNbrs++
+		}
+	}
+	u := &e.users[i]
+	u.deg = int32(len(row))
+	if u.pub {
+		u.pubDeg, u.noisyTri = u.deg, privNbrs >= 2
+	} else {
+		u.pubDeg, u.noisyTri = u.deg-privNbrs, true
+	}
+}
+
+// publicTriangle reports whether the triangle (i, j, k) has all three
+// edges public, which holds iff at least two of its corners are.
+func (e *Estimator) publicTriangle(i, j, k int32) bool {
+	pub := 0
+	for _, c := range [3]int32{i, j, k} {
+		if e.users[c].pub {
+			pub++
+		}
+	}
+	return pub >= 2
+}
+
+// trianglesAt counts the triangles through user r, and those among
+// them whose edges are all public, by merging r's row with each
+// neighbor's.
+func (e *Estimator) trianglesAt(r int32) (tri, triPub int32) {
+	row := e.snap.FriendIndexesAt(r)
+	for ji, j := range row {
+		later, rj := row[ji+1:], e.snap.FriendIndexesAt(j)
+		a, b := 0, 0
+		for a < len(later) && b < len(rj) {
+			switch {
+			case later[a] < rj[b]:
+				a++
+			case later[a] > rj[b]:
+				b++
+			default:
+				tri++
+				if e.publicTriangle(r, j, later[a]) {
+					triPub++
+				}
+				a++
+				b++
+			}
+		}
+	}
+	return tri, triPub
+}
+
+// supportOf returns how many triangles the edge (x, y), x < y, closes
+// in s, and false when s lacks the edge.
+func supportOf(s *graph.Snapshot, x, y int32) (int, bool) {
+	if int(y) >= s.NumNodes() {
+		return 0, false
+	}
+	rx := s.FriendIndexesAt(x)
+	if _, ok := slices.BinarySearch(rx, y); !ok {
+		return 0, false
+	}
+	return len(appendCommon(nil, rx, s.FriendIndexesAt(y))), true
+}
+
+// edgeKey packs the undirected edge (x, y) into one sortable key,
+// lower endpoint first.
+func edgeKey(x, y int32) uint64 {
+	if y < x {
+		x, y = y, x
+	}
+	return uint64(x)<<32 | uint64(uint32(y))
+}
+
+// edgeEnds unpacks an edgeKey, lower endpoint first.
+func edgeEnds(k uint64) (x, y int32) { return int32(k >> 32), int32(uint32(k)) }
+
+// appendRowDiff appends the key of every edge of user i in exactly one
+// of the ascending rows before and after.
+func appendRowDiff(dst []uint64, i int32, before, after []int32) []uint64 {
+	a, b := 0, 0
+	for a < len(before) || b < len(after) {
+		switch {
+		case b == len(after) || a < len(before) && before[a] < after[b]:
+			dst = append(dst, edgeKey(i, before[a]))
+			a++
+		case a == len(before) || after[b] < before[a]:
+			dst = append(dst, edgeKey(i, after[b]))
+			b++
+		default:
+			a++
+			b++
+		}
+	}
+	return dst
+}
+
+// appendCommon appends the entries the ascending rows a and b share.
+func appendCommon(dst, a, b []int32) []int32 {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			dst = append(dst, a[i])
+			i++
+			j++
+		}
+	}
+	return dst
+}
+
+// sortedSet sorts s and drops its duplicates in place.
+func sortedSet[T int32 | uint64](s []T) []T {
+	slices.Sort(s)
+	return slices.Compact(s)
+}
+
+// bump counts one more value v in the histogram h, growing it to fit.
+func bump(h []int, v int) []int {
+	for len(h) <= v {
+		h = append(h, 0)
+	}
+	h[v]++
+	return h
+}
+
+// trim cuts h after its last nonzero cell.
+func trim(h []int) []int {
+	for len(h) > 0 && h[len(h)-1] == 0 {
+		h = h[:len(h)-1]
+	}
+	return h
+}
+
 // Nodes returns the node count.
-func (e *Estimator) Nodes() int { return e.n }
+func (e *Estimator) Nodes() int { return len(e.users) }
 
 // PublicUsers returns the number of users with a visible friend list.
 func (e *Estimator) PublicUsers() int { return e.pubUsers }
@@ -278,11 +521,13 @@ func (e *Estimator) PublicUsers() int { return e.pubUsers }
 // PublicEdges returns the exact public-edge count.
 func (e *Estimator) PublicEdges() int { return e.pubEdges }
 
-// DegreeCap returns the sensitivity cap of the star mechanisms.
-func (e *Estimator) DegreeCap() int { return e.degCap }
+// DegreeCap returns the sensitivity cap of the star mechanisms: the
+// largest degree, or 0 on an empty graph.
+func (e *Estimator) DegreeCap() int { return max(len(e.degHist)-1, 0) }
 
-// TriangleCap returns the sensitivity cap of the triangle mechanism.
-func (e *Estimator) TriangleCap() int { return e.triCap }
+// TriangleCap returns the sensitivity cap of the triangle mechanism:
+// the most triangles one edge closes, and at least 1.
+func (e *Estimator) TriangleCap() int { return max(len(e.supHist)-1, 1) }
 
 // Exact returns the true statistics with no noise — the benchmark's
 // ground truth. Never served remotely.
@@ -308,73 +553,191 @@ func (e *Estimator) Report(p Params, seed Seed) (*Report, error) {
 	mode := p.mode()
 	r := &Report{
 		Mode:        mode,
-		Nodes:       e.n,
+		Nodes:       len(e.users),
 		Profiles:    e.profiles,
 		PublicUsers: e.pubUsers,
 		PublicEdges: e.pubEdges,
-		DegreeCap:   e.degCap,
-		TriangleCap: e.triCap,
+		DegreeCap:   e.DegreeCap(),
+		TriangleCap: e.TriangleCap(),
 	}
-	if mode != ModeExact {
+	if mode == ModeExact {
+		e.exact(r)
+	} else {
 		r.Epsilon = p.Epsilon
+		e.noised(r, mode == ModeVisibilityAware, p.Epsilon, seed)
 	}
-	e.edgeCount(r, mode, p.Epsilon, seed)
-	e.degreeHist(r, mode, p.Epsilon, seed)
-	e.triangles(r, mode, p.Epsilon, seed)
-	e.stars(r, mode, p.Epsilon, seed)
-	e.visibility(r, mode, p.Epsilon, seed)
 	return r, nil
 }
 
-// edgeCount fills r.EdgeCount. Visibility-aware: the public edge count
-// is exact; every private user reports their private-incident-edge
-// count plus Laplace(1/ε) and the halved sum is added. All-edge: every
-// user noises their full degree.
-func (e *Estimator) edgeCount(r *Report, mode Mode, eps float64, seed Seed) {
-	if mode == ModeExact {
-		r.EdgeCount = Estimate{Value: float64(e.edges)}
-		return
-	}
-	b := 1 / eps
-	sum, m := 0.0, 0
-	for i := 0; i < e.n; i++ {
-		if mode == ModeVisibilityAware && e.pub[i] {
-			continue
+// exact fills r's statistics with their true values.
+func (e *Estimator) exact(r *Report) {
+	hist := make([]int, len(DegreeBuckets))
+	var masks visMasks
+	tri, twoStars, threeStars := 0, 0.0, 0.0
+	for i := range e.users {
+		u := &e.users[i]
+		hist[bucketOf(int(u.deg))]++
+		tri += int(u.tri)
+		twoStars += choose2(int(u.deg))
+		threeStars += choose3(int(u.deg))
+		if u.profiled {
+			masks[u.vis]++
 		}
-		st := newStream(seed, statEdges, int32(i))
-		truth := e.deg[i]
-		if mode == ModeVisibilityAware {
-			truth -= e.pubDeg[i]
-		}
-		sum += float64(truth) + st.laplace(b)
-		m++
 	}
-	v := sum / 2
-	if mode == ModeVisibilityAware {
-		v += float64(e.pubEdges)
-	}
-	r.EdgeCount = Estimate{Value: v, SE: math.Sqrt(float64(m)*2*b*b) / 2, NoisedUsers: m}
+	vis := masks.items()
+	r.EdgeCount = Estimate{Value: float64(e.snap.NumEdges())}
+	r.Triangles = Estimate{Value: float64(tri) / 3}
+	r.TwoStars = Estimate{Value: twoStars}
+	r.ThreeStars = Estimate{Value: threeStars}
+	degreeHist(r, hist, make([]int, len(hist)), 0, 0)
+	e.visibilityRates(r, vis, make([]int, len(vis)), 0, 0)
 }
 
-// degreeHist fills r.DegreeHist. Public users contribute their exact
-// degree bucket; private users answer with k-ary randomized response
-// over the fixed bucket universe and the observed counts are debiased.
-func (e *Estimator) degreeHist(r *Report, mode Mode, eps float64, seed Seed) {
+// noised fills r's statistics in one pass over the users, each
+// statistic accumulating in index order from its own noise stream per
+// user (noise.go). Visibility-aware (va) releases take public
+// contributions exactly; all-edge releases noise every user.
+//
+//   - Edge count: every noised user reports their incident-edge count
+//     (visibility-aware: their private incident edges) plus
+//     Laplace(1/ε), and the halved sum is added to the exact public
+//     edge count.
+//   - Degree histogram: public users contribute their exact bucket;
+//     noised users answer with k-ary randomized response over the
+//     fixed bucket universe and the observed counts are debiased.
+//   - Triangles: the all-public triangle total is exact; users in the
+//     triangle-noising set (see setDegrees) report their remaining
+//     triangle count plus Laplace(TriangleCap/ε), and the
+//     corner-summed remainder is divided by 3.
+//   - k-stars (k = 2, 3): the count through public incident edges,
+//     Σ_v C(pubdeg_v, k), is exact; noised users report their
+//     remainder C(d_v, k) − C(pubdeg_v, k) plus
+//     Laplace(C(DegreeCap−1, k−1)/ε).
+//   - Visibility rates: public users' item bits are exact; noised
+//     users answer each item with binary randomized response and the
+//     positive counts are debiased. Users without a profile are
+//     outside the population (they have no visibility settings at
+//     all). Each item bit is an independent ε mechanism, so the
+//     protected unit is a single bit — the analog of a single edge in
+//     the graph mechanisms — not the whole 7-bit vector, which is
+//     7ε-LDP by basic composition (docs/ANALYTICS.md §2).
+//
+// The per-statistic stream keys and the randomized-response keep
+// probabilities depend only on the release, so they are computed once
+// here rather than once per user.
+func (e *Estimator) noised(r *Report, va bool, eps float64, seed Seed) {
 	B := len(DegreeBuckets)
-	exact := make([]int, B)
-	observed := make([]int, B)
-	m := 0
-	for i := 0; i < e.n; i++ {
-		truth := bucketOf(int(e.deg[i]))
-		switch {
-		case mode == ModeExact, mode == ModeVisibilityAware && e.pub[i]:
-			exact[truth]++
-		default:
-			st := newStream(seed, statHist, int32(i))
-			observed[st.rrCategory(truth, B, eps)]++
-			m++
+	bEdge := 1 / eps
+	bTri := float64(e.TriangleCap()) / eps
+	degCap := e.DegreeCap()
+	d2 := float64(degCap - 1)
+	if d2 < 0 {
+		d2 = 0
+	}
+	b2, b3 := d2/eps, choose2(degCap-1)/eps
+	expE := math.Exp(eps)
+	pKeep := expE / (expE + float64(B-1)) // k-ary RR over the buckets
+	q := expE / (1 + expE)                // binary RR per item bit
+	kEdges, kHist, kTri := streamKey(seed, statEdges), streamKey(seed, statHist), streamKey(seed, statTri)
+	k2, k3, kVis := streamKey(seed, stat2Star), streamKey(seed, stat3Star), streamKey(seed, statVis)
+
+	histExact, histSeen := make([]int, B), make([]int, B)
+	var visExact, visSeen visMasks
+	var edgeSum, triSum, twoSum, threeSum, twoExact, threeExact float64
+	m, triM, visM, triExact := 0, 0, 0, 0
+	for i := range e.users {
+		u, user := &e.users[i], int32(i)
+		if va {
+			triExact += int(u.triPub)
+			twoExact += choose2(int(u.pubDeg))
+			threeExact += choose3(int(u.pubDeg))
+		}
+		if !va || u.noisyTri {
+			truth := u.tri
+			if va {
+				truth -= u.triPub
+			}
+			st := userStream(kTri, user)
+			triSum += float64(truth) + st.laplace(bTri)
+			triM++
+		}
+		bucket := bucketOf(int(u.deg))
+		if va && u.pub {
+			histExact[bucket]++
+			if u.profiled {
+				visExact[u.vis]++
+			}
+			continue
+		}
+		truth, two, three := u.deg, choose2(int(u.deg)), choose3(int(u.deg))
+		if va {
+			truth -= u.pubDeg
+			two -= choose2(int(u.pubDeg))
+			three -= choose3(int(u.pubDeg))
+		}
+		st := userStream(kEdges, user)
+		edgeSum += float64(truth) + st.laplace(bEdge)
+		st = userStream(kHist, user)
+		histSeen[st.rrCategory(bucket, B, pKeep)]++
+		st = userStream(k2, user)
+		twoSum += two + st.laplace(b2)
+		st = userStream(k3, user)
+		threeSum += three + st.laplace(b3)
+		m++
+		if u.profiled {
+			st = userStream(kVis, user)
+			var seen uint8
+			for k := 0; k < numItems; k++ {
+				if st.rrBit(u.vis&(1<<k) != 0, q) {
+					seen |= 1 << k
+				}
+			}
+			visSeen[seen]++
+			visM++
 		}
 	}
+	edges := edgeSum / 2
+	if va {
+		edges += float64(e.pubEdges)
+	}
+	r.EdgeCount = Estimate{Value: edges, SE: math.Sqrt(float64(m)*2*bEdge*bEdge) / 2, NoisedUsers: m}
+	r.Triangles = Estimate{
+		Value:       (float64(triExact) + triSum) / 3,
+		SE:          math.Sqrt(float64(triM)*2*bTri*bTri) / 3,
+		NoisedUsers: triM,
+	}
+	r.TwoStars = Estimate{Value: twoExact + twoSum, SE: math.Sqrt(float64(m) * 2 * b2 * b2), NoisedUsers: m}
+	r.ThreeStars = Estimate{Value: threeExact + threeSum, SE: math.Sqrt(float64(m) * 2 * b3 * b3), NoisedUsers: m}
+	degreeHist(r, histExact, histSeen, m, eps)
+	e.visibilityRates(r, visExact.items(), visSeen.items(), visM, eps)
+}
+
+// numItems is the number of benefit items, the width of a visibility
+// mask.
+const numItems = 7
+
+// visMasks counts users by item-visibility mask, so a pass over the
+// users pays one increment per user instead of one per item.
+type visMasks [1 << numItems]int
+
+// items returns, per item in profile.Items order, how many counted
+// users had its bit set.
+func (c *visMasks) items() []int {
+	counts := make([]int, numItems)
+	for mask, n := range c {
+		for k := range counts {
+			if mask&(1<<k) != 0 {
+				counts[k] += n
+			}
+		}
+	}
+	return counts
+}
+
+// degreeHist fills r.DegreeHist from the exact bucket counts plus the
+// debiased counts of m k-ary randomized responses.
+func degreeHist(r *Report, exact, observed []int, m int, eps float64) {
+	B := len(DegreeBuckets)
 	r.DegreeHist = make([]Bucket, B)
 	for b := 0; b < B; b++ {
 		r.DegreeHist[b] = Bucket{
@@ -387,118 +750,11 @@ func (e *Estimator) degreeHist(r *Report, mode Mode, eps float64, seed Seed) {
 	}
 }
 
-// triangles fills r.Triangles. The all-public triangle total is exact;
-// users in the triangle-noising set (see NewEstimator) report their
-// remaining triangle count plus Laplace(TriangleCap/ε), and the
-// corner-summed remainder is divided by 3.
-func (e *Estimator) triangles(r *Report, mode Mode, eps float64, seed Seed) {
-	if mode == ModeExact {
-		t := 0
-		for i := 0; i < e.n; i++ {
-			t += int(e.tri[i])
-		}
-		r.Triangles = Estimate{Value: float64(t) / 3}
-		return
-	}
-	b := float64(e.triCap) / eps
-	sum, m, exact := 0.0, 0, 0
-	for i := 0; i < e.n; i++ {
-		if mode == ModeVisibilityAware {
-			exact += int(e.triPub[i])
-			if !e.noisyTri[i] {
-				continue
-			}
-		}
-		st := newStream(seed, statTri, int32(i))
-		truth := e.tri[i]
-		if mode == ModeVisibilityAware {
-			truth -= e.triPub[i]
-		}
-		sum += float64(truth) + st.laplace(b)
-		m++
-	}
-	r.Triangles = Estimate{
-		Value:       (float64(exact) + sum) / 3,
-		SE:          math.Sqrt(float64(m)*2*b*b) / 3,
-		NoisedUsers: m,
-	}
-}
-
-// stars fills r.TwoStars and r.ThreeStars. The k-star count through
-// public incident edges, Σ_v C(pubdeg_v, k), is exact; private users
-// report their remainder C(d_v, k) − C(pubdeg_v, k) plus
-// Laplace(C(DegreeCap−1, k−1)/ε).
-func (e *Estimator) stars(r *Report, mode Mode, eps float64, seed Seed) {
-	star := func(stat uint64, choose func(int) float64, delta float64) Estimate {
-		if mode == ModeExact {
-			t := 0.0
-			for i := 0; i < e.n; i++ {
-				t += choose(int(e.deg[i]))
-			}
-			return Estimate{Value: t}
-		}
-		b := delta / eps
-		sum, m := 0.0, 0
-		exact := 0.0
-		for i := 0; i < e.n; i++ {
-			if mode == ModeVisibilityAware {
-				exact += choose(int(e.pubDeg[i]))
-				if e.pub[i] {
-					continue
-				}
-			}
-			st := newStream(seed, stat, int32(i))
-			truth := choose(int(e.deg[i]))
-			if mode == ModeVisibilityAware {
-				truth -= choose(int(e.pubDeg[i]))
-			}
-			sum += truth + st.laplace(b)
-			m++
-		}
-		return Estimate{Value: exact + sum, SE: math.Sqrt(float64(m) * 2 * b * b), NoisedUsers: m}
-	}
-	d2 := float64(e.degCap - 1)
-	if d2 < 0 {
-		d2 = 0
-	}
-	r.TwoStars = star(stat2Star, choose2, d2)
-	r.ThreeStars = star(stat3Star, choose3, choose2(e.degCap-1))
-}
-
-// visibility fills r.Visibility. Public users' item bits are exact;
-// private users answer each item with binary randomized response and
-// the positive counts are debiased. Users without a profile are
-// outside the population (they have no visibility settings at all).
-// Each item bit is an independent ε mechanism, so the protected unit
-// is a single bit — the analog of a single edge in the graph
-// mechanisms — not the whole 7-bit vector, which is 7ε-LDP by basic
-// composition (docs/ANALYTICS.md §2).
-func (e *Estimator) visibility(r *Report, mode Mode, eps float64, seed Seed) {
+// visibilityRates fills r.Visibility from the exact per-item counts
+// plus the debiased counts of m binary randomized responders, over all
+// profiled users.
+func (e *Estimator) visibilityRates(r *Report, exact, observed []int, m int, eps float64) {
 	items := profile.Items()
-	exact := make([]int, len(items))
-	observed := make([]int, len(items))
-	m := 0
-	for i := 0; i < e.n; i++ {
-		if !e.hasProfile[i] {
-			continue
-		}
-		switch {
-		case mode == ModeExact, mode == ModeVisibilityAware && e.pub[i]:
-			for k := range items {
-				if e.visBits[i]&(1<<k) != 0 {
-					exact[k]++
-				}
-			}
-		default:
-			st := newStream(seed, statVis, int32(i))
-			for k := range items {
-				if st.rrBit(e.visBits[i]&(1<<k) != 0, eps) {
-					observed[k]++
-				}
-			}
-			m++
-		}
-	}
 	r.Visibility = make([]ItemRate, len(items))
 	for k, it := range items {
 		rate, se := 0.0, 0.0

@@ -44,12 +44,18 @@ func splitmix64(x uint64) uint64 {
 // user) triple owns an independent stream.
 type stream struct{ s uint64 }
 
-// newStream derives the stream for one user's report on one statistic.
-func newStream(seed Seed, stat uint64, user int32) stream {
-	s := splitmix64(uint64(seed) ^ 0xa076_1d64_78bd_642f)
-	s = splitmix64(s ^ stat)
-	s = splitmix64(s ^ uint64(uint32(user)))
-	return stream{s: s}
+// streamKey folds a release's seed and one statistic into the key
+// every user's stream on that statistic derives from: the first two of
+// the three splitmix rounds that key a (seed, stat, user) stream, so a
+// release pays them once per statistic rather than once per user.
+func streamKey(seed Seed, stat uint64) uint64 {
+	return splitmix64(splitmix64(uint64(seed)^0xa076_1d64_78bd_642f) ^ stat)
+}
+
+// userStream derives the stream for one user's report on the
+// statistic whose streamKey is key.
+func userStream(key uint64, user int32) stream {
+	return stream{s: splitmix64(key ^ uint64(uint32(user)))}
 }
 
 // next returns the next 64 uniform bits.
@@ -83,13 +89,11 @@ func (st *stream) laplace(b float64) float64 {
 	return -b * math.Log(1-2*u)
 }
 
-// rrKeep reports whether a k-ary randomized responder keeps its true
-// category (probability p = e^ε/(e^ε+B-1)) and, when it lies, which of
-// the B-1 other categories it reports (uniformly). truth and the
+// rrCategory is one k-ary randomized response: the responder keeps its
+// true category with probability pKeep = e^ε/(e^ε+B-1) and otherwise
+// reports one of the B-1 other categories uniformly. truth and the
 // return value are category indices in [0, B).
-func (st *stream) rrCategory(truth, B int, eps float64) int {
-	expE := math.Exp(eps)
-	pKeep := expE / (expE + float64(B-1))
+func (st *stream) rrCategory(truth, B int, pKeep float64) int {
 	if st.uniform() < pKeep {
 		return truth
 	}
@@ -107,8 +111,7 @@ func (st *stream) rrCategory(truth, B int, eps float64) int {
 // rrBit flips a binary report: the truth is kept with probability
 // q = e^ε/(1+e^ε) and inverted otherwise (binary randomized response,
 // Warner 1965).
-func (st *stream) rrBit(truth bool, eps float64) bool {
-	q := math.Exp(eps) / (1 + math.Exp(eps))
+func (st *stream) rrBit(truth bool, q float64) bool {
 	if st.uniform() < q {
 		return truth
 	}

@@ -270,15 +270,21 @@ func (s *Server) applyUpdates(name string, rt *dataset.Runtime, b delta.Batch) (
 // graph mutates in place (no running job reads it — they all hold the
 // previous frozen snapshot), the profile store is replaced by a
 // copy-on-write clone, and a fresh snapshot is swapped in under the
-// server mutex together with the bumped update generation. applyMu is
-// held across the mutation so readers that need a consistent clone of
-// the live graph (/v1/advise) can quiesce it. It also returns the
-// graph as of this drain, a clone that shares the just-folded base.
+// server mutex together with the bumped update generation. When the
+// dataset's LDP estimator is current at the drain's parent generation,
+// the drain advances it over every user the batch names and installs
+// it in that same critical section, so a cached estimator at
+// generation g always describes generation g; a drain that inserts a
+// node id below the largest one leaves it stale for the next release
+// to rebuild. applyMu is held across the mutation so readers that need
+// a consistent clone of the live graph (/v1/advise) can quiesce it. It
+// also returns the graph as of this drain, a clone that shares the
+// just-folded base.
 func (s *Server) applyDrain(name string, rt *dataset.Runtime, b delta.Batch, merged int) (*client.UpdatesResponse, uint64, *graph.Graph, error) {
 	s.applyMu.Lock()
 	defer s.applyMu.Unlock()
 	s.mu.Lock()
-	store := rt.Profiles
+	store, parent := rt.Profiles, s.dsGen[name]
 	s.mu.Unlock()
 	next, err := b.ApplyCloned(rt.Graph, store)
 	if err != nil {
@@ -294,10 +300,23 @@ func (s *Server) applyDrain(name string, rt *dataset.Runtime, b delta.Batch, mer
 	for _, o := range delta.DirtyOwners(rt.Graph, owners, b) {
 		dirty = append(dirty, int64(o))
 	}
+	ent := s.ldpEst[name]
+	s.ldpMu.Lock()
+	est := ent.current(parent)
+	s.ldpMu.Unlock()
+	if est != nil {
+		est = est.Advance(snap, next, b.Users()) // nil when the drain renumbered the users
+	}
 	s.mu.Lock()
 	rt.Snapshot, rt.Profiles = snap, next
 	s.dsGen[name]++
 	gen := s.dsGen[name]
+	if est != nil {
+		s.ldpMu.Lock()
+		ent.gen, ent.est = gen, est
+		ent.advances++
+		s.ldpMu.Unlock()
+	}
 	s.mu.Unlock()
 	s.logf("sightd: dataset %s: applied %d updates from %d request(s) (gen %d, %d dirty owners)", name, len(b), merged, gen, len(dirty))
 	return &client.UpdatesResponse{Dataset: name, Applied: len(b), DirtyOwners: dirty, Node: s.nodeID, Merged: merged}, gen, view, nil

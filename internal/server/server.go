@@ -144,15 +144,16 @@ type Server struct {
 	dsGen        map[string]uint64
 	updDrainHook func(dataset string, merged int)
 
-	// LDP analytics state (stats.go): per-dataset estimator cache keyed
-	// by update generation and the per-(tenant, dataset) ε ledgers.
-	// ldpMu guards only the cheap map and ledger operations; estimator
-	// construction runs under the dataset's entry in ldpBuilds so a
-	// slow build never blocks other datasets' stats traffic, budget
-	// charging or /varz. statsBudget is immutable after New.
+	// LDP analytics state (stats.go): one estimator cache entry per
+	// dataset (the map is filled in New and read-only after) and the
+	// per-(tenant, dataset) ε ledgers. ldpMu guards only the cheap
+	// entry and ledger operations; a cold estimator build runs under
+	// its entry's build lock so a slow build never blocks other
+	// datasets' stats traffic, budget charging or /varz. A drain takes
+	// ldpMu inside mu to install its advanced estimator; no path takes
+	// them the other way. statsBudget is immutable after New.
 	ldpMu       sync.Mutex
 	ldpEst      map[string]*ldpEntry
-	ldpBuilds   map[string]*sync.Mutex
 	ldpLedgers  map[string]*ldpLedger
 	statsBudget float64
 
@@ -203,7 +204,6 @@ func New(cfg Config) (*Server, error) {
 		updQ:         map[string]*updQueue{},
 		dsGen:        map[string]uint64{},
 		ldpEst:       map[string]*ldpEntry{},
-		ldpBuilds:    map[string]*sync.Mutex{},
 		ldpLedgers:   map[string]*ldpLedger{},
 		statsBudget:  cfg.StatsBudget,
 		held:         map[runKey]heldRun{},
@@ -228,6 +228,9 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("server: dataset %q configured twice", name)
 		}
 		s.runtimes[name] = rt
+	}
+	for name := range s.runtimes {
+		s.ldpEst[name] = &ldpEntry{}
 	}
 	if s.cluster != nil {
 		if s.store == nil {

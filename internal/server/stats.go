@@ -40,15 +40,32 @@ const DefaultStatsBudget = 48.0
 
 // statsBudgetRetry is the retry hint returned with a budget-exhausted
 // 429. Spent ε never comes back while the server runs — only replays
-// of releases already served at the current generation stay free — so
+// of releases already served at the ledger's generation stay free — so
 // the hint just paces clients that retry blindly.
 const statsBudgetRetry = time.Minute
 
-// ldpEntry caches one dataset's estimator at the update generation it
-// was built from; a generation bump invalidates it.
+// ldpEntry caches one dataset's LDP estimator with the update
+// generation it describes. Every update drain advances a current entry
+// to the drain's generation (applyDrain); a release finding the entry
+// stale builds it cold under build, the lock that keeps concurrent
+// first releases from building twice. builds and advances count both
+// paths for /varz. est, gen and the counts are guarded by
+// Server.ldpMu.
 type ldpEntry struct {
-	gen uint64
-	est *ldp.Estimator
+	build    sync.Mutex
+	gen      uint64
+	est      *ldp.Estimator // nil until the first release
+	builds   int
+	advances int
+}
+
+// current returns the cached estimator if it describes generation gen.
+// The caller holds Server.ldpMu.
+func (e *ldpEntry) current(gen uint64) *ldp.Estimator {
+	if e.est != nil && e.gen == gen {
+		return e.est
+	}
+	return nil
 }
 
 // ldpLedger tracks one (tenant, dataset) pair's ε spend across every
@@ -190,13 +207,16 @@ func datasetRouteKey(name string) int64 {
 	return int64(h.Sum64())
 }
 
-// ldpEstimator returns the dataset's cached estimator, rebuilding it
-// when the update generation moved. The build (one triangle
-// enumeration, potentially seconds on a large graph) runs under a
-// per-dataset build lock, so concurrent first queries for one dataset
-// build once and queue behind it while every other dataset's stats
-// traffic, budget charging and /varz — all of which share only the
-// cheap ldpMu — proceed unblocked.
+// ldpEstimator returns the dataset's estimator at its current update
+// generation, and that generation. The cached entry is normally
+// current, since every drain advances it. It is built cold on a
+// dataset's first release, after a drain that found no current entry
+// to advance, and after a drain that inserted a node id below the
+// largest one. A cold build (one triangle enumeration, potentially
+// seconds on a large graph) runs under the entry's build lock, so
+// concurrent first queries for one dataset build once and queue behind
+// it while every other dataset's stats traffic, budget charging and
+// /varz — all of which share only the cheap ldpMu — proceed unblocked.
 func (s *Server) ldpEstimator(ds string) (*ldp.Estimator, uint64, *client.APIError) {
 	s.mu.Lock()
 	rt, ok := s.runtimes[ds]
@@ -206,47 +226,48 @@ func (s *Server) ldpEstimator(ds string) (*ldp.Estimator, uint64, *client.APIErr
 	}
 	snap, profiles, gen := rt.Snapshot, rt.Profiles, s.dsGen[ds]
 	s.mu.Unlock()
+	ent := s.ldpEst[ds]
 	s.ldpMu.Lock()
-	if e, ok := s.ldpEst[ds]; ok && e.gen == gen {
-		s.ldpMu.Unlock()
-		return e.est, gen, nil
-	}
-	build := s.ldpBuilds[ds]
-	if build == nil {
-		build = &sync.Mutex{}
-		s.ldpBuilds[ds] = build
-	}
+	est := ent.current(gen)
 	s.ldpMu.Unlock()
+	if est != nil {
+		return est, gen, nil
+	}
 
-	build.Lock()
-	defer build.Unlock()
+	ent.build.Lock()
+	defer ent.build.Unlock()
 	// A queued builder may find the estimator already built (for this
 	// generation) by the query it waited on.
 	s.ldpMu.Lock()
-	if e, ok := s.ldpEst[ds]; ok && e.gen == gen {
-		s.ldpMu.Unlock()
-		return e.est, gen, nil
-	}
+	est = ent.current(gen)
 	s.ldpMu.Unlock()
-	est := ldp.NewEstimator(snap, profiles)
+	if est != nil {
+		return est, gen, nil
+	}
+	est = ldp.NewEstimator(snap, profiles)
 	s.ldpMu.Lock()
-	// Keep the newest generation if a concurrent delta already moved
-	// the cache past the snapshot this build started from.
-	if e, ok := s.ldpEst[ds]; !ok || e.gen <= gen {
-		s.ldpEst[ds] = &ldpEntry{gen: gen, est: est}
+	ent.builds++
+	// Keep the newest generation if a drain already moved the entry
+	// past the snapshot this build started from.
+	if ent.est == nil || ent.gen <= gen {
+		ent.gen, ent.est = gen, est
 	}
 	s.ldpMu.Unlock()
 	return est, gen, nil
 }
 
 // chargeStats debits one release from the (tenant, dataset) ledger.
-// Replays of a release already served at this generation are free. A
-// generation bump forgets which releases were served, since the
-// generation is folded into the noise seed and the same (epoch, ε,
+// Replays of a release already served at the ledger's generation are
+// free. A newer generation forgets which releases were served, since
+// the generation is folded into the noise seed and the same (epoch, ε,
 // noise) now draws fresh noise, but keeps the spent ε: an update that
 // restores or barely moves the graph leaves every other private edge
-// in place, so releases at successive generations compose. Returns
-// the ε charged and whether the release is admitted.
+// in place, so releases at successive generations compose. The
+// ledger's generation only moves forward: a release computed at an
+// older generation (its request read the dataset before a drain
+// landed) is charged as fresh and recorded nowhere, so it cannot wipe
+// the newer generation's free replays. Returns the ε charged and
+// whether the release is admitted.
 func (s *Server) chargeStats(tenant, ds string, gen, epoch uint64, eps float64, mode ldp.Mode) (float64, bool) {
 	s.ldpMu.Lock()
 	defer s.ldpMu.Unlock()
@@ -256,12 +277,12 @@ func (s *Server) chargeStats(tenant, ds string, gen, epoch uint64, eps float64, 
 		led = &ldpLedger{gen: gen, seen: map[string]struct{}{}}
 		s.ldpLedgers[key] = led
 	}
-	if led.gen != gen {
+	if gen > led.gen {
 		led.gen = gen
 		led.seen = map[string]struct{}{}
 	}
 	qk := fmt.Sprintf("%d|%g|%s", epoch, eps, mode)
-	if _, seen := led.seen[qk]; seen {
+	if _, seen := led.seen[qk]; seen && gen == led.gen {
 		led.replays++
 		return 0, true
 	}
@@ -269,13 +290,16 @@ func (s *Server) chargeStats(tenant, ds string, gen, epoch uint64, eps float64, 
 	if led.spent+charge > s.statsBudget {
 		return 0, false
 	}
-	led.seen[qk] = struct{}{}
+	if gen == led.gen {
+		led.seen[qk] = struct{}{}
+	}
 	led.spent += charge
 	led.queries++
 	return charge, true
 }
 
-// ldpVarz renders the ε-budget accounting for /varz ("sightd_ldp").
+// ldpVarz renders the ε-budget accounting and the per-dataset
+// estimator cache for /varz ("sightd_ldp").
 func (s *Server) ldpVarz() map[string]any {
 	s.ldpMu.Lock()
 	defer s.ldpMu.Unlock()
@@ -289,7 +313,15 @@ func (s *Server) ldpVarz() map[string]any {
 			"replays":    led.replays,
 		}
 	}
-	return map[string]any{"budget_limit": s.statsBudget, "ledgers": ledgers}
+	estimators := map[string]map[string]any{}
+	for ds, ent := range s.ldpEst {
+		estimators[ds] = map[string]any{
+			"generation": ent.gen,
+			"builds":     ent.builds,
+			"advances":   ent.advances,
+		}
+	}
+	return map[string]any{"budget_limit": s.statsBudget, "ledgers": ledgers, "estimators": estimators}
 }
 
 // statsWire renders a release as the deterministic wire response.
