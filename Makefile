@@ -1,18 +1,19 @@
 # Tier-1 verification flow (see ROADMAP.md): build + vet + tests, plus
-# a one-iteration fleet bench so the benchmark code compiles and runs
-# on every PR, vet + tests of the separate sightbench module, the
+# a one-iteration scheduler bench so the benchmark code compiles and
+# runs on every PR, vet + tests of the separate sightbench module, the
 # determinism audit over the robustness matrix, the godoc-coverage
 # check, a snapshot-file scale smoke test, a 2-replica cluster smoke
 # test with a mid-sweep node kill, an incremental-revision smoke test
-# that includes the advise counterfactual, and an LDP analytics smoke
-# test. `make race` adds the concurrency stress pass that covers the
-# multi-tenant scheduler, the serving layer and the cluster tier.
+# that includes the advise counterfactual, an LDP analytics smoke test,
+# the LDP accuracy-table pin and the paper-results pin. `make race`
+# adds the concurrency stress pass that covers the multi-tenant
+# scheduler, the serving layer and the cluster tier.
 
 GO ?= go
 
-.PHONY: tier1 build vet test bench-smoke sightbench-check audit docs scale-smoke cluster-smoke incremental-smoke stats-smoke ldp-check race fuzz bench fleet-bench scale-bench cluster-bench incremental-bench ldp-bench
+.PHONY: tier1 build vet test bench-smoke sightbench-check audit docs scale-smoke cluster-smoke incremental-smoke stats-smoke ldp-check results-check race fuzz bench scale-bench cluster-bench incremental-bench ldp-bench
 
-tier1: build vet test bench-smoke sightbench-check audit docs scale-smoke cluster-smoke incremental-smoke stats-smoke ldp-check
+tier1: build vet test bench-smoke sightbench-check audit docs scale-smoke cluster-smoke incremental-smoke stats-smoke ldp-check results-check
 
 build:
 	$(GO) build ./...
@@ -23,10 +24,10 @@ vet:
 test:
 	$(GO) test ./...
 
-# Compile-and-run every fleet benchmark once — catches bit-rot in the
-# benchmark harness without paying for a real measurement.
+# Compile-and-run the scheduler benchmark once — catches bit-rot in
+# the benchmark harness without paying for a real measurement.
 bench-smoke:
-	$(GO) test -run=NONE -bench=Fleet -benchtime=1x ./internal/fleet/
+	$(GO) test -run=NONE -bench=Scheduler -benchtime=1x ./internal/fleet/
 
 # The end-to-end benchmark (sightbench/, run by BENCHMARK.json) is its
 # own Go module, so `go test ./...` never compiles it: vet and test it
@@ -91,6 +92,17 @@ ldp-check:
 	grep -v '"generated_at"' BENCH_ldp.json > /tmp/BENCH_ldp_want.json
 	grep -v '"generated_at"' /tmp/BENCH_ldp_check.json | diff /tmp/BENCH_ldp_want.json -
 
+# Paper-results pin: rerun the paper-scale Figure 4 and headline
+# (about 20 s on 2 vCPUs) and the small-scale ablations (about 2 s),
+# and require each output to equal its checked-in file byte for byte,
+# so a change that moves a paper number fails here instead of leaving
+# full_results.txt or ablation_results.txt stale.
+results-check:
+	$(GO) run ./cmd/riskbench -scale full -seed 1 -only fig4,headline -times=false > /tmp/full_results_check.txt
+	diff full_results.txt /tmp/full_results_check.txt
+	$(GO) run ./cmd/riskbench -scale small -only headline -ablations -times=false > /tmp/ablation_results_check.txt
+	diff ablation_results.txt /tmp/ablation_results_check.txt
+
 race:
 	$(GO) test -race ./...
 
@@ -102,11 +114,6 @@ fuzz:
 # Full micro-benchmark sweep (slow; see README "Performance").
 bench:
 	$(GO) test -run=NONE -bench=. -benchmem ./...
-
-# Fleet throughput trajectory: writes BENCH_fleet.json (see
-# EXPERIMENTS.md for methodology).
-fleet-bench:
-	$(GO) run ./cmd/riskbench -tenants 8 -scale medium
 
 # Million-node scale curve: writes BENCH_scale.json (see EXPERIMENTS.md
 # "Scale curve" for methodology). Takes a few minutes.

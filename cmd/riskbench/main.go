@@ -9,7 +9,6 @@
 //
 // or, in exactly one benchmark or audit mode,
 //
-//	riskbench -tenants N [-scale S] [-tenant-rtt D] [-bench-out FILE]
 //	riskbench -nodes 1,2,4 [-scale S] [-cluster-out FILE]
 //	riskbench -scale sweep [-scale-sizes 10000,...] [-scale-owners N] [-scale-out FILE]
 //	riskbench -incremental [-incr-sizes 2000,10000] [-incr-deltas 1,10,100] [-incr-out FILE]
@@ -19,13 +18,6 @@
 // Every mode takes -seed, and all but -ldp take -workers.
 // Setting more than one mode, or naming an unknown -only step, is a
 // usage error (exit status 2).
-//
-// With -tenants N the command switches to fleet-benchmark mode: it
-// replicates the study for N tenants, runs every owner through the
-// multi-tenant scheduler (internal/fleet) with a shared weight cache
-// and batched annotator transport, then re-runs the same jobs
-// sequentially, verifies the per-owner reports are byte-identical, and
-// writes throughput plus micro-benchmark numbers to BENCH_fleet.json.
 //
 // With -nodes it runs every owner through an in-process N-replica
 // sightd cluster, kills one replica mid-sweep when N > 1, verifies the
@@ -109,9 +101,6 @@ func main() {
 	faultAbandon := flag.Int("fault-abandon", 0, "owners abandon after this many answers per run (0 = never)")
 	faultSeed := flag.Int64("fault-seed", 7, "fault-injection seed")
 	faultRetries := flag.Int("fault-retries", 10, "retry attempts configured when -fault-prob is set")
-	tenants := flag.Int("tenants", 0, "fleet mode: run N tenant replicas through the multi-tenant scheduler and compare against sequential single-owner runs (skips the experiment steps)")
-	tenantRTT := flag.Duration("tenant-rtt", 20*time.Millisecond, "fleet mode: simulated annotator round-trip latency (the fleet batches questions across owners into one round-trip; the serial baseline pays it per question); 0 disables the transport")
-	benchOut := flag.String("bench-out", "BENCH_fleet.json", "fleet mode: where to write the throughput trajectory JSON")
 	traceOut := flag.String("trace-out", "", "write the structured run-event stream (JSONL, one event per line) to this file")
 	metricsOut := flag.String("metrics-out", "", "write the per-stage metrics snapshot (JSON) to this file at exit")
 	audit := flag.Bool("audit", false, "determinism-audit mode: run the robustness matrix twice per topology with the event auditor attached, plus an mmap-vs-in-memory snapshot-file run, and report the first divergence (skips the experiment steps; non-zero exit on divergence)")
@@ -143,9 +132,6 @@ func main() {
 		{"-scale sweep", *scale == "sweep", func() error { return runScaleBench(*scaleSizes, *seed, *workers, *scaleOwners, *scaleOut) }},
 		{"-nodes", *nodes != "", func() error { return runClusterBench(*scale, *seed, *workers, *nodes, *clusterOut) }},
 		{"-audit", *audit, func() error { return runAudit(*seed, *workers) }},
-		{"-tenants", *tenants > 0, func() error {
-			return runFleetBench(*scale, *seed, *tenants, *workers, *tenantRTT, *benchOut)
-		}},
 	})
 	if err != nil {
 		usageErr(err)

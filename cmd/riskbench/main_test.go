@@ -37,7 +37,7 @@ func TestSelectSteps(t *testing.T) {
 func TestPickMode(t *testing.T) {
 	modes := func(set ...string) []mode {
 		var ms []mode
-		for _, f := range []string{"-ldp", "-incremental", "-scale sweep", "-nodes", "-audit", "-tenants"} {
+		for _, f := range []string{"-ldp", "-incremental", "-scale sweep", "-nodes", "-audit"} {
 			on := false
 			for _, s := range set {
 				on = on || s == f
@@ -56,7 +56,7 @@ func TestPickMode(t *testing.T) {
 	if err == nil {
 		t.Fatal("-ldp -incremental accepted")
 	}
-	for _, f := range []string{"-ldp", "-incremental", "-scale sweep", "-nodes", "-audit", "-tenants"} {
+	for _, f := range []string{"-ldp", "-incremental", "-scale sweep", "-nodes", "-audit"} {
 		if !strings.Contains(err.Error(), f) {
 			t.Errorf("error %q does not list %s", err, f)
 		}

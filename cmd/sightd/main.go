@@ -131,16 +131,30 @@ func (l limitFlags) Set(v string) error {
 	if !ok {
 		return fmt.Errorf("want tenant=maxActive:maxQueries, got %q", v)
 	}
-	active, err := strconv.Atoi(activeStr)
+	active, err := limitValue("maxActive", activeStr, v)
 	if err != nil {
-		return fmt.Errorf("maxActive in %q: %v", v, err)
+		return err
 	}
-	queries, err := strconv.Atoi(queriesStr)
+	queries, err := limitValue("maxQueries", queriesStr, v)
 	if err != nil {
-		return fmt.Errorf("maxQueries in %q: %v", v, err)
+		return err
 	}
 	l[tenant] = fleet.TenantLimits{MaxActive: active, MaxQueries: queries}
 	return nil
+}
+
+// limitValue parses one field of a -limit entry: a count, 0 meaning
+// unlimited. A negative count is refused rather than read as
+// unlimited, since the scheduler enforces only positive limits.
+func limitValue(field, s, entry string) (int, error) {
+	n, err := strconv.Atoi(s)
+	if err != nil {
+		return 0, fmt.Errorf("%s in %q: %v", field, entry, err)
+	}
+	if n < 0 {
+		return 0, fmt.Errorf("%s in %q must be >= 0 (0 = unlimited), got %d", field, entry, n)
+	}
+	return n, nil
 }
 
 func main() {

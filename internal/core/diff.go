@@ -19,8 +19,9 @@ func naNEqual(a, b float64) bool {
 // owner runs, or "" when they are identical — bit-identical floats,
 // NaN aware. It compares everything a Report is assembled from, so a
 // "" result means the two runs produce byte-identical reports. The
-// determinism test suite and the fleet scheduler's serial-equivalence
-// checks (tests and `riskbench -tenants`) all rely on it.
+// determinism test suite, the scheduler's serial-equivalence tests and
+// `riskbench -incremental`'s revise-versus-recompute check all rely on
+// it.
 func DiffRuns(a, b *OwnerRun) string {
 	if a == nil || b == nil {
 		if a == b {

@@ -1,12 +1,10 @@
 package fleet
 
-// Observability contract of the fleet scheduler: every event carries
-// tenant/owner attribution, each owner job's events land as one
-// contiguous block regardless of scheduler concurrency, and every
-// dispatch decision is visible in the stream and the metrics.
+// Observability contract of the scheduler: every event of a job run
+// through Admission.Run carries its tenant and owner, whatever the
+// scheduler's concurrency.
 
 import (
-	"context"
 	"testing"
 
 	"sightrisk/internal/core"
@@ -15,92 +13,50 @@ import (
 
 func TestFleetObservability(t *testing.T) {
 	ring := obs.NewRing(1 << 15)
-	metrics := &obs.Metrics{}
 	ecfg := core.DefaultConfig()
 	ecfg.Observer = ring
-	ecfg.Metrics = metrics
-
-	tenants := []Tenant{
-		tenantOf("t0", fleetStudy(t, 3, 120, 7)),
-		tenantOf("t1", fleetStudy(t, 3, 120, 7)),
-	}
-	res, err := Run(context.Background(), Config{Engine: ecfg, Workers: 4}, tenants)
+	s, err := NewScheduler(SchedulerConfig{Engine: ecfg, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.Owners != 6 || res.Stats.Errors != 0 {
-		t.Fatalf("stats = %+v", res.Stats)
-	}
+	defer s.Close()
+	runTenants(t, s, map[string][]Job{
+		"t0": jobsOf(fleetStudy(t, 3, 120, 7)),
+		"t1": jobsOf(fleetStudy(t, 3, 120, 7)),
+	})
 	if ring.Dropped() != 0 {
 		t.Fatalf("ring dropped %d events", ring.Dropped())
 	}
-	events := ring.Events()
 
-	// Dispatch decisions: one per owner job, attributed to its tenant,
-	// mirrored in the counters.
-	dispatched := map[string]int{}
-	for _, ev := range events {
-		if ev.Kind == obs.KindDispatch {
-			if ev.Tenant == "" || ev.Owner == 0 {
-				t.Fatalf("dispatch event without attribution: %+v", ev)
-			}
-			dispatched[ev.Tenant]++
-		}
-	}
-	if dispatched["t0"] != 3 || dispatched["t1"] != 3 {
-		t.Fatalf("dispatch events per tenant = %v, want 3+3", dispatched)
-	}
-	if got := metrics.FleetDispatched.Load(); got != 6 {
-		t.Fatalf("FleetDispatched = %d, want 6", got)
-	}
-	if got := metrics.FleetSkipped.Load(); got != 0 {
-		t.Fatalf("FleetSkipped = %d, want 0", got)
-	}
-
-	// Engine-run events: per owner job one contiguous
-	// run.start..run.end block whose every event carries the same
-	// tenant and owner. Dispatch events are emitted live by the
-	// scheduler goroutine and may interleave between (not within)
-	// flushed blocks, so they are filtered out first.
+	// Concurrent jobs interleave in the shared ring, so the check is
+	// per (tenant, owner): each job's events open with run.start,
+	// close with run.end, and nothing of the job falls outside them.
 	type jobKey struct {
 		tenant string
 		owner  int64
 	}
-	seen := map[jobKey]int{}
-	var cur *jobKey
-	for _, ev := range events {
-		if ev.Kind == obs.KindDispatch || ev.Kind == obs.KindSkip {
-			continue
-		}
+	open := map[jobKey]bool{}
+	ended := map[jobKey]bool{}
+	for _, ev := range ring.Events() {
 		if ev.Tenant == "" || ev.Owner == 0 {
 			t.Fatalf("engine event without attribution: %+v", ev)
 		}
 		k := jobKey{ev.Tenant, ev.Owner}
 		switch {
+		case ended[k]:
+			t.Fatalf("event of %+v after its run.end: %+v", k, ev)
 		case ev.Kind == obs.KindRunStart:
-			if cur != nil {
-				t.Fatalf("run.start for %+v inside open block %+v", k, *cur)
+			if open[k] {
+				t.Fatalf("second run.start for %+v", k)
 			}
-			cur = &k
-			seen[k]++
-		case cur == nil:
-			t.Fatalf("event outside any run block: %+v", ev)
-		case *cur != k:
-			t.Fatalf("block %+v interleaved with event of %+v", *cur, k)
-		}
-		if ev.Kind == obs.KindRunEnd {
-			cur = nil
+			open[k] = true
+		case !open[k]:
+			t.Fatalf("event of %+v before its run.start: %+v", k, ev)
+		case ev.Kind == obs.KindRunEnd:
+			ended[k] = true
 		}
 	}
-	if cur != nil {
-		t.Fatalf("unterminated run block %+v", *cur)
-	}
-	if len(seen) != 6 {
-		t.Fatalf("saw %d distinct (tenant, owner) blocks, want 6: %v", len(seen), seen)
-	}
-	for k, n := range seen {
-		if n != 1 {
-			t.Fatalf("job %+v ran %d blocks, want 1", k, n)
-		}
+	if len(open) != 6 || len(ended) != 6 {
+		t.Fatalf("saw %d started and %d ended (tenant, owner) runs, want 6 each", len(open), len(ended))
 	}
 }

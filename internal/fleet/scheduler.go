@@ -1,3 +1,32 @@
+// Package fleet schedules owner risk estimates from many tenants over
+// one shared worker budget: the Scheduler every served estimate,
+// revision and traced replay runs through. Jobs arrive one at a time —
+// the arrival pattern of a serving layer — and the flow is two-phase,
+// so a front end can reject over-budget work synchronously (HTTP 429)
+// before queueing anything: Admit checks the tenant's limits and
+// reserves a claim, then Admission.Run executes the job once a shared
+// worker slot frees up.
+//
+// The Scheduler provides:
+//
+//   - One shared worker budget. At most SchedulerConfig.Workers jobs
+//     run at once across all tenants; the rest wait for a slot under
+//     their own context.
+//
+//   - Per-tenant admission control. TenantLimits caps a tenant's
+//     admitted jobs (MaxActive) and the owner queries its finished jobs
+//     may spend (MaxQueries); an admission over either limit fails with
+//     *OverBudgetError and a retry hint.
+//
+//   - One shared weight cache. Every job reads the same content-keyed
+//     cluster.WeightCache, so identical pool content across owners,
+//     tenants and repeat runs is computed once.
+//
+// Per-owner output is byte-identical to a standalone core.Engine run.
+// Every job runs at Workers = 1, pool by pool: the scheduler's
+// parallelism comes only from running independent jobs concurrently,
+// and nothing an owner's session observes — pool order, RNG streams,
+// answer values — depends on the other jobs.
 package fleet
 
 import (
@@ -14,20 +43,10 @@ import (
 	"sightrisk/internal/profile"
 )
 
-// Scheduler is the long-lived, incremental counterpart of Run: where
-// Run executes a fixed batch of tenants' jobs and returns, a Scheduler
-// accepts jobs one at a time — the arrival pattern of a serving layer
-// — while preserving the fleet invariants: one shared worker budget
-// across all tenants, per-tenant admission control, one shared
-// content-keyed weight cache, and every job run pool by pool
-// (Workers = 1), its output byte-identical to a standalone run.
-//
-// The flow is two-phase so a front end can reject over-budget work
-// synchronously (HTTP 429) before queueing anything: Admit reserves a
-// slot claim against the tenant's limits, then Admission.Run executes
-// the job when a shared worker slot frees up. Each phase is cheap;
-// the expensive wait (for a worker) happens inside Run under the
-// job's own context.
+// Scheduler runs owner jobs from many tenants over one shared worker
+// budget (see the package documentation). Admit and Cancel are cheap;
+// the expensive wait, for a worker slot, happens inside Admission.Run
+// under the job's own context.
 type Scheduler struct {
 	ecfg    core.Config
 	weights *cluster.WeightCache
@@ -52,19 +71,25 @@ type schedTenant struct {
 type TenantLimits struct {
 	// MaxActive caps the tenant's admitted-but-unreleased jobs
 	// (queued plus running). Admissions beyond it fail with
-	// ErrOverBudget (reason SkipActive) until a job finishes.
+	// *OverBudgetError (reason SkipActive) until a job finishes.
 	MaxActive int
 	// MaxQueries caps the total owner-label queries spent by the
-	// tenant's finished jobs, the same resource Budget.MaxQueries
-	// meters in batch runs. Once crossed, further admissions fail with
-	// ErrOverBudget (reason SkipQueries).
+	// tenant's finished jobs. Once crossed, further admissions fail
+	// with *OverBudgetError (reason SkipQueries).
 	MaxQueries int
 }
 
-// SkipActive reports a job rejected because the tenant is already at
-// its concurrent-admission limit (Scheduler admission only; batch runs
-// have no equivalent, they own the whole job set).
-const SkipActive SkipReason = "active-limit"
+// SkipReason says which tenant limit rejected an admission.
+type SkipReason string
+
+const (
+	// SkipQueries: the tenant's finished jobs spent
+	// TenantLimits.MaxQueries.
+	SkipQueries SkipReason = "query-budget"
+	// SkipActive: the tenant is already at TenantLimits.MaxActive
+	// admitted jobs.
+	SkipActive SkipReason = "active-limit"
+)
 
 // OverBudgetError reports an admission rejected by a tenant limit.
 // RetryAfter is the front end's backoff hint: concurrency rejections
@@ -87,14 +112,13 @@ func (e *OverBudgetError) Error() string {
 // SchedulerConfig parameterizes NewScheduler.
 type SchedulerConfig struct {
 	// Engine is the default per-job pipeline configuration. Workers is
-	// ignored: every job runs pool by pool (see Config.Engine).
+	// ignored: every job runs pool by pool (Workers = 1), so the shared
+	// worker budget is spent across jobs. Output is byte-identical to a
+	// standalone run at any Workers value.
 	Engine core.Config
 	// Workers bounds how many jobs run concurrently across all tenants.
 	// 0 means runtime.GOMAXPROCS(0).
 	Workers int
-	// Weights is the shared weight-matrix cache; a private one is
-	// created when nil.
-	Weights *cluster.WeightCache
 }
 
 // Job is one owner estimate submitted to a Scheduler.
@@ -131,13 +155,9 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 	if err := ecfg.Validate(); err != nil {
 		return nil, fmt.Errorf("fleet: %w", err)
 	}
-	weights := cfg.Weights
-	if weights == nil {
-		weights = cluster.NewWeightCache()
-	}
 	return &Scheduler{
 		ecfg:    ecfg,
-		weights: weights,
+		weights: cluster.NewWeightCache(),
 		sem:     make(chan struct{}, parallel.ResolveWorkers(cfg.Workers)),
 		tenants: map[string]*schedTenant{},
 	}, nil

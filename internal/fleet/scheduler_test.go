@@ -3,7 +3,6 @@ package fleet
 import (
 	"context"
 	"errors"
-	"sync"
 	"testing"
 	"time"
 
@@ -23,50 +22,25 @@ func newTestScheduler(t *testing.T, workers int) *Scheduler {
 }
 
 // TestSchedulerMatchesSerial: every run out of the incremental
-// scheduler — jobs admitted one at a time, executed concurrently — is
-// identical to its standalone serial run, same as the batch fleet.
+// scheduler — snapshot-backed jobs admitted one at a time, executed
+// concurrently — is identical to its standalone serial run.
 func TestSchedulerMatchesSerial(t *testing.T) {
 	study := fleetStudy(t, 3, 120, 11)
 	want := serialBaseline(t, study)
 	s := newTestScheduler(t, 4)
 	defer s.Close()
 
+	jobs := jobsOf(study)
 	snap := study.Graph.Snapshot()
-	var (
-		wg  sync.WaitGroup
-		mu  sync.Mutex
-		got = make(map[graph.UserID]*core.OwnerRun)
-	)
-	for _, o := range study.Owners {
-		adm, err := s.Admit("tenant-a")
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		o := o
-		go func() {
-			defer wg.Done()
-			run, err := adm.Run(context.Background(), Job{
-				Graph:      study.Graph,
-				Store:      study.Profiles,
-				Snapshot:   snap,
-				Owner:      o.ID,
-				Annotator:  active.Infallible(o),
-				Confidence: o.Confidence,
-			})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			mu.Lock()
-			got[o.ID] = run
-			mu.Unlock()
-		}()
+	for i := range jobs {
+		jobs[i].Snapshot = snap
 	}
-	wg.Wait()
-	for id, ref := range want {
-		if d := diffRuns(ref, got[id]); d != "" {
-			t.Errorf("owner %d diverged from serial baseline: %s", id, d)
+	for _, run := range runTenants(t, s, map[string][]Job{"tenant-a": jobs})["tenant-a"] {
+		if run == nil {
+			continue // runTenants reported the failure
+		}
+		if d := diffRuns(want[run.Owner], run); d != "" {
+			t.Errorf("owner %d diverged from serial baseline: %s", run.Owner, d)
 		}
 	}
 	st := s.Stats()

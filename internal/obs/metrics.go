@@ -11,10 +11,9 @@ import (
 // Metrics accumulates lock-free per-stage counters and histograms for
 // the whole pipeline: stranger NS builds, Squeezer passes,
 // harmonic-solver iterations, annotator retries, weight-cache
-// hits/misses and fleet scheduler decisions. One Metrics value is
-// typically shared by every engine (and the fleet) in a process; all
-// fields are independent atomics, so concurrent runs update them
-// without contention or locks.
+// hits/misses and cluster forwarding. One Metrics value is typically
+// shared by every engine in a process; all fields are independent
+// atomics, so concurrent runs update them without contention or locks.
 //
 // The zero value is ready to use. Export a snapshot via Publish
 // (expvar) or WriteJSON (riskbench -metrics-out).
@@ -49,10 +48,6 @@ type Metrics struct {
 	// PoolsReused counts pools served from a prior run's result during
 	// incremental re-estimation instead of re-running their sessions.
 	PoolsReused atomic.Uint64
-	// FleetDispatched counts jobs the fleet scheduler dispatched.
-	FleetDispatched atomic.Uint64
-	// FleetSkipped counts jobs the fleet scheduler skipped over budgets.
-	FleetSkipped atomic.Uint64
 	// ClusterForwards counts requests proxied to the ring owner.
 	ClusterForwards atomic.Uint64
 	// ClusterAdoptions counts jobs adopted from the shared store after a
@@ -138,8 +133,6 @@ type MetricsSnapshot struct {
 	CacheMisses      uint64   `json:"cache_misses"`              // see Metrics.CacheMisses
 	CacheEvictions   uint64   `json:"cache_evictions"`           // see Metrics.CacheEvictions
 	PoolsReused      uint64   `json:"pools_reused"`              // see Metrics.PoolsReused
-	FleetDispatched  uint64   `json:"fleet_dispatched"`          // see Metrics.FleetDispatched
-	FleetSkipped     uint64   `json:"fleet_skipped"`             // see Metrics.FleetSkipped
 	ClusterForwards  uint64   `json:"cluster_forwards"`          // see Metrics.ClusterForwards
 	ClusterAdoptions uint64   `json:"cluster_adoptions"`         // see Metrics.ClusterAdoptions
 	ClusterDeaths    uint64   `json:"cluster_deaths"`            // see Metrics.ClusterDeaths
@@ -164,8 +157,6 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		CacheMisses:      m.CacheMisses.Load(),
 		CacheEvictions:   m.CacheEvictions.Load(),
 		PoolsReused:      m.PoolsReused.Load(),
-		FleetDispatched:  m.FleetDispatched.Load(),
-		FleetSkipped:     m.FleetSkipped.Load(),
 		ClusterForwards:  m.ClusterForwards.Load(),
 		ClusterAdoptions: m.ClusterAdoptions.Load(),
 		ClusterDeaths:    m.ClusterDeaths.Load(),

@@ -8,7 +8,7 @@
 // The package depends only on the standard library and knows nothing
 // about graphs, pools or sessions: producers describe themselves
 // through the flat Event record, so one Observer hook serves the
-// serial engine, the parallel gate path and the multi-tenant fleet
+// serial engine, the parallel gate path and the multi-tenant scheduler
 // alike.
 //
 // Everything is built to cost nothing when unused: hot paths guard
@@ -23,7 +23,7 @@ import (
 )
 
 // Kind classifies an event within the run hierarchy: owner run → pool
-// → round → query, plus the stage-digest and fleet-scheduler records.
+// → round → query, plus the stage-digest records.
 type Kind uint8
 
 // Event kinds, in rough emission order within one owner run.
@@ -53,11 +53,6 @@ const (
 	// KindRunEnd closes an owner run (N = owner labels spent, Note =
 	// "partial" for degraded runs).
 	KindRunEnd
-	// KindDispatch records a fleet scheduler dispatch decision (N =
-	// estimated job cost).
-	KindDispatch
-	// KindSkip records a fleet job skipped over budget (Note = reason).
-	KindSkip
 )
 
 var kindNames = map[Kind]string{
@@ -70,8 +65,6 @@ var kindNames = map[Kind]string{
 	KindRound:       "round",
 	KindPoolEnd:     "pool.end",
 	KindRunEnd:      "run.end",
-	KindDispatch:    "dispatch",
-	KindSkip:        "skip",
 }
 
 // String returns the kind's wire name ("query", "pool.start", ...).
@@ -121,7 +114,7 @@ type Event struct {
 
 	// Kind says what happened (see the Kind* constants).
 	Kind Kind `json:"kind"`
-	// Tenant attributes the event to a fleet tenant ("" standalone).
+	// Tenant attributes the event to a scheduler tenant ("" standalone).
 	Tenant string `json:"tenant,omitempty"`
 	// Owner is the run's owner user id.
 	Owner int64 `json:"owner,omitempty"`
@@ -219,8 +212,8 @@ func (b *Buffer) Len() int { return len(b.events) }
 func (b *Buffer) Events() []Event { return b.events }
 
 // FlushTo forwards every buffered event to o in order and empties the
-// buffer. The caller serializes concurrent flushes (the fleet holds a
-// flush lock so each job's events land as one contiguous block).
+// buffer. The caller serializes concurrent flushes into a shared
+// observer.
 func (b *Buffer) FlushTo(o Observer) {
 	if o == nil {
 		b.events = b.events[:0]
