@@ -39,7 +39,7 @@ sightbench-check:
 # the event auditor attached and fail on the first divergent event
 # (see README "Observability").
 audit:
-	$(GO) run ./cmd/riskbench -audit -workers 4
+	$(GO) run ./cmd/riskbench -audit
 
 # Documentation checks: vet plus godoc coverage of the public surface
 # (every exported identifier in the root package, client/ and the
@@ -63,14 +63,14 @@ scale-smoke:
 # docs/CLUSTER.md). The throwaway JSON keeps tier-1 from dirtying the
 # checked-in numbers.
 cluster-smoke:
-	$(GO) run ./cmd/riskbench -nodes 2 -workers 2 -cluster-out /tmp/BENCH_cluster_smoke.json
+	$(GO) run ./cmd/riskbench -nodes 2 -cluster-out /tmp/BENCH_cluster_smoke.json
 
 # Incremental smoke test: one small network through the delta
 # pipeline — the advise counterfactual (candidate edge on a cloned
 # graph) and two mixed update batches, each revised against the prior
 # run — failing unless every revision is byte-identical to a full
-# recompute and the advise assessment is byte-identical across worker
-# counts. The real rows (BENCH_incremental.json, 2x10^3 and 10^4
+# recompute and the revised advise assessment is byte-identical to the
+# recomputed one. The real rows (BENCH_incremental.json, 2x10^3 and 10^4
 # strangers) come from `make incremental-bench`.
 incremental-smoke:
 	$(GO) run ./cmd/riskbench -incremental -incr-sizes 2000 -incr-deltas 1,10 -incr-out /tmp/BENCH_incremental_smoke.json

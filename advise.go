@@ -263,9 +263,9 @@ func (p AccessPolicy) AssessRequest(before, after *Report, candidate UserID) (*F
 // internal/delta — only pools the new edge dirties are recomputed) and
 // assess the per-item exposure delta under the policy. The
 // counterfactual path is byte-identical to a full recompute on the
-// modified graph, at any Options.Workers value. The network must be
-// graph-backed (ErrReadOnly otherwise) and is not modified: the
-// counterfactual edge lands on a clone.
+// modified graph. The network must be graph-backed (ErrReadOnly
+// otherwise) and is not modified: the counterfactual edge lands on a
+// clone.
 func (p AccessPolicy) AdviseRequest(ctx context.Context, n *Network, owner, candidate UserID, ann AnyAnnotator, opts Options) (*FriendRequestAssessment, error) {
 	if n == nil {
 		return nil, fmt.Errorf("sight: network must not be nil")

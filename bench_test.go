@@ -17,7 +17,6 @@ package sight
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -272,31 +271,8 @@ func BenchmarkPipelineOneOwner(b *testing.B) {
 	}
 }
 
-// BenchmarkEstimateRiskParallel times the full single-owner pipeline
-// at several worker counts. Output is identical at every count (see
-// TestWorkersDeterminismProperty); this measures only wall time. On a
-// single-CPU runner all counts collapse to roughly serial speed —
-// record results together with the GOMAXPROCS they were taken at.
-func BenchmarkEstimateRiskParallel(b *testing.B) {
-	env := freshEnv(b, 1, 400)
-	o := env.Study.Owners[0]
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			cfg := env.Cfg
-			cfg.Workers = workers
-			engine := core.New(cfg)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := engine.RunOwner(context.Background(), env.Study.Graph, env.Study.Profiles, o.ID, active.Infallible(o), o.Confidence); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkEstimateRiskObserver measures the cost of the observability
-// layer on the single-owner parallel pipeline: detached (the nil
+// layer on the single-owner pipeline: detached (the nil
 // observer, which must stay within noise of the pre-observability
 // engine), an in-memory ring with stage digests, and counters-only
 // metrics. The nil/ring delta is the number quoted in EXPERIMENTS.md.
@@ -305,7 +281,6 @@ func BenchmarkEstimateRiskObserver(b *testing.B) {
 	o := env.Study.Owners[0]
 	run := func(b *testing.B, mutate func(*core.Config)) {
 		cfg := env.Cfg
-		cfg.Workers = 4
 		if mutate != nil {
 			mutate(&cfg)
 		}

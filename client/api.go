@@ -111,8 +111,8 @@ type NetworkPayload struct {
 
 // OptionsPayload selects pipeline options for a job. Nil fields keep
 // the server's defaults (the paper's configuration); it is a strict
-// subset of sight.Options — worker counts and fault-tolerance plumbing
-// belong to the server, not the wire.
+// subset of sight.Options — fault-tolerance plumbing belongs to the
+// server, not the wire.
 type OptionsPayload struct {
 	// Seed drives stranger sampling (default 1).
 	Seed *int64 `json:"seed,omitempty"`

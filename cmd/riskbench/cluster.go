@@ -17,6 +17,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -29,7 +30,6 @@ import (
 	"sightrisk/internal/graph"
 	"sightrisk/internal/label"
 	"sightrisk/internal/obs"
-	"sightrisk/internal/parallel"
 	"sightrisk/internal/place"
 	"sightrisk/internal/server"
 	"sightrisk/internal/stats"
@@ -74,7 +74,7 @@ type benchCluster struct {
 // newBenchCluster stands up n replicas named n1..nN behind httptest
 // listeners, sharing stateDir. customize (optional) tweaks each node's
 // config before the server is built.
-func newBenchCluster(n, workers int, stateDir string, mk func() map[string]*dataset.Dataset, customize func(i int, cfg *server.Config)) (*benchCluster, error) {
+func newBenchCluster(n int, stateDir string, mk func() map[string]*dataset.Dataset, customize func(i int, cfg *server.Config)) (*benchCluster, error) {
 	bc := &benchCluster{
 		srvs:    make([]*server.Server, n),
 		hss:     make([]*httptest.Server, n),
@@ -96,7 +96,6 @@ func newBenchCluster(n, workers int, stateDir string, mk func() map[string]*data
 		bc.metrics[i] = &obs.Metrics{}
 		cfg := server.Config{
 			Datasets:      mk(),
-			Workers:       workers,
 			StateDir:      stateDir,
 			Cluster:       roster,
 			Metrics:       bc.metrics[i],
@@ -228,7 +227,7 @@ func serialBaseline(ctx context.Context, ds *dataset.Dataset) (map[graph.UserID]
 // runClusterSweep runs every owner through an n-replica cluster as
 // stored-annotator jobs, killing one replica mid-sweep when kill is
 // set, and verifies every report against want.
-func runClusterSweep(ds *dataset.Dataset, want map[graph.UserID][]byte, n, workers int, kill bool, mk func() map[string]*dataset.Dataset) (clusterRun, error) {
+func runClusterSweep(ds *dataset.Dataset, want map[graph.UserID][]byte, n int, kill bool, mk func() map[string]*dataset.Dataset) (clusterRun, error) {
 	run := clusterRun{Nodes: n, Owners: len(ds.Owners), Identical: true}
 	stateDir, err := os.MkdirTemp("", "riskbench-cluster-")
 	if err != nil {
@@ -236,7 +235,7 @@ func runClusterSweep(ds *dataset.Dataset, want map[graph.UserID][]byte, n, worke
 	}
 	defer os.RemoveAll(stateDir)
 
-	bc, err := newBenchCluster(n, workers, stateDir, mk, nil)
+	bc, err := newBenchCluster(n, stateDir, mk, nil)
 	if err != nil {
 		return run, err
 	}
@@ -330,7 +329,7 @@ func runClusterSweep(ds *dataset.Dataset, want map[graph.UserID][]byte, n, worke
 
 // runClusterBench is -nodes mode: the replica-count sweep with
 // mid-sweep kills, verified byte-identical against the serial run.
-func runClusterBench(scale string, seed int64, workers int, nodesSpec, outPath string) error {
+func runClusterBench(scale string, seed int64, nodesSpec, outPath string) error {
 	var counts []int
 	for _, f := range strings.Split(nodesSpec, ",") {
 		f = strings.TrimSpace(f)
@@ -351,8 +350,8 @@ func runClusterBench(scale string, seed int64, workers int, nodesSpec, outPath s
 	if err != nil {
 		return err
 	}
-	resolved := parallel.ResolveWorkers(workers)
-	fmt.Printf("riskbench: cluster mode — scale=%s seed=%d nodes=%v (server workers=%d)\n", scale, seed, counts, resolved)
+	slots := runtime.GOMAXPROCS(0) // each replica's default: one job slot per CPU
+	fmt.Printf("riskbench: cluster mode — scale=%s seed=%d nodes=%v (server workers=%d)\n", scale, seed, counts, slots)
 
 	study, err := synthetic.GenerateStudy(cfg)
 	if err != nil {
@@ -378,12 +377,12 @@ func runClusterBench(scale string, seed int64, workers int, nodesSpec, outPath s
 		Scale:   scale,
 		Seed:    seed,
 		Owners:  len(ds.Owners),
-		Workers: resolved,
+		Workers: slots,
 		Serial:  serial,
 	}
 	identical := true
 	for _, n := range counts {
-		run, err := runClusterSweep(ds, want, n, resolved, n > 1, mk)
+		run, err := runClusterSweep(ds, want, n, n > 1, mk)
 		if err != nil {
 			return err
 		}
@@ -428,7 +427,7 @@ func runClusterBench(scale string, seed int64, workers int, nodesSpec, outPath s
 // compared byte for byte against the uninterrupted single-node serial
 // run. Returns the checkpoint count at the kill and a non-empty detail
 // on divergence.
-func auditCluster(seed int64, workers int) (int, string, error) {
+func auditCluster(seed int64) (int, string, error) {
 	cfg := synthetic.SmallStudyConfig()
 	cfg.Owners = 1
 	cfg.Seed = seed
@@ -463,7 +462,7 @@ func auditCluster(seed int64, workers int) (int, string, error) {
 		}
 		return map[string]*dataset.Dataset{"study": dataset.FromStudy(s, true)}
 	}
-	bc, err := newBenchCluster(2, workers, stateDir, mk, func(i int, c *server.Config) {
+	bc, err := newBenchCluster(2, stateDir, mk, func(i int, c *server.Config) {
 		c.OnCheckpoint = func(string) { trip.Observe() }
 	})
 	if err != nil {

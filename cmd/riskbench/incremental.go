@@ -60,7 +60,6 @@ type incrBench struct {
 	GOMAXPROCS  int       `json:"gomaxprocs"`
 	NProc       int       `json:"nproc"`
 	Seed        int64     `json:"seed"`
-	Workers     int       `json:"workers"`
 	Rows        []incrRow `json:"rows"`
 }
 
@@ -217,19 +216,16 @@ func (r *batchRun) row(strangers, nodes int, kind string, batch delta.Batch) inc
 	return row
 }
 
-// auditWorkers are the worker counts the advise assessment and the
-// -audit revision leg are pinned across.
-var auditWorkers = []int{1, 2, 4}
-
 // runIncrementalBench is -incremental mode. Per network size it runs
 // the owner once to completion, then measures the advise batch
-// (candidate edge on a clone of the pristine graph; its assessment
-// bytes pinned across auditWorkers and, at 10^4 strangers and above,
-// at least 10x faster revised than recomputed) and one mixed batch per
-// -incr-deltas size, each revising the state the previous one left.
-// Any revision that is not byte-identical to its full recompute fails
-// the run. Results go to stdout and to outPath.
-func runIncrementalBench(sizesSpec, deltasSpec string, seed int64, workers int, outPath string) error {
+// (candidate edge on a clone of the pristine graph; the revised run's
+// assessment bytes must equal the recomputed run's and, at 10^4
+// strangers and above, the revision must be at least 10x faster than
+// the recompute) and one mixed batch per -incr-deltas size, each
+// revising the state the previous one left. Any revision that is not
+// byte-identical to its full recompute fails the run. Results go to
+// stdout and to outPath.
+func runIncrementalBench(sizesSpec, deltasSpec string, seed int64, outPath string) error {
 	var sizes, deltas []int
 	for _, s := range strings.Split(sizesSpec, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(s))
@@ -252,9 +248,8 @@ func runIncrementalBench(sizesSpec, deltasSpec string, seed int64, workers int, 
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 		NProc:       runtime.NumCPU(),
 		Seed:        seed,
-		Workers:     workers,
 	}
-	fmt.Printf("riskbench: incremental sweep sizes=%v deltas=%v seed=%d workers=%d\n", sizes, deltas, seed, workers)
+	fmt.Printf("riskbench: incremental sweep sizes=%v deltas=%v seed=%d\n", sizes, deltas, seed)
 	fmt.Printf("%10s %8s %7s %7s %9s %12s %12s %9s %7s %7s %7s\n",
 		"strangers", "nodes", "batch", "delta", "verdict", "full", "incremental", "speedup", "pools", "reused", "rerun")
 	emit := func(r *batchRun, row incrRow) error {
@@ -276,7 +271,6 @@ func runIncrementalBench(sizesSpec, deltasSpec string, seed int64, workers int, 
 			return fmt.Errorf("generate %d: %w", n, err)
 		}
 		cfg := core.DefaultConfig()
-		cfg.Workers = workers
 		prior, err := core.New(cfg).RunOwner(ctx, study.Graph, study.Profiles, o.ID, active.Infallible(o), o.Confidence)
 		if err != nil {
 			return fmt.Errorf("baseline at %d: %w", n, err)
@@ -301,23 +295,12 @@ func runIncrementalBench(sizesSpec, deltasSpec string, seed int64, workers int, 
 		if err := emit(r, row); err != nil {
 			return err
 		}
-		// Pin the served bytes across worker counts: every Workers value
-		// must revise to the reference run and its advise assessment.
-		for _, w := range auditWorkers {
-			wcfg := cfg
-			wcfg.Workers = w
-			rev, _, err := delta.Revise(ctx, wcfg, gc, study.Profiles, o.ID, active.Infallible(o), o.Confidence, prior, batch)
-			if err != nil {
-				return fmt.Errorf("advise at %d, workers=%d: %w", n, w, err)
-			}
-			if d := core.DiffRuns(r.full, rev); d != "" {
-				return fmt.Errorf("advise at %d strangers, workers=%d: counterfactual diverges: %s", n, w, d)
-			}
-			if _, got, err := assess(prior, rev, cand); err != nil {
-				return err
-			} else if string(got) != string(want) {
-				return fmt.Errorf("advise at %d strangers, workers=%d: advise assessment bytes diverge", n, w)
-			}
+		// Pin the served bytes: the revised run's advise assessment must
+		// equal the recomputed run's.
+		if _, got, err := assess(prior, r.revised, cand); err != nil {
+			return err
+		} else if string(got) != string(want) {
+			return fmt.Errorf("advise at %d strangers: revised advise assessment bytes diverge from the recomputed ones", n)
 		}
 		if n >= 10000 && row.Speedup < 10 {
 			return fmt.Errorf("advise at %d strangers: counterfactual speedup %.1fx is below the required 10x", n, row.Speedup)
@@ -356,10 +339,10 @@ func runIncrementalBench(sizesSpec, deltasSpec string, seed int64, workers int, 
 // auditRevise is the revision leg of -audit mode. On a small study it
 // builds the advise batch (candidate edge on a cloned graph) and a
 // mixed batch (on a second clone with copy-on-write profiles), then
-// per worker count in auditWorkers diffs a full recompute against
-// delta.Revise for both. The mixed batch must reuse pools and the
-// advise assessment bytes must not depend on the worker count.
-// Returns the pools per run and a divergence description ("" on pass).
+// diffs a full recompute against delta.Revise for both. The mixed
+// batch must reuse pools, and the revised advise assessment bytes must
+// equal the recomputed ones. Returns the pools per run and a
+// divergence description ("" on pass).
 func auditRevise(seed int64) (int, string, error) {
 	ctx := context.Background()
 	study, o, err := incrStudy(300, seed)
@@ -381,38 +364,34 @@ func auditRevise(seed int64) (int, string, error) {
 	if err != nil {
 		return 0, "", err
 	}
-	var want []byte
-	pools := 0
-	for _, w := range auditWorkers {
-		cfg := core.DefaultConfig()
-		cfg.Workers = w
-		a, err := runBatch(ctx, cfg, ga, study.Profiles, o, prior, advise)
-		if err != nil {
-			return 0, "", fmt.Errorf("workers=%d advise: %w", w, err)
-		}
-		if a.diff != "" {
-			return pools, fmt.Sprintf("workers=%d: advise counterfactual diverges from full recompute: %s", w, a.diff), nil
-		}
-		_, got, err := assess(prior, a.revised, cand)
-		if err != nil {
-			return 0, "", err
-		}
-		if want == nil {
-			want = got
-		} else if string(got) != string(want) {
-			return pools, fmt.Sprintf("workers=%d: advise assessment bytes diverge from workers=%d", w, auditWorkers[0]), nil
-		}
-		m, err := runBatch(ctx, cfg, gm, mstore, o, prior, mixed)
-		if err != nil {
-			return 0, "", fmt.Errorf("workers=%d mixed: %w", w, err)
-		}
-		if m.diff != "" {
-			return pools, fmt.Sprintf("workers=%d: mixed-batch revision diverges from full recompute: %s", w, m.diff), nil
-		}
-		if m.stats.PoolsReused == 0 {
-			return pools, fmt.Sprintf("workers=%d: no pools reused on the mixed batch — the incremental path was not exercised", w), nil
-		}
-		pools = a.stats.PoolsTotal + m.stats.PoolsTotal
+	cfg := core.DefaultConfig()
+	a, err := runBatch(ctx, cfg, ga, study.Profiles, o, prior, advise)
+	if err != nil {
+		return 0, "", fmt.Errorf("advise: %w", err)
 	}
-	return pools, "", nil
+	if a.diff != "" {
+		return 0, "advise counterfactual diverges from full recompute: " + a.diff, nil
+	}
+	_, want, err := assess(prior, a.full, cand)
+	if err != nil {
+		return 0, "", err
+	}
+	_, got, err := assess(prior, a.revised, cand)
+	if err != nil {
+		return 0, "", err
+	}
+	if string(got) != string(want) {
+		return 0, "revised advise assessment bytes diverge from the recomputed ones", nil
+	}
+	m, err := runBatch(ctx, cfg, gm, mstore, o, prior, mixed)
+	if err != nil {
+		return 0, "", fmt.Errorf("mixed: %w", err)
+	}
+	if m.diff != "" {
+		return 0, "mixed-batch revision diverges from full recompute: " + m.diff, nil
+	}
+	if m.stats.PoolsReused == 0 {
+		return 0, "no pools reused on the mixed batch — the incremental path was not exercised", nil
+	}
+	return a.stats.PoolsTotal + m.stats.PoolsTotal, "", nil
 }

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	riskbench [-scale small|medium|full] [-seed N] [-only fig4,table1,...] [-workers N]
+//	riskbench [-scale small|medium|full] [-seed N] [-only fig4,table1,...]
 //	          [-fault-prob P] [-fault-latency D] [-fault-abandon N] [-fault-seed N] [-fault-retries N]
 //
 // or, in exactly one benchmark or audit mode,
@@ -15,9 +15,10 @@
 //	riskbench -ldp [-ldp-eps 0.5,1,...] [-ldp-trials N] [-ldp-strangers N] [-ldp-out FILE]
 //	riskbench -audit
 //
-// Every mode takes -seed, and all but -ldp take -workers.
-// Setting more than one mode, or naming an unknown -only step, is a
-// usage error (exit status 2).
+// Every mode takes -seed. The experiment steps estimate independent
+// owners concurrently, one per CPU, and print the same bytes as a
+// one-owner-at-a-time run. Setting more than one mode, or naming an
+// unknown -only step, is a usage error (exit status 2).
 //
 // With -nodes it runs every owner through an in-process N-replica
 // sightd cluster, kills one replica mid-sweep when N > 1, verifies the
@@ -31,10 +32,10 @@
 // friendship-request counterfactual behind POST /v1/advise (the
 // best-connected candidate's edge on a clone of the graph) and one
 // mixed graph/profile batch per -incr-deltas size. Every revision must
-// be byte-identical to its full recompute, the advise assessment must
-// be byte-identical at workers 1, 2 and 4, and at 10^4 strangers and
-// above the advise revision must be at least 10x faster than the full
-// recompute (non-zero exit otherwise); the rows go to
+// be byte-identical to its full recompute, the revised advise
+// assessment must be byte-identical to the recomputed one, and at 10^4
+// strangers and above the advise revision must be at least 10x faster
+// than the full recompute (non-zero exit otherwise); the rows go to
 // BENCH_incremental.json.
 //
 // With -ldp it benchmarks the differentially private analytics behind
@@ -82,7 +83,6 @@ import (
 	"sightrisk/internal/experiments"
 	"sightrisk/internal/faults"
 	"sightrisk/internal/obs"
-	"sightrisk/internal/parallel"
 	"sightrisk/internal/profile"
 	"sightrisk/internal/stats"
 	"sightrisk/internal/synthetic"
@@ -94,7 +94,6 @@ func main() {
 	only := flag.String("only", "", "comma-separated experiment ids (fig4 fig5 fig6 fig7 headline table1 table2 table3 table4 table5 contrast dynamics robustness faults); empty = all")
 	rounds := flag.Int("rounds", 8, "x-axis length for fig5/fig6")
 	ablations := flag.Bool("ablations", false, "also run the DESIGN.md §5 ablations (classifiers, alpha, beta, stopping rule, weight exponent, Squeezer weights, pool strategy)")
-	workers := flag.Int("workers", 0, "concurrent per-pool workers in the risk engine (0 = one per CPU, 1 = pool by pool)")
 	times := flag.Bool("times", true, "report per-stage wall time")
 	faultProb := flag.Float64("fault-prob", 0, "inject transient annotator failures with this per-query probability")
 	faultLatency := flag.Duration("fault-latency", 0, "inject this much latency into every annotator answer")
@@ -127,16 +126,16 @@ func main() {
 	m, err := pickMode([]mode{
 		{"-ldp", *ldpMode, func() error { return runLDPBench(*ldpEps, *ldpTrials, *ldpStrangers, *seed, *ldpOut) }},
 		{"-incremental", *incremental, func() error {
-			return runIncrementalBench(*incrSizes, *incrDeltas, *seed, parallel.ResolveWorkers(*workers), *incrOut)
+			return runIncrementalBench(*incrSizes, *incrDeltas, *seed, *incrOut)
 		}},
-		{"-scale sweep", *scale == "sweep", func() error { return runScaleBench(*scaleSizes, *seed, *workers, *scaleOwners, *scaleOut) }},
-		{"-nodes", *nodes != "", func() error { return runClusterBench(*scale, *seed, *workers, *nodes, *clusterOut) }},
-		{"-audit", *audit, func() error { return runAudit(*seed, *workers) }},
+		{"-scale sweep", *scale == "sweep", func() error { return runScaleBench(*scaleSizes, *seed, *scaleOwners, *scaleOut) }},
+		{"-nodes", *nodes != "", func() error { return runClusterBench(*scale, *seed, *nodes, *clusterOut) }},
+		{"-audit", *audit, func() error { return runAudit(*seed) }},
 	})
 	if err != nil {
 		usageErr(err)
 	}
-	steps, err := selectSteps(paperSteps(*seed, *workers, *rounds), *only)
+	steps, err := selectSteps(paperSteps(*seed, *rounds), *only)
 	if err != nil {
 		usageErr(err)
 	}
@@ -149,7 +148,7 @@ func main() {
 	}
 
 	start := time.Now()
-	env, err := buildEnv(*scale, *seed, *workers)
+	env, err := buildEnv(*scale, *seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "riskbench:", err)
 		os.Exit(1)
@@ -223,7 +222,7 @@ func main() {
 	}
 	stage := func(id string, since time.Time) {
 		if *times {
-			fmt.Printf("riskbench: %-10s %10s  (workers=%d)\n", id, time.Since(since).Round(time.Millisecond), parallel.ResolveWorkers(*workers))
+			fmt.Printf("riskbench: %-10s %10s\n", id, time.Since(since).Round(time.Millisecond))
 		}
 	}
 	stage("generate", start)
@@ -284,7 +283,7 @@ type step struct {
 }
 
 // paperSteps is the experiment table -only selects from, in run order.
-func paperSteps(seed int64, workers, rounds int) []step {
+func paperSteps(seed int64, rounds int) []step {
 	return []step{
 		{"fig4", printFig4},
 		{"headline", printHeadline},
@@ -298,7 +297,7 @@ func paperSteps(seed int64, workers, rounds int) []step {
 		{"table5", printTable5},
 		{"contrast", printContrast},
 		{"dynamics", printDynamics},
-		{"robustness", func(*experiments.Env) error { return printRobustness(seed, workers) }},
+		{"robustness", func(*experiments.Env) error { return printRobustness(seed) }},
 		{"faults", printFaults},
 	}
 }
@@ -348,15 +347,13 @@ func printContrast(e *experiments.Env) error {
 	return nil
 }
 
-func printRobustness(seed int64, workers int) error {
+func printRobustness(seed int64) error {
 	// Robustness builds its own (smaller) populations per topology, so
 	// it always runs at a bounded scale regardless of -scale.
 	cfg := synthetic.SmallStudyConfig()
 	cfg.Owners = 6
 	cfg.Seed = seed
-	coreCfg := core.DefaultConfig()
-	coreCfg.Workers = workers
-	rows, err := experiments.Robustness(cfg, coreCfg)
+	rows, err := experiments.Robustness(cfg, core.DefaultConfig())
 	if err != nil {
 		return err
 	}
@@ -374,13 +371,11 @@ func printRobustness(seed int64, workers int) error {
 // configuration printRobustness uses, two full runs per topology
 // diffed event by event, then the snapfile, cluster, revise and ldp
 // legs. Exits non-zero on any divergence.
-func runAudit(seed int64, workers int) error {
+func runAudit(seed int64) error {
 	cfg := synthetic.SmallStudyConfig()
 	cfg.Owners = 6
 	cfg.Seed = seed
-	coreCfg := core.DefaultConfig()
-	coreCfg.Workers = workers
-	verdicts, err := experiments.AuditRobustness(cfg, coreCfg)
+	verdicts, err := experiments.AuditRobustness(cfg, core.DefaultConfig())
 	if err != nil {
 		return err
 	}
@@ -393,10 +388,10 @@ func runAudit(seed int64, workers int) error {
 		run           func() (int, string, error)
 	}{
 		{"snapfile", "%d events per run, mmap vs in-memory",
-			func() (int, string, error) { return auditSnapfile(seed, workers) }},
+			func() (int, string, error) { return auditSnapfile(seed) }},
 		{"cluster", "%d checkpoints observed, 2-node failover vs single-node",
-			func() (int, string, error) { return auditCluster(seed, workers) }},
-		{"revise", "%d pools per worker count, advise and mixed batches revised vs full recompute at workers 1/2/4",
+			func() (int, string, error) { return auditCluster(seed) }},
+		{"revise", "%d pools per run, advise and mixed batches revised vs full recompute",
 			func() (int, string, error) { return auditRevise(seed) }},
 		{"ldp", "%d releases checked: replays identical; fresh epochs, generations and ε independent",
 			func() (int, string, error) { return auditLDP(seed) }},
@@ -411,7 +406,7 @@ func runAudit(seed int64, workers int) error {
 	if !passed {
 		return fmt.Errorf("determinism audit failed")
 	}
-	fmt.Println("determinism audit passed: both runs of every topology were bit-identical, mmap-backed estimates matched in-memory ones bit for bit, the post-failover cluster report matched the single-node run byte for byte, revisions of the advise and mixed batches matched full recomputes at every worker count, and repeated differentially private releases reproduced byte for byte while fresh epochs, bumped generations and different ε all drew independent noise")
+	fmt.Println("determinism audit passed: both runs of every topology were bit-identical, mmap-backed estimates matched in-memory ones bit for bit, the post-failover cluster report matched the single-node run byte for byte, revisions of the advise and mixed batches matched full recomputes, and repeated differentially private releases reproduced byte for byte while fresh epochs, bumped generations and different ε all drew independent noise")
 	return nil
 }
 
@@ -521,14 +516,12 @@ func studyConfig(scale string, seed int64) (synthetic.StudyConfig, error) {
 	return cfg, nil
 }
 
-func buildEnv(scale string, seed int64, workers int) (*experiments.Env, error) {
+func buildEnv(scale string, seed int64) (*experiments.Env, error) {
 	cfg, err := studyConfig(scale, seed)
 	if err != nil {
 		return nil, err
 	}
-	coreCfg := core.DefaultConfig()
-	coreCfg.Workers = workers
-	return experiments.NewEnv(cfg, coreCfg)
+	return experiments.NewEnv(cfg, core.DefaultConfig())
 }
 
 func fmtNaN(v float64, format string) string {

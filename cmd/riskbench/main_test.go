@@ -9,7 +9,7 @@ import (
 // and an unknown id is refused with the valid ids listed rather than
 // silently running nothing.
 func TestSelectSteps(t *testing.T) {
-	table := paperSteps(1, 1, 8)
+	table := paperSteps(1, 8)
 	all, err := selectSteps(table, "")
 	if err != nil || len(all) != len(table) {
 		t.Fatalf("empty -only = %d steps, %v; want all %d", len(all), err, len(table))

@@ -41,7 +41,6 @@ type scaleRow struct {
 type scaleBench struct {
 	GeneratedAt string     `json:"generated_at"`
 	Seed        int64      `json:"seed"`
-	Workers     int        `json:"workers"`
 	Rows        []scaleRow `json:"rows"`
 }
 
@@ -169,10 +168,9 @@ func scaleAnnotator() sight.Annotator {
 // runScaleOwners estimates every owner on the network and returns the
 // marshaled reports (for the byte-identity check) plus the elapsed
 // wall time.
-func runScaleOwners(net *sight.Network, owners []graph.UserID, seed int64, workers int) ([][]byte, time.Duration, error) {
+func runScaleOwners(net *sight.Network, owners []graph.UserID, seed int64) ([][]byte, time.Duration, error) {
 	opts := sight.DefaultOptions()
 	opts.Seed = seed
-	opts.Workers = workers
 	ann := scaleAnnotator()
 	out := make([][]byte, 0, len(owners))
 	start := time.Now()
@@ -196,7 +194,7 @@ func runScaleOwners(net *sight.Network, owners []graph.UserID, seed int64, worke
 // once off a packed, mmap'd snapshot file. The reports and the full
 // event trails must both be bit-identical. Returns the events per run
 // and a divergence description ("" on pass).
-func auditSnapfile(seed int64, workers int) (int, string, error) {
+func auditSnapfile(seed int64) (int, string, error) {
 	cfg := synthetic.DefaultScaleConfig(10000)
 	cfg.Seed = seed
 	cfg.Owners = 2
@@ -222,7 +220,6 @@ func auditSnapfile(seed int64, workers int) (int, string, error) {
 	runSide := func(net *sight.Network) ([][]byte, []obs.Record, error) {
 		opts := sight.DefaultOptions()
 		opts.Seed = seed
-		opts.Workers = workers
 		aud := obs.NewAuditor()
 		opts.Observability.Observer = aud
 		opts.Observability.Trace.Digests = true
@@ -267,7 +264,7 @@ func auditSnapfile(seed int64, workers int) (int, string, error) {
 // benchmark owner off the mapped pages, and (at the smaller sizes)
 // verifies the mmap-backed reports byte-identical to in-memory ones.
 // Results go to stdout and to outPath as JSON.
-func runScaleBench(sizesSpec string, seed int64, workers, owners int, outPath string) error {
+func runScaleBench(sizesSpec string, seed int64, owners int, outPath string) error {
 	var sizes []int
 	for _, s := range strings.Split(sizesSpec, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(s))
@@ -282,7 +279,7 @@ func runScaleBench(sizesSpec string, seed int64, workers, owners int, outPath st
 	}
 	defer os.RemoveAll(dir)
 
-	bench := scaleBench{GeneratedAt: time.Now().UTC().Format(time.RFC3339), Seed: seed, Workers: workers}
+	bench := scaleBench{GeneratedAt: time.Now().UTC().Format(time.RFC3339), Seed: seed}
 	fmt.Printf("riskbench: scale sweep sizes=%v seed=%d\n", sizes, seed)
 	fmt.Printf("%10s %10s %12s %12s %12s %12s %9s %12s %9s %6s\n",
 		"nodes", "edges", "generate", "snap write", "mmap open", "json load", "speedup", "owners/sec", "rss MB", "ident")
@@ -361,7 +358,7 @@ func runScaleBench(sizesSpec string, seed int64, workers, owners int, outPath st
 
 		// Owner throughput off the mapped pages.
 		mmapNet := sight.WrapSnapshot(f.Snapshot(), f.Profiles().Store())
-		mmapReports, elapsed, err := runScaleOwners(mmapNet, sg.Owners, seed, workers)
+		mmapReports, elapsed, err := runScaleOwners(mmapNet, sg.Owners, seed)
 		if err != nil {
 			return fmt.Errorf("owners at %d: %w", n, err)
 		}
@@ -375,7 +372,7 @@ func runScaleBench(sizesSpec string, seed int64, workers, owners int, outPath st
 		identCell := "-"
 		if n <= byteIdentityMax {
 			memNet := sight.WrapSnapshot(sg.Snapshot, sg.Profiles.Store())
-			memReports, _, err := runScaleOwners(memNet, sg.Owners, seed, workers)
+			memReports, _, err := runScaleOwners(memNet, sg.Owners, seed)
 			if err != nil {
 				return fmt.Errorf("in-memory owners at %d: %w", n, err)
 			}

@@ -36,7 +36,6 @@ func TestOptionsValidate(t *testing.T) {
 		"rmse threshold": func(o *Options) { o.Learning.RMSEThreshold = 0 },
 		"sampler":        func(o *Options) { o.Learning.Sampler = "psychic" },
 		"stopper":        func(o *Options) { o.Learning.Stopper = "never" },
-		"workers":        func(o *Options) { o.Workers = -2 },
 		"retry jitter":   func(o *Options) { o.Retry.Jitter = 7 },
 		"abandon grace":  func(o *Options) { o.Checkpointing.AbandonGrace = -time.Second },
 	}

@@ -35,12 +35,11 @@ import (
 // FallibleAnnotator is expected.
 //
 // Concurrency contract: a Session calls LabelStranger from the single
-// goroutine running Session.Run, and the core engine's parallel path
-// serializes the calls of concurrent sessions through a deterministic
-// turn gate — so implementations are never invoked concurrently and
-// need no internal locking. Implementations that want reproducible
-// pipeline output must be deterministic per stranger (same stranger →
-// same label, regardless of question order).
+// goroutine running Session.Run, and the core engine runs an owner's
+// sessions one after another — so implementations are never invoked
+// concurrently and need no internal locking. Implementations that
+// want reproducible pipeline output must be deterministic per stranger
+// (same stranger → same label, regardless of question order).
 type Annotator interface {
 	// LabelStranger returns the owner's risk label for the stranger.
 	LabelStranger(s graph.UserID) label.Label
@@ -84,10 +83,10 @@ type Config struct {
 	MaxRounds int
 	// Classifier predicts labels from the labeled subset; nil defaults
 	// to a per-session harmonic-function classifier. A non-nil
-	// instance may be shared by concurrently running sessions (the
-	// engine's parallel path does), so it must keep no mutable
-	// per-call state — true of every classifier, sampler and stopper
-	// in this module.
+	// instance may be shared by concurrently running sessions (owners
+	// estimated at once under one configuration share it), so it must
+	// keep no mutable per-call state — true of every classifier,
+	// sampler and stopper in this module.
 	Classifier classify.Classifier
 	// Sampler selects each round's query set; nil defaults to the
 	// paper's uniform RandomSampler.

@@ -12,7 +12,8 @@ import (
 // owner has walked away for good — in the paper's deployment the human
 // owner of the "Sight" app simply stops answering. It is permanent by
 // contract: once an annotator returns ErrAbandoned it must keep
-// returning it (the engine enforces this with a latch regardless).
+// returning it (the engine asks the run nothing more after it
+// regardless).
 // The engine reacts by degrading gracefully: finished pools keep their
 // learned labels, interrupted pools fall back to majority predictions,
 // and the run yields a partial report instead of an error.

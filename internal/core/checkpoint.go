@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"sync"
 
 	"sightrisk/internal/active"
 	"sightrisk/internal/graph"
@@ -40,7 +39,7 @@ type PoolCheckpoint struct {
 // classifier output — is a deterministic function of the study inputs
 // and the seed, so a resumed run replays the answers through the
 // exact same pipeline and lands on the byte-identical report an
-// uninterrupted run would produce (at any Workers setting).
+// uninterrupted run would produce.
 type Checkpoint struct {
 	Version int                        `json:"version"`
 	Owner   graph.UserID               `json:"owner"`
@@ -168,10 +167,9 @@ func (c *Checkpoint) validateResume(owner graph.UserID, seed int64) error {
 }
 
 // checkpointer accumulates per-pool answers during a run and pushes
-// deep-copied snapshots into the configured sink. It is shared by all
-// concurrently running pool sessions, so every method locks.
+// deep-copied snapshots into the configured sink. It belongs to the
+// run's goroutine: the pool loop and the annotator chain call it.
 type checkpointer struct {
-	mu   sync.Mutex
 	cp   *Checkpoint
 	sink func(*Checkpoint) error
 }
@@ -181,20 +179,23 @@ func newCheckpointer(owner graph.UserID, seed int64, sink func(*Checkpoint) erro
 }
 
 // record stores one answered question for the pool. Called from the
-// recording annotator, under the engine's query serialization, but
-// locked anyway so the invariant doesn't hinge on gate behavior.
+// recording annotator.
 func (k *checkpointer) record(poolID string, s graph.UserID, l label.Label) {
 	if k == nil {
 		return
 	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
+	pc := k.pool(poolID)
+	pc.Answers = append(pc.Answers, QA{Stranger: s, Label: l})
+}
+
+// pool returns the pool's checkpoint entry, creating it on first use.
+func (k *checkpointer) pool(poolID string) *PoolCheckpoint {
 	pc := k.cp.Pools[poolID]
 	if pc == nil {
 		pc = &PoolCheckpoint{}
 		k.cp.Pools[poolID] = pc
 	}
-	pc.Answers = append(pc.Answers, QA{Stranger: s, Label: l})
+	return pc
 }
 
 // afterRound bumps the pool's completed-round count and flushes a
@@ -203,16 +204,9 @@ func (k *checkpointer) afterRound(poolID string, round active.Round) error {
 	if k == nil {
 		return nil
 	}
-	k.mu.Lock()
-	pc := k.cp.Pools[poolID]
-	if pc == nil {
-		pc = &PoolCheckpoint{}
-		k.cp.Pools[poolID] = pc
-	}
-	if round.Number > pc.Rounds {
+	if pc := k.pool(poolID); round.Number > pc.Rounds {
 		pc.Rounds = round.Number
 	}
-	k.mu.Unlock()
 	return k.flush()
 }
 
@@ -221,14 +215,7 @@ func (k *checkpointer) markDone(poolID string) {
 	if k == nil {
 		return
 	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	pc := k.cp.Pools[poolID]
-	if pc == nil {
-		pc = &PoolCheckpoint{}
-		k.cp.Pools[poolID] = pc
-	}
-	pc.Done = true
+	k.pool(poolID).Done = true
 }
 
 // flush pushes a deep-copied snapshot to the sink (nil sink: no-op).
@@ -236,10 +223,7 @@ func (k *checkpointer) flush() error {
 	if k == nil || k.sink == nil {
 		return nil
 	}
-	k.mu.Lock()
-	snap := k.cp.clone()
-	k.mu.Unlock()
-	if err := k.sink(snap); err != nil {
+	if err := k.sink(k.cp.clone()); err != nil {
 		return fmt.Errorf("core: checkpoint sink: %w", err)
 	}
 	return nil

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 	"time"
 
 	"sightrisk/internal/active"
@@ -19,7 +18,6 @@ import (
 	"sightrisk/internal/graph"
 	"sightrisk/internal/label"
 	"sightrisk/internal/obs"
-	"sightrisk/internal/parallel"
 	"sightrisk/internal/profile"
 	"sightrisk/internal/stats"
 )
@@ -51,12 +49,6 @@ type Config struct {
 	WeightExponent float64
 	// Seed drives the sampling RNGs (one derived stream per pool).
 	Seed int64
-	// Workers bounds how many per-pool computations (weight-matrix
-	// builds and classifier solves) run concurrently. 0 means
-	// runtime.GOMAXPROCS(0); 1 runs the pools one at a time, asking the
-	// owner pool by pool. Results are identical for every value — see
-	// RunOwner.
-	Workers int
 	// Snapshot, when non-nil, is the frozen CSR view of the run's graph
 	// that stranger enumeration, NS and NSG construction (under the
 	// paper's NS or a custom Pool.NetworkSim) read. The caller must take
@@ -103,9 +95,8 @@ type Config struct {
 	AbandonGrace time.Duration
 	// Observer, when non-nil, receives the structured event stream of
 	// the run: run/pool boundaries, every owner query, every learning
-	// round. The stream is identical for every Workers value on complete
-	// runs — above Workers = 1 each pool's events are buffered and
-	// flushed in pool order. Nil costs nothing (no events are built).
+	// round, each pool's events as that pool runs. Nil costs nothing
+	// (no events are built).
 	Observer obs.Observer
 	// Trace tunes what the Observer stream carries (e.g. order-sensitive
 	// stage digests for the determinism auditor).
@@ -131,11 +122,10 @@ type Config struct {
 	// seed, or a partial run) is ignored — the engine silently falls back
 	// to computing every pool.
 	Reuse *OwnerRun
-	// OnPool, when non-nil, is invoked once per pool, in pool order, as
-	// results become final: at Workers = 1 right after each pool
-	// finishes (streaming), above it at merge time after every pool
-	// finished. Partial pools are reported before fallback
-	// labels are synthesized; the assembled report remains authoritative.
+	// OnPool, when non-nil, is invoked once per pool, in pool order,
+	// right after each pool finishes. Partial pools are reported before
+	// fallback labels are synthesized; the assembled report remains
+	// authoritative.
 	// The callback must not mutate the run.
 	OnPool func(run *OwnerRun, pr PoolRun, index, total int)
 }
@@ -158,9 +148,6 @@ func (c Config) Validate() error {
 	}
 	if err := c.Learn.Validate(); err != nil {
 		return err
-	}
-	if c.Workers < 0 {
-		return fmt.Errorf("core: Workers must be >= 0, got %d", c.Workers)
 	}
 	if c.WeightExponent < 0 {
 		return fmt.Errorf("core: WeightExponent must be >= 0, got %g", c.WeightExponent)
@@ -325,18 +312,16 @@ func New(cfg Config) *Engine { return &Engine{cfg: cfg} }
 // hard failures (unexpected annotator errors, classifier errors,
 // failed checkpoint writes) return an error.
 //
-// Every pool runs the same per-pool step: splice a reused result, or
-// build the pool's weights and run its active-learning session. At
-// Workers = 1 (or with a single pool) the pools run one after another
-// and the owner is asked pool by pool; above it the steps run
-// concurrently, weight builds and classifier solves bounded by
-// Workers, and a gate rotates the owner's questions across pools (see
-// runParallel). The returned OwnerRun is identical for every Workers
-// value and any deterministic annotator: every pool keeps its own
-// derived RNG stream, results merge in pool order, and annotator
-// queries are serialized one at a time. The annotator therefore never
-// needs to be thread-safe; it must only be deterministic per stranger
-// if reproducible reports are wanted.
+// The pools run one after another on the calling goroutine, and the
+// owner is asked pool by pool: each pool splices a reused result, or
+// builds its weights and runs its active-learning session to the
+// stopping rule, before the next pool starts. Every pool keeps its own
+// derived RNG stream, so the returned OwnerRun is a deterministic
+// function of the inputs for any deterministic annotator. The
+// annotator is asked one question at a time and never needs to be
+// thread-safe; it must only be deterministic per stranger if
+// reproducible reports are wanted. Callers with many owners get
+// concurrency by running owners on separate engines at once.
 func (e *Engine) RunOwner(ctx context.Context, g *graph.Graph, store *profile.Store, owner graph.UserID, ann active.FallibleAnnotator, confidence float64) (*OwnerRun, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -408,12 +393,9 @@ func (e *Engine) RunOwner(ctx context.Context, g *graph.Graph, store *profile.St
 	}
 
 	// Assemble the fault-tolerance middleware around the caller's
-	// annotator, innermost first: retries for transient failures, the
-	// abandonment grace window, then the shared abandonment latch. The
-	// per-pool layers (replay cache, checkpoint recorder) are stacked
-	// on top by chain(), and above Workers = 1 the turn gate goes on
-	// top of everything so cached and fresh queries alike keep their
-	// deterministic slot in the rotation.
+	// annotator, innermost first: retries for transient failures, then
+	// the abandonment grace window. The per-pool layers (replay cache,
+	// checkpoint recorder) are stacked on top by chain().
 	var k *checkpointer
 	if e.cfg.Checkpoint != nil {
 		k = newCheckpointer(owner, e.cfg.Seed, e.cfg.Checkpoint)
@@ -426,7 +408,6 @@ func (e *Engine) RunOwner(ctx context.Context, g *graph.Graph, store *profile.St
 	if e.cfg.AbandonGrace > 0 {
 		base = graceAnnotator{grace: e.cfg.AbandonGrace, inner: base}
 	}
-	base = latchAnnotator{latch: &abandonLatch{}, inner: base}
 	chain := func(poolID string) active.FallibleAnnotator {
 		a := base
 		if e.cfg.Resume != nil {
@@ -444,15 +425,9 @@ func (e *Engine) RunOwner(ctx context.Context, g *graph.Graph, store *profile.St
 	if exp == 0 {
 		exp = 4
 	}
-	workers := parallel.ResolveWorkers(e.cfg.Workers)
 	p := &ownerPools{e: e, store: store, owner: owner, pools: pools, learn: learn, exp: exp,
-		chain: chain, k: k, reuse: e.reusePlan(store, owner, pools, exp), limiter: parallel.NewLimiter(workers)}
-	if workers > 1 && len(pools) > 1 {
-		err = p.runParallel(ctx, run)
-	} else {
-		err = p.runSerial(ctx, run)
-	}
-	if err != nil {
+		chain: chain, k: k, reuse: e.reusePlan(store, owner, pools, exp)}
+	if err := p.run(ctx, run); err != nil {
 		return nil, err
 	}
 	if run.Partial {
@@ -510,10 +485,12 @@ func poolsDigest(pools []cluster.Pool) obs.Digest {
 	return d
 }
 
-// poolObserve adapts sink into the active session's per-event hook,
-// stamping tenant/owner/pool identity onto every event. A nil sink
-// yields a nil hook so the session skips event construction entirely.
-func (e *Engine) poolObserve(sink obs.Observer, owner graph.UserID, poolID string) func(obs.Event) {
+// poolObserve adapts the configured Observer into the active session's
+// per-event hook, stamping tenant/owner/pool identity onto every
+// event. A nil Observer yields a nil hook so the session skips event
+// construction entirely.
+func (e *Engine) poolObserve(owner graph.UserID, poolID string) func(obs.Event) {
+	sink := e.cfg.Observer
 	if sink == nil {
 		return nil
 	}
@@ -589,13 +566,6 @@ func reusedPoolRun(pool cluster.Pool, prior *PoolRun) PoolRun {
 	}
 }
 
-// emitPool delivers one finalized pool to the OnPool callback.
-func (e *Engine) emitPool(run *OwnerRun, pr PoolRun, index, total int) {
-	if e.cfg.OnPool != nil {
-		e.cfg.OnPool(run, pr, index, total)
-	}
-}
-
 // poolKernel builds (or, with a shared Weights cache configured,
 // fetches) the pool's PS weight kernel, plus its content key
 // (cluster.PoolKey), which the cache computes anyway for its lookup.
@@ -613,10 +583,7 @@ func (e *Engine) poolKernel(store *profile.Store, pool cluster.Pool, exp float64
 }
 
 // ownerPools is one owner's pool work: the built pools and what every
-// pool's session shares. runPool is the one per-pool step; the two
-// drivers, runSerial and runParallel, decide only when each pool runs
-// and what it is handed: the event sink, the annotator and the
-// classifier.
+// pool's session shares.
 type ownerPools struct {
 	e     *Engine
 	store *profile.Store
@@ -627,24 +594,19 @@ type ownerPools struct {
 	chain func(poolID string) active.FallibleAnnotator
 	k     *checkpointer
 	reuse []*PoolRun
-	// limiter bounds the CPU-heavy sections, weight builds and (on the
-	// parallel driver) classifier solves, to Workers at once.
-	limiter *parallel.Limiter
 }
 
-// runPool is the per-pool step for pool i. A pool with a reuse plan
-// entry splices the prior result and skips its weight build and
-// session; any other pool builds and content-keys its weights under
-// the limiter, then runs its active-learning session. The step emits
-// the pool's pool.start, pool.weights and pool.end events to sink (nil
-// for none) and counts the pool in the metrics. The driver supplies
-// what differs between the drivers: the sink, the annotator and the
-// classifier. An interrupted session returns its partial PoolRun with
-// the interruption as cause; any other failure returns err.
-func (p *ownerPools) runPool(ctx context.Context, i int, sink obs.Observer, ann active.FallibleAnnotator, classifier classify.Classifier) (pr PoolRun, cause, err error) {
+// runPool is the step for pool i. A pool with a reuse plan entry
+// splices the prior result and skips its weight build and session; any
+// other pool builds and content-keys its weights, then runs its
+// active-learning session. The step emits the pool's pool.start,
+// pool.weights and pool.end events and counts the pool in the metrics.
+// An interrupted session returns its partial PoolRun with the
+// interruption as cause; any other failure returns err.
+func (p *ownerPools) runPool(ctx context.Context, i int) (pr PoolRun, cause, err error) {
 	e, pool := p.e, p.pools[i]
 	poolID := pool.ID()
-	observe := e.poolObserve(sink, p.owner, poolID)
+	observe := e.poolObserve(p.owner, poolID)
 	if observe != nil {
 		observe(obs.Event{Kind: obs.KindPoolStart, N: len(pool.Members)})
 	}
@@ -660,11 +622,7 @@ func (p *ownerPools) runPool(ctx context.Context, i int, sink obs.Observer, ann 
 		return pr, nil, nil
 	}
 	start := time.Now()
-	var (
-		kernel *classify.Kernel
-		wkey   cluster.Key
-	)
-	p.limiter.Do(func() { kernel, wkey, err = e.poolKernel(p.store, pool, p.exp) })
+	kernel, wkey, err := e.poolKernel(p.store, pool, p.exp)
 	if err != nil {
 		return PoolRun{}, nil, fmt.Errorf("core: %w", err)
 	}
@@ -673,13 +631,13 @@ func (p *ownerPools) runPool(ctx context.Context, i int, sink obs.Observer, ann 
 	}
 	cfg := p.learn
 	cfg.Rand = rand.New(rand.NewSource(poolSeed(e.cfg.Seed, p.owner, i)))
-	cfg.Classifier = classifier
+	cfg.Classifier = p.classifier()
 	if p.k != nil {
 		cfg.AfterRound = func(r active.Round) error { return p.k.afterRound(poolID, r) }
 	}
 	cfg.Observe = observe
 	cfg.Digests = e.cfg.Trace.Digests
-	sess, err := active.NewSession(pool.Members, kernel, ann, cfg)
+	sess, err := active.NewSession(pool.Members, kernel, p.chain(poolID), cfg)
 	if err != nil {
 		return PoolRun{}, nil, fmt.Errorf("core: pool %s: %w", poolID, err)
 	}
@@ -708,8 +666,9 @@ func (p *ownerPools) runPool(ctx context.Context, i int, sink obs.Observer, ann 
 // configured one, or else a fresh harmonic classifier per session (so
 // warm-start scratch state is never shared) wired into the metrics'
 // solver counters. A configured classifier is shared by every pool's
-// session, concurrent ones included, so it must keep no state across
-// Predict calls — true of every classifier in this module.
+// session, and by the runs of concurrent engines given one Config, so
+// it must keep no state across Predict calls — true of every
+// classifier in this module.
 func (p *ownerPools) classifier() classify.Classifier {
 	if p.learn.Classifier != nil {
 		return p.learn.Classifier
@@ -725,26 +684,25 @@ func (p *ownerPools) classifier() classify.Classifier {
 	return h
 }
 
-// runSerial is the driver at Workers = 1 (or for a single pool): it
-// runs the pools one after another, so the owner is asked pool by
-// pool, and it streams each pool's events and OnPool call as the pool
-// finishes. After an interruption it asks nothing more: every later
-// pool gets an empty interrupted placeholder for fillFallbacks to
-// complete.
-func (p *ownerPools) runSerial(ctx context.Context, run *OwnerRun) error {
-	e := p.e
-	prog := &progress{fn: e.cfg.Progress, total: len(p.pools)}
+// run is the pool loop: it runs the pools one after another, so the
+// owner is asked pool by pool, and it delivers each pool's events,
+// OnPool call and Progress report as the pool finishes. After an
+// interruption it asks nothing more: every later pool gets an empty
+// interrupted placeholder for fillFallbacks to complete.
+func (p *ownerPools) run(ctx context.Context, run *OwnerRun) error {
+	e, total := p.e, len(p.pools)
+	labels := 0 // owner answers collected by this run; reused pools add none
 	for i, pool := range p.pools {
 		var pr PoolRun
 		if run.Partial {
 			pr = PoolRun{Pool: pool, Result: emptyInterruptedResult(pool), Status: PoolPartial}
-			if observe := e.poolObserve(e.cfg.Observer, p.owner, pool.ID()); observe != nil {
+			if observe := e.poolObserve(p.owner, pool.ID()); observe != nil {
 				observe(obs.Event{Kind: obs.KindPoolStart, N: len(pool.Members)})
 				observe(obs.Event{Kind: obs.KindPoolEnd, Note: "interrupted"})
 			}
 		} else {
 			var cause, err error
-			pr, cause, err = p.runPool(ctx, i, e.cfg.Observer, p.chain(pool.ID()), p.classifier())
+			pr, cause, err = p.runPool(ctx, i)
 			if err != nil {
 				return err
 			}
@@ -753,34 +711,17 @@ func (p *ownerPools) runSerial(ctx context.Context, run *OwnerRun) error {
 			}
 		}
 		run.Pools = append(run.Pools, pr)
-		e.emitPool(run, pr, i, len(p.pools))
-		prog.poolDone(pr)
+		if e.cfg.OnPool != nil {
+			e.cfg.OnPool(run, pr, i, total)
+		}
+		if e.cfg.Progress != nil {
+			if !pr.Reused {
+				labels += pr.Result.QueriedCount()
+			}
+			e.cfg.Progress(i+1, total, labels)
+		}
 	}
 	return nil
-}
-
-// progress reports finished pools to Config.Progress. Labels count
-// the owner answers collected by this run, so reused pools add none.
-// The parallel driver finishes pools on many goroutines; the lock is
-// held across the callback so the counts it reports never go
-// backwards.
-type progress struct {
-	mu                  sync.Mutex
-	fn                  func(poolsDone, poolsTotal, labelsSoFar int)
-	total, done, labels int
-}
-
-func (p *progress) poolDone(pr PoolRun) {
-	if p.fn == nil {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.done++
-	if !pr.Reused {
-		p.labels += pr.Result.QueriedCount()
-	}
-	p.fn(p.done, p.total, p.labels)
 }
 
 // emptyInterruptedResult stands in for a session that was never
@@ -796,8 +737,9 @@ func emptyInterruptedResult(pool cluster.Pool) *active.Result {
 }
 
 // poolSeed derives the per-pool sampling RNG seed. It depends only on
-// the base seed, the owner and the pool's index in pool order, so both
-// drivers draw identical query samples.
+// the base seed, the owner and the pool's index in pool order, so a
+// pool's query sample is the same in every run that builds that pool,
+// which is what lets Config.Reuse splice it.
 func poolSeed(seed int64, owner graph.UserID, pool int) int64 {
 	return seed + int64(owner)*7919 + int64(pool)*104729
 }

@@ -96,63 +96,60 @@ func scriptAt(n int, at ...int) []error {
 // TestTransientFailuresRetriedToIdentity is the first row block of the
 // fault matrix: a transient annotator failure at the first, a middle
 // and the last query — retried under the policy — must leave the run
-// byte-identical to a failure-free one, at Workers 1 and 4.
+// byte-identical to a failure-free one.
 func TestTransientFailuresRetriedToIdentity(t *testing.T) {
 	study := studyWorld(t)
 	o := study.Owners[0]
-	for _, workers := range []int{1, 4} {
-		cfg := DefaultConfig()
-		cfg.Workers = workers
-		cfg.Retry = fastRetry(3)
-		clean, err := New(cfg).RunOwner(context.Background(), study.Graph, study.Profiles, o.ID, active.Infallible(o), o.Confidence)
+	cfg := DefaultConfig()
+	cfg.Retry = fastRetry(3)
+	clean, err := New(cfg).RunOwner(context.Background(), study.Graph, study.Profiles, o.ID, active.Infallible(o), o.Confidence)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := clean.QueriedCount()
+	if total < 10 {
+		t.Fatalf("study too small: %d queries", total)
+	}
+	scenarios := map[string][]int{
+		"first query":   {0},
+		"middle query":  {total / 2},
+		"last query":    {total - 1},
+		"three at once": {0, total / 2, total - 1},
+	}
+	for name, at := range scenarios {
+		inj, err := faults.Wrap(active.Infallible(o), faults.Config{Script: scriptAt(total, at...)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		total := clean.QueriedCount()
-		if total < 10 {
-			t.Fatalf("study too small: %d queries", total)
-		}
-		scenarios := map[string][]int{
-			"first query":   {0},
-			"middle query":  {total / 2},
-			"last query":    {total - 1},
-			"three at once": {0, total / 2, total - 1},
-		}
-		for name, at := range scenarios {
-			inj, err := faults.Wrap(active.Infallible(o), faults.Config{Script: scriptAt(total, at...)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			run, err := New(cfg).RunOwner(context.Background(), study.Graph, study.Profiles, o.ID, inj, o.Confidence)
-			if err != nil {
-				t.Fatalf("workers=%d %s: %v", workers, name, err)
-			}
-			if d := diffOwnerRuns(clean, run); d != "" {
-				t.Fatalf("workers=%d %s: differs from clean run: %s", workers, name, d)
-			}
-			if got, want := renderRun(run), renderRun(clean); got != want {
-				t.Fatalf("workers=%d %s: canonical rendering differs", workers, name)
-			}
-			if st := inj.Stats(); st.Failures != len(at) {
-				t.Fatalf("workers=%d %s: %d failures injected, want %d", workers, name, st.Failures, len(at))
-			}
-		}
-		// Probabilistic flakiness with a deep retry budget converges too.
-		inj, err := faults.Wrap(active.Infallible(o), faults.Config{Seed: 99, FailProb: 0.2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Retry = fastRetry(10)
 		run, err := New(cfg).RunOwner(context.Background(), study.Graph, study.Profiles, o.ID, inj, o.Confidence)
 		if err != nil {
-			t.Fatalf("workers=%d flaky: %v", workers, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		if d := diffOwnerRuns(clean, run); d != "" {
-			t.Fatalf("workers=%d flaky run differs from clean: %s", workers, d)
+			t.Fatalf("%s: differs from clean run: %s", name, d)
 		}
-		if st := inj.Stats(); st.Failures == 0 {
-			t.Fatalf("workers=%d: flaky injector never fired", workers)
+		if got, want := renderRun(run), renderRun(clean); got != want {
+			t.Fatalf("%s: canonical rendering differs", name)
 		}
+		if st := inj.Stats(); st.Failures != len(at) {
+			t.Fatalf("%s: %d failures injected, want %d", name, st.Failures, len(at))
+		}
+	}
+	// Probabilistic flakiness with a deep retry budget converges too.
+	inj, err := faults.Wrap(active.Infallible(o), faults.Config{Seed: 99, FailProb: 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Retry = fastRetry(10)
+	run, err := New(cfg).RunOwner(context.Background(), study.Graph, study.Profiles, o.ID, inj, o.Confidence)
+	if err != nil {
+		t.Fatalf("flaky: %v", err)
+	}
+	if d := diffOwnerRuns(clean, run); d != "" {
+		t.Fatalf("flaky run differs from clean: %s", d)
+	}
+	if st := inj.Stats(); st.Failures == 0 {
+		t.Fatal("flaky injector never fired")
 	}
 }
 
@@ -166,7 +163,6 @@ func TestRetryExhaustionIsAHardError(t *testing.T) {
 		return 0, boom
 	})
 	cfg := DefaultConfig()
-	cfg.Workers = 1
 	cfg.Retry = fastRetry(3)
 	_, err := New(cfg).RunOwner(context.Background(), study.Graph, study.Profiles, o.ID, ann, o.Confidence)
 	if err == nil {
@@ -178,10 +174,10 @@ func TestRetryExhaustionIsAHardError(t *testing.T) {
 }
 
 // TestAbandonmentDegradesGracefully is the abandonment block of the
-// fault matrix: the owner walks away after K answers, at Workers 1 and
-// 4. The run must return a partial report (nil error) in which every
-// stranger still carries a valid label, finished pools stay complete,
-// and interrupted pools mark their synthesized labels as fallbacks.
+// fault matrix: the owner walks away after K answers. The run must
+// return a partial report (nil error) in which every stranger still
+// carries a valid label, finished pools stay complete, and interrupted
+// pools mark their synthesized labels as fallbacks.
 func TestAbandonmentDegradesGracefully(t *testing.T) {
 	study := studyWorld(t)
 	o := study.Owners[0]
@@ -190,79 +186,78 @@ func TestAbandonmentDegradesGracefully(t *testing.T) {
 		t.Fatal(err)
 	}
 	abandonAt := clean.QueriedCount() * 2 / 3
-	for _, workers := range []int{1, 4} {
-		run := abandonedRun(t, study, o, workers, abandonAt)
-		if !run.Partial {
-			t.Fatalf("workers=%d: abandoned run not marked partial", workers)
+	run := abandonedRun(t, study, o, abandonAt)
+	if !run.Partial {
+		t.Fatal("abandoned run not marked partial")
+	}
+	if !errors.Is(run.Cause, active.ErrAbandoned) {
+		t.Fatalf("cause = %v, want ErrAbandoned", run.Cause)
+	}
+	if run.QueriedCount() != abandonAt {
+		t.Fatalf("%d owner labels, want exactly %d", run.QueriedCount(), abandonAt)
+	}
+	labels := run.Labels()
+	if len(labels) != len(run.Strangers) {
+		t.Fatalf("%d labels for %d strangers", len(labels), len(run.Strangers))
+	}
+	for s, l := range labels {
+		if !l.Valid() {
+			t.Fatalf("invalid label for %d", s)
 		}
-		if !errors.Is(run.Cause, active.ErrAbandoned) {
-			t.Fatalf("workers=%d: cause = %v, want ErrAbandoned", workers, run.Cause)
-		}
-		if run.QueriedCount() != abandonAt {
-			t.Fatalf("workers=%d: %d owner labels, want exactly %d", workers, run.QueriedCount(), abandonAt)
-		}
-		labels := run.Labels()
-		if len(labels) != len(run.Strangers) {
-			t.Fatalf("workers=%d: %d labels for %d strangers", workers, len(labels), len(run.Strangers))
-		}
-		for s, l := range labels {
-			if !l.Valid() {
-				t.Fatalf("workers=%d: invalid label for %d", workers, s)
+	}
+	partials := 0
+	for _, p := range run.Pools {
+		switch p.Status {
+		case PoolComplete:
+			if p.Fallback != nil {
+				t.Fatalf("complete pool %s carries fallbacks", p.Pool.ID())
 			}
-		}
-		partials := 0
-		for _, p := range run.Pools {
-			switch p.Status {
-			case PoolComplete:
-				if p.Fallback != nil {
-					t.Fatalf("workers=%d: complete pool %s carries fallbacks", workers, p.Pool.ID())
+		case PoolPartial:
+			partials++
+			for _, m := range p.Result.Pool {
+				if p.Result.OwnerLabeled[m] == p.Fallback[m] {
+					t.Fatalf("pool %s member %d: owner-labeled=%v fallback=%v",
+						p.Pool.ID(), m, p.Result.OwnerLabeled[m], p.Fallback[m])
 				}
-			case PoolPartial:
-				partials++
-				for _, m := range p.Result.Pool {
-					if p.Result.OwnerLabeled[m] == p.Fallback[m] {
-						t.Fatalf("workers=%d: pool %s member %d: owner-labeled=%v fallback=%v",
-							workers, p.Pool.ID(), m, p.Result.OwnerLabeled[m], p.Fallback[m])
-					}
-				}
-				if p.Result.Reason != active.StopInterrupted {
-					t.Fatalf("workers=%d: partial pool %s reason %s", workers, p.Pool.ID(), p.Result.Reason)
-				}
-			default:
-				t.Fatalf("workers=%d: pool %s has no status", workers, p.Pool.ID())
 			}
+			if p.Result.Reason != active.StopInterrupted {
+				t.Fatalf("partial pool %s reason %s", p.Pool.ID(), p.Result.Reason)
+			}
+		default:
+			t.Fatalf("pool %s has no status", p.Pool.ID())
 		}
-		if partials == 0 {
-			t.Fatalf("workers=%d: abandonment produced no partial pool", workers)
-		}
-		// Abandonment is deterministic: the same run again is identical.
-		again := abandonedRun(t, study, o, workers, abandonAt)
-		if renderRun(run) != renderRun(again) {
-			t.Fatalf("workers=%d: two identical abandoned runs differ", workers)
-		}
+	}
+	if partials == 0 {
+		t.Fatal("abandonment produced no partial pool")
+	}
+	// Abandonment is deterministic: the same run again is identical.
+	again := abandonedRun(t, study, o, abandonAt)
+	if renderRun(run) != renderRun(again) {
+		t.Fatal("two identical abandoned runs differ")
 	}
 }
 
-func abandonedRun(t *testing.T, study *synthetic.Study, o *synthetic.Owner, workers, abandonAt int) *OwnerRun {
+func abandonedRun(t *testing.T, study *synthetic.Study, o *synthetic.Owner, abandonAt int) *OwnerRun {
 	t.Helper()
-	cfg := DefaultConfig()
-	cfg.Workers = workers
 	inj, err := faults.Wrap(active.Infallible(o), faults.Config{AbandonAfter: abandonAt})
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := New(cfg).RunOwner(context.Background(), study.Graph, study.Profiles, o.ID, inj, o.Confidence)
+	run, err := New(DefaultConfig()).RunOwner(context.Background(), study.Graph, study.Profiles, o.ID, inj, o.Confidence)
 	if err != nil {
-		t.Fatalf("workers=%d: abandoned run errored: %v", workers, err)
+		t.Fatalf("abandoned run errored: %v", err)
 	}
 	return run
 }
 
 // TestCheckpointResumeByteIdentical is the acceptance scenario: a
 // seeded fault run killed mid-session via abandonment, resumed from
-// its checkpoint, must reproduce the uninterrupted run byte for byte —
-// at Workers 1 and 4, and across worker counts — without ever
-// re-asking an answered question.
+// its checkpoint, must reproduce the uninterrupted run byte for byte
+// without ever re-asking an answered question. So must a checkpoint
+// whose answers are spread over many pools, a prefix of each pool's
+// questions — the shape a driver that rotated questions across pools
+// wrote, which resumes unchanged because checkpoints store answers
+// per pool.
 func TestCheckpointResumeByteIdentical(t *testing.T) {
 	study := studyWorld(t)
 	o := study.Owners[0]
@@ -273,11 +268,10 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	total := clean.QueriedCount()
 	abandonAt := total / 3
 
-	interrupt := func(workers int) *Checkpoint {
+	interrupt := func() *Checkpoint {
 		t.Helper()
 		sink := &cpSink{}
 		cfg := DefaultConfig()
-		cfg.Workers = workers
 		cfg.Checkpoint = sink.put
 		inj, err := faults.Wrap(active.Infallible(o), faults.Config{AbandonAfter: abandonAt})
 		if err != nil {
@@ -285,29 +279,45 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 		}
 		run, err := New(cfg).RunOwner(context.Background(), study.Graph, study.Profiles, o.ID, inj, o.Confidence)
 		if err != nil {
-			t.Fatalf("workers=%d interrupted run: %v", workers, err)
+			t.Fatalf("interrupted run: %v", err)
 		}
 		if !run.Partial {
-			t.Fatalf("workers=%d: interrupted run not partial", workers)
+			t.Fatal("interrupted run not partial")
 		}
 		cp := sink.latest()
 		if cp == nil || sink.writes == 0 {
-			t.Fatalf("workers=%d: no checkpoint flushed", workers)
+			t.Fatal("no checkpoint flushed")
 		}
 		answered := 0
 		for _, pc := range cp.Pools {
 			answered += len(pc.Answers)
 		}
 		if answered != abandonAt {
-			t.Fatalf("workers=%d: checkpoint holds %d answers, want %d", workers, answered, abandonAt)
+			t.Fatalf("checkpoint holds %d answers, want %d", answered, abandonAt)
 		}
 		return cp
 	}
 
-	resume := func(cp *Checkpoint, workers int, tag string) {
+	// spread holds each pool's first-round answers: many pools begun,
+	// none finished.
+	spread := NewCheckpoint(o.ID, DefaultConfig().Seed)
+	for _, p := range clean.Pools {
+		if len(p.Result.Rounds) < 2 {
+			continue
+		}
+		pc := &PoolCheckpoint{Rounds: 1}
+		for _, s := range p.Result.Rounds[0].Queried {
+			pc.Answers = append(pc.Answers, QA{Stranger: s, Label: o.LabelStranger(s)})
+		}
+		spread.Pools[p.Pool.ID()] = pc
+	}
+	if len(spread.Pools) < 2 {
+		t.Fatalf("only %d multi-round pools to spread answers over", len(spread.Pools))
+	}
+
+	resume := func(cp *Checkpoint, tag string) {
 		t.Helper()
 		cfg := DefaultConfig()
-		cfg.Workers = workers
 		cfg.Resume = cp
 		rec := &askRecorder{inner: active.Infallible(o)}
 		run, err := New(cfg).RunOwner(context.Background(), study.Graph, study.Profiles, o.ID, rec, o.Confidence)
@@ -335,52 +345,44 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 				t.Fatalf("%s: resumed run re-asked checkpointed stranger %d", tag, s)
 			}
 		}
-		if len(rec.asked) != total-abandonAt {
-			t.Fatalf("%s: resumed run asked %d fresh questions, want %d", tag, len(rec.asked), total-abandonAt)
+		if len(rec.asked) != total-len(cached) {
+			t.Fatalf("%s: resumed run asked %d fresh questions, want %d", tag, len(rec.asked), total-len(cached))
 		}
 	}
 
-	cp1 := interrupt(1)
-	cp4 := interrupt(4)
-	resume(cp1, 1, "w1->w1")
-	resume(cp4, 4, "w4->w4")
-	resume(cp1, 4, "w1->w4") // checkpoint survives a worker-count change
-	resume(cp4, 1, "w4->w1")
+	resume(interrupt(), "abandoned")
+	resume(spread, "spread over pools")
 }
 
 // TestCancellationStopsAtQueryBoundary: after the run's context is
 // canceled, not a single further question reaches the annotator — the
-// run stops within the in-flight query, serial and parallel alike.
+// run stops within the in-flight query.
 func TestCancellationStopsAtQueryBoundary(t *testing.T) {
 	study := studyWorld(t)
 	o := study.Owners[0]
 	const cancelAt = 7
-	for _, workers := range []int{1, 4} {
-		ctx, cancel := context.WithCancel(context.Background())
-		calls := 0
-		ann := active.FallibleFunc(func(_ context.Context, s graph.UserID) (label.Label, error) {
-			calls++
-			if calls == cancelAt {
-				cancel()
-			}
-			return o.LabelStranger(s), nil
-		})
-		cfg := DefaultConfig()
-		cfg.Workers = workers
-		run, err := New(cfg).RunOwner(ctx, study.Graph, study.Profiles, o.ID, ann, o.Confidence)
-		cancel()
-		if err != nil {
-			t.Fatalf("workers=%d: canceled run errored: %v", workers, err)
+	ctx, cancel := context.WithCancel(context.Background())
+	calls := 0
+	ann := active.FallibleFunc(func(_ context.Context, s graph.UserID) (label.Label, error) {
+		calls++
+		if calls == cancelAt {
+			cancel()
 		}
-		if !run.Partial || !errors.Is(run.Cause, context.Canceled) {
-			t.Fatalf("workers=%d: partial=%v cause=%v, want canceled partial run", workers, run.Partial, run.Cause)
-		}
-		if calls != cancelAt {
-			t.Fatalf("workers=%d: annotator saw %d calls after cancellation at %d", workers, calls, cancelAt)
-		}
-		if len(run.Labels()) != len(run.Strangers) {
-			t.Fatalf("workers=%d: canceled run left strangers unlabeled", workers)
-		}
+		return o.LabelStranger(s), nil
+	})
+	run, err := New(DefaultConfig()).RunOwner(ctx, study.Graph, study.Profiles, o.ID, ann, o.Confidence)
+	cancel()
+	if err != nil {
+		t.Fatalf("canceled run errored: %v", err)
+	}
+	if !run.Partial || !errors.Is(run.Cause, context.Canceled) {
+		t.Fatalf("partial=%v cause=%v, want canceled partial run", run.Partial, run.Cause)
+	}
+	if calls != cancelAt {
+		t.Fatalf("annotator saw %d calls after cancellation at %d", calls, cancelAt)
+	}
+	if len(run.Labels()) != len(run.Strangers) {
+		t.Fatal("canceled run left strangers unlabeled")
 	}
 }
 
@@ -394,7 +396,6 @@ func TestSessionTimeoutDegrades(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
-	cfg.Workers = 1
 	cfg.Retry.SessionTimeout = 40 * time.Millisecond
 	run, err := New(cfg).RunOwner(context.Background(), study.Graph, study.Profiles, o.ID, inj, o.Confidence)
 	if err != nil {
@@ -434,7 +435,6 @@ func TestAbandonGraceShieldsInFlightQuery(t *testing.T) {
 			return o.LabelStranger(s), nil
 		})
 		cfg := DefaultConfig()
-		cfg.Workers = 1
 		cfg.AbandonGrace = grace
 		r, err := New(cfg).RunOwner(ctx, study.Graph, study.Profiles, o.ID, ann, o.Confidence)
 		if err != nil {
@@ -461,7 +461,6 @@ func TestCheckpointSinkFailureAborts(t *testing.T) {
 	study := studyWorld(t)
 	o := study.Owners[0]
 	cfg := DefaultConfig()
-	cfg.Workers = 1
 	sinkErr := errors.New("disk full")
 	cfg.Checkpoint = func(*Checkpoint) error { return sinkErr }
 	_, err := New(cfg).RunOwner(context.Background(), study.Graph, study.Profiles, o.ID, active.Infallible(o), o.Confidence)
@@ -549,7 +548,6 @@ func TestEngineConfigValidation(t *testing.T) {
 	study := studyWorld(t)
 	o := study.Owners[0]
 	mutations := map[string]func(*Config){
-		"negative workers":       func(c *Config) { c.Workers = -1 },
 		"negative grace":         func(c *Config) { c.AbandonGrace = -time.Second },
 		"negative weight exp":    func(c *Config) { c.WeightExponent = -1 },
 		"retry jitter > 1":       func(c *Config) { c.Retry.Jitter = 1.5 },

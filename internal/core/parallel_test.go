@@ -2,8 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
-	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -21,29 +19,53 @@ import (
 // the exported NaN-aware comparator (see diff.go).
 func diffOwnerRuns(a, b *OwnerRun) string { return DiffRuns(a, b) }
 
-// TestParallelMatchesSerial is the core determinism guarantee: for a
-// seeded synthetic study, every Workers value yields the exact
-// OwnerRun the pool-by-pool driver (Workers 1) produces — same labels,
-// same query traces, same round telemetry, bit-identical floats.
+// concurrentRuns runs every given owner at once, one goroutine each,
+// on its own engine built from cfg — the way the experiments harness
+// and the fleet scheduler get concurrency out of the engine. It raises
+// GOMAXPROCS to at least 2 while the runs last, so they overlap on any
+// host.
+func concurrentRuns(study *synthetic.Study, store *profile.Store, owners []*synthetic.Owner, cfg Config, ann func(*synthetic.Owner) active.FallibleAnnotator) ([]*OwnerRun, []error) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	runs := make([]*OwnerRun, len(owners))
+	errs := make([]error, len(owners))
+	var wg sync.WaitGroup
+	for i, o := range owners {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			runs[i], errs[i] = New(cfg).RunOwner(context.Background(), study.Graph, store, o.ID, ann(o), o.Confidence)
+		}()
+	}
+	wg.Wait()
+	return runs, errs
+}
+
+func infallibleOwner(o *synthetic.Owner) active.FallibleAnnotator { return active.Infallible(o) }
+
+// TestParallelMatchesSerial is the determinism guarantee concurrent
+// callers rely on: owners run at the same time — each owner twice, so
+// identical runs overlap too — each on its own engine over the shared
+// graph and profile store, yield exactly the OwnerRuns of
+// one-at-a-time runs: same labels, same query traces, same round
+// telemetry, bit-identical floats.
 func TestParallelMatchesSerial(t *testing.T) {
 	study := studyWorld(t)
+	owners := append(append([]*synthetic.Owner{}, study.Owners...), study.Owners...)
+	want := make(map[graph.UserID]*OwnerRun)
 	for _, o := range study.Owners {
-		cfg := DefaultConfig()
-		cfg.Workers = 1
-		serial, err := New(cfg).RunOwner(context.Background(), study.Graph, study.Profiles, o.ID, active.Infallible(o), o.Confidence)
+		run, err := New(DefaultConfig()).RunOwner(context.Background(), study.Graph, study.Profiles, o.ID, active.Infallible(o), o.Confidence)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{2, 4, runtime.GOMAXPROCS(0), 16} {
-			cfg := DefaultConfig()
-			cfg.Workers = workers
-			par, err := New(cfg).RunOwner(context.Background(), study.Graph, study.Profiles, o.ID, active.Infallible(o), o.Confidence)
-			if err != nil {
-				t.Fatalf("workers=%d: %v", workers, err)
-			}
-			if d := diffOwnerRuns(serial, par); d != "" {
-				t.Fatalf("owner %d workers=%d differs from serial: %s", o.ID, workers, d)
-			}
+		want[o.ID] = run
+	}
+	runs, errs := concurrentRuns(study, study.Profiles, owners, DefaultConfig(), infallibleOwner)
+	for i, o := range owners {
+		if errs[i] != nil {
+			t.Fatalf("owner %d: %v", o.ID, errs[i])
+		}
+		if d := diffOwnerRuns(want[o.ID], runs[i]); d != "" {
+			t.Fatalf("owner %d run concurrently differs from its one-at-a-time run: %s", o.ID, d)
 		}
 	}
 }
@@ -62,48 +84,50 @@ func (r *recordingAnnotator) LabelStranger(s graph.UserID) label.Label {
 	if r.inside.Add(1) != 1 {
 		r.racy.Store(true)
 	}
-	r.order = append(r.order, s) // unsynchronized on purpose: the gate must serialize us
+	r.order = append(r.order, s) // unsynchronized on purpose: calls must never overlap
 	l := r.inner.LabelStranger(s)
 	r.inside.Add(-1)
 	return l
 }
 
-// TestAnnotatorSerializedDeterministicOrder: with any Workers > 1 the
-// owner must see strictly serialized queries in an order that is a
-// deterministic function of the study — identical run to run and
-// identical across different worker counts.
+// TestAnnotatorSerializedDeterministicOrder: the owner sees strictly
+// serialized queries, asked pool by pool — every question of a pool,
+// round by round, before the next pool's first — in an order that is a
+// deterministic function of the study, identical run to run.
 func TestAnnotatorSerializedDeterministicOrder(t *testing.T) {
 	study := studyWorld(t)
 	o := study.Owners[0]
-	ask := func(workers int) []graph.UserID {
-		t.Helper()
-		cfg := DefaultConfig()
-		cfg.Workers = workers
+	var want []graph.UserID
+	for trial := 0; trial < 3; trial++ {
 		rec := &recordingAnnotator{inner: o}
-		if _, err := New(cfg).RunOwner(context.Background(), study.Graph, study.Profiles, o.ID, active.Infallible(rec), o.Confidence); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+		run, err := New(DefaultConfig()).RunOwner(context.Background(), study.Graph, study.Profiles, o.ID, active.Infallible(rec), o.Confidence)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
 		}
 		if rec.racy.Load() {
-			t.Fatalf("workers=%d: LabelStranger calls overlapped", workers)
+			t.Fatalf("trial %d: LabelStranger calls overlapped", trial)
 		}
-		return rec.order
-	}
-
-	want := ask(2)
-	if len(want) == 0 {
-		t.Fatal("no queries recorded")
-	}
-	for _, workers := range []int{2, 3, 4, 8} {
-		for trial := 0; trial < 2; trial++ {
-			got := ask(workers)
-			if len(got) != len(want) {
-				t.Fatalf("workers=%d trial %d: %d queries, want %d", workers, trial, len(got), len(want))
+		var poolByPool []graph.UserID
+		for _, p := range run.Pools {
+			for _, r := range p.Result.Rounds {
+				poolByPool = append(poolByPool, r.Queried...)
 			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("workers=%d trial %d: query %d asked about %d, want %d (order must not depend on scheduling)",
-						workers, trial, i, got[i], want[i])
-				}
+		}
+		if len(rec.order) == 0 || len(rec.order) != len(poolByPool) {
+			t.Fatalf("trial %d: %d queries asked, pools record %d", trial, len(rec.order), len(poolByPool))
+		}
+		for i := range poolByPool {
+			if rec.order[i] != poolByPool[i] {
+				t.Fatalf("trial %d: query %d asked about %d, pool-by-pool order has %d", trial, i, rec.order[i], poolByPool[i])
+			}
+		}
+		if want == nil {
+			want = rec.order
+			continue
+		}
+		for i := range want {
+			if rec.order[i] != want[i] {
+				t.Fatalf("trial %d: query %d asked about %d, want %d (order must not vary run to run)", trial, i, rec.order[i], want[i])
 			}
 		}
 	}
@@ -111,10 +135,10 @@ func TestAnnotatorSerializedDeterministicOrder(t *testing.T) {
 
 // TestParallelStress is the short-mode-friendly race stressor: several
 // owners run concurrently against the shared graph and profile store,
-// each with a parallel pool pipeline and a tiny round budget (many
-// small sessions → much goroutine churn). Run under -race this
-// exercises every shared read path (graph adjacency, profile store,
-// pool building, PS contexts).
+// each with a tiny round budget (many small sessions → much churn
+// through the shared read paths). Run under -race this exercises every
+// shared read path (graph adjacency, profile store, pool building, PS
+// contexts).
 func TestParallelStress(t *testing.T) {
 	cfg := synthetic.SmallStudyConfig()
 	cfg.Owners = 4
@@ -126,29 +150,14 @@ func TestParallelStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	ecfg := DefaultConfig()
-	ecfg.Workers = 8
-	ecfg.Learn.MaxRounds = 2 // tiny budgets: more pools in flight per unit work
-	var wg sync.WaitGroup
-	errs := make([]error, len(study.Owners))
+	ecfg.Learn.MaxRounds = 2 // tiny budgets: more sessions per unit work
+	runs, errs := concurrentRuns(study, study.Profiles, study.Owners, ecfg, infallibleOwner)
 	for i, o := range study.Owners {
-		i, o := i, o
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			run, err := New(ecfg).RunOwner(context.Background(), study.Graph, study.Profiles, o.ID, active.Infallible(o), o.Confidence)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			if len(run.Labels()) != len(run.Strangers) {
-				errs[i] = fmt.Errorf("owner %d: %d labels for %d strangers", o.ID, len(run.Labels()), len(run.Strangers))
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if len(runs[i].Labels()) != len(runs[i].Strangers) {
+			t.Fatalf("owner %d: %d labels for %d strangers", o.ID, len(runs[i].Labels()), len(runs[i].Strangers))
 		}
 	}
 }
@@ -167,34 +176,43 @@ func (p poisonAnnotator) LabelStranger(s graph.UserID) label.Label {
 }
 
 // TestParallelErrorPropagation: a failure inside one pool's session
-// must cancel the run and surface deterministically, naming the
-// failing pool, under both the serial and the parallel path.
+// must fail the run and surface deterministically, naming the failing
+// pool — the same error whether the owner runs alone or concurrently
+// with others, whose runs it must not disturb.
 func TestParallelErrorPropagation(t *testing.T) {
 	study := studyWorld(t)
 	o := study.Owners[0]
-	victim := o.Strangers()[0]
-	var msgs []string
-	for _, workers := range []int{1, 4} {
-		cfg := DefaultConfig()
-		cfg.Workers = workers
-		cfg.Learn.Confidence = 100 // exhaustive: the victim is guaranteed to be queried
-		_, err := New(cfg).RunOwner(context.Background(), study.Graph, study.Profiles, o.ID, active.Infallible(poisonAnnotator{inner: o, victim: victim}), math.NaN())
-		if err == nil {
-			t.Fatalf("workers=%d: invalid label not rejected", workers)
-		}
-		if !strings.Contains(err.Error(), "invalid label") {
-			t.Fatalf("workers=%d: unexpected error %v", workers, err)
-		}
-		msgs = append(msgs, err.Error())
+	clean, err := New(DefaultConfig()).RunOwner(context.Background(), study.Graph, study.Profiles, o.ID, active.Infallible(o), o.Confidence)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if msgs[0] != msgs[1] {
-		t.Fatalf("error differs between serial and parallel:\n  serial:   %s\n  parallel: %s", msgs[0], msgs[1])
+	last := clean.Pools[len(clean.Pools)-1].Result.Rounds
+	victim := last[0].Queried[0] // asked in the last pool: every earlier pool finishes first
+	ann := func(x *synthetic.Owner) active.FallibleAnnotator {
+		if x == o {
+			return active.Infallible(poisonAnnotator{inner: o, victim: victim})
+		}
+		return active.Infallible(x)
+	}
+	_, alone := New(DefaultConfig()).RunOwner(context.Background(), study.Graph, study.Profiles, o.ID, ann(o), o.Confidence)
+	if alone == nil || !strings.Contains(alone.Error(), "invalid label") || !strings.Contains(alone.Error(), "core: pool ") {
+		t.Fatalf("got %v, want the failing pool's invalid-label error", alone)
+	}
+	runs, errs := concurrentRuns(study, study.Profiles, study.Owners, DefaultConfig(), ann)
+	if errs[0] == nil || errs[0].Error() != alone.Error() {
+		t.Fatalf("error differs between a lone and a concurrent run:\n  alone:      %v\n  concurrent: %v", alone, errs[0])
+	}
+	for i := 1; i < len(study.Owners); i++ {
+		if errs[i] != nil || runs[i] == nil {
+			t.Fatalf("owner %d failed alongside the poisoned owner: %v", study.Owners[i].ID, errs[i])
+		}
 	}
 }
 
 // TestWeightBuildErrorSameAtAnyWorkers: a stranger without a profile
-// lands in a pool of its own whose weight build fails; both drivers
-// must fail the run with the same error.
+// lands in a pool of its own whose weight build fails; the run fails
+// with the same error whether it runs alone or concurrently with other
+// owners.
 func TestWeightBuildErrorSameAtAnyWorkers(t *testing.T) {
 	study := studyWorld(t)
 	o := study.Owners[0]
@@ -205,28 +223,23 @@ func TestWeightBuildErrorSameAtAnyWorkers(t *testing.T) {
 			store.Put(study.Profiles.Get(u))
 		}
 	}
-	var msgs []string
-	for _, workers := range []int{1, 4} {
-		cfg := DefaultConfig()
-		cfg.Workers = workers
-		_, err := New(cfg).RunOwner(context.Background(), study.Graph, store, o.ID, active.Infallible(o), o.Confidence)
-		if err == nil || !strings.Contains(err.Error(), "missing profiles") {
-			t.Fatalf("workers=%d: got %v, want the weight build's missing-profile error", workers, err)
-		}
-		msgs = append(msgs, err.Error())
+	_, alone := New(DefaultConfig()).RunOwner(context.Background(), study.Graph, store, o.ID, active.Infallible(o), o.Confidence)
+	if alone == nil || !strings.Contains(alone.Error(), "missing profiles") {
+		t.Fatalf("got %v, want the weight build's missing-profile error", alone)
 	}
-	if msgs[0] != msgs[1] {
-		t.Fatalf("error differs between drivers:\n  workers=1: %s\n  workers=4: %s", msgs[0], msgs[1])
+	_, errs := concurrentRuns(study, store, study.Owners[:1], DefaultConfig(), infallibleOwner)
+	if errs[0] == nil || errs[0].Error() != alone.Error() {
+		t.Fatalf("error differs between a lone and a concurrent run:\n  alone:      %v\n  concurrent: %v", alone, errs[0])
 	}
 }
 
-// TestParallelProgressMonotone: the Progress callback keeps its
-// monotone contract under concurrency and ends on (total, total).
+// TestParallelProgressMonotone: the Progress callback reports pool by
+// pool — done steps by one, labels never go backwards — and ends on
+// (total, total) with the run's label count.
 func TestParallelProgressMonotone(t *testing.T) {
 	study := studyWorld(t)
 	o := study.Owners[0]
 	cfg := DefaultConfig()
-	cfg.Workers = 4
 	var lastDone, lastLabels, calls, total int
 	cfg.Progress = func(done, tot, labels int) {
 		calls++

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"sync"
 	"time"
 
 	"sightrisk/internal/active"
@@ -34,48 +33,6 @@ func isInterrupt(err error) bool {
 	return err != nil && (errors.Is(err, active.ErrAbandoned) ||
 		errors.Is(err, context.Canceled) ||
 		errors.Is(err, context.DeadlineExceeded))
-}
-
-// abandonLatch makes abandonment sticky across pools: after one query
-// returns a terminal interrupt, every subsequent query in any pool
-// fails fast with the same error instead of re-asking an owner who
-// already walked away.
-type abandonLatch struct {
-	mu  sync.Mutex
-	err error
-}
-
-func (a *abandonLatch) trip(err error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.err == nil {
-		a.err = err
-	}
-}
-
-func (a *abandonLatch) tripped() error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.err
-}
-
-// latchAnnotator short-circuits queries once the shared latch has
-// tripped, and trips it on terminal interrupts from the inner
-// annotator.
-type latchAnnotator struct {
-	latch *abandonLatch
-	inner active.FallibleAnnotator
-}
-
-func (l latchAnnotator) LabelStranger(ctx context.Context, s graph.UserID) (label.Label, error) {
-	if err := l.latch.tripped(); err != nil {
-		return 0, err
-	}
-	lab, err := l.inner.LabelStranger(ctx, s)
-	if isInterrupt(err) {
-		l.latch.trip(err)
-	}
-	return lab, err
 }
 
 // graceAnnotator gives each in-flight query a grace period past
@@ -112,10 +69,10 @@ func graceContext(parent context.Context, grace time.Duration) (context.Context,
 }
 
 // replayAnnotator answers queries from a resumed checkpoint's cache
-// without consulting the inner annotator. Because it sits below the
-// turn gate, a cached query still takes its slot in the deterministic
-// rotation — so a resumed run issues the exact query sequence the
-// original did and never re-asks an answered question.
+// without consulting the inner annotator. A cached answer drives the
+// session exactly as the original answer did, so a resumed run issues
+// the exact query sequence the original did and never re-asks an
+// answered question.
 type replayAnnotator struct {
 	cache map[graph.UserID]label.Label
 	inner active.FallibleAnnotator

@@ -6,6 +6,8 @@ import (
 
 	"sightrisk/internal/active"
 	"sightrisk/internal/cluster"
+	"sightrisk/internal/graph"
+	"sightrisk/internal/synthetic"
 )
 
 // TestRunOwnerSnapshotAndCacheEquivalence: supplying a pre-frozen
@@ -57,26 +59,34 @@ func TestRunOwnerSnapshotAndCacheEquivalence(t *testing.T) {
 }
 
 // TestRunOwnerParallelWithCache: the cache is also safe and identical
-// under the parallel pool path.
+// when owners run concurrently on engines that share it and one frozen
+// snapshot — each owner twice, so the same pools are looked up and
+// built at the same time.
 func TestRunOwnerParallelWithCache(t *testing.T) {
 	study := studyWorld(t)
-	o := study.Owners[1]
-
-	base := New(DefaultConfig())
-	want, err := base.RunOwner(context.Background(), study.Graph, study.Profiles, o.ID, active.Infallible(o), o.Confidence)
-	if err != nil {
-		t.Fatal(err)
+	owners := append(append([]*synthetic.Owner{}, study.Owners...), study.Owners...)
+	want := make(map[graph.UserID]*OwnerRun)
+	for _, o := range study.Owners {
+		run, err := New(DefaultConfig()).RunOwner(context.Background(), study.Graph, study.Profiles, o.ID, active.Infallible(o), o.Confidence)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[o.ID] = run
 	}
 
 	cfg := DefaultConfig()
-	cfg.Workers = 4
 	cfg.Snapshot = study.Graph.Snapshot()
 	cfg.Weights = cluster.NewWeightCache()
-	got, err := New(cfg).RunOwner(context.Background(), study.Graph, study.Profiles, o.ID, active.Infallible(o), o.Confidence)
-	if err != nil {
-		t.Fatal(err)
+	runs, errs := concurrentRuns(study, study.Profiles, owners, cfg, infallibleOwner)
+	for i, o := range owners {
+		if errs[i] != nil {
+			t.Fatalf("owner %d: %v", o.ID, errs[i])
+		}
+		if d := diffOwnerRuns(runs[i], want[o.ID]); d != "" {
+			t.Fatalf("owner %d: concurrent snapshot+cache run differs from default run: %s", o.ID, d)
+		}
 	}
-	if d := diffOwnerRuns(got, want); d != "" {
-		t.Fatalf("parallel snapshot+cache run differs from serial default run: %s", d)
+	if st := cfg.Weights.Stats(); st.Hits == 0 {
+		t.Fatalf("cache stats %+v: repeated owners never hit", st)
 	}
 }

@@ -7,8 +7,7 @@
 // core.Config.Reuse and the content-keyed cluster.PoolKey).
 //
 // The standing invariant: a revised run is byte-identical to a full
-// recompute against the updated graph, for any worker count — reuse
-// only ever skips work whose inputs are provably unchanged, and the
+// recompute against the updated graph — reuse only ever skips work whose inputs are provably unchanged, and the
 // dirty pre-filter only ever skips runs no update could have reached.
 package delta
 

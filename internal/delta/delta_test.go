@@ -283,11 +283,9 @@ func reviseStudy(t *testing.T) (*synthetic.Study, *synthetic.Owner) {
 	return s, s.Owners[0]
 }
 
-func fullRun(t *testing.T, study *synthetic.Study, o *synthetic.Owner, workers int) *core.OwnerRun {
+func fullRun(t *testing.T, study *synthetic.Study, o *synthetic.Owner) *core.OwnerRun {
 	t.Helper()
-	cfg := core.DefaultConfig()
-	cfg.Workers = workers
-	run, err := core.New(cfg).RunOwner(context.Background(), study.Graph, study.Profiles, o.ID, active.Infallible(o), o.Confidence)
+	run, err := core.New(core.DefaultConfig()).RunOwner(context.Background(), study.Graph, study.Profiles, o.ID, active.Infallible(o), o.Confidence)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,10 +295,10 @@ func fullRun(t *testing.T, study *synthetic.Study, o *synthetic.Owner, workers i
 // TestReviseByteIdentical is the tentpole invariant: after a batch of
 // graph/profile updates, Revise against the prior run must produce a
 // run byte-identical to a from-scratch recompute on the updated graph,
-// at every worker count, while actually reusing untouched pools.
+// while actually reusing untouched pools.
 func TestReviseByteIdentical(t *testing.T) {
 	study, o := reviseStudy(t)
-	prior := fullRun(t, study, o, 1)
+	prior := fullRun(t, study, o)
 
 	// A mixed batch: one stranger's clustering attribute changes, one
 	// stranger gains a friend-edge (NS drift), and a brand-new stranger
@@ -325,26 +323,22 @@ func TestReviseByteIdentical(t *testing.T) {
 		t.Fatal("batch should be dirty for the owner")
 	}
 
-	for _, workers := range []int{1, 2, 4} {
-		ref := fullRun(t, study, o, workers)
-		cfg := core.DefaultConfig()
-		cfg.Workers = workers
-		revised, st, err := delta.Revise(context.Background(), cfg, study.Graph, study.Profiles, o.ID, active.Infallible(o), o.Confidence, prior, batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := core.DiffRuns(ref, revised); d != "" {
-			t.Fatalf("workers=%d: revised run diverges from full recompute: %s", workers, d)
-		}
-		if !st.Affected || st.PoolsTotal != len(revised.Pools) || st.PoolsReused+st.PoolsRerun != st.PoolsTotal {
-			t.Fatalf("workers=%d: inconsistent stats %+v", workers, st)
-		}
-		if st.PoolsReused == 0 {
-			t.Fatalf("workers=%d: nothing reused — incremental path not exercised (%+v)", workers, st)
-		}
-		if st.PoolsRerun == 0 {
-			t.Fatalf("workers=%d: nothing rerun — the batch should have dirtied pools (%+v)", workers, st)
-		}
+	ref := fullRun(t, study, o)
+	revised, st, err := delta.Revise(context.Background(), core.DefaultConfig(), study.Graph, study.Profiles, o.ID, active.Infallible(o), o.Confidence, prior, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := core.DiffRuns(ref, revised); d != "" {
+		t.Fatalf("revised run diverges from full recompute: %s", d)
+	}
+	if !st.Affected || st.PoolsTotal != len(revised.Pools) || st.PoolsReused+st.PoolsRerun != st.PoolsTotal {
+		t.Fatalf("inconsistent stats %+v", st)
+	}
+	if st.PoolsReused == 0 {
+		t.Fatalf("nothing reused — incremental path not exercised (%+v)", st)
+	}
+	if st.PoolsRerun == 0 {
+		t.Fatalf("nothing rerun — the batch should have dirtied pools (%+v)", st)
 	}
 }
 
@@ -352,7 +346,7 @@ func TestReviseByteIdentical(t *testing.T) {
 // prior run untouched — same pointer, no pipeline work.
 func TestReviseNoOp(t *testing.T) {
 	study, o := reviseStudy(t)
-	prior := fullRun(t, study, o, 1)
+	prior := fullRun(t, study, o)
 
 	far1, far2 := graph.UserID(900010), graph.UserID(900011)
 	batch := delta.Batch{
@@ -380,7 +374,7 @@ func TestReviseNoOp(t *testing.T) {
 // exactly.
 func TestReviseConservativeBatch(t *testing.T) {
 	study, o := reviseStudy(t)
-	prior := fullRun(t, study, o, 1)
+	prior := fullRun(t, study, o)
 	friends := study.Graph.Friends(o.ID)
 	batch := delta.Batch{{Kind: delta.EdgeRemove, A: friends[0], B: 900050}}
 	if err := batch.Apply(study.Graph, study.Profiles); err != nil {
@@ -406,7 +400,7 @@ func TestReviseConservativeBatch(t *testing.T) {
 // revision silently degrades to a correct full recompute.
 func TestReviseSeedMismatchIgnoresPrior(t *testing.T) {
 	study, o := reviseStudy(t)
-	prior := fullRun(t, study, o, 1)
+	prior := fullRun(t, study, o)
 
 	strangers := study.Graph.Strangers(o.ID)
 	batch := delta.Batch{{Kind: delta.ProfileSet, A: strangers[0], Attr: string(profile.AttrLocale), Value: "zz_ZZ"}}

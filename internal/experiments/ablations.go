@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -11,6 +10,7 @@ import (
 	"sightrisk/internal/core"
 	"sightrisk/internal/profile"
 	"sightrisk/internal/similarity"
+	"sightrisk/internal/synthetic"
 )
 
 // AblationResult summarizes one configuration variant of the pipeline:
@@ -37,19 +37,19 @@ type AblationResult struct {
 func runVariant(e *Env, name string, useOwnerConfidence bool, mutate func(*core.Config)) (AblationResult, error) {
 	cfg := e.Cfg
 	mutate(&cfg)
-	engine := core.New(cfg)
+	runs, err := e.runOwners(cfg, func(o *synthetic.Owner) (active.FallibleAnnotator, float64) {
+		if !useOwnerConfidence {
+			return active.Infallible(o), math.NaN() // keep the variant's Learn.Confidence
+		}
+		return active.Infallible(o), o.Confidence
+	})
+	if err != nil {
+		return AblationResult{}, fmt.Errorf("experiments: variant %s %w", name, err)
+	}
 
 	var labels, rounds, rmses []float64
 	matches, comparisons := 0, 0
-	for _, o := range e.Study.Owners {
-		confidence := o.Confidence
-		if !useOwnerConfidence {
-			confidence = math.NaN() // keep the variant's Learn.Confidence
-		}
-		run, err := engine.RunOwner(context.Background(), e.Study.Graph, e.Study.Profiles, o.ID, active.Infallible(o), confidence)
-		if err != nil {
-			return AblationResult{}, fmt.Errorf("experiments: variant %s owner %d: %w", name, o.ID, err)
-		}
+	for _, run := range runs {
 		labels = append(labels, float64(run.QueriedCount()))
 		if r := run.MeanRoundsToStop(); !math.IsNaN(r) {
 			rounds = append(rounds, r)

@@ -17,9 +17,7 @@ func TestAuditRobustnessPasses(t *testing.T) {
 	cfg := synthetic.SmallStudyConfig()
 	cfg.Owners = 4
 	cfg.Ego.Strangers = 250
-	coreCfg := core.DefaultConfig()
-	coreCfg.Workers = 4
-	verdicts, err := AuditRobustness(cfg, coreCfg)
+	verdicts, err := AuditRobustness(cfg, core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,8 @@ import (
 	"sightrisk/internal/active"
 	"sightrisk/internal/cluster"
 	"sightrisk/internal/core"
+	"sightrisk/internal/obs"
+	"sightrisk/internal/parallel"
 	"sightrisk/internal/synthetic"
 )
 
@@ -23,7 +25,9 @@ type Env struct {
 	Cfg   core.Config
 	// Wrap, when non-nil, decorates each owner's annotator before the
 	// run — the hook riskbench uses to inject faults (latency,
-	// flakiness, abandonment) without the experiments knowing.
+	// flakiness, abandonment) without the experiments knowing. It is
+	// called once per owner, in study order, from the goroutine that
+	// asked for the runs.
 	Wrap func(active.FallibleAnnotator) active.FallibleAnnotator
 
 	mu      sync.Mutex
@@ -82,18 +86,60 @@ func (e *Env) runAll(strategy cluster.Strategy) ([]*core.OwnerRun, error) {
 	if strategy == cluster.NSP && cfg.Learn.MaxRounds == 0 {
 		cfg.Learn.MaxRounds = 10
 	}
-	engine := core.New(cfg)
-	runs := make([]*core.OwnerRun, 0, len(e.Study.Owners))
-	for _, o := range e.Study.Owners {
+	runs, err := e.runOwners(cfg, func(o *synthetic.Owner) (active.FallibleAnnotator, float64) {
 		ann := active.Infallible(o)
 		if e.Wrap != nil {
 			ann = e.Wrap(ann)
 		}
-		run, err := engine.RunOwner(context.Background(), e.Study.Graph, e.Study.Profiles, o.ID, ann, o.Confidence)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: owner %d: %w", o.ID, err)
+		return ann, o.Confidence
+	})
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %w", err)
+	}
+	return runs, nil
+}
+
+// runOwners is the owner loop every full-study experiment runs on: it
+// runs cfg's pipeline for every study owner and returns the runs in
+// study order. Owners run concurrently, GOMAXPROCS at a time, each on
+// its own engine; they share only read-only inputs, the metrics and
+// the content-keyed weight cache, so every run equals a standalone
+// one. cfg.Progress and cfg.OnPool, when set, are called from the
+// owners' goroutines. ask gives each owner's annotator and confidence;
+// it is called on the calling goroutine, in study order, before that
+// owner's run starts, so a wrapper that numbers its calls (riskbench's
+// fault injectors) numbers them as a one-owner-at-a-time loop would.
+// With cfg.Observer set, each owner's events go to a private buffer,
+// flushed to the observer in study order once every owner finished, so
+// the stream equals a one-owner-at-a-time loop's.
+func (e *Env) runOwners(cfg core.Config, ask func(*synthetic.Owner) (active.FallibleAnnotator, float64)) ([]*core.OwnerRun, error) {
+	owners := e.Study.Owners
+	runs := make([]*core.OwnerRun, len(owners))
+	var bufs []obs.Buffer
+	if cfg.Observer != nil {
+		bufs = make([]obs.Buffer, len(owners))
+	}
+	g := parallel.NewGroup(0)
+	for i, o := range owners {
+		ann, confidence := ask(o)
+		ocfg := cfg
+		if bufs != nil {
+			ocfg.Observer = &bufs[i]
 		}
-		runs = append(runs, run)
+		g.Go(i, func() error {
+			run, err := core.New(ocfg).RunOwner(context.Background(), e.Study.Graph, e.Study.Profiles, o.ID, ann, confidence)
+			if err != nil {
+				return fmt.Errorf("owner %d: %w", o.ID, err)
+			}
+			runs[i] = run
+			return nil
+		})
+	}
+	if err := g.Wait(); err != nil {
+		return nil, err
+	}
+	for i := range bufs {
+		bufs[i].FlushTo(cfg.Observer)
 	}
 	return runs, nil
 }

@@ -1,13 +1,13 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"time"
 
 	"sightrisk/internal/active"
-	"sightrisk/internal/core"
 	"sightrisk/internal/faults"
+	"sightrisk/internal/graph"
+	"sightrisk/internal/synthetic"
 )
 
 // FaultOverheadRow measures one fault scenario: how much robustness
@@ -20,7 +20,8 @@ type FaultOverheadRow struct {
 	Failures   int     // transient failures injected (= retry attempts spent recovering)
 	Queries    int     // total annotator attempts including retried ones
 	Partial    int     // owners that degraded to a partial run
-	Elapsed    time.Duration
+	// Elapsed is the wall time of the scenario's owner loop.
+	Elapsed time.Duration
 }
 
 // FaultOverhead reruns the full per-owner pipeline under increasing
@@ -53,36 +54,40 @@ func FaultOverhead(e *Env, probs []float64, retry active.RetryPolicy) ([]FaultOv
 		if sc.prob > 0 {
 			cfg.Retry = retry
 		}
-		engine := core.New(cfg)
 		row := FaultOverheadRow{Scenario: sc.name, Owners: len(e.Study.Owners)}
-		start := time.Now()
-		var labels float64
+		anns := make(map[graph.UserID]active.FallibleAnnotator, len(e.Study.Owners))
+		var injs []*faults.Injector
 		for _, o := range e.Study.Owners {
-			var ann active.FallibleAnnotator = active.Infallible(o)
-			var inj *faults.Injector
+			anns[o.ID] = active.Infallible(o)
 			if sc.prob > 0 {
-				var err error
-				inj, err = faults.Wrap(ann, faults.Config{Seed: e.Cfg.Seed + int64(o.ID), FailProb: sc.prob})
+				inj, err := faults.Wrap(anns[o.ID], faults.Config{Seed: e.Cfg.Seed + int64(o.ID), FailProb: sc.prob})
 				if err != nil {
 					return nil, err
 				}
-				ann = inj
+				injs = append(injs, inj)
+				anns[o.ID] = inj
 			}
-			run, err := engine.RunOwner(context.Background(), e.Study.Graph, e.Study.Profiles, o.ID, ann, o.Confidence)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: fault scenario %s owner %d: %w", sc.name, o.ID, err)
-			}
+		}
+		start := time.Now()
+		runs, err := e.runOwners(cfg, func(o *synthetic.Owner) (active.FallibleAnnotator, float64) {
+			return anns[o.ID], o.Confidence
+		})
+		row.Elapsed = time.Since(start)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: fault scenario %s %w", sc.name, err)
+		}
+		var labels float64
+		for _, run := range runs {
 			labels += float64(run.QueriedCount())
 			if run.Partial {
 				row.Partial++
 			}
-			if inj != nil {
-				st := inj.Stats()
-				row.Failures += st.Failures
-				row.Queries += st.Queries
-			}
 		}
-		row.Elapsed = time.Since(start)
+		for _, inj := range injs {
+			st := inj.Stats()
+			row.Failures += st.Failures
+			row.Queries += st.Queries
+		}
 		if row.Owners > 0 {
 			row.MeanLabels = labels / float64(row.Owners)
 		}

@@ -99,12 +99,11 @@ func diffRuns(a, b *core.OwnerRun) string {
 	return core.DiffRuns(a, b)
 }
 
-// serialBaseline runs every owner standalone on the engine's serial
-// path — the reference the scheduler must reproduce byte for byte.
+// serialBaseline runs every owner standalone, one at a time — the
+// reference the scheduler must reproduce byte for byte.
 func serialBaseline(t testing.TB, s *synthetic.Study) map[graph.UserID]*core.OwnerRun {
 	t.Helper()
 	cfg := core.DefaultConfig()
-	cfg.Workers = 1
 	out := make(map[graph.UserID]*core.OwnerRun, len(s.Owners))
 	for _, o := range s.Owners {
 		run, err := core.New(cfg).RunOwner(context.Background(), s.Graph, s.Profiles, o.ID, active.Infallible(o), o.Confidence)
@@ -252,6 +251,9 @@ func TestFleetValidation(t *testing.T) {
 	bad.WeightExponent = -1
 	if _, err := NewScheduler(SchedulerConfig{Engine: bad}); err == nil {
 		t.Fatal("NewScheduler accepted an invalid engine config")
+	}
+	if _, err := NewScheduler(SchedulerConfig{Engine: core.DefaultConfig(), Workers: -3}); err == nil {
+		t.Fatal("NewScheduler accepted Workers = -3")
 	}
 	s := newTestScheduler(t, 1)
 	defer s.Close()

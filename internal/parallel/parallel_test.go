@@ -1,10 +1,10 @@
 package parallel
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -72,61 +72,21 @@ func TestGroupReportsLowestIndexError(t *testing.T) {
 	if err == nil || err.Error() != "task 1 failed" {
 		t.Fatalf("got %v, want the lowest-index failure (task 1)", err)
 	}
-	if !g.Canceled() {
-		t.Fatal("group not canceled after failure")
-	}
 }
 
-func TestGroupPrefersRootCauseOverCancellation(t *testing.T) {
-	g := NewGroup(2)
-	// Lower index carries cancellation fallout; higher index has the
-	// real error. Wait must surface the real one.
-	g.Go(0, func() error { return fmt.Errorf("pool a: %w", ErrCanceled) })
-	g.Go(5, func() error { return errors.New("root cause") })
-	err := g.Wait()
-	if err == nil || err.Error() != "root cause" {
-		t.Fatalf("got %v, want root cause", err)
-	}
-}
-
+// TestGroupAllCanceledStillReturnsError: when every task fails — here
+// each with the context error a canceled run reports — Wait still
+// returns an error, the lowest-index one.
 func TestGroupAllCanceledStillReturnsError(t *testing.T) {
 	g := NewGroup(2)
-	g.Go(3, func() error { return fmt.Errorf("b: %w", ErrCanceled) })
-	g.Go(1, func() error { return fmt.Errorf("a: %w", ErrCanceled) })
+	g.Go(3, func() error { return fmt.Errorf("b: %w", context.Canceled) })
+	g.Go(1, func() error { return fmt.Errorf("a: %w", context.Canceled) })
 	err := g.Wait()
-	if err == nil || !errors.Is(err, ErrCanceled) {
+	if err == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want a canceled error", err)
 	}
-	if err.Error() != fmt.Sprintf("a: %v", ErrCanceled) {
+	if err.Error() != fmt.Sprintf("a: %v", context.Canceled) {
 		t.Fatalf("got %q, want the lowest-index cancellation", err)
-	}
-}
-
-func TestLimiterBoundsConcurrency(t *testing.T) {
-	const permits = 2
-	l := NewLimiter(permits)
-	var cur, peak atomic.Int32
-	var wg sync.WaitGroup
-	for i := 0; i < 30; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			l.Do(func() {
-				c := cur.Add(1)
-				for {
-					p := peak.Load()
-					if c <= p || peak.CompareAndSwap(p, c) {
-						break
-					}
-				}
-				time.Sleep(100 * time.Microsecond)
-				cur.Add(-1)
-			})
-		}()
-	}
-	wg.Wait()
-	if p := peak.Load(); p > permits {
-		t.Fatalf("observed %d concurrent sections, want <= %d", p, permits)
 	}
 }
 
@@ -140,169 +100,4 @@ func TestResolveWorkers(t *testing.T) {
 	if got := ResolveWorkers(7); got != 7 {
 		t.Fatalf("ResolveWorkers(7) = %d, want 7", got)
 	}
-}
-
-// gateParticipant drives one slot: `sections` critical sections with a
-// tiny compute pause between them, recording the global grant order.
-func gateParticipant(g *Gate, slot, sections int, order *[]int, mu *sync.Mutex, wg *sync.WaitGroup) {
-	defer wg.Done()
-	defer g.Done(slot)
-	for s := 0; s < sections; s++ {
-		g.Acquire(slot)
-		mu.Lock()
-		*order = append(*order, slot)
-		mu.Unlock()
-		g.Release(slot)
-		time.Sleep(time.Duration(slot%3) * 50 * time.Microsecond) // desynchronize
-	}
-}
-
-// TestGateDeterministicRotation runs uneven participants repeatedly
-// and checks the grant order is identical every time — the property
-// the engine's annotator-query ordering is built on.
-func TestGateDeterministicRotation(t *testing.T) {
-	// Slot i performs i+1 sections: uneven exits exercise Done-skipping.
-	sections := []int{3, 1, 4, 2, 5}
-	var want []int
-	for trial := 0; trial < 25; trial++ {
-		g := NewGate(len(sections))
-		var mu sync.Mutex
-		var order []int
-		var wg sync.WaitGroup
-		for slot, n := range sections {
-			wg.Add(1)
-			go gateParticipant(g, slot, n, &order, &mu, &wg)
-		}
-		wg.Wait()
-		total := 0
-		for _, n := range sections {
-			total += n
-		}
-		if len(order) != total {
-			t.Fatalf("trial %d: %d grants, want %d", trial, len(order), total)
-		}
-		if trial == 0 {
-			want = append([]int(nil), order...)
-			continue
-		}
-		for i := range want {
-			if order[i] != want[i] {
-				t.Fatalf("trial %d: grant %d went to slot %d, previously slot %d (order must be deterministic)\nwant %v\n got %v",
-					trial, i, order[i], want[i], want, order)
-			}
-		}
-	}
-}
-
-// TestGateRotationOrder pins the exact rotation semantics on a small
-// case: 3 slots doing {2, 1, 2} sections each must interleave
-// 0,1,2,0,2 — cyclic, skipping finished slots.
-func TestGateRotationOrder(t *testing.T) {
-	sections := []int{2, 1, 2}
-	g := NewGate(len(sections))
-	var mu sync.Mutex
-	var order []int
-	var wg sync.WaitGroup
-	for slot, n := range sections {
-		wg.Add(1)
-		go gateParticipant(g, slot, n, &order, &mu, &wg)
-	}
-	wg.Wait()
-	want := []int{0, 1, 2, 0, 2}
-	if len(order) != len(want) {
-		t.Fatalf("grants %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("grants %v, want %v", order, want)
-		}
-	}
-}
-
-// TestGateMutualExclusion checks no two critical sections overlap.
-func TestGateMutualExclusion(t *testing.T) {
-	const slots = 8
-	g := NewGate(slots)
-	var inside atomic.Int32
-	var wg sync.WaitGroup
-	for slot := 0; slot < slots; slot++ {
-		slot := slot
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer g.Done(slot)
-			for s := 0; s < 20; s++ {
-				g.Acquire(slot)
-				if n := inside.Add(1); n != 1 {
-					t.Errorf("%d goroutines inside the gate", n)
-				}
-				inside.Add(-1)
-				g.Release(slot)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// TestGateDoneWithoutAcquire: a slot may leave the rotation without
-// ever entering a section (e.g. a pool whose session fails to start).
-func TestGateDoneWithoutAcquire(t *testing.T) {
-	g := NewGate(3)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		// Slot 1 acquires while slot 0 bails out immediately.
-		g.Done(0)
-		g.Acquire(1)
-		g.Release(1)
-		g.Done(1)
-		g.Acquire(2)
-		g.Release(2)
-		g.Done(2)
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("gate deadlocked after Done without Acquire")
-	}
-}
-
-func TestGateZeroSlots(t *testing.T) {
-	NewGate(0) // must not panic
-}
-
-// TestGateAbortWakesWaiters: Abort must fail every pending and future
-// Acquire so canceled sessions stop at their next query boundary
-// instead of deadlocking in the rotation.
-func TestGateAbortWakesWaiters(t *testing.T) {
-	g := NewGate(3)
-	if !g.Acquire(0) {
-		t.Fatal("first Acquire refused")
-	}
-	denied := make(chan bool, 2)
-	for _, slot := range []int{1, 2} {
-		slot := slot
-		go func() { denied <- g.Acquire(slot) }() // blocks: slot 0 holds the gate
-	}
-	time.Sleep(10 * time.Millisecond) // let both park in Acquire
-	g.Abort()
-	for i := 0; i < 2; i++ {
-		select {
-		case ok := <-denied:
-			if ok {
-				t.Fatal("Acquire granted after Abort")
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("Abort did not wake a blocked Acquire")
-		}
-	}
-	// The holder can still release, leave, and is refused re-entry.
-	g.Release(0)
-	if g.Acquire(0) {
-		t.Fatal("Acquire granted after Abort")
-	}
-	g.Done(0)
-	g.Done(1)
-	g.Done(2)
-	g.Abort() // idempotent
 }

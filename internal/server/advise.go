@@ -33,7 +33,8 @@ import (
 // bytes. The counterfactual side rides the delta engine: the candidate
 // edge is applied to a clone of the live graph and delta.Revise
 // recomputes only the pools the edge dirties, splicing the rest from
-// the current run.
+// the current run. Both sides read the scheduler's weight cache, so
+// pools an estimate already built are not rebuilt.
 
 // handleAdvise serves POST /v1/advise.
 func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
@@ -93,6 +94,7 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ecfg.Metrics = s.metrics
+	ecfg.Weights = s.sched.Weights()
 	ecfg.Tenant = "advise"
 
 	// Capture a consistent view: applyMu quiesces update drains, so the

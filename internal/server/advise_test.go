@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"sightrisk/client"
+	"sightrisk/internal/cluster"
 	"sightrisk/internal/dataset"
 	"sightrisk/internal/fleet"
 	"sightrisk/internal/graph"
@@ -154,6 +155,52 @@ func TestAdviseIgnoresRunsFromOtherInputs(t *testing.T) {
 			t.Errorf("%s: advise with default options reused the estimate's run:\ngot:   %s\nfresh: %s",
 				name, adviseBytes(t, got), adviseBytes(t, fresh))
 		}
+	}
+}
+
+// schedulerCache reads the scheduler's weight-cache counters from
+// /varz.
+func schedulerCache(t *testing.T, base string) cluster.CacheStats {
+	t.Helper()
+	resp, err := http.Get(base + "/varz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var varz struct {
+		Scheduler fleet.SchedulerStats `json:"sightd_scheduler"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&varz); err != nil {
+		t.Fatal(err)
+	}
+	return varz.Scheduler.Cache
+}
+
+// TestAdviseSharesSchedulerWeightCache: advise builds its pool kernels
+// through the scheduler's weight cache, so an estimate of the same
+// owner afterwards finds every kernel it needs there and builds none.
+func TestAdviseSharesSchedulerWeightCache(t *testing.T) {
+	ds := testDataset(t, 1, 120, 81)
+	owner := ds.Owners[0].ID
+	ctx := context.Background()
+	_, hs, c := newTestServer(t, server.Config{Datasets: map[string]*dataset.Dataset{"study": testDataset(t, 1, 120, 81)}, Workers: 1})
+	if _, err := c.Advise(ctx, &client.AdviseRequest{Dataset: "study", Owner: int64(owner), Candidate: adviseCandidateFor(t, ds, owner)}); err != nil {
+		t.Fatal(err)
+	}
+	afterAdvise := schedulerCache(t, hs.URL)
+	if afterAdvise.Misses == 0 || afterAdvise.Entries == 0 {
+		t.Fatalf("advise left the scheduler's weight cache empty: %+v", afterAdvise)
+	}
+	st, err := c.Submit(ctx, &client.EstimateRequest{Dataset: "study", Owner: int64(owner), Annotator: client.AnnotatorStored})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err = c.Wait(ctx, st.ID); err != nil || st.Status != client.StatusDone {
+		t.Fatalf("estimate: %v status=%v", err, st)
+	}
+	afterEstimate := schedulerCache(t, hs.URL)
+	if afterEstimate.Misses != afterAdvise.Misses || afterEstimate.Hits == afterAdvise.Hits {
+		t.Fatalf("estimate after advise rebuilt kernels: cache %+v after advise, %+v after the estimate", afterAdvise, afterEstimate)
 	}
 }
 

@@ -5,12 +5,11 @@
 // survive server restarts. The wire types live in the client package
 // (both sides import it); the endpoint reference is docs/API.md.
 //
-// Served runs execute the engine pool by pool (Workers = 1) through
-// fleet.Scheduler and assemble reports with sight.AssembleReport, so a
-// served report is byte-identical to what an in-process
-// sight.EstimateRisk call would produce for the same inputs — the
-// end-to-end tests pin this down, including across an injected
-// mid-run server restart.
+// Served runs execute the engine through fleet.Scheduler and assemble
+// reports with sight.AssembleReport, so a served report is
+// byte-identical to what an in-process sight.EstimateRisk call would
+// produce for the same inputs — the end-to-end tests pin this down,
+// including across an injected mid-run server restart.
 package server
 
 import (
@@ -54,7 +53,8 @@ type Config struct {
 	// configuration error.
 	Runtimes map[string]*dataset.Runtime
 	// Workers bounds how many jobs run concurrently across all tenants
-	// (the fleet scheduler's shared budget). 0 means one per CPU.
+	// (the fleet scheduler's shared budget). 0 means one per CPU; a
+	// negative value is an error.
 	Workers int
 	// StateDir, when non-"", persists job records, per-round
 	// checkpoints and final reports so jobs survive server restarts.

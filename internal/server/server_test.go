@@ -606,3 +606,11 @@ func TestSnapshotBackedDataset(t *testing.T) {
 		t.Fatal("duplicate dataset name accepted")
 	}
 }
+
+// TestNegativeWorkersRefused: a negative worker count is a
+// configuration error, not a request for one slot per CPU.
+func TestNegativeWorkersRefused(t *testing.T) {
+	if _, err := server.New(server.Config{Workers: -3}); err == nil {
+		t.Fatal("server.New accepted Workers = -3")
+	}
+}

@@ -1,39 +1,61 @@
 package sight
 
-// Tests for the redesigned Observer-aware public API: the
-// worker-invariant event stream, the inertness of tracing, grouped
-// option validation, and the AsFallible annotator adaptation rules.
+// Tests for the redesigned Observer-aware public API: the event
+// stream's invariance under concurrent callers, the inertness of
+// tracing, grouped option validation, and the AsFallible annotator
+// adaptation rules.
 
 import (
 	"context"
 	"errors"
 	"io"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"sightrisk/internal/obs"
 )
 
-func ringObserved(t *testing.T, net *Network, owner UserID, ann Annotator, workers int) []Event {
+// ringObserved estimates the owner workers times at once, one
+// goroutine per run, each with its own ring observer, and returns each
+// run's delivered events.
+func ringObserved(t *testing.T, net *Network, owner UserID, ann Annotator, workers int) [][]Event {
 	t.Helper()
-	ring := obs.NewRing(1 << 14)
-	opts := DefaultOptions()
-	opts.Workers = workers
-	opts.Observability.Observer = ring
-	opts.Observability.Trace.Digests = true
-	if _, err := EstimateRisk(context.Background(), net, owner, ann, opts); err != nil {
-		t.Fatalf("workers=%d: %v", workers, err)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	rings := make([]*obs.Ring, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for i := range rings {
+		rings[i] = obs.NewRing(1 << 14)
+		opts := DefaultOptions()
+		opts.Observability.Observer = rings[i]
+		opts.Observability.Trace.Digests = true
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = EstimateRisk(context.Background(), net, owner, ann, opts)
+		}()
 	}
-	if ring.Dropped() != 0 {
-		t.Fatalf("workers=%d: ring dropped %d events", workers, ring.Dropped())
+	wg.Wait()
+	out := make([][]Event, workers)
+	for i, ring := range rings {
+		if errs[i] != nil {
+			t.Fatalf("workers=%d run %d: %v", workers, i, errs[i])
+		}
+		if ring.Dropped() != 0 {
+			t.Fatalf("workers=%d run %d: ring dropped %d events", workers, i, ring.Dropped())
+		}
+		out[i] = ring.Events()
 	}
-	return ring.Events()
+	return out
 }
 
 // TestEventStreamWorkerInvariant is the stream's core guarantee: on a
 // complete run the delivered event sequence — boundaries, queries,
-// digests, attribution — is identical at every Workers value. Only
-// Seq/Time/Dur (zeroed by Canonical) may differ.
+// digests, attribution — is the same whether the run is alone or one
+// of several runs on concurrent worker goroutines. Only Seq/Time/Dur
+// (zeroed by Canonical) may differ.
 func TestEventStreamWorkerInvariant(t *testing.T) {
 	net, owner := demoNetwork(t, 5, 60)
 	ann := AnnotatorFunc(func(s UserID) Label {
@@ -42,22 +64,23 @@ func TestEventStreamWorkerInvariant(t *testing.T) {
 		}
 		return NotRisky
 	})
-	ref := ringObserved(t, net, owner, ann, 1)
+	ref := ringObserved(t, net, owner, ann, 1)[0]
 	if len(ref) == 0 {
-		t.Fatal("serial run emitted no events")
+		t.Fatal("lone run emitted no events")
 	}
 	if ref[0].Kind != obs.KindRunStart || ref[len(ref)-1].Kind != obs.KindRunEnd {
 		t.Fatalf("stream not bracketed by run.start/run.end: first %v last %v", ref[0].Kind, ref[len(ref)-1].Kind)
 	}
 	for _, workers := range []int{2, 8} {
-		got := ringObserved(t, net, owner, ann, workers)
-		if len(got) != len(ref) {
-			t.Fatalf("workers=%d: %d events, serial %d", workers, len(got), len(ref))
-		}
-		for i := range got {
-			if got[i].Canonical() != ref[i].Canonical() {
-				t.Fatalf("workers=%d: event %d differs:\n  serial:   %+v\n  parallel: %+v",
-					workers, i, ref[i].Canonical(), got[i].Canonical())
+		for r, got := range ringObserved(t, net, owner, ann, workers) {
+			if len(got) != len(ref) {
+				t.Fatalf("workers=%d run %d: %d events, lone run %d", workers, r, len(got), len(ref))
+			}
+			for i := range got {
+				if got[i].Canonical() != ref[i].Canonical() {
+					t.Fatalf("workers=%d run %d: event %d differs:\n  lone:       %+v\n  concurrent: %+v",
+						workers, r, i, ref[i].Canonical(), got[i].Canonical())
+				}
 			}
 		}
 	}
@@ -99,14 +122,13 @@ func TestValidateReportsAllViolations(t *testing.T) {
 	opts.Learning.PerRound = 0
 	opts.Learning.Confidence = 150
 	opts.Learning.Sampler = "psychic"
-	opts.Workers = -1
 	err := opts.Validate()
 	if err == nil {
 		t.Fatal("expected validation failure")
 	}
 	for _, want := range []string{
 		"Pooling.Alpha", "Pooling.Beta", "Learning.PerRound",
-		"Learning.Confidence", `sampler "psychic"`, "Workers",
+		"Learning.Confidence", `sampler "psychic"`,
 	} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("joined error misses %q:\n%v", want, err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -44,10 +45,11 @@ func diffReports(t *testing.T, a, b *Report) string {
 	return ""
 }
 
-// TestWorkersDeterminismProperty is the determinism property promised
-// by Options.Workers: for seeded synthetic studies of several shapes
-// and attitudes, Workers 1 (pool by pool), 4, and
-// GOMAXPROCS all produce identical Reports — same labels, same query
+// TestWorkersDeterminismProperty is the determinism property callers
+// estimating many owners at once rely on: for seeded synthetic studies
+// of several shapes and attitudes, a Report computed on any of 4 or
+// GOMAXPROCS worker goroutines running EstimateRisk on one Network at
+// the same time is identical to a lone run's — same labels, same query
 // effort, same pool assignments, same telemetry.
 func TestWorkersDeterminismProperty(t *testing.T) {
 	attitudes := map[string]func(*Network) AnnotatorFunc{
@@ -91,22 +93,30 @@ func TestWorkersDeterminismProperty(t *testing.T) {
 		for _, shape := range shapes {
 			net, owner := demoNetwork(t, shape.friends, shape.strangers)
 			ann := attitude(net)
-			serialOpts := DefaultOptions()
-			serialOpts.Workers = 1
-			serial, err := EstimateRisk(context.Background(), net, owner, ann, serialOpts)
+			serial, err := EstimateRisk(context.Background(), net, owner, ann, DefaultOptions())
 			if err != nil {
 				t.Fatalf("%s f=%d n=%d: %v", name, shape.friends, shape.strangers, err)
 			}
 			for _, workers := range []int{4, runtime.GOMAXPROCS(0)} {
-				opts := DefaultOptions()
-				opts.Workers = workers
-				rep, err := EstimateRisk(context.Background(), net, owner, ann, opts)
-				if err != nil {
-					t.Fatalf("%s f=%d n=%d workers=%d: %v", name, shape.friends, shape.strangers, workers, err)
+				reps := make([]*Report, workers)
+				errs := make([]error, workers)
+				var wg sync.WaitGroup
+				for w := range reps {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						reps[w], errs[w] = EstimateRisk(context.Background(), net, owner, ann, DefaultOptions())
+					}()
 				}
-				if d := diffReports(t, serial, rep); d != "" {
-					t.Fatalf("%s f=%d n=%d: workers=%d report differs from serial: %s",
-						name, shape.friends, shape.strangers, workers, d)
+				wg.Wait()
+				for w, rep := range reps {
+					if errs[w] != nil {
+						t.Fatalf("%s f=%d n=%d workers=%d: %v", name, shape.friends, shape.strangers, workers, errs[w])
+					}
+					if d := diffReports(t, serial, rep); d != "" {
+						t.Fatalf("%s f=%d n=%d: workers=%d report differs from a lone run's: %s",
+							name, shape.friends, shape.strangers, workers, d)
+					}
 				}
 			}
 		}

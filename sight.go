@@ -89,16 +89,15 @@ const (
 // FallibleAnnotator is expected.
 //
 // Thread-safety contract: implementations never need to be safe for
-// concurrent use. Even with Options.Workers > 1 the engine serializes
-// LabelStranger calls — the owner is asked one question at a time —
-// and the question order is a deterministic function of the network
-// and options: Workers == 1 asks pool by pool, and any Workers > 1
-// rotates the questions across pools in one order, identical across
-// runs and worker counts. Interactive
-// annotators therefore work unchanged. For reproducible reports the
-// annotator must be deterministic per stranger: asking about the same
-// stranger twice must yield the same label, and the label must not
-// depend on the order questions arrive in.
+// concurrent use. The engine asks the owner one question at a time,
+// pool by pool: a pool's rounds of questions run until its stopping
+// rule holds before the next pool's first question. The question order
+// is a deterministic function of the network and options, identical
+// across runs. Interactive annotators therefore work unchanged. For
+// reproducible reports the annotator must be deterministic per
+// stranger: asking about the same stranger twice must yield the same
+// label, and the label must not depend on the order questions arrive
+// in.
 type Annotator interface {
 	// LabelStranger returns the owner's risk label for the stranger.
 	LabelStranger(s UserID) Label
@@ -358,8 +357,8 @@ const (
 // and round boundaries, every owner query, and (with
 // TraceConfig.Digests) order-sensitive stage digests. Attach one via
 // Options.Observability. Implementations must be safe for concurrent
-// use; the engine guarantees the delivered stream is identical for
-// every Options.Workers value on complete runs.
+// use when one Observer is shared by runs on several goroutines; a
+// single run delivers its stream in run order from one goroutine.
 type Observer = obs.Observer
 
 // Event is one record of the observability stream.
@@ -427,8 +426,8 @@ type CheckpointingOptions struct {
 	Sink func(*Checkpoint) error
 	// Resume replays a prior checkpoint's answers: questions already
 	// answered are never re-asked and the finished Report is
-	// byte-identical to an uninterrupted run's (at any Workers value).
-	// The checkpoint must match the run's owner and Seed.
+	// byte-identical to an uninterrupted run's. The checkpoint must
+	// match the run's owner and Seed.
 	Resume *Checkpoint
 	// AbandonGrace lets an in-flight owner query run this long past
 	// cancellation so the answer being produced can still land and be
@@ -468,22 +467,11 @@ type Options struct {
 	// Observability attaches the structured event stream.
 	Observability ObservabilityOptions
 	// Progress, when non-nil, is invoked after each pool's learning
-	// session with (pools done, pools total, labels collected so far).
-	// With Workers != 1 it is called from the pipeline's worker
-	// goroutines (serialized, with monotone counts), in pool
-	// *completion* order rather than pool order.
+	// session with (pools done, pools total, labels collected so far),
+	// pool by pool, from the goroutine that called EstimateRisk.
 	Progress func(done, total, labels int)
 	// Seed drives stranger sampling.
 	Seed int64
-	// Workers bounds how many pools are processed concurrently
-	// (weight-matrix builds and classifier solves). 0 means one worker
-	// per CPU (runtime.GOMAXPROCS(0)); 1 runs the pools one at a time,
-	// asking the owner pool by pool. The resulting Report is identical
-	// for every value — every pool runs the same per-pool step with its
-	// own seeded RNG stream, results merge in pool order, and annotator
-	// queries are serialized one at a time in a deterministic order
-	// (see Annotator).
-	Workers int
 }
 
 // DefaultOptions returns the paper's experimental configuration.
@@ -538,9 +526,6 @@ func (o Options) Validate() error {
 	default:
 		fail("unknown stopper %q", o.Learning.Stopper)
 	}
-	if o.Workers < 0 {
-		fail("Workers must be >= 0, got %d", o.Workers)
-	}
 	if o.Checkpointing.AbandonGrace < 0 {
 		fail("Checkpointing.AbandonGrace must be >= 0, got %v", o.Checkpointing.AbandonGrace)
 	}
@@ -591,7 +576,6 @@ func (o Options) coreConfig() (core.Config, error) {
 	}
 	cfg.Progress = o.Progress
 	cfg.Seed = o.Seed
-	cfg.Workers = o.Workers
 	cfg.Retry = o.Retry
 	cfg.Checkpoint = o.Checkpointing.Sink
 	cfg.Resume = o.Checkpointing.Resume
@@ -708,15 +692,15 @@ func AsFallible(ann AnyAnnotator) (FallibleAnnotator, error) {
 // strangers into pools, run an active-learning session per pool
 // querying the annotator, and assemble the final risk report.
 //
-// ctx bounds the run: cancellation aborts at the next query boundary,
-// in serial and parallel paths alike (nil means context.Background()).
-// Interruptions — ctx cancellation or the annotator returning
-// ErrAbandoned — do not fail the run: it returns a partial Report
-// (Partial true, Interrupt set) in which finished pools keep their
-// learned labels and interrupted pools carry fallback labels. Only
-// hard failures return an error. See Options.Retry and
-// Options.Checkpointing for the rest of the fault-tolerance surface,
-// and Options.Observability for the structured event stream.
+// ctx bounds the run: cancellation aborts at the next query boundary
+// (nil means context.Background()). Interruptions — ctx cancellation
+// or the annotator returning ErrAbandoned — do not fail the run: it
+// returns a partial Report (Partial true, Interrupt set) in which
+// finished pools keep their learned labels and interrupted pools carry
+// fallback labels. Only hard failures return an error. See
+// Options.Retry and Options.Checkpointing for the rest of the
+// fault-tolerance surface, and Options.Observability for the
+// structured event stream.
 //
 // ann accepts both annotator contracts — Annotator and
 // FallibleAnnotator — adapted per AsFallible.
