@@ -208,11 +208,14 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		defer rt.Close()
 		loaded[name] = rt
 		backing := "json"
 		if rt.Mapped() {
 			backing = "snap (mmap)"
+			// Only a mapping needs closing. Holding a JSON runtime would
+			// keep its load-time snapshot and profiles alive after
+			// updates supersede them.
+			defer rt.Close()
 		}
 		log.Printf("sightd: dataset %q [%s]: %d users, %d friendships, %d owners",
 			name, backing, rt.Snapshot.NumNodes(), rt.Snapshot.NumEdges(), len(rt.Owners))

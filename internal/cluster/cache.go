@@ -50,9 +50,9 @@ func PoolKey(store *profile.Store, pool Pool, attrs []profile.Attribute, exponen
 // Returned kernels are shared and must be treated as read-only; the
 // engine only ever reads them.
 //
-// The cache can be bounded with SetMaxEntries; under graph churn stale
-// content keys would otherwise accumulate forever. Eviction never
-// changes results — a victim that is still live simply costs one
+// Every cache holds at most maxWeightEntries kernels, since under graph
+// churn stale content keys would otherwise accumulate forever. Eviction
+// never changes results — a victim that is still live simply costs one
 // rebuild on its next lookup — so the determinism invariant holds at
 // any cap.
 type WeightCache struct {
@@ -76,21 +76,16 @@ func (c *WeightCache) SetMetrics(m *obs.Metrics) {
 	c.metrics.Store(m)
 }
 
-// SetMaxEntries bounds the cache to at most n entries; inserting past
-// the cap evicts arbitrary existing entries first (cheap map-order
-// eviction — no recency bookkeeping on the hot hit path). n <= 0
-// removes the bound. Shrinking below the current size evicts
-// immediately.
-func (c *WeightCache) SetMaxEntries(n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.max = n
-	if n > 0 {
-		c.evictLocked(len(c.entries) - n)
-	}
-}
+// maxWeightEntries is the entry cap of every WeightCache. Measured
+// peaks on 2 vCPUs, seeds 1 and 2 (the cap sits 6× above the largest):
+// sightbench batch 2,400–2,499 entries over its 160 owners, interactive
+// 1,900–2,199, churn 900–999 after 10 s of updates; riskbench's
+// paper-scale fig4-plus-headline run 1,500–1,599 and the small-scale
+// ablations 1,100–1,199.
+const maxWeightEntries = 1 << 14
 
-// evictLocked removes n arbitrary entries (mu must be held).
+// evictLocked removes n arbitrary entries (mu must be held): cheap
+// map-order eviction, with no recency bookkeeping on the hot hit path.
 func (c *WeightCache) evictLocked(n int) {
 	if n <= 0 {
 		return
@@ -130,10 +125,16 @@ func (s CacheStats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// NewWeightCache returns an empty, unbounded cache, safe for
-// concurrent use.
+// NewWeightCache returns an empty cache holding at most
+// maxWeightEntries kernels, safe for concurrent use.
 func NewWeightCache() *WeightCache {
-	return &WeightCache{entries: make(map[Key]*classify.Kernel)}
+	return newWeightCache(maxWeightEntries)
+}
+
+// newWeightCache returns an empty cache holding at most max >= 1
+// kernels; inserting past the cap evicts arbitrary entries first.
+func newWeightCache(max int) *WeightCache {
+	return &WeightCache{entries: make(map[Key]*classify.Kernel), max: max}
 }
 
 // PoolKernel returns the pool's weight kernel, computing and caching
@@ -168,9 +169,7 @@ func (c *WeightCache) PoolKernel(store *profile.Store, pool Pool, attrs []profil
 		c.hit()
 		return prev, key, nil
 	}
-	if c.max > 0 {
-		c.evictLocked(len(c.entries) + 1 - c.max)
-	}
+	c.evictLocked(len(c.entries) + 1 - c.max)
 	c.entries[key] = built
 	c.mu.Unlock()
 	c.misses.Add(1)

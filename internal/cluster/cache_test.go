@@ -32,10 +32,9 @@ func TestWeightCacheBounded(t *testing.T) {
 		want[i] = k
 	}
 
-	cache := NewWeightCache()
+	cache := newWeightCache(2)
 	m := &obs.Metrics{}
 	cache.SetMetrics(m)
-	cache.SetMaxEntries(2)
 	for _, p := range pools {
 		if _, _, err := cache.PoolKernel(store, p, nil, 4); err != nil {
 			t.Fatal(err)
@@ -68,20 +67,25 @@ func TestWeightCacheBounded(t *testing.T) {
 		}
 	}
 
-	// Shrinking below the live size evicts immediately.
-	cache.SetMaxEntries(1)
-	if st := cache.Stats(); st.Entries > 1 {
-		t.Fatalf("entries after shrink = %d, want <= 1", st.Entries)
+	// A cap of one keeps one entry.
+	cache = newWeightCache(1)
+	for _, p := range pools {
+		if _, _, err := cache.PoolKernel(store, p, nil, 4); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// Removing the bound lets the cache grow again.
-	cache.SetMaxEntries(0)
+	if st := cache.Stats(); st.Entries > 1 {
+		t.Fatalf("entries under a cap of 1 = %d, want <= 1", st.Entries)
+	}
+	// A cache under the served cap holds every pool.
+	cache = NewWeightCache()
 	for _, p := range pools {
 		if _, _, err := cache.PoolKernel(store, p, nil, 4); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if st := cache.Stats(); st.Entries != len(pools) {
-		t.Fatalf("unbounded entries = %d, want %d", st.Entries, len(pools))
+		t.Fatalf("entries under the served cap = %d, want %d", st.Entries, len(pools))
 	}
 }
 

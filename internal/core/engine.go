@@ -87,12 +87,6 @@ type Config struct {
 	// uninterrupted one. The checkpoint must match the run's owner and
 	// seed.
 	Resume *Checkpoint
-	// AbandonGrace extends each in-flight owner query this long past
-	// cancellation of the run's context, so the answer currently being
-	// produced can still complete and be checkpointed. New queries are
-	// never started after cancellation regardless. 0 means in-flight
-	// queries are canceled immediately with the run.
-	AbandonGrace time.Duration
 	// Observer, when non-nil, receives the structured event stream of
 	// the run: run/pool boundaries, every owner query, every learning
 	// round, each pool's events as that pool runs. Nil costs nothing
@@ -151,9 +145,6 @@ func (c Config) Validate() error {
 	}
 	if c.WeightExponent < 0 {
 		return fmt.Errorf("core: WeightExponent must be >= 0, got %g", c.WeightExponent)
-	}
-	if c.AbandonGrace < 0 {
-		return fmt.Errorf("core: AbandonGrace must be >= 0, got %v", c.AbandonGrace)
 	}
 	return c.Retry.Validate()
 }
@@ -392,10 +383,9 @@ func (e *Engine) RunOwner(ctx context.Context, g *graph.Graph, store *profile.St
 		}
 	}
 
-	// Assemble the fault-tolerance middleware around the caller's
-	// annotator, innermost first: retries for transient failures, then
-	// the abandonment grace window. The per-pool layers (replay cache,
-	// checkpoint recorder) are stacked on top by chain().
+	// Wrap the caller's annotator in retries for transient failures.
+	// The per-pool layers (replay cache, checkpoint recorder) are
+	// stacked on top by chain().
 	var k *checkpointer
 	if e.cfg.Checkpoint != nil {
 		k = newCheckpointer(owner, e.cfg.Seed, e.cfg.Checkpoint)
@@ -405,9 +395,6 @@ func (e *Engine) RunOwner(ctx context.Context, g *graph.Graph, store *profile.St
 		onRetry = func() { m.Retries.Add(1) }
 	}
 	base := active.WithRetryHook(ann, e.cfg.Retry, onRetry)
-	if e.cfg.AbandonGrace > 0 {
-		base = graceAnnotator{grace: e.cfg.AbandonGrace, inner: base}
-	}
 	chain := func(poolID string) active.FallibleAnnotator {
 		a := base
 		if e.cfg.Resume != nil {

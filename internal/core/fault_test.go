@@ -409,52 +409,6 @@ func TestSessionTimeoutDegrades(t *testing.T) {
 	}
 }
 
-// TestAbandonGraceShieldsInFlightQuery: with AbandonGrace set, the
-// answer the owner is producing when the run is canceled still lands
-// (and counts); without it, the in-flight query dies with the context.
-func TestAbandonGraceShieldsInFlightQuery(t *testing.T) {
-	study := studyWorld(t)
-	o := study.Owners[0]
-	const cancelAt = 5
-	run := func(grace time.Duration) *OwnerRun {
-		t.Helper()
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		calls := 0
-		ann := active.FallibleFunc(func(qctx context.Context, s graph.UserID) (label.Label, error) {
-			calls++
-			if calls == cancelAt {
-				cancel()
-				// The owner needs a beat to finish typing the answer.
-				select {
-				case <-qctx.Done():
-					return 0, qctx.Err()
-				case <-time.After(20 * time.Millisecond):
-				}
-			}
-			return o.LabelStranger(s), nil
-		})
-		cfg := DefaultConfig()
-		cfg.AbandonGrace = grace
-		r, err := New(cfg).RunOwner(ctx, study.Graph, study.Profiles, o.ID, ann, o.Confidence)
-		if err != nil {
-			t.Fatalf("grace=%v: %v", grace, err)
-		}
-		if !r.Partial {
-			t.Fatalf("grace=%v: run not partial", grace)
-		}
-		return r
-	}
-	with := run(5 * time.Second)
-	without := run(0)
-	if with.QueriedCount() != cancelAt {
-		t.Fatalf("with grace: %d owner labels, want %d (in-flight answer kept)", with.QueriedCount(), cancelAt)
-	}
-	if without.QueriedCount() != cancelAt-1 {
-		t.Fatalf("without grace: %d owner labels, want %d (in-flight answer dropped)", without.QueriedCount(), cancelAt-1)
-	}
-}
-
 // TestCheckpointSinkFailureAborts: durability is load-bearing — a sink
 // error is a hard failure even though interruptions are not.
 func TestCheckpointSinkFailureAborts(t *testing.T) {
@@ -548,7 +502,6 @@ func TestEngineConfigValidation(t *testing.T) {
 	study := studyWorld(t)
 	o := study.Owners[0]
 	mutations := map[string]func(*Config){
-		"negative grace":         func(c *Config) { c.AbandonGrace = -time.Second },
 		"negative weight exp":    func(c *Config) { c.WeightExponent = -1 },
 		"retry jitter > 1":       func(c *Config) { c.Retry.Jitter = 1.5 },
 		"negative retry base":    func(c *Config) { c.Retry.BaseDelay = -time.Second },

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"time"
 
 	"sightrisk/internal/active"
 	"sightrisk/internal/classify"
@@ -33,39 +32,6 @@ func isInterrupt(err error) bool {
 	return err != nil && (errors.Is(err, active.ErrAbandoned) ||
 		errors.Is(err, context.Canceled) ||
 		errors.Is(err, context.DeadlineExceeded))
-}
-
-// graceAnnotator gives each in-flight query a grace period past
-// cancellation of the run's context, so the answer the owner is
-// typing right now can still land (and be checkpointed) instead of
-// being dropped on the floor. Sessions stop issuing *new* queries at
-// the next boundary regardless — the grace context only shields the
-// query already underway.
-type graceAnnotator struct {
-	grace time.Duration
-	inner active.FallibleAnnotator
-}
-
-func (g graceAnnotator) LabelStranger(ctx context.Context, s graph.UserID) (label.Label, error) {
-	gctx, stop := graceContext(ctx, g.grace)
-	defer stop()
-	return g.inner.LabelStranger(gctx, s)
-}
-
-// graceContext returns a context that is canceled `grace` after the
-// parent is — never sooner. The caller must call stop to release it; a
-// grace timer already started then fires into a context canceled
-// already.
-func graceContext(parent context.Context, grace time.Duration) (context.Context, context.CancelFunc) {
-	if grace <= 0 {
-		return parent, func() {}
-	}
-	ctx, cancel := context.WithCancel(context.WithoutCancel(parent))
-	unwatch := context.AfterFunc(parent, func() { time.AfterFunc(grace, cancel) })
-	return ctx, func() {
-		unwatch()
-		cancel()
-	}
 }
 
 // replayAnnotator answers queries from a resumed checkpoint's cache

@@ -23,18 +23,19 @@ import (
 //	                  request against the counterfactual graph with the
 //	                  edge added, before the owner accepts it
 //
-// The evaluation is synchronous (no job is created): the owner's
-// current run is taken from memory when the server holds a complete
-// stored-annotator estimate of the owner with the same resolved
-// options at the current update generation (see runKey), and
-// recomputed from the frozen snapshot otherwise — the latter is the
-// path a checkpoint-reconstructed (restarted or failed-over) node
-// takes, and the deterministic engine makes both produce the same
-// bytes. The counterfactual side rides the delta engine: the candidate
-// edge is applied to a clone of the live graph and delta.Revise
-// recomputes only the pools the edge dirties, splicing the rest from
-// the current run. Both sides read the scheduler's weight cache, so
-// pools an estimate already built are not rebuilt.
+// The evaluation is synchronous (no job is created) and reads the
+// dataset's current generation once. The owner's current run is taken
+// from memory when the server holds a complete stored-annotator
+// estimate of the owner with the same resolved options at that
+// generation (see runKey), and recomputed from its frozen snapshot
+// otherwise — the latter is the path a checkpoint-reconstructed
+// (restarted or failed-over) node takes, and the deterministic engine
+// makes both produce the same bytes. The counterfactual side rides the
+// delta engine: the candidate edge is applied to a clone of the
+// generation's graph and delta.Revise recomputes only the pools the
+// edge dirties, splicing the rest from the current run. Both sides
+// read the scheduler's weight cache, so pools an estimate already
+// built are not rebuilt.
 
 // handleAdvise serves POST /v1/advise.
 func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
@@ -53,7 +54,7 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "bad_request", "dataset is required", 0)
 		return
 	}
-	rt, ok := s.runtimes[req.Dataset]
+	d, ok := s.datasets[req.Dataset]
 	if !ok {
 		writeErr(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("unknown dataset %q", req.Dataset), 0)
 		return
@@ -71,13 +72,13 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	if rt.Graph == nil {
+	if d.rt.Graph == nil {
 		writeErr(w, http.StatusBadRequest, "bad_request",
 			fmt.Sprintf("dataset %q is snapshot-backed and read-only; advise needs a mutable dataset", req.Dataset), 0)
 		return
 	}
 	owner, cand := graph.UserID(req.Owner), graph.UserID(req.Candidate)
-	rec, ok := rt.Owner(owner)
+	rec, ok := d.rt.Owner(owner)
 	if !ok {
 		writeErr(w, http.StatusBadRequest, "bad_request",
 			fmt.Sprintf("dataset %q has no stored labels for owner %d; advise needs the stored annotator", req.Dataset, req.Owner), 0)
@@ -97,59 +98,51 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	ecfg.Weights = s.sched.Weights()
 	ecfg.Tenant = "advise"
 
-	// Capture a consistent view: applyMu quiesces update drains, so the
-	// clone, the snapshot, the profile store and the generation all
-	// describe the same dataset state.
-	s.applyMu.Lock()
-	s.mu.Lock()
-	snap, store, gen := rt.Snapshot, rt.Profiles, s.dsGen[req.Dataset]
-	s.mu.Unlock()
-	if !rt.Graph.HasNode(cand) {
-		s.applyMu.Unlock()
+	gen := d.current()
+	if !gen.graph.HasNode(cand) {
 		writeErr(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("candidate %d is not in the network", req.Candidate), 0)
 		return
 	}
-	if rt.Graph.HasEdge(owner, cand) {
-		s.applyMu.Unlock()
+	if gen.graph.HasEdge(owner, cand) {
 		writeErr(w, http.StatusConflict, "conflict",
 			fmt.Sprintf("users %d and %d are already friends", req.Owner, req.Candidate), 0)
 		return
 	}
-	gc := rt.Graph.Clone()
-	s.applyMu.Unlock()
 
 	ann := active.Infallible(dataset.StoredAnnotator{Labels: rec.Labels, Fallback: label.Risky})
 
 	// Current side: reuse the run held under this request's key — a
 	// complete stored-annotator estimate of the owner with the same
-	// resolved options — when it is current at this dataset state;
-	// otherwise recompute from the frozen snapshot. The recompute
+	// resolved options — when it is current at this generation;
+	// otherwise recompute from the generation's snapshot. The recompute
 	// branch is what a restarted or adopted node runs (held runs do not
 	// survive the process), and the deterministic engine guarantees it
 	// produces the same bytes.
 	var before *core.OwnerRun
-	if h, ok := s.lookupHeld(newRunKey(req.Dataset, owner, client.AnnotatorStored, opts)); ok && h.gen == gen {
+	if h, ok := d.lookupHeld(newRunKey(req.Dataset, owner, client.AnnotatorStored, opts)); ok && h.gen == gen.num {
 		before = h.run
 	}
 	reused := before != nil
 	if before == nil {
 		bcfg := ecfg
-		bcfg.Snapshot = snap
-		before, err = core.New(bcfg).RunOwner(r.Context(), nil, store, owner, ann, math.NaN())
+		bcfg.Snapshot = gen.snap
+		before, err = core.New(bcfg).RunOwner(r.Context(), nil, gen.profiles, owner, ann, math.NaN())
 		if err != nil {
 			writeErr(w, http.StatusInternalServerError, "internal", err.Error(), 0)
 			return
 		}
 	}
 
-	// Counterfactual side: add the candidate edge on the clone and let
-	// the delta engine revise against the current run.
+	// Counterfactual side: add the candidate edge on a clone of the
+	// generation's graph and let the delta engine revise against the
+	// current run.
+	gc := gen.graph.Clone()
 	batch := delta.Batch{{Kind: delta.EdgeAdd, A: owner, B: cand}}
-	if err := batch.Apply(gc, store); err != nil {
+	if err := batch.Apply(gc, gen.profiles); err != nil {
 		writeErr(w, http.StatusInternalServerError, "internal", err.Error(), 0)
 		return
 	}
-	after, stats, err := delta.Revise(r.Context(), ecfg, gc, store, owner, ann, math.NaN(), before, batch)
+	after, stats, err := delta.Revise(r.Context(), ecfg, gc, gen.profiles, owner, ann, math.NaN(), before, batch)
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, "internal", err.Error(), 0)
 		return

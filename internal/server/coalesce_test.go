@@ -4,11 +4,13 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"sightrisk/client"
 	"sightrisk/internal/dataset"
 	"sightrisk/internal/delta"
 	"sightrisk/internal/graph"
+	"sightrisk/internal/profile"
 	"sightrisk/internal/synthetic"
 )
 
@@ -32,7 +34,7 @@ func TestUpdatesCoalescePerDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Kill()
-	rt := srv.runtimes["study"]
+	d := srv.datasets["study"]
 
 	const followers = 8
 	block := make(chan struct{})
@@ -52,11 +54,7 @@ func TestUpdatesCoalescePerDrain(t *testing.T) {
 		}
 	}
 
-	genAt := func() uint64 {
-		srv.mu.Lock()
-		defer srv.mu.Unlock()
-		return srv.dsGen["study"]
-	}
+	genAt := func() uint64 { return d.current().num }
 	genBefore := genAt()
 
 	type result struct {
@@ -65,7 +63,7 @@ func TestUpdatesCoalescePerDrain(t *testing.T) {
 	}
 	results := make(chan result, followers+1)
 	apply := func(node int64) {
-		resp, _, _, err := srv.applyUpdates("study", rt, delta.Batch{{Kind: delta.NodeAdd, A: graph.UserID(node)}})
+		resp, _, err := srv.applyUpdates(d, delta.Batch{{Kind: delta.NodeAdd, A: graph.UserID(node)}})
 		results <- result{resp, err}
 	}
 
@@ -92,9 +90,9 @@ func TestUpdatesCoalescePerDrain(t *testing.T) {
 	}
 	// Give the followers a chance to enqueue, then release the leader.
 	for {
-		srv.updMu.Lock()
-		queued := len(srv.updQ["study"].pending)
-		srv.updMu.Unlock()
+		d.mu.Lock()
+		queued := len(d.pending)
+		d.mu.Unlock()
 		if queued == followers {
 			break
 		}
@@ -144,8 +142,38 @@ func TestUpdatesCoalescePerDrain(t *testing.T) {
 
 	// All nine nodes landed despite only two applies.
 	for i := int64(910000); i <= int64(910000+followers); i++ {
-		if !rt.Graph.HasNode(graph.UserID(i)) {
+		if !d.current().graph.HasNode(graph.UserID(i)) {
 			t.Errorf("node %d missing after coalesced drains", i)
+		}
+	}
+}
+
+// TestUpdateReleasesSupersededGeneration: once a drain publishes the
+// next generation, the server holds nothing of the one it superseded,
+// so a dataset under updates keeps one frozen snapshot and one profile
+// store alive, not the load-time pair besides the current one.
+func TestUpdateReleasesSupersededGeneration(t *testing.T) {
+	srv, _, c := statsTestServer(t)
+	g0 := srv.datasets["study"].current()
+	ids := g0.snap.Nodes()
+	a, b := ids[0], ids[len(ids)-1]
+	if g0.snap.HasEdge(a, b) {
+		t.Fatal("test pair is already linked")
+	}
+	freed := make(chan string, 2)
+	runtime.SetFinalizer(g0.snap, func(*graph.Snapshot) { freed <- "snapshot" })
+	runtime.SetFinalizer(g0.profiles, func(*profile.Store) { freed <- "profile store" })
+	g0 = nil
+	update(t, c, client.Update{Kind: "edge_add", A: int64(a), B: int64(b)})
+	deadline := time.After(10 * time.Second)
+	for n := 0; n < 2; {
+		runtime.GC()
+		select {
+		case <-freed:
+			n++
+		case <-time.After(10 * time.Millisecond):
+		case <-deadline:
+			t.Fatal("generation 0's snapshot or profile store is still reachable after a drain superseded it")
 		}
 	}
 }

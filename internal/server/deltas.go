@@ -11,9 +11,7 @@ import (
 	sight "sightrisk"
 	"sightrisk/client"
 	"sightrisk/internal/core"
-	"sightrisk/internal/dataset"
 	"sightrisk/internal/delta"
-	"sightrisk/internal/fleet"
 	"sightrisk/internal/graph"
 )
 
@@ -26,12 +24,13 @@ import (
 //	                                 pool the updates left untouched
 //	GET  /v1/estimates/{id}/stream   NDJSON per-pool report deltas
 //
-// Updates swap a dataset runtime's frozen snapshot and (copy-on-write)
-// profile store under the server mutex; running estimates keep the
-// view they resolved, new jobs see the post-batch view. A revision's
-// report is byte-identical to a from-scratch submission against the
-// updated dataset — the engine's Reuse splice only skips pools whose
-// content key proves their inputs unchanged.
+// Each update drain publishes the dataset's next generation (a frozen
+// snapshot, a copy-on-write profile store and a clone of the live
+// graph); running estimates keep the generation they resolved, new
+// jobs see the post-batch one. A revision's report is byte-identical
+// to a from-scratch submission against the updated dataset — the
+// engine's Reuse splice only skips pools whose content key proves
+// their inputs unchanged.
 
 // toBatch converts wire updates to engine delta records.
 func toBatch(us []client.Update) delta.Batch {
@@ -119,25 +118,25 @@ type heldRun struct {
 	report *client.Report
 }
 
-// holdRun records h as the run held under key, releasing the run it
-// replaces. A run current at an older update generation than the held
-// one never replaces it (jobs can finish out of submission order).
-// Only complete runs of dataset-backed jobs are held: partial runs
-// cannot be spliced, and revise and advise need a dataset. In-memory
-// only — a restarted server holds nothing and recomputes.
-func (s *Server) holdRun(key runKey, h heldRun) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if cur, ok := s.held[key]; !ok || h.gen >= cur.gen {
-		s.held[key] = h
+// hold records h as the run held under key, releasing the run it
+// replaces. A run current at an older generation than the held one
+// never replaces it (jobs can finish out of submission order). Only
+// complete runs of dataset-backed jobs are held: partial runs cannot
+// be spliced, and revise and advise need a dataset. In-memory only — a
+// restarted server holds nothing and recomputes.
+func (d *datasetState) hold(key runKey, h heldRun) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if cur, ok := d.held[key]; !ok || h.gen >= cur.gen {
+		d.held[key] = h
 	}
 }
 
 // lookupHeld returns the run held under key, if any.
-func (s *Server) lookupHeld(key runKey) (heldRun, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	h, ok := s.held[key]
+func (d *datasetState) lookupHeld(key runKey) (heldRun, bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	h, ok := d.held[key]
 	return h, ok
 }
 
@@ -161,7 +160,7 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "bad_request", "dataset is required", 0)
 		return
 	}
-	rt, ok := s.runtimes[req.Dataset]
+	d, ok := s.datasets[req.Dataset]
 	if !ok {
 		writeErr(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("unknown dataset %q", req.Dataset), 0)
 		return
@@ -182,12 +181,12 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	if rt.Graph == nil {
+	if d.rt.Graph == nil {
 		writeErr(w, http.StatusBadRequest, "bad_request",
 			fmt.Sprintf("dataset %q is snapshot-backed and read-only; updates need a mutable dataset", req.Dataset), 0)
 		return
 	}
-	resp, _, _, err := s.applyUpdates(req.Dataset, rt, batch)
+	resp, _, err := s.applyUpdates(d, batch)
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, "internal", err.Error(), 0)
 		return
@@ -202,17 +201,8 @@ type updWaiter struct {
 	batch delta.Batch
 	done  chan struct{}
 	resp  *client.UpdatesResponse
-	gen   uint64
-	view  *graph.Graph
+	gen   *generation
 	err   error
-}
-
-// updQueue is one dataset's same-tick batch queue: pending holds the
-// requests that arrived while a drain was in flight, active marks a
-// drain leader at work. Guarded by Server.updMu.
-type updQueue struct {
-	active  bool
-	pending []*updWaiter
 }
 
 // applyUpdates hands a validated batch to the dataset's drain queue.
@@ -220,106 +210,77 @@ type updQueue struct {
 // everything pending — its own batch plus whatever queued while the
 // previous drain was applying — merges the batches into one
 // (delta.Coalesce) and applies that once. High-rate crawler feeds
-// therefore cost one graph mutation, one snapshot, one generation bump
-// and one dirty-owner invalidation per drain, however many requests
-// merged into it. Followers just enqueue and wait; every request
-// merged into a drain shares its response, with Merged counting the
-// requests. Returns the wire response, the dataset generation the
-// drain produced and the graph as of that drain: the leader applies
-// every drain that queued behind its own before it returns, so the
-// live graph may already be later than the generation.
-func (s *Server) applyUpdates(name string, rt *dataset.Runtime, b delta.Batch) (*client.UpdatesResponse, uint64, *graph.Graph, error) {
+// therefore cost one graph mutation, one snapshot, one generation and
+// one dirty-owner invalidation per drain, however many requests merged
+// into it. Followers just enqueue and wait; every request merged into
+// a drain shares its response, with Merged counting the requests, and
+// the generation it published. The leader applies every drain that
+// queued behind its own before it returns, so the dataset may already
+// be past that generation.
+func (s *Server) applyUpdates(d *datasetState, b delta.Batch) (*client.UpdatesResponse, *generation, error) {
 	wtr := &updWaiter{batch: b, done: make(chan struct{})}
-	s.updMu.Lock()
-	q := s.updQ[name]
-	if q == nil {
-		q = &updQueue{}
-		s.updQ[name] = q
-	}
-	q.pending = append(q.pending, wtr)
-	if q.active {
-		s.updMu.Unlock()
+	d.mu.Lock()
+	d.pending = append(d.pending, wtr)
+	if d.leading {
+		d.mu.Unlock()
 		<-wtr.done
-		return wtr.resp, wtr.gen, wtr.view, wtr.err
+		return wtr.resp, wtr.gen, wtr.err
 	}
-	q.active = true
-	for len(q.pending) > 0 {
-		drain := q.pending
-		q.pending = nil
-		s.updMu.Unlock()
+	d.leading = true
+	for len(d.pending) > 0 {
+		drain := d.pending
+		d.pending = nil
+		d.mu.Unlock()
 		if s.updDrainHook != nil {
-			s.updDrainHook(name, len(drain))
+			s.updDrainHook(d.name, len(drain))
 		}
 		batches := make([]delta.Batch, len(drain))
 		for i, dw := range drain {
 			batches[i] = dw.batch
 		}
-		resp, gen, view, err := s.applyDrain(name, rt, delta.Coalesce(batches), len(drain))
+		resp, gen, err := s.applyDrain(d, delta.Coalesce(batches), len(drain))
 		for _, dw := range drain {
-			dw.resp, dw.gen, dw.view, dw.err = resp, gen, view, err
+			dw.resp, dw.gen, dw.err = resp, gen, err
 			close(dw.done)
 		}
-		s.updMu.Lock()
+		d.mu.Lock()
 	}
-	q.active = false
-	s.updMu.Unlock()
-	return wtr.resp, wtr.gen, wtr.view, wtr.err
+	d.leading = false
+	d.mu.Unlock()
+	return wtr.resp, wtr.gen, wtr.err
 }
 
-// applyDrain applies one coalesced drain to the dataset: the live
-// graph mutates in place (no running job reads it — they all hold the
-// previous frozen snapshot), the profile store is replaced by a
-// copy-on-write clone, and a fresh snapshot is swapped in under the
-// server mutex together with the bumped update generation. When the
-// dataset's LDP estimator is current at the drain's parent generation,
-// the drain advances it over every user the batch names and installs
-// it in that same critical section, so a cached estimator at
-// generation g always describes generation g; a drain that inserts a
-// node id below the largest one leaves it stale for the next release
-// to rebuild. applyMu is held across the mutation so readers that need
-// a consistent clone of the live graph (/v1/advise) can quiesce it. It
-// also returns the graph as of this drain, a clone that shares the
-// just-folded base.
-func (s *Server) applyDrain(name string, rt *dataset.Runtime, b delta.Batch, merged int) (*client.UpdatesResponse, uint64, *graph.Graph, error) {
-	s.applyMu.Lock()
-	defer s.applyMu.Unlock()
-	s.mu.Lock()
-	store, parent := rt.Profiles, s.dsGen[name]
-	s.mu.Unlock()
-	next, err := b.ApplyCloned(rt.Graph, store)
+// applyDrain applies one coalesced drain and publishes the generation
+// it makes. The live graph mutates in place (no reader touches it —
+// every job, revision and advise call reads a generation), and the
+// next generation gets a copy-on-write clone of the profile store, the
+// freshly folded snapshot and an O(1) clone of the live graph sharing
+// that fold. When the parent generation carries an LDP estimator, the
+// drain advances it over every user the batch names; a drain that
+// inserts a node id below the largest one cannot, and leaves the
+// estimator to the next release to build cold. Only the drain leader
+// calls this, one drain at a time per dataset.
+func (s *Server) applyDrain(d *datasetState, b delta.Batch, merged int) (*client.UpdatesResponse, *generation, error) {
+	prev := d.current()
+	profiles, err := b.ApplyCloned(d.rt.Graph, prev.profiles)
 	if err != nil {
-		return nil, 0, nil, err
+		return nil, nil, err
 	}
-	snap := rt.Graph.Snapshot()
-	view := rt.Graph.Clone()
-	owners := make([]graph.UserID, 0, len(rt.Owners))
-	for _, rec := range rt.Owners {
-		owners = append(owners, rec.ID)
-	}
+	next := &generation{num: prev.num + 1, graph: d.rt.Graph.Clone(), profiles: profiles}
+	next.snap = next.graph.Snapshot()
 	var dirty []int64
-	for _, o := range delta.DirtyOwners(rt.Graph, owners, b) {
+	for _, o := range delta.DirtyOwners(next.graph, d.owners, b) {
 		dirty = append(dirty, int64(o))
 	}
-	ent := s.ldpEst[name]
-	s.ldpMu.Lock()
-	est := ent.current(parent)
-	s.ldpMu.Unlock()
-	if est != nil {
-		est = est.Advance(snap, next, b.Users()) // nil when the drain renumbered the users
+	if est := prev.est.Load(); est != nil {
+		if est = est.Advance(next.snap, profiles, b.Users()); est != nil {
+			next.est.Store(est)
+			d.advances.Add(1)
+		}
 	}
-	s.mu.Lock()
-	rt.Snapshot, rt.Profiles = snap, next
-	s.dsGen[name]++
-	gen := s.dsGen[name]
-	if est != nil {
-		s.ldpMu.Lock()
-		ent.gen, ent.est = gen, est
-		ent.advances++
-		s.ldpMu.Unlock()
-	}
-	s.mu.Unlock()
-	s.logf("sightd: dataset %s: applied %d updates from %d request(s) (gen %d, %d dirty owners)", name, len(b), merged, gen, len(dirty))
-	return &client.UpdatesResponse{Dataset: name, Applied: len(b), DirtyOwners: dirty, Node: s.nodeID, Merged: merged}, gen, view, nil
+	d.cur.Store(next)
+	s.logf("sightd: dataset %s: applied %d updates from %d request(s) (gen %d, %d dirty owners)", d.name, len(b), merged, next.num, len(dirty))
+	return &client.UpdatesResponse{Dataset: d.name, Applied: len(b), DirtyOwners: dirty, Node: s.nodeID, Merged: merged}, next, nil
 }
 
 // handleRevise re-estimates a finished job as a new job, reusing
@@ -365,7 +326,7 @@ func (s *Server) handleRevise(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "bad_request", err.Error(), 0)
 		return
 	}
-	rt, ok := s.runtimes[j.req.Dataset]
+	d, ok := s.datasets[j.req.Dataset]
 	if !ok {
 		writeErr(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("unknown dataset %q", j.req.Dataset), 0)
 		return
@@ -376,45 +337,42 @@ func (s *Server) handleRevise(w http.ResponseWriter, r *http.Request) {
 	// options resolved when it was accepted, so the key does too (and
 	// the zero key holds nothing).
 	key, _ := requestKey(&j.req)
-	held, _ := s.lookupHeld(key)
-	var genNow uint64
-	var view *graph.Graph // the graph as of our batch's drain; nil without a batch
-	solo := true          // our batch (if any) was the only request in its drain
+	held, _ := d.lookupHeld(key)
+	// gen is the generation our batch's drain published, or the
+	// current one without a batch.
+	gen := d.current()
+	solo := true // our batch (if any) was the only request in its drain
 	if len(batch) > 0 {
-		if rt.Graph == nil {
+		if d.rt.Graph == nil {
 			writeErr(w, http.StatusBadRequest, "bad_request",
 				fmt.Sprintf("dataset %q is snapshot-backed and read-only; updates need a mutable dataset", j.req.Dataset), 0)
 			return
 		}
-		resp, gen, g, err := s.applyUpdates(j.req.Dataset, rt, batch)
+		resp, g, err := s.applyUpdates(d, batch)
 		if err != nil {
 			writeErr(w, http.StatusInternalServerError, "internal", err.Error(), 0)
 			return
 		}
-		genNow, view, solo = gen, g, resp.Merged <= 1
-	} else {
-		s.mu.Lock()
-		genNow = s.dsGen[j.req.Dataset]
-		s.mu.Unlock()
+		gen, solo = g, resp.Merged <= 1
 	}
 	// Owner-level fast path: the prior run is current (the only updates
 	// since it ran are this request's, if any — a drain that merged
 	// other requests' batches disqualifies, since their updates share
-	// our generation bump) and the batch cannot reach the owner's 2-hop
-	// view. Reachability is judged on the graph as of our drain: drains
+	// our generation) and the batch cannot reach the owner's 2-hop
+	// view. Reachability is judged on our drain's generation: drains
 	// queued behind ours may already have changed the live graph.
 	expectGen := held.gen
 	if len(batch) > 0 {
 		expectGen++
 	}
-	if held.run != nil && genNow == expectGen && solo && !delta.Affected(view, j.owner, batch) {
+	if held.run != nil && gen.num == expectGen && solo && !delta.Affected(gen.graph, j.owner, batch) {
 		j2 := s.allocJob(j.req)
 		if j2 == nil {
 			writeErr(w, http.StatusServiceUnavailable, "draining", "server is draining; retry against a live replica", time.Second)
 			return
 		}
-		// The held run is current at genNow too: re-hold it there.
-		s.holdRun(key, heldRun{run: held.run, gen: genNow, report: held.report})
+		// The held run is current at gen too: re-hold it there.
+		d.hold(key, heldRun{run: held.run, gen: gen.num, report: held.report})
 		if err := s.persistJob(j2); err != nil {
 			s.logf("sightd: persist job %s: %v", j2.id, err)
 		}
@@ -424,19 +382,8 @@ func (s *Server) handleRevise(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusAccepted, j2.snapshot())
 		return
 	}
-	adm, err := s.sched.Admit(j.req.Tenant)
-	if err != nil {
-		var over *fleet.OverBudgetError
-		if errors.As(err, &over) {
-			retry := over.RetryAfter
-			if retry <= 0 {
-				retry = time.Second
-			}
-			writeErr(w, http.StatusTooManyRequests, "over_budget",
-				fmt.Sprintf("tenant %q over budget: %s", over.Tenant, over.Reason), retry)
-			return
-		}
-		writeErr(w, http.StatusServiceUnavailable, "draining", err.Error(), time.Second)
+	adm := s.admit(w, j.req.Tenant)
+	if adm == nil {
 		return
 	}
 	j2 := s.allocJob(j.req)

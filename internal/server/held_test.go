@@ -76,9 +76,17 @@ func finish(t *testing.T, srv *Server, c *client.Client, req client.EstimateRequ
 // heldRuns returns how many runs the server holds, and the one under
 // key.
 func heldRuns(srv *Server, key runKey) (int, heldRun) {
-	srv.mu.Lock()
-	defer srv.mu.Unlock()
-	return len(srv.held), srv.held[key]
+	n := 0
+	for _, d := range srv.datasets {
+		d.mu.Lock()
+		n += len(d.held)
+		d.mu.Unlock()
+	}
+	var h heldRun
+	if d := srv.datasets[key.dataset]; d != nil {
+		h, _ = d.lookupHeld(key)
+	}
+	return n, h
 }
 
 // TestOneHeldRunPerKey: however many estimates finish under one run

@@ -46,8 +46,8 @@ type job struct {
 	// reuse is the prior run this job revises against, dropped once the
 	// run has taken it; deltas accumulates the per-pool report deltas
 	// the stream endpoint serves. The finished run a later revision
-	// splices pools from is held by the server, one per run key (see
-	// Server.holdRun).
+	// splices pools from is held by its dataset, one per run key (see
+	// datasetState.hold).
 	reuse  *core.OwnerRun
 	deltas []client.PoolDelta
 }

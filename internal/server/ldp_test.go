@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -147,9 +148,7 @@ func TestStatsEstimatorAdvancedPerDrain(t *testing.T) {
 	srv, base, c := statsTestServer(t)
 	req := &client.StatsRequest{Dataset: "study", Tenant: "acme", Epoch: 1}
 	postStats(t, base, req)
-	srv.mu.Lock()
-	ids := srv.runtimes["study"].Snapshot.Nodes()
-	srv.mu.Unlock()
+	ids := srv.datasets["study"].current().snap.Nodes()
 	a, b := ids[0], ids[len(ids)-1]
 	const n = 6
 	for k := 0; k < n; k++ {
@@ -172,9 +171,7 @@ func TestStatsEstimatorAdvancedPerDrain(t *testing.T) {
 // below the largest, which the next release rebuilds.
 func TestStatsServedMatchesColdBuild(t *testing.T) {
 	srv, base, c := statsTestServer(t)
-	srv.mu.Lock()
-	snap := srv.runtimes["study"].Snapshot
-	srv.mu.Unlock()
+	snap := srv.datasets["study"].current().snap
 	ids := snap.Nodes()
 	top := ids[len(ids)-1]
 	hub := ids[0]
@@ -207,12 +204,10 @@ func TestStatsServedMatchesColdBuild(t *testing.T) {
 		noise := []string{"visibility_aware", "all_edge"}[k%2]
 		req := &client.StatsRequest{Dataset: "study", Tenant: "acme", Epoch: uint64(k), Epsilon: 1, Noise: noise}
 		got := postStats(t, base, req)
-		srv.mu.Lock()
-		rt, gen := srv.runtimes["study"], srv.dsGen["study"]
-		snap, profiles := rt.Snapshot, rt.Profiles
-		srv.mu.Unlock()
+		g := srv.datasets["study"].current()
+		gen := g.num
 		p := ldp.Params{Epsilon: 1, Mode: ldp.Mode(noise)}
-		rep, err := ldp.NewEstimator(snap, profiles).Report(p, ldp.SeedFor(req.Tenant, req.Dataset, req.Epoch, gen, p))
+		rep, err := ldp.NewEstimator(g.snap, g.profiles).Report(p, ldp.SeedFor(req.Tenant, req.Dataset, req.Epoch, gen, p))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,6 +223,165 @@ func TestStatsServedMatchesColdBuild(t *testing.T) {
 	for k, u := range drains {
 		update(t, c, u)
 		release(k + 1)
+	}
+	gen, builds, advances := estimatorCounts(t, base, "study")
+	if gen != uint64(len(drains)) || builds != 2 || advances != len(drains)-1 {
+		t.Fatalf("estimator generation %d, %d builds, %d advances; want %d, 2, %d", gen, builds, advances, len(drains), len(drains)-1)
+	}
+}
+
+// TestStatsAndAdviseDuringDrains races stats releases and advise calls
+// against a stream of update drains on one dataset. One updater posts
+// single-update drains in sequence, one of them a node id below the
+// largest, which leaves the next release a cold build. With no other
+// updater, the generation current after each response is the one its
+// drain published. Two readers, each with its own tenant and epoch,
+// meanwhile post releases and advise calls. Every release must equal a
+// cold ldp.NewEstimator build at the generation it reports, and every
+// advise call must succeed.
+func TestStatsAndAdviseDuringDrains(t *testing.T) {
+	srv, base, c := statsTestServer(t)
+	d := srv.datasets["study"]
+	g0 := d.current()
+	owner := d.rt.Owners[0].ID
+	strangers := g0.graph.Strangers(owner)
+	cand := strangers[len(strangers)/2]
+	ids := g0.snap.Nodes()
+	top := ids[len(ids)-1]
+	// Edge updates among users other than the owner and the candidate,
+	// so the two never become friends and every advise call stays valid.
+	var users []graph.UserID
+	for _, id := range ids {
+		if id != owner && id != cand && g0.snap.Degree(id) > 0 {
+			users = append(users, id)
+		}
+	}
+	var drains []client.Update
+	for k := 0; len(drains) < 18; k++ {
+		a, b := users[k], users[len(users)-1-k]
+		if g0.snap.HasEdge(a, b) {
+			continue
+		}
+		drains = append(drains,
+			client.Update{Kind: "edge_add", A: int64(a), B: int64(b)},
+			client.Update{Kind: "edge_remove", A: int64(a), B: int64(b)})
+	}
+	// top+2 appends a user, which drains advance over; top+1 then
+	// lands below the largest id and renumbers.
+	drains = append([]client.Update{{Kind: "node_add", A: int64(top + 2)}}, drains...)
+	drains = append(drains[:10], append([]client.Update{
+		{Kind: "profile_set", A: int64(users[0]), Attr: string(profile.AttrGender), Value: "f"},
+		{Kind: "node_add", A: int64(top + 1)},
+	}, drains[10:]...)...)
+
+	gens := map[uint64]*generation{0: g0}
+	done := make(chan struct{})
+	type release struct {
+		req  *client.StatsRequest
+		body []byte
+	}
+	var mu sync.Mutex
+	var releases []release
+	served := map[uint64]int{} // releases per reported generation
+	var wg sync.WaitGroup
+	defer func() {
+		close(done)
+		wg.Wait()
+	}()
+	for r, tenant := range []string{"acme", "globex"} {
+		wg.Add(1)
+		go func(epoch uint64, tenant string) {
+			defer wg.Done()
+			ctx := context.Background()
+			adv := &client.AdviseRequest{Dataset: "study", Owner: int64(owner), Candidate: int64(cand)}
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				req := &client.StatsRequest{Dataset: "study", Tenant: tenant, Epoch: epoch, Epsilon: 1}
+				body, _ := json.Marshal(req)
+				resp, err := http.Post(base+"/v1/stats", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Errorf("stats during drains: %v", err)
+					return
+				}
+				raw, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				var st client.StatsResponse
+				if err == nil && resp.StatusCode == http.StatusOK {
+					err = json.Unmarshal(raw, &st)
+				}
+				if err != nil || resp.StatusCode != http.StatusOK {
+					t.Errorf("stats during drains: status %d, %v: %s", resp.StatusCode, err, raw)
+					return
+				}
+				mu.Lock()
+				releases = append(releases, release{req, raw})
+				served[st.Generation]++
+				mu.Unlock()
+				if _, err := c.Advise(ctx, adv); err != nil {
+					t.Errorf("advise during drains: %v", err)
+					return
+				}
+			}
+		}(uint64(r+1), tenant)
+	}
+	// Before each drain, wait for a release at the current generation,
+	// so every generation is read and the build and advance counts are
+	// fixed.
+	awaitRelease := func(gen uint64) {
+		t.Helper()
+		for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+			mu.Lock()
+			n := served[gen]
+			mu.Unlock()
+			if n > 0 {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("no release at generation %d", gen)
+			}
+		}
+	}
+	for k, u := range drains {
+		awaitRelease(uint64(k))
+		update(t, c, u)
+		g := d.current()
+		if g.num != uint64(k+1) {
+			t.Fatalf("generation %d after drain %d, want %d", g.num, k+1, k+1)
+		}
+		gens[g.num] = g
+	}
+	awaitRelease(uint64(len(drains)))
+	mu.Lock()
+	defer mu.Unlock()
+
+	if len(releases) == 0 {
+		t.Fatal("no release was served")
+	}
+	for _, rel := range releases {
+		var got client.StatsResponse
+		if err := json.Unmarshal(rel.body, &got); err != nil {
+			t.Fatal(err)
+		}
+		g := gens[got.Generation]
+		if g == nil {
+			t.Fatalf("release reports generation %d, which no drain published", got.Generation)
+		}
+		p := ldp.Params{Epsilon: 1, Mode: ldp.ModeVisibilityAware}
+		rep, err := ldp.NewEstimator(g.snap, g.profiles).Report(p, ldp.SeedFor(rel.req.Tenant, "study", rel.req.Epoch, g.num, p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(statsWire(rel.req, g.num, rep)); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(rel.body, want.Bytes()) {
+			t.Fatalf("%s release at generation %d differs from a cold build:\n%s\n%s", rel.req.Tenant, g.num, rel.body, want.Bytes())
+		}
 	}
 	gen, builds, advances := estimatorCounts(t, base, "study")
 	if gen != uint64(len(drains)) || builds != 2 || advances != len(drains)-1 {

@@ -26,11 +26,11 @@ import (
 // path and matches a fresh estimate.
 func TestReviseFastPathJudgesItsOwnDrain(t *testing.T) {
 	srv, c, owner := heldTestServer(t)
-	rt := srv.runtimes["study"]
+	d := srv.datasets["study"]
 	o := graph.UserID(owner)
 	var f, x graph.UserID
-	for _, s := range rt.Graph.Strangers(o) {
-		if m := rt.Graph.MutualFriends(o, s); len(m) == 1 {
+	for _, s := range d.current().graph.Strangers(o) {
+		if m := d.current().graph.MutualFriends(o, s); len(m) == 1 {
 			f, x = m[0], s
 			break
 		}
@@ -67,13 +67,13 @@ func TestReviseFastPathJudgesItsOwnDrain(t *testing.T) {
 	<-entered
 	remDone := make(chan error, 1)
 	go func() {
-		_, _, _, err := srv.applyUpdates("study", rt, delta.Batch{{Kind: delta.EdgeRemove, A: f, B: x}})
+		_, _, err := srv.applyUpdates(d, delta.Batch{{Kind: delta.EdgeRemove, A: f, B: x}})
 		remDone <- err
 	}()
 	for {
-		srv.updMu.Lock()
-		queued := len(srv.updQ["study"].pending)
-		srv.updMu.Unlock()
+		d.mu.Lock()
+		queued := len(d.pending)
+		d.mu.Unlock()
 		if queued == 1 {
 			break
 		}
@@ -87,10 +87,7 @@ func TestReviseFastPathJudgesItsOwnDrain(t *testing.T) {
 	if rev.err != nil {
 		t.Fatal(rev.err)
 	}
-	srv.mu.Lock()
-	gen := srv.dsGen["study"]
-	srv.mu.Unlock()
-	if gen != 2 {
+	if gen := d.current().num; gen != 2 {
 		t.Fatalf("dataset at generation %d after two drains, want 2", gen)
 	}
 	got, err := c.Wait(ctx, rev.st.ID)

@@ -45,12 +45,18 @@ const maxLongPoll = time.Minute
 type Config struct {
 	// Datasets are the preloaded studies jobs may reference by name
 	// (EstimateRequest.Dataset). Each gets one frozen graph snapshot
-	// shared by all of its jobs.
+	// shared by all of its jobs. POST /v1/updates mutates a dataset's
+	// Graph in place.
 	Datasets map[string]*dataset.Dataset
 	// Runtimes are preloaded datasets already in serving shape —
 	// typically mmap-backed snapshot files via dataset.OpenRuntime.
 	// They share the Datasets namespace; a duplicate name is a
-	// configuration error.
+	// configuration error. The server stops writing a runtime's
+	// Snapshot and Profiles after New: they stay at the load-time
+	// generation, and the generations updates publish live in the
+	// server, which keeps no reference to the load-time pair once a
+	// drain supersedes it. A caller that keeps the runtime keeps that
+	// pair alive.
 	Runtimes map[string]*dataset.Runtime
 	// Workers bounds how many jobs run concurrently across all tenants
 	// (the fleet scheduler's shared budget). 0 means one per CPU; a
@@ -98,8 +104,15 @@ type Config struct {
 
 // Server is the sightd HTTP handler plus the job state behind it.
 // Construct with New, mount via ServeHTTP, stop with Drain.
+//
+// Each preloaded dataset has one datasetState (dataset.go). Its update
+// drains publish immutable generations, and every estimate, restart,
+// revision, advise call and stats release reads the current
+// generation once. Only the drain leader writes the next one. The
+// dataset's own mutex guards its update queue, held runs and ε
+// ledgers, and is never held across an apply or a computation.
 type Server struct {
-	runtimes map[string]*dataset.Runtime
+	datasets map[string]*datasetState // built in New, read-only after
 	store    Store
 	metrics  *obs.Metrics
 	logf     func(string, ...any)
@@ -117,6 +130,7 @@ type Server struct {
 	baseCancel context.CancelFunc
 	wg         sync.WaitGroup
 
+	// mu guards the job table and the lifecycle flags.
 	mu   sync.Mutex
 	jobs map[string]*job
 	// finished lists the ids of the finished jobs still in jobs, oldest
@@ -126,42 +140,11 @@ type Server struct {
 	draining bool
 	killed   bool
 
-	// Dataset update state: updMu guards the per-dataset coalescing
-	// queues and dsGen; applyMu is held only while a drained batch
-	// actually mutates a runtime (and by /v1/advise while it clones a
-	// quiescent graph). The swap of a runtime's snapshot/profile
-	// pointers happens under mu, so readers never block on an apply.
-	// dsGen counts applied drains per dataset — the freshness check
-	// behind revise's owner-level fast path. Batches that arrive while
-	// an apply is in flight queue up and are merged (delta.Coalesce)
-	// into the next drain: one graph mutation, one generation bump, one
-	// dirty-owner invalidation per drain, however fast the crawler feed
-	// posts. updDrainHook, when non-nil, observes each drain before it
-	// applies (tests only).
-	updMu        sync.Mutex
-	updQ         map[string]*updQueue
-	applyMu      sync.Mutex
-	dsGen        map[string]uint64
+	// statsBudget is the per-(tenant, dataset) ε capacity (stats.go).
+	// updDrainHook, when non-nil, observes each drain before it applies
+	// (tests only).
+	statsBudget  float64
 	updDrainHook func(dataset string, merged int)
-
-	// LDP analytics state (stats.go): one estimator cache entry per
-	// dataset (the map is filled in New and read-only after) and the
-	// per-(tenant, dataset) ε ledgers. ldpMu guards only the cheap
-	// entry and ledger operations; a cold estimator build runs under
-	// its entry's build lock so a slow build never blocks other
-	// datasets' stats traffic, budget charging or /varz. A drain takes
-	// ldpMu inside mu to install its advanced estimator; no path takes
-	// them the other way. statsBudget is immutable after New.
-	ldpMu       sync.Mutex
-	ldpEst      map[string]*ldpEntry
-	ldpLedgers  map[string]*ldpLedger
-	statsBudget float64
-
-	// held maps each run key to the newest complete run computed under
-	// it (deltas.go), the prior run revisions and advise reuse: one run
-	// per owner and option set, however many jobs finished. Guarded by
-	// mu.
-	held map[runKey]heldRun
 }
 
 // New builds a server: it validates the engine defaults, stands up the
@@ -191,7 +174,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	baseCtx, baseCancel := context.WithCancel(context.Background())
 	s := &Server{
-		runtimes:     make(map[string]*dataset.Runtime, len(cfg.Datasets)+len(cfg.Runtimes)),
+		datasets:     make(map[string]*datasetState, len(cfg.Datasets)+len(cfg.Runtimes)),
 		store:        cfg.Store,
 		metrics:      metrics,
 		logf:         logf,
@@ -201,12 +184,7 @@ func New(cfg Config) (*Server, error) {
 		baseCtx:      baseCtx,
 		baseCancel:   baseCancel,
 		jobs:         map[string]*job{},
-		updQ:         map[string]*updQueue{},
-		dsGen:        map[string]uint64{},
-		ldpEst:       map[string]*ldpEntry{},
-		ldpLedgers:   map[string]*ldpLedger{},
 		statsBudget:  cfg.StatsBudget,
-		held:         map[runKey]heldRun{},
 	}
 	if s.statsBudget <= 0 {
 		s.statsBudget = DefaultStatsBudget
@@ -220,17 +198,14 @@ func New(cfg Config) (*Server, error) {
 		s.store = st
 	}
 	for name, ds := range cfg.Datasets {
-		s.runtimes[name] = ds.Runtime()
+		s.datasets[name] = newDatasetState(name, ds.Runtime())
 	}
 	for name, rt := range cfg.Runtimes {
-		if _, dup := s.runtimes[name]; dup {
+		if _, dup := s.datasets[name]; dup {
 			baseCancel()
 			return nil, fmt.Errorf("server: dataset %q configured twice", name)
 		}
-		s.runtimes[name] = rt
-	}
-	for name := range s.runtimes {
-		s.ldpEst[name] = &ldpEntry{}
+		s.datasets[name] = newDatasetState(name, rt)
 	}
 	if s.cluster != nil {
 		if s.store == nil {
@@ -311,6 +286,28 @@ func (s *Server) isDraining() bool {
 
 // ---- handlers ----
 
+// admit asks the scheduler for one of tenant's slots. On refusal it
+// writes the error — 429 over_budget with the scheduler's retry hint,
+// or 503 draining once the scheduler is closed — and returns nil.
+func (s *Server) admit(w http.ResponseWriter, tenant string) *fleet.Admission {
+	adm, err := s.sched.Admit(tenant)
+	if err == nil {
+		return adm
+	}
+	var over *fleet.OverBudgetError
+	if !errors.As(err, &over) {
+		writeErr(w, http.StatusServiceUnavailable, "draining", err.Error(), time.Second)
+		return nil
+	}
+	retry := over.RetryAfter
+	if retry <= 0 {
+		retry = time.Second
+	}
+	writeErr(w, http.StatusTooManyRequests, "over_budget",
+		fmt.Sprintf("tenant %q over budget: %s", over.Tenant, over.Reason), retry)
+	return nil
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.isDraining() {
 		writeErr(w, http.StatusServiceUnavailable, "draining", "server is draining; retry against a live replica", time.Second)
@@ -338,19 +335,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	adm, err := s.sched.Admit(req.Tenant)
-	if err != nil {
-		var over *fleet.OverBudgetError
-		if errors.As(err, &over) {
-			retry := over.RetryAfter
-			if retry <= 0 {
-				retry = time.Second
-			}
-			writeErr(w, http.StatusTooManyRequests, "over_budget",
-				fmt.Sprintf("tenant %q over budget: %s", over.Tenant, over.Reason), retry)
-			return
-		}
-		writeErr(w, http.StatusServiceUnavailable, "draining", err.Error(), time.Second)
+	adm := s.admit(w, req.Tenant)
+	if adm == nil {
 		return
 	}
 	j := s.allocJob(req)
@@ -566,7 +552,8 @@ type resolved struct {
 	snap   *graph.Snapshot
 	ecfg   core.Config
 	stored *dataset.StoredAnnotator // nil for wire annotators
-	gen    uint64                   // dataset update generation at resolve time
+	ds     *datasetState            // nil for inline networks
+	gen    uint64                   // the dataset generation resolved
 	key    runKey                   // held-run key (dataset-backed requests)
 }
 
@@ -588,22 +575,19 @@ func (s *Server) resolve(req *client.EstimateRequest) (*resolved, *client.APIErr
 	case req.Dataset == "" && req.Network == nil:
 		return nil, bad("set exactly one of dataset and network")
 	case req.Dataset != "":
-		rt, ok := s.runtimes[req.Dataset]
+		d, ok := s.datasets[req.Dataset]
 		if !ok {
 			return nil, bad("unknown dataset %q", req.Dataset)
 		}
-		// Every dataset job runs off the frozen snapshot view — for
-		// mmap'd .snap files because there is no live graph at all, and
-		// for graph-backed datasets so POST /v1/updates can mutate the
-		// live graph without racing running estimates. The snapshot,
-		// profile store and update generation are read under one lock
-		// acquisition, so a job never sees a half-applied batch.
-		s.mu.Lock()
-		snap, profiles, gen := rt.Snapshot, rt.Profiles, s.dsGen[req.Dataset]
-		s.mu.Unlock()
-		res.net = sight.WrapSnapshot(snap, profiles)
-		res.snap = snap
-		res.gen = gen
+		// Every dataset job runs off the frozen snapshot of the
+		// dataset's current generation — for mmap'd .snap files because
+		// there is no live graph at all, and for graph-backed datasets so
+		// POST /v1/updates can mutate the live graph without racing
+		// running estimates. One generation carries the snapshot and the
+		// profile store, so a job never sees a half-applied batch.
+		g := d.current()
+		res.net = sight.WrapSnapshot(g.snap, g.profiles)
+		res.snap, res.ds, res.gen = g.snap, d, g.num
 	default:
 		net, err := buildNetwork(req.Network)
 		if err != nil {
@@ -622,7 +606,7 @@ func (s *Server) resolve(req *client.EstimateRequest) (*resolved, *client.APIErr
 		if req.Dataset == "" {
 			return nil, bad("annotator %q requires a dataset reference", client.AnnotatorStored)
 		}
-		rec, ok := s.runtimes[req.Dataset].Owner(owner)
+		rec, ok := res.ds.rt.Owner(owner)
 		if !ok {
 			return nil, bad("dataset %q has no stored labels for owner %d", req.Dataset, req.Owner)
 		}
@@ -827,8 +811,8 @@ func (s *Server) runJob(j *job, adm *fleet.Admission, resume *core.Checkpoint) {
 	if !run.Partial {
 		// Hold the run before the job turns done, so a client that
 		// sees it done can revise or advise against it at once.
-		if j.req.Dataset != "" {
-			s.holdRun(res.key, heldRun{run: run, gen: res.gen, report: rep})
+		if res.ds != nil {
+			res.ds.hold(res.key, heldRun{run: run, gen: res.gen, report: rep})
 		}
 		j.shareDeltas(rep)
 	}

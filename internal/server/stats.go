@@ -2,16 +2,13 @@ package server
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"sightrisk/client"
-	"sightrisk/internal/fleet"
 	"sightrisk/internal/ldp"
 )
 
@@ -44,35 +41,11 @@ const DefaultStatsBudget = 48.0
 // the hint just paces clients that retry blindly.
 const statsBudgetRetry = time.Minute
 
-// ldpEntry caches one dataset's LDP estimator with the update
-// generation it describes. Every update drain advances a current entry
-// to the drain's generation (applyDrain); a release finding the entry
-// stale builds it cold under build, the lock that keeps concurrent
-// first releases from building twice. builds and advances count both
-// paths for /varz. est, gen and the counts are guarded by
-// Server.ldpMu.
-type ldpEntry struct {
-	build    sync.Mutex
-	gen      uint64
-	est      *ldp.Estimator // nil until the first release
-	builds   int
-	advances int
-}
-
-// current returns the cached estimator if it describes generation gen.
-// The caller holds Server.ldpMu.
-func (e *ldpEntry) current(gen uint64) *ldp.Estimator {
-	if e.est != nil && e.gen == gen {
-		return e.est
-	}
-	return nil
-}
-
 // ldpLedger tracks one (tenant, dataset) pair's ε spend across every
 // dataset generation. seen keys the distinct releases
 // (epoch|epsilon|noise) served at generation gen; replays of a seen
 // release are free — the seeded noise makes them byte-identical, so
-// they leak nothing new.
+// they leak nothing new. Guarded by the dataset's mutex.
 type ldpLedger struct {
 	gen     uint64
 	spent   float64
@@ -133,7 +106,8 @@ func (s *Server) serveStats(w http.ResponseWriter, r *http.Request, req *client.
 		writeErr(w, http.StatusBadRequest, "bad_request", "dataset is required", 0)
 		return
 	}
-	if _, ok := s.runtimes[req.Dataset]; !ok {
+	d, ok := s.datasets[req.Dataset]
+	if !ok {
 		writeErr(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("unknown dataset %q", req.Dataset), 0)
 		return
 	}
@@ -160,43 +134,31 @@ func (s *Server) serveStats(w http.ResponseWriter, r *http.Request, req *client.
 			}
 		}
 	}
-	adm, err := s.sched.Admit(req.Tenant)
-	if err != nil {
-		var over *fleet.OverBudgetError
-		if errors.As(err, &over) {
-			retry := over.RetryAfter
-			if retry <= 0 {
-				retry = time.Second
-			}
-			writeErr(w, http.StatusTooManyRequests, "over_budget",
-				fmt.Sprintf("tenant %q over budget: %s", over.Tenant, over.Reason), retry)
-			return
-		}
-		writeErr(w, http.StatusServiceUnavailable, "draining", err.Error(), time.Second)
+	adm := s.admit(w, req.Tenant)
+	if adm == nil {
 		return
 	}
 	defer adm.Cancel() // release the slot; no scheduler job runs
 
-	est, gen, apiErr := s.ldpEstimator(req.Dataset)
-	if apiErr != nil {
-		writeAPIErr(w, http.StatusBadRequest, apiErr)
-		return
-	}
-	charged, ok := s.chargeStats(req.Tenant, req.Dataset, gen, req.Epoch, req.Epsilon, mode)
+	// One generation supplies the estimator, the ledger's generation and
+	// the noise seed.
+	gen := d.current()
+	est := d.estimator(gen)
+	charged, ok := s.chargeStats(req.Tenant, req.Dataset, gen.num, req.Epoch, req.Epsilon, mode)
 	if !ok {
 		writeErr(w, http.StatusTooManyRequests, "over_budget",
 			fmt.Sprintf("tenant %q has exhausted its ε budget for dataset %q (limit %g, spent across all generations); only replays of releases already served at generation %d stay free",
-				req.Tenant, req.Dataset, s.statsBudget, gen), statsBudgetRetry)
+				req.Tenant, req.Dataset, s.statsBudget, gen.num), statsBudgetRetry)
 		return
 	}
-	rep, err := est.Report(params, ldp.SeedFor(req.Tenant, req.Dataset, req.Epoch, gen, params))
+	rep, err := est.Report(params, ldp.SeedFor(req.Tenant, req.Dataset, req.Epoch, gen.num, params))
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "bad_request", err.Error(), 0)
 		return
 	}
 	s.logf("sightd: stats dataset %s tenant %q epoch %d eps %g mode %s: charged %gε",
 		req.Dataset, req.Tenant, req.Epoch, req.Epsilon, mode, charged)
-	writeJSON(w, http.StatusOK, statsWire(req, gen, rep))
+	writeJSON(w, http.StatusOK, statsWire(req, gen.num, rep))
 }
 
 // datasetRouteKey hashes a dataset name into the int64 keyspace the
@@ -205,55 +167,6 @@ func datasetRouteKey(name string) int64 {
 	h := fnv.New64a()
 	h.Write([]byte(name))
 	return int64(h.Sum64())
-}
-
-// ldpEstimator returns the dataset's estimator at its current update
-// generation, and that generation. The cached entry is normally
-// current, since every drain advances it. It is built cold on a
-// dataset's first release, after a drain that found no current entry
-// to advance, and after a drain that inserted a node id below the
-// largest one. A cold build (one triangle enumeration, potentially
-// seconds on a large graph) runs under the entry's build lock, so
-// concurrent first queries for one dataset build once and queue behind
-// it while every other dataset's stats traffic, budget charging and
-// /varz — all of which share only the cheap ldpMu — proceed unblocked.
-func (s *Server) ldpEstimator(ds string) (*ldp.Estimator, uint64, *client.APIError) {
-	s.mu.Lock()
-	rt, ok := s.runtimes[ds]
-	if !ok {
-		s.mu.Unlock()
-		return nil, 0, &client.APIError{Code: "bad_request", Message: fmt.Sprintf("unknown dataset %q", ds)}
-	}
-	snap, profiles, gen := rt.Snapshot, rt.Profiles, s.dsGen[ds]
-	s.mu.Unlock()
-	ent := s.ldpEst[ds]
-	s.ldpMu.Lock()
-	est := ent.current(gen)
-	s.ldpMu.Unlock()
-	if est != nil {
-		return est, gen, nil
-	}
-
-	ent.build.Lock()
-	defer ent.build.Unlock()
-	// A queued builder may find the estimator already built (for this
-	// generation) by the query it waited on.
-	s.ldpMu.Lock()
-	est = ent.current(gen)
-	s.ldpMu.Unlock()
-	if est != nil {
-		return est, gen, nil
-	}
-	est = ldp.NewEstimator(snap, profiles)
-	s.ldpMu.Lock()
-	ent.builds++
-	// Keep the newest generation if a drain already moved the entry
-	// past the snapshot this build started from.
-	if ent.est == nil || ent.gen <= gen {
-		ent.gen, ent.est = gen, est
-	}
-	s.ldpMu.Unlock()
-	return est, gen, nil
 }
 
 // chargeStats debits one release from the (tenant, dataset) ledger.
@@ -269,13 +182,13 @@ func (s *Server) ldpEstimator(ds string) (*ldp.Estimator, uint64, *client.APIErr
 // the newer generation's free replays. Returns the ε charged and
 // whether the release is admitted.
 func (s *Server) chargeStats(tenant, ds string, gen, epoch uint64, eps float64, mode ldp.Mode) (float64, bool) {
-	s.ldpMu.Lock()
-	defer s.ldpMu.Unlock()
-	key := tenant + "|" + ds
-	led := s.ldpLedgers[key]
+	d := s.datasets[ds]
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	led := d.ledgers[tenant]
 	if led == nil {
 		led = &ldpLedger{gen: gen, seen: map[string]struct{}{}}
-		s.ldpLedgers[key] = led
+		d.ledgers[tenant] = led
 	}
 	if gen > led.gen {
 		led.gen = gen
@@ -299,26 +212,26 @@ func (s *Server) chargeStats(tenant, ds string, gen, epoch uint64, eps float64, 
 }
 
 // ldpVarz renders the ε-budget accounting and the per-dataset
-// estimator cache for /varz ("sightd_ldp").
+// estimator counts for /varz ("sightd_ldp").
 func (s *Server) ldpVarz() map[string]any {
-	s.ldpMu.Lock()
-	defer s.ldpMu.Unlock()
 	ledgers := map[string]map[string]any{}
-	for key, led := range s.ldpLedgers {
-		ledgers[key] = map[string]any{
-			"generation": led.gen,
-			"spent":      led.spent,
-			"remaining":  s.statsBudget - led.spent,
-			"queries":    led.queries,
-			"replays":    led.replays,
-		}
-	}
 	estimators := map[string]map[string]any{}
-	for ds, ent := range s.ldpEst {
-		estimators[ds] = map[string]any{
-			"generation": ent.gen,
-			"builds":     ent.builds,
-			"advances":   ent.advances,
+	for name, d := range s.datasets {
+		d.mu.Lock()
+		for tenant, led := range d.ledgers {
+			ledgers[tenant+"|"+name] = map[string]any{
+				"generation": led.gen,
+				"spent":      led.spent,
+				"remaining":  s.statsBudget - led.spent,
+				"queries":    led.queries,
+				"replays":    led.replays,
+			}
+		}
+		d.mu.Unlock()
+		estimators[name] = map[string]any{
+			"generation": d.current().num,
+			"builds":     d.builds.Load(),
+			"advances":   d.advances.Load(),
 		}
 	}
 	return map[string]any{"budget_limit": s.statsBudget, "ledgers": ledgers, "estimators": estimators}

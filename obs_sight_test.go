@@ -168,8 +168,10 @@ func TestAsFallible(t *testing.T) {
 	}
 }
 
-// TestDeprecatedWrappers: the thin pre-redesign entry points still work
-// and agree with the unified EstimateRisk.
+// TestDeprecatedWrappers: EstimateRisk covers what the removed
+// pre-redesign wrappers did. An infallible annotator and its fallible
+// wrap give the same report, and a nil annotator of either contract is
+// refused.
 func TestDeprecatedWrappers(t *testing.T) {
 	net, owner := demoNetwork(t, 4, 40)
 	ann := AnnotatorFunc(func(s UserID) Label {
@@ -182,25 +184,20 @@ func TestDeprecatedWrappers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	infal, err := EstimateRiskInfallible(net, owner, ann, DefaultOptions())
+	viaFallible, err := EstimateRisk(context.Background(), net, owner, Infallible(ann), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := diffReports(t, want, infal); d != "" {
-		t.Fatalf("EstimateRiskInfallible differs: %s", d)
+	if d := diffReports(t, want, viaFallible); d != "" {
+		t.Fatalf("EstimateRisk with the fallible wrap differs: %s", d)
 	}
-	viaCtx, err := EstimateRiskContext(context.Background(), net, owner, Infallible(ann), DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
+	var nilFallible FallibleAnnotator
+	if _, err := EstimateRisk(context.Background(), net, owner, nilFallible, DefaultOptions()); err == nil {
+		t.Error("EstimateRisk accepted a nil fallible annotator")
 	}
-	if d := diffReports(t, want, viaCtx); d != "" {
-		t.Fatalf("EstimateRiskContext differs: %s", d)
-	}
-	if _, err := EstimateRiskContext(context.Background(), net, owner, nil, DefaultOptions()); err == nil {
-		t.Error("EstimateRiskContext accepted nil annotator")
-	}
-	if _, err := EstimateRiskInfallible(net, owner, nil, DefaultOptions()); err == nil {
-		t.Error("EstimateRiskInfallible accepted nil annotator")
+	var nilAnn Annotator
+	if _, err := EstimateRisk(context.Background(), net, owner, nilAnn, DefaultOptions()); err == nil {
+		t.Error("EstimateRisk accepted a nil annotator")
 	}
 }
 

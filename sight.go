@@ -32,7 +32,6 @@ import (
 	"io"
 	"math"
 	"slices"
-	"time"
 
 	"sightrisk/internal/active"
 	"sightrisk/internal/benefit"
@@ -429,10 +428,6 @@ type CheckpointingOptions struct {
 	// byte-identical to an uninterrupted run's. The checkpoint must
 	// match the run's owner and Seed.
 	Resume *Checkpoint
-	// AbandonGrace lets an in-flight owner query run this long past
-	// cancellation so the answer being produced can still land and be
-	// checkpointed. New questions are never asked after cancellation.
-	AbandonGrace time.Duration
 }
 
 // ObservabilityOptions groups the tracing knobs.
@@ -526,9 +521,6 @@ func (o Options) Validate() error {
 	default:
 		fail("unknown stopper %q", o.Learning.Stopper)
 	}
-	if o.Checkpointing.AbandonGrace < 0 {
-		fail("Checkpointing.AbandonGrace must be >= 0, got %v", o.Checkpointing.AbandonGrace)
-	}
 	if err := o.Retry.Validate(); err != nil {
 		errs = append(errs, err)
 	}
@@ -579,7 +571,6 @@ func (o Options) coreConfig() (core.Config, error) {
 	cfg.Retry = o.Retry
 	cfg.Checkpoint = o.Checkpointing.Sink
 	cfg.Resume = o.Checkpointing.Resume
-	cfg.AbandonGrace = o.Checkpointing.AbandonGrace
 	cfg.Observer = o.Observability.Observer
 	cfg.Trace = o.Observability.Trace
 	cfg.Metrics = o.Observability.Metrics
@@ -765,31 +756,6 @@ func AssembleReport(run *core.OwnerRun) *Report {
 		}
 	}
 	return rep
-}
-
-// EstimateRiskContext runs the pipeline with a fallible annotator.
-//
-// Deprecated: EstimateRisk is now context-first and accepts both
-// annotator contracts directly; call it instead.
-func EstimateRiskContext(ctx context.Context, n *Network, owner UserID, ann FallibleAnnotator, opts Options) (*Report, error) {
-	if ann == nil {
-		// Preserve the historical error rather than AsFallible's
-		// nil-interface message.
-		return nil, fmt.Errorf("sight: annotator must not be nil")
-	}
-	return EstimateRisk(ctx, n, owner, ann, opts)
-}
-
-// EstimateRiskInfallible runs the pipeline with an infallible
-// annotator and a background context — the signature EstimateRisk had
-// before it became context-first.
-//
-// Deprecated: call EstimateRisk with a context.
-func EstimateRiskInfallible(n *Network, owner UserID, ann Annotator, opts Options) (*Report, error) {
-	if ann == nil {
-		return nil, fmt.Errorf("sight: annotator must not be nil")
-	}
-	return EstimateRisk(context.Background(), n, owner, ann, opts)
 }
 
 // annotatorBridge adapts the public Annotator to the internal one.
