@@ -106,10 +106,13 @@ results-check:
 race:
 	$(GO) test -race ./...
 
-# Snapshot-decoder fuzzing: run the corruption fuzzer for a short
-# bounded burst (longer runs: raise -fuzztime).
+# Decoder fuzzing: run the snapshot-file corruption fuzzer and the
+# delta-batch fuzzer (decode, validate, ApplyCloned against Apply on a
+# deep copy) for a short bounded burst each (longer runs: raise
+# -fuzztime).
 fuzz:
 	$(GO) test -run Fuzz -fuzz=FuzzSnapfileOpen -fuzztime=10s ./internal/graph/snapfile
+	$(GO) test -run Fuzz -fuzz=FuzzApplyCloned -fuzztime=10s ./internal/delta
 
 # Full micro-benchmark sweep (slow; see README "Performance").
 bench:

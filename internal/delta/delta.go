@@ -134,7 +134,10 @@ func (b Batch) Users() []graph.UserID {
 // unchanged profile and carries deep copies of only the profiles the
 // batch touched. This is the serving layer's copy-on-write path:
 // in-flight estimates keep reading the old store (and their frozen
-// graph snapshot) while new jobs see the post-batch view.
+// graph snapshot) while new jobs see the post-batch view. The new
+// store is a profile.Store clone, so it shares store's map until the
+// batch's first profile write: a batch of edge and node updates copies
+// no map, and one with profile or visibility updates copies it once.
 func (b Batch) ApplyCloned(g *graph.Graph, store *profile.Store) (*profile.Store, error) {
 	if g == nil || store == nil {
 		return nil, fmt.Errorf("delta: ApplyCloned needs a mutable graph and a profile store")

@@ -165,7 +165,9 @@ func referenceDirtyOwners(g *graph.Graph, owners []graph.UserID, b delta.Batch) 
 // every kind — edge adds and removes between present nodes, to new
 // nodes and at owners, repeated endpoints, profile sets, node adds and
 // visibility flips — DirtyOwners returns exactly the per-owner
-// Affected loop's result, on the graph before the batch and after it.
+// Affected loop's result, on the graph before the batch and after it,
+// and DirtyUsers holds exactly the ids, present or absent, that
+// Affected finds dirty.
 func TestPropDirtyOwnersMatchesAffected(t *testing.T) {
 	attrs := profile.ClusteringAttributes()
 	for seed := int64(1); seed <= 300; seed++ {
@@ -224,6 +226,15 @@ func TestPropDirtyOwnersMatchesAffected(t *testing.T) {
 			got, want := delta.DirtyOwners(g, owners, b), referenceDirtyOwners(g, owners, b)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d, %s the batch: owners %v batch %+v: DirtyOwners = %v, Affected loop %v", seed, side, owners, b, got, want)
+			}
+			all := delta.DirtyUsers(g, b)
+			for id := graph.UserID(0); id < graph.UserID(n+5); id++ {
+				if all[id] != delta.Affected(g, id, b) {
+					t.Fatalf("seed %d, %s the batch: batch %+v: DirtyUsers has %d = %v, Affected says %v", seed, side, b, id, all[id], !all[id])
+				}
+			}
+			if len(all) > n+5 {
+				t.Fatalf("seed %d, %s the batch: DirtyUsers holds %d ids, the world has %d", seed, side, len(all), n+5)
 			}
 		}
 	}

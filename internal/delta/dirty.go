@@ -75,30 +75,32 @@ func Affected(g *graph.Graph, owner graph.UserID, b Batch) bool {
 
 // DirtyOwners filters owners down to those the batch can affect,
 // preserving input order. This is the server's fan-out: an update
-// batch invalidates only the dirty owners' prior estimates.
-//
-// The set equals what Affected returns owner by owner, computed from
-// the batch's side instead: hop distance is symmetric, so an edge
-// endpoint lies in an owner's 2-hop view exactly when the owner lies
-// within two hops of the endpoint, and a profile subject is the owner
-// or one of its strangers exactly when the owner is the subject or one
-// of the subject's strangers. Each distinct subject costs one
-// enumeration of its own 2-hop view, whatever the number of owners.
+// batch invalidates only the dirty owners' prior estimates. It is
+// DirtyUsers read at each owner.
 func DirtyOwners(g *graph.Graph, owners []graph.UserID, b Batch) []graph.UserID {
+	dirty := DirtyUsers(g, b)
+	var out []graph.UserID
+	for _, o := range owners {
+		if dirty[o] {
+			out = append(out, o)
+		}
+	}
+	return out
+}
+
+// DirtyUsers returns the set of users whose report as owner the batch
+// can affect: for every user, what Affected returns, computed from the
+// batch's side instead. Hop distance is symmetric, so an edge endpoint
+// lies in a user's 2-hop view exactly when the user lies within two
+// hops of the endpoint, and a profile subject is the user or one of
+// its strangers exactly when the user is the subject or one of the
+// subject's strangers. Each distinct subject costs one enumeration of
+// its own 2-hop view, whatever the number of users.
+func DirtyUsers(g *graph.Graph, b Batch) map[graph.UserID]bool {
 	if g == nil || len(b) == 0 {
 		return nil
 	}
-	dirty := make(map[graph.UserID]bool, len(owners)) // owner → reached
-	for _, o := range owners {
-		dirty[o] = false
-	}
-	mark := func(ids ...graph.UserID) {
-		for _, id := range ids {
-			if _, ok := dirty[id]; ok {
-				dirty[id] = true
-			}
-		}
-	}
+	dirty := map[graph.UserID]bool{}
 	// reached records how far each subject's view is marked: 1 for the
 	// subject and its strangers, 2 for its friends as well.
 	reached := map[graph.UserID]int{}
@@ -107,11 +109,15 @@ func DirtyOwners(g *graph.Graph, owners []graph.UserID, b Batch) []graph.UserID 
 			return
 		}
 		if reached[x] == 0 {
-			mark(x)
-			mark(g.Strangers(x)...)
+			dirty[x] = true
+			for _, s := range g.Strangers(x) {
+				dirty[s] = true
+			}
 		}
 		if level == 2 {
-			mark(g.Friends(x)...)
+			for _, f := range g.Friends(x) {
+				dirty[f] = true
+			}
 		}
 		reached[x] = level
 	}
@@ -126,11 +132,5 @@ func DirtyOwners(g *graph.Graph, owners []graph.UserID, b Batch) []graph.UserID 
 			// Never dirties a report (see Affected).
 		}
 	}
-	var out []graph.UserID
-	for _, o := range owners {
-		if dirty[o] {
-			out = append(out, o)
-		}
-	}
-	return out
+	return dirty
 }

@@ -15,6 +15,7 @@ import (
 	"maps"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"sightrisk/internal/graph"
 )
@@ -356,7 +357,9 @@ func (p *Profile) Validate() error {
 // Store maps users to profiles. It is a plain map wrapper with
 // deterministic iteration helpers; synchronization, when needed, is the
 // caller's concern (the pipeline builds stores once and then only
-// reads).
+// reads). Clones of a plain store are copy-on-write (see Clone): a Put
+// needs exclusive use of the store it writes to, but not of the stores
+// that share its map, which other goroutines may read meanwhile.
 //
 // A store built with NewLazyStore additionally materializes missing
 // profiles on demand from a fetch function and is safe for concurrent
@@ -365,6 +368,12 @@ func (p *Profile) Validate() error {
 // up front.
 type Store struct {
 	byUser map[graph.UserID]*Profile
+
+	// shared marks a plain store's byUser as possibly held by another
+	// store too: Clone hands one map to both sides, and the next Put on
+	// either copies it first. Atomic because Clone sets it on a source
+	// other goroutines may be cloning at the same time.
+	shared atomic.Bool
 
 	// fetch, when non-nil, materializes profiles absent from byUser on
 	// first access (nil result = user has no profile); mu then guards
@@ -395,19 +404,32 @@ func NewLazyStore(fetch func(graph.UserID) *Profile) *Store {
 // the same fetch function. Later Puts on either store do not reach the
 // other; a caller that wants to change a shared profile in the clone
 // Puts a copy (Profile.Clone) first.
+//
+// A plain store's clone is O(1) and copy-on-write: the clone and s
+// share one map until the first Put on either side, which copies it
+// for that side alone. A lazy store's clone copies the map at once,
+// because its Get writes the cache.
 func (s *Store) Clone() *Store {
 	if s.fetch != nil {
 		s.mu.RLock()
 		defer s.mu.RUnlock()
+		return &Store{byUser: maps.Clone(s.byUser), fetch: s.fetch}
 	}
-	return &Store{byUser: maps.Clone(s.byUser), fetch: s.fetch}
+	s.shared.Store(true)
+	c := &Store{byUser: s.byUser}
+	c.shared.Store(true)
+	return c
 }
 
-// Put inserts or replaces the profile.
+// Put inserts or replaces the profile. On a plain store that shares its
+// map with a clone, it first copies the map.
 func (s *Store) Put(p *Profile) {
 	if s.fetch != nil {
 		s.mu.Lock()
 		defer s.mu.Unlock()
+	} else if s.shared.Load() {
+		s.byUser = maps.Clone(s.byUser)
+		s.shared.Store(false)
 	}
 	s.byUser[p.User] = p
 }

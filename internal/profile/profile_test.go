@@ -3,7 +3,10 @@ package profile
 import (
 	"bytes"
 	"encoding/json"
+	"maps"
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 
 	"sightrisk/internal/graph"
@@ -183,6 +186,109 @@ func TestStoreClone(t *testing.T) {
 	}
 	if lc.Get(11) != nil || lazy.Len() != 1 {
 		t.Fatalf("lazy clone: Get(11) = %v, source materialized %d", lc.Get(11), lazy.Len())
+	}
+}
+
+// mapID identifies the map a store reads, so a test can tell a shared
+// map from a copy.
+func mapID(s *Store) uintptr { return reflect.ValueOf(s.byUser).Pointer() }
+
+// TestStoreCloneCopyOnWrite: a plain store's clone shares its source's
+// map until the first Put on either side, and a Put on either side
+// never reaches the other, including along chains of clones. Random
+// clones and Puts over a family of stores are held to a model that
+// copies every store's contents on every clone. Lazy stores copy at
+// clone time, so their materializations stay on their own side too.
+// Clones of one source made and written from several goroutines while
+// others read the source stay independent (the race detector checks
+// the sharing).
+func TestStoreCloneCopyOnWrite(t *testing.T) {
+	s := newStore(t, 3)
+	c := s.Clone()
+	if mapID(c) != mapID(s) {
+		t.Fatal("Clone copied a plain store's map")
+	}
+	c.Put(NewProfile(7))
+	if mapID(c) == mapID(s) || s.Has(7) {
+		t.Fatal("a Put on the clone wrote the shared map")
+	}
+
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		stores := []*Store{newStore(t, 4)}
+		models := []map[graph.UserID]*Profile{{}}
+		for _, u := range stores[0].Users() {
+			models[0][u] = stores[0].Get(u)
+		}
+		for step := 0; step < 40; step++ {
+			k := rng.Intn(len(stores))
+			if rng.Intn(3) == 0 {
+				stores = append(stores, stores[k].Clone())
+				models = append(models, maps.Clone(models[k]))
+				continue
+			}
+			p := NewProfile(graph.UserID(rng.Intn(12)))
+			stores[k].Put(p)
+			models[k][p.User] = p
+			for i, st := range stores {
+				if st.Len() != len(models[i]) {
+					t.Fatalf("seed %d step %d: store %d holds %d profiles, want %d", seed, step, i, st.Len(), len(models[i]))
+				}
+				for u, want := range models[i] {
+					if st.Get(u) != want {
+						t.Fatalf("seed %d step %d: store %d reads profile %d from another store's Put", seed, step, i, u)
+					}
+				}
+			}
+		}
+	}
+
+	fetch := func(u graph.UserID) *Profile {
+		if u > 10 {
+			return nil
+		}
+		return NewProfile(u)
+	}
+	lazy := NewLazyStore(fetch)
+	lazy.Get(1)
+	lc := lazy.Clone()
+	if mapID(lc) == mapID(lazy) {
+		t.Fatal("a lazy store's clone shares its cache")
+	}
+	lc.Get(2)
+	lc.Put(NewProfile(20))
+	lazy.Get(3)
+	lazy.Put(NewProfile(30))
+	if lazy.Len() != 3 || lazy.Has(20) || lc.Len() != 3 || lc.Has(30) {
+		t.Fatalf("lazy stores crossed over: source %v, clone %v", lazy.Users(), lc.Users())
+	}
+
+	src := newStore(t, 64)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(2)
+		go func(w int) {
+			defer wg.Done()
+			c := src.Clone()
+			for u := 0; u < 64; u++ {
+				c.Put(NewProfile(graph.UserID(100*(w+1) + u)))
+			}
+			if c.Len() != 128 {
+				t.Errorf("clone %d holds %d profiles, want 128", w, c.Len())
+			}
+		}(w)
+		go func() {
+			defer wg.Done()
+			for u := 0; u < 64; u++ {
+				if src.Get(graph.UserID(u)) == nil {
+					t.Errorf("source lost profile %d", u)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if src.Len() != 64 {
+		t.Fatalf("source holds %d profiles after its clones' Puts, want 64", src.Len())
 	}
 }
 

@@ -26,16 +26,18 @@ import (
 // The evaluation is synchronous (no job is created) and reads the
 // dataset's current generation once. The owner's current run is taken
 // from memory when the server holds a complete stored-annotator
-// estimate of the owner with the same resolved options at that
-// generation (see runKey), and recomputed from its frozen snapshot
-// otherwise — the latter is the path a checkpoint-reconstructed
-// (restarted or failed-over) node takes, and the deterministic engine
-// makes both produce the same bytes. The counterfactual side rides the
-// delta engine: the candidate edge is applied to a clone of the
-// generation's graph and delta.Revise recomputes only the pools the
-// edge dirties, splicing the rest from the current run. Both sides
-// read the scheduler's weight cache, so pools an estimate already
-// built are not rebuilt.
+// estimate of the owner with the same resolved options (see runKey)
+// that is current at that generation — made at it or before, and no
+// drain since able to reach the owner (see lookupHeld) — and
+// recomputed from the generation's frozen snapshot otherwise. The
+// latter is the path a checkpoint-reconstructed (restarted or
+// failed-over) node takes, and the deterministic engine makes both
+// produce the same bytes. The counterfactual side rides the delta
+// engine: the candidate edge is applied to a clone of the generation's
+// graph and delta.Revise recomputes only the pools the edge dirties,
+// splicing the rest from the current run. Both sides read the
+// scheduler's weight cache, so pools an estimate already built are
+// not rebuilt.
 
 // handleAdvise serves POST /v1/advise.
 func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
@@ -119,11 +121,12 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	// survive the process), and the deterministic engine guarantees it
 	// produces the same bytes.
 	var before *core.OwnerRun
-	if h, ok := d.lookupHeld(newRunKey(req.Dataset, owner, client.AnnotatorStored, opts)); ok && h.gen == gen.num {
+	h, reused := d.lookupHeld(newRunKey(req.Dataset, owner, client.AnnotatorStored, opts), gen.num)
+	if reused {
 		before = h.run
-	}
-	reused := before != nil
-	if before == nil {
+		d.reused.Add(1)
+	} else {
+		d.recomputed.Add(1)
 		bcfg := ecfg
 		bcfg.Snapshot = gen.snap
 		before, err = core.New(bcfg).RunOwner(r.Context(), nil, gen.profiles, owner, ann, math.NaN())

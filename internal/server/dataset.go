@@ -17,21 +17,31 @@ import (
 type datasetState struct {
 	name   string
 	rt     *dataset.Runtime // the roster and the live graph only
-	owners []graph.UserID   // the roster's ids, for DirtyOwners
+	owners []graph.UserID   // the roster's ids, for a drain's dirty owners
 	cur    atomic.Pointer[generation]
 
-	// mu guards the update queue, the held runs and the ε ledgers. It
-	// is never held across an apply, a fold, an estimator build or
-	// advance, or an engine run.
+	// mu guards the update queue, the held runs, the last-dirty marks
+	// and the ε ledgers. It is never held across an apply, a fold, an
+	// estimator build or advance, or an engine run.
 	mu      sync.Mutex
 	leading bool         // a drain leader is at work
 	pending []*updWaiter // requests queued for the leader's next drain
 	held    map[runKey]heldRun
+	// dirty is each user's last-dirty generation: the newest drain
+	// whose batch can change the user's report as owner (see
+	// delta.DirtyUsers). It covers every user, not just the roster or
+	// the owners holding runs, so a run held after the drain that
+	// dirtied its owner is judged by that drain's mark too.
+	dirty   map[graph.UserID]uint64
 	ledgers map[string]*ldpLedger // by tenant
 
 	// builds and advances count, for /varz, the LDP estimators its
 	// generations got from a cold build and from a drain.
 	builds, advances atomic.Int64
+	// reused counts, for /varz, the priors served from a held run (the
+	// advise and revise fast paths), and recomputed the advise priors
+	// recomputed because no held run was current.
+	reused, recomputed atomic.Int64
 }
 
 // generation is one published state of a served dataset: generation 0
@@ -61,6 +71,7 @@ func newDatasetState(name string, rt *dataset.Runtime) *datasetState {
 		name:    name,
 		rt:      &dataset.Runtime{Name: rt.Name, Graph: rt.Graph, Owners: rt.Owners},
 		held:    map[runKey]heldRun{},
+		dirty:   map[graph.UserID]uint64{},
 		ledgers: map[string]*ldpLedger{},
 	}
 	for _, rec := range rt.Owners {

@@ -79,8 +79,9 @@ func poolDelta(run *core.OwnerRun, pr core.PoolRun, index, total int) client.Poo
 // are keyed after defaults are filled in, so payloads that spell the
 // same options differently share a key. For the stored annotator, two
 // complete runs under one key at one update generation are
-// byte-identical, which is what lets revisions and advise reuse any of
-// them in place of a recompute.
+// byte-identical, and a run stays byte-identical to a recompute at
+// every later generation until a drain dirties its owner, which is
+// what lets revisions and advise reuse it in place of a recompute.
 type runKey struct {
 	dataset   string
 	owner     graph.UserID
@@ -110,8 +111,9 @@ func requestKey(req *client.EstimateRequest) (runKey, error) {
 
 // heldRun is the newest complete run under a run key: the engine run
 // revisions splice pools from and advise reuses, the dataset update
-// generation it is current at, and the report it assembled into
-// (shared with the job that produced it).
+// generation it was computed at, and the report it assembled into
+// (shared with the job that produced it). It stays current at later
+// generations until a drain dirties its owner (see lookupHeld).
 type heldRun struct {
 	run    *core.OwnerRun
 	gen    uint64
@@ -119,7 +121,7 @@ type heldRun struct {
 }
 
 // hold records h as the run held under key, releasing the run it
-// replaces. A run current at an older generation than the held one
+// replaces. A run computed at an older generation than the held one
 // never replaces it (jobs can finish out of submission order). Only
 // complete runs of dataset-backed jobs are held: partial runs cannot
 // be spliced, and revise and advise need a dataset. In-memory only — a
@@ -132,12 +134,37 @@ func (d *datasetState) hold(key runKey, h heldRun) {
 	}
 }
 
-// lookupHeld returns the run held under key, if any.
-func (d *datasetState) lookupHeld(key runKey) (heldRun, bool) {
+// lookupHeld returns the run held under key, if any, and whether it is
+// current at generation gen: made at gen or before, and its owner's
+// last-dirty generation is no later than the run's. Then no drain up
+// to gen can have changed the owner's report, so the run is
+// byte-identical to a recompute at gen. The mark and the run are read
+// in one critical section, and a drain records its marks before it
+// publishes, so every drain up to gen is seen; a later one only makes
+// the test stricter.
+func (d *datasetState) lookupHeld(key runKey, gen uint64) (heldRun, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	h, ok := d.held[key]
-	return h, ok
+	return h, ok && h.gen <= gen && d.dirty[key.owner] <= h.gen
+}
+
+// heldVarz renders, for /varz ("sightd_held"), each dataset's runs
+// held, priors served from a held run (advise and revise fast paths)
+// and advise priors recomputed.
+func (s *Server) heldVarz() map[string]map[string]int64 {
+	out := map[string]map[string]int64{}
+	for name, d := range s.datasets {
+		d.mu.Lock()
+		runs := len(d.held)
+		d.mu.Unlock()
+		out[name] = map[string]int64{
+			"runs":       int64(runs),
+			"reused":     d.reused.Load(),
+			"recomputed": d.recomputed.Load(),
+		}
+	}
+	return out
 }
 
 // handleUpdates applies a delta batch to a mutable dataset. In cluster
@@ -258,8 +285,11 @@ func (s *Server) applyUpdates(d *datasetState, b delta.Batch) (*client.UpdatesRe
 // that fold. When the parent generation carries an LDP estimator, the
 // drain advances it over every user the batch names; a drain that
 // inserts a node id below the largest one cannot, and leaves the
-// estimator to the next release to build cold. Only the drain leader
-// calls this, one drain at a time per dataset.
+// estimator to the next release to build cold. Before publishing, the
+// drain records its generation as the last-dirty one of every user
+// the batch can dirty, so a reader that sees the generation sees its
+// marks too. Only the drain leader calls this, one drain at a time per
+// dataset.
 func (s *Server) applyDrain(d *datasetState, b delta.Batch, merged int) (*client.UpdatesResponse, *generation, error) {
 	prev := d.current()
 	profiles, err := b.ApplyCloned(d.rt.Graph, prev.profiles)
@@ -268,9 +298,12 @@ func (s *Server) applyDrain(d *datasetState, b delta.Batch, merged int) (*client
 	}
 	next := &generation{num: prev.num + 1, graph: d.rt.Graph.Clone(), profiles: profiles}
 	next.snap = next.graph.Snapshot()
+	reached := delta.DirtyUsers(next.graph, b)
 	var dirty []int64
-	for _, o := range delta.DirtyOwners(next.graph, d.owners, b) {
-		dirty = append(dirty, int64(o))
+	for _, o := range d.owners {
+		if reached[o] {
+			dirty = append(dirty, int64(o))
+		}
 	}
 	if est := prev.est.Load(); est != nil {
 		if est = est.Advance(next.snap, profiles, b.Users()); est != nil {
@@ -278,6 +311,11 @@ func (s *Server) applyDrain(d *datasetState, b delta.Batch, merged int) (*client
 			d.advances.Add(1)
 		}
 	}
+	d.mu.Lock()
+	for u := range reached {
+		d.dirty[u] = next.num
+	}
+	d.mu.Unlock()
 	d.cur.Store(next)
 	s.logf("sightd: dataset %s: applied %d updates from %d request(s) (gen %d, %d dirty owners)", d.name, len(b), merged, next.num, len(dirty))
 	return &client.UpdatesResponse{Dataset: d.name, Applied: len(b), DirtyOwners: dirty, Node: s.nodeID, Merged: merged}, next, nil
@@ -288,10 +326,12 @@ func (s *Server) applyDrain(d *datasetState, b delta.Batch, merged int) (*client
 // request's updates (if any) are applied first, exactly like
 // POST /v1/updates. Two reuse levels apply:
 //
-//   - owner level: when the prior run is held in memory, no other
-//     update batch landed since it ran, and the request's batch
-//     provably cannot reach the owner's 2-hop view, the prior report
-//     is served as an immediately-done job — no pipeline work at all;
+//   - owner level: when the prior run is held in memory and is current
+//     at the generation the request's own drain published (or the
+//     current one, without a batch) — no drain since the run was made,
+//     that one included, can reach the owner's 2-hop view — the prior
+//     report is served as an immediately-done job, no pipeline work at
+//     all;
 //   - pool level: otherwise the pipeline re-runs with the prior run
 //     spliced in, recomputing only pools whose membership or weight
 //     content changed.
@@ -331,48 +371,40 @@ func (s *Server) handleRevise(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("unknown dataset %q", j.req.Dataset), 0)
 		return
 	}
-	// The prior run is whatever is held under the job's key: this
-	// job's own run, or a newer one that released it — byte-identical
-	// at equal generations, and more current otherwise. The job's
-	// options resolved when it was accepted, so the key does too (and
-	// the zero key holds nothing).
-	key, _ := requestKey(&j.req)
-	held, _ := d.lookupHeld(key)
 	// gen is the generation our batch's drain published, or the
 	// current one without a batch.
 	gen := d.current()
-	solo := true // our batch (if any) was the only request in its drain
 	if len(batch) > 0 {
 		if d.rt.Graph == nil {
 			writeErr(w, http.StatusBadRequest, "bad_request",
 				fmt.Sprintf("dataset %q is snapshot-backed and read-only; updates need a mutable dataset", j.req.Dataset), 0)
 			return
 		}
-		resp, g, err := s.applyUpdates(d, batch)
+		_, g, err := s.applyUpdates(d, batch)
 		if err != nil {
 			writeErr(w, http.StatusInternalServerError, "internal", err.Error(), 0)
 			return
 		}
-		gen, solo = g, resp.Merged <= 1
+		gen = g
 	}
-	// Owner-level fast path: the prior run is current (the only updates
-	// since it ran are this request's, if any — a drain that merged
-	// other requests' batches disqualifies, since their updates share
-	// our generation) and the batch cannot reach the owner's 2-hop
-	// view. Reachability is judged on our drain's generation: drains
-	// queued behind ours may already have changed the live graph.
-	expectGen := held.gen
-	if len(batch) > 0 {
-		expectGen++
-	}
-	if held.run != nil && gen.num == expectGen && solo && !delta.Affected(gen.graph, j.owner, batch) {
+	// The prior run is whatever is held under the job's key: this
+	// job's own run, or a newer one that released it. The job's options
+	// resolved when it was accepted, so the key does too (and the zero
+	// key holds nothing). Owner-level fast path: the run is current at
+	// our drain's generation, so no drain since it was made — ours,
+	// with every request merged into it, included — can have changed
+	// the owner's report. Currency is judged at that generation, not
+	// the latest: drains queued behind ours may already have moved the
+	// dataset on.
+	key, _ := requestKey(&j.req)
+	held, current := d.lookupHeld(key, gen.num)
+	if current {
 		j2 := s.allocJob(j.req)
 		if j2 == nil {
 			writeErr(w, http.StatusServiceUnavailable, "draining", "server is draining; retry against a live replica", time.Second)
 			return
 		}
-		// The held run is current at gen too: re-hold it there.
-		d.hold(key, heldRun{run: held.run, gen: gen.num, report: held.report})
+		d.reused.Add(1)
 		if err := s.persistJob(j2); err != nil {
 			s.logf("sightd: persist job %s: %v", j2.id, err)
 		}

@@ -506,6 +506,7 @@ func (s *Server) handleVarz(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	put("sightd_jobs", counts)
 	put("sightd_ldp", s.ldpVarz())
+	put("sightd_held", s.heldVarz())
 	if s.clustered() {
 		put("sightd_cluster", map[string]any{
 			"node":         s.nodeID,
