@@ -187,3 +187,41 @@ func TestCheckpointPublicRoundtripResume(t *testing.T) {
 func eqOrBothNaN(a, b float64) bool {
 	return a == b || (math.IsNaN(a) && math.IsNaN(b))
 }
+
+// roundShower is a public-API RoundAsker: it counts the rounds it is
+// shown, the strangers they hold and the questions it is then asked.
+type roundShower struct{ rounds, shown, asked int }
+
+func (r *roundShower) AskRound(_ context.Context, strangers []UserID) {
+	r.rounds++
+	r.shown += len(strangers)
+}
+
+func (r *roundShower) LabelStranger(_ context.Context, s UserID) (Label, error) {
+	r.asked++
+	return riskByID(s), nil
+}
+
+// TestEstimateRiskShowsRoundAsker: a RoundAsker handed to EstimateRisk
+// is shown every question before it is asked, a round at a time, and
+// the report equals a plain annotator's.
+func TestEstimateRiskShowsRoundAsker(t *testing.T) {
+	net, owner := demoNetwork(t, 5, 80)
+	want, err := EstimateRisk(context.Background(), net, owner, AnnotatorFunc(riskByID), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rs RoundAsker = &roundShower{}
+	got, err := EstimateRisk(context.Background(), net, owner, rs, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Strangers, want.Strangers) || got.LabelsRequested != want.LabelsRequested {
+		t.Fatal("a RoundAsker changed the report")
+	}
+	r := rs.(*roundShower)
+	if r.asked != want.LabelsRequested || r.shown != r.asked || r.rounds == 0 || r.rounds > r.asked {
+		t.Fatalf("%d rounds showed %d strangers for %d questions, want every one of the %d questions shown first",
+			r.rounds, r.shown, r.asked, want.LabelsRequested)
+	}
+}

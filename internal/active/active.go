@@ -309,7 +309,10 @@ func (s *Session) Run() (*Result, error) { return s.RunContext(context.Backgroun
 // RunContext returns BOTH a partial Result (Reason StopInterrupted,
 // carrying every owner label gathered so far plus the last round's
 // predictions where available) and the error — callers decide whether
-// to degrade gracefully from the partial state or to fail.
+// to degrade gracefully from the partial state or to fail. A
+// RoundAsker annotator is shown each round's query set before the
+// round's first question, and when ctx ends mid-round the partial
+// Result keeps every answer it already holds for that round.
 func (s *Session) RunContext(ctx context.Context) (*Result, error) {
 	n := len(s.members)
 	res := &Result{
@@ -326,28 +329,24 @@ func (s *Session) RunContext(ctx context.Context) (*Result, error) {
 	// prediction would save no owner effort.
 	if n <= s.cfg.PerRound {
 		tr := Round{Number: 1, RMSE: math.NaN(), Unstabilized: -1}
-		for _, m := range s.members {
-			if err := ctx.Err(); err != nil {
-				res.Reason = StopInterrupted
-				res.Rounds = []Round{tr}
-				return res, err
-			}
-			l, err := s.ann.LabelStranger(ctx, m)
-			if err != nil {
-				res.Reason = StopInterrupted
-				res.Rounds = []Round{tr}
-				return res, err
-			}
-			if !l.Valid() {
-				return nil, fmt.Errorf("active: annotator returned invalid label %d for %d", int(l), m)
-			}
+		all := make([]int, n)
+		for i := range all {
+			all[i] = i
+		}
+		cause, err := s.ask(ctx, 1, all, func(idx int, l label.Label) {
+			m := s.members[idx]
 			res.Labels[m] = l
 			res.OwnerLabeled[m] = true
 			res.Predicted[m] = clampedPrediction(l)
 			tr.Queried = append(tr.Queried, m)
-			if s.cfg.Observe != nil {
-				s.cfg.Observe(obs.Event{Kind: obs.KindQuery, Round: 1, User: int64(m), Label: int(l)})
-			}
+		})
+		if err != nil {
+			return nil, err
+		}
+		if cause != nil {
+			res.Reason = StopInterrupted
+			res.Rounds = []Round{tr}
+			return res, cause
 		}
 		res.Reason = StopTrivial
 		res.Rounds = []Round{tr}
@@ -420,23 +419,9 @@ func (s *Session) RunContext(ctx context.Context) (*Result, error) {
 		// Collect owner labels; validate the previous round's
 		// predictions on exactly these strangers (Definition 4).
 		var sqErr float64
-		for _, idx := range queryIdx {
-			m := s.members[idx]
-			if err := ctx.Err(); err != nil {
-				return interrupt(err)
-			}
-			l, err := s.ann.LabelStranger(ctx, m)
-			if err != nil {
-				return interrupt(err)
-			}
-			if !l.Valid() {
-				return nil, fmt.Errorf("active: annotator returned invalid label %d for %d", int(l), m)
-			}
+		cause, err := s.ask(ctx, round, queryIdx, func(idx int, l label.Label) {
 			labeled[idx] = l
-			tr.Queried = append(tr.Queried, m)
-			if s.cfg.Observe != nil {
-				s.cfg.Observe(obs.Event{Kind: obs.KindQuery, Round: round, User: int64(m), Label: int(l)})
-			}
+			tr.Queried = append(tr.Queried, s.members[idx])
 			if prev != nil {
 				d := float64(l - prev[idx].Label)
 				sqErr += d * d
@@ -445,6 +430,12 @@ func (s *Session) RunContext(ctx context.Context) (*Result, error) {
 					tr.ExactMatches++
 				}
 			}
+		})
+		if err != nil {
+			return nil, err
+		}
+		if cause != nil {
+			return interrupt(cause)
 		}
 		unlabeled = removeIndices(unlabeled, queryIdx)
 		if prev != nil && tr.ExactTotal > 0 {
@@ -464,7 +455,6 @@ func (s *Session) RunContext(ctx context.Context) (*Result, error) {
 			}
 		}
 		var preds []classify.Prediction
-		var err error
 		if kc, ok := s.clf.(kernelClassifier); ok {
 			preds, err = kc.PredictKernel(s.kernel, labeled, init)
 		} else if ws, ok := s.clf.(warmStartClassifier); ok && init != nil {
@@ -539,6 +529,59 @@ func (s *Session) RunContext(ctx context.Context) (*Result, error) {
 		res.Labels[m] = prev[i].Label
 	}
 	return res, nil
+}
+
+// ask collects the owner's labels for one round's query set (indices
+// into members) in order, handing each to got and emitting its query
+// event. A RoundAsker is shown the whole set first. An annotator error,
+// or ctx ending before a question, interrupts the round and is returned
+// as cause; if ctx has ended, a RoundAsker is first asked, with the
+// done ctx, for the round's strangers not yet asked, so answers the
+// owner already gave are kept (see RoundAsker). An invalid label is a
+// hard failure and is returned as err.
+func (s *Session) ask(ctx context.Context, round int, idxs []int, got func(idx int, l label.Label)) (cause, err error) {
+	ra, _ := s.ann.(RoundAsker)
+	if ra != nil {
+		strangers := make([]graph.UserID, len(idxs))
+		for i, idx := range idxs {
+			strangers[i] = s.members[idx]
+		}
+		ra.AskRound(ctx, strangers)
+	}
+	take := func(idx int, l label.Label) error {
+		m := s.members[idx]
+		if !l.Valid() {
+			return fmt.Errorf("active: annotator returned invalid label %d for %d", int(l), m)
+		}
+		got(idx, l)
+		if s.cfg.Observe != nil {
+			s.cfg.Observe(obs.Event{Kind: obs.KindQuery, Round: round, User: int64(m), Label: int(l)})
+		}
+		return nil
+	}
+	for i, idx := range idxs {
+		if cause = ctx.Err(); cause == nil {
+			var l label.Label
+			if l, cause = s.ann.LabelStranger(ctx, s.members[idx]); cause == nil {
+				if err := take(idx, l); err != nil {
+					return nil, err
+				}
+				continue
+			}
+			i++ // this stranger was asked: only the rest are left
+		}
+		if ra != nil && ctx.Err() != nil {
+			for _, idx := range idxs[i:] {
+				if l, aerr := s.ann.LabelStranger(ctx, s.members[idx]); aerr == nil {
+					if err := take(idx, l); err != nil {
+						return nil, err
+					}
+				}
+			}
+		}
+		return cause, nil
+	}
+	return nil, nil
 }
 
 // predsDigest folds a prediction pass into an order-sensitive

@@ -50,6 +50,57 @@ func (f FallibleFunc) LabelStranger(ctx context.Context, s graph.UserID) (label.
 	return f(ctx, s)
 }
 
+// RoundAsker is the optional round-at-once extension of
+// FallibleAnnotator. The paper shows the owner a round of strangers at
+// a time (Section III), and an annotator that talks to a remote owner
+// saves a round trip per question when it can put the whole round in
+// front of them at once.
+//
+// A Session calls AskRound once per round, before that round's first
+// LabelStranger, with the round's query set in the order LabelStranger
+// will then be called for it; a trivial pool's round is all its
+// members. LabelStranger calls stay serialized and in the same order as
+// for any other annotator, so outputs do not depend on whether an
+// annotator implements AskRound.
+//
+// When the session's ctx ends mid-round, the session calls
+// LabelStranger with the done ctx for each of the round's strangers it
+// has not asked yet, keeping the answers the owner had already given,
+// and then returns its partial result. Such a call must return at once:
+// with an answer the annotator already holds, or with the ctx's error.
+type RoundAsker interface {
+	FallibleAnnotator
+	// AskRound shows the owner the round's strangers. Answers still
+	// arrive through LabelStranger, which reports any failure.
+	AskRound(ctx context.Context, strangers []graph.UserID)
+}
+
+// ForwardRounds returns outer as a RoundAsker when inner is one, and
+// outer unchanged otherwise. The RoundAsker's AskRound calls ask, or
+// inner's AskRound when ask is nil. An annotator wrapper built this way
+// is a RoundAsker exactly when the annotator it wraps is one, so a
+// session never collects answers from an annotator that does not hold
+// them.
+func ForwardRounds(outer, inner FallibleAnnotator, ask func(ctx context.Context, strangers []graph.UserID)) FallibleAnnotator {
+	ra, ok := inner.(RoundAsker)
+	if !ok {
+		return outer
+	}
+	if ask == nil {
+		ask = ra.AskRound
+	}
+	return roundForwarder{outer, ask}
+}
+
+type roundForwarder struct {
+	FallibleAnnotator
+	ask func(context.Context, []graph.UserID)
+}
+
+func (r roundForwarder) AskRound(ctx context.Context, strangers []graph.UserID) {
+	r.ask(ctx, strangers)
+}
+
 // Infallible adapts a legacy never-failing Annotator to the fallible
 // contract. The adapter ignores the context (the wrapped annotator
 // cannot be interrupted mid-call); the engine still checks the context

@@ -78,7 +78,8 @@ func (p RetryPolicy) enabled() bool {
 // optionally bounded by QueryTimeout. Terminal errors (ErrAbandoned,
 // context errors from the session, anything not marked transient) pass
 // through immediately. A policy that is effectively disabled returns
-// the annotator unchanged.
+// the annotator unchanged. A RoundAsker stays one: AskRound passes
+// through, and only LabelStranger is retried.
 func WithRetry(inner FallibleAnnotator, p RetryPolicy) FallibleAnnotator {
 	return WithRetryHook(inner, p, nil)
 }
@@ -95,7 +96,8 @@ func WithRetryHook(inner FallibleAnnotator, p RetryPolicy, onRetry func()) Falli
 	if sleep == nil {
 		sleep = timerSleep
 	}
-	return &retrier{inner: inner, p: p, sleep: sleep, rng: rand.New(rand.NewSource(p.Seed)), onRetry: onRetry}
+	r := &retrier{inner: inner, p: p, sleep: sleep, rng: rand.New(rand.NewSource(p.Seed)), onRetry: onRetry}
+	return ForwardRounds(r, inner, nil)
 }
 
 type retrier struct {

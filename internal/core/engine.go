@@ -311,8 +311,12 @@ func New(cfg Config) *Engine { return &Engine{cfg: cfg} }
 // function of the inputs for any deterministic annotator. The
 // annotator is asked one question at a time and never needs to be
 // thread-safe; it must only be deterministic per stranger if
-// reproducible reports are wanted. Callers with many owners get
-// concurrency by running owners on separate engines at once.
+// reproducible reports are wanted. An annotator that implements
+// active.RoundAsker is shown each round's questions before the first
+// of them is asked, through the retry, replay and checkpoint layers
+// (the replay shows only the questions its cache cannot answer).
+// Callers with many owners get concurrency by running owners on
+// separate engines at once.
 func (e *Engine) RunOwner(ctx context.Context, g *graph.Graph, store *profile.Store, owner graph.UserID, ann active.FallibleAnnotator, confidence float64) (*OwnerRun, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -399,11 +403,11 @@ func (e *Engine) RunOwner(ctx context.Context, g *graph.Graph, store *profile.St
 		a := base
 		if e.cfg.Resume != nil {
 			if pc := e.cfg.Resume.Pools[poolID]; pc != nil && len(pc.Answers) > 0 {
-				a = replayAnnotator{cache: pc.answers(), inner: a}
+				a = newReplayAnnotator(pc.answers(), a)
 			}
 		}
 		if k != nil {
-			a = recordAnnotator{k: k, poolID: poolID, inner: a}
+			a = newRecordAnnotator(k, poolID, a)
 		}
 		return a
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -352,6 +353,80 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 
 	resume(interrupt(), "abandoned")
 	resume(spread, "spread over pools")
+}
+
+// roundAskRecorder is an askRecorder that is also a RoundAsker: it
+// logs each round's strangers that reach it.
+type roundAskRecorder struct {
+	askRecorder
+	shown [][]graph.UserID
+}
+
+func (r *roundAskRecorder) AskRound(_ context.Context, strangers []graph.UserID) {
+	r.shown = append(r.shown, slices.Clone(strangers))
+}
+
+// TestResumeShowsOnlyUncachedStrangers: through the retry, replay and
+// checkpoint layers, a resumed run shows a RoundAsker only the
+// strangers its checkpoint cannot answer, and nothing for a round the
+// checkpoint answers whole. The checkpoint holds each multi-round
+// pool's first round plus the last two answers of its second, the
+// shape a drain leaves when the owner answered past the question the
+// session waited on.
+func TestResumeShowsOnlyUncachedStrangers(t *testing.T) {
+	study := studyWorld(t)
+	o := study.Owners[0]
+	clean, err := New(DefaultConfig()).RunOwner(context.Background(), study.Graph, study.Profiles, o.ID, active.Infallible(o), o.Confidence)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := NewCheckpoint(o.ID, DefaultConfig().Seed)
+	cached := map[graph.UserID]bool{}
+	for _, p := range clean.Pools {
+		if len(p.Result.Rounds) < 3 || len(p.Result.Rounds[1].Queried) < 3 {
+			continue
+		}
+		pc := &PoolCheckpoint{Rounds: 1}
+		for _, s := range append(slices.Clone(p.Result.Rounds[0].Queried), p.Result.Rounds[1].Queried[1:]...) {
+			pc.Answers = append(pc.Answers, QA{Stranger: s, Label: o.LabelStranger(s)})
+			cached[s] = true
+		}
+		cp.Pools[p.Pool.ID()] = pc
+	}
+	if len(cp.Pools) == 0 {
+		t.Fatal("no pool with a three-question second round")
+	}
+
+	cfg := DefaultConfig()
+	cfg.Resume = cp
+	cfg.Retry = fastRetry(2)
+	cfg.Checkpoint = (&cpSink{}).put
+	rec := &roundAskRecorder{askRecorder: askRecorder{inner: active.Infallible(o)}}
+	run, err := New(cfg).RunOwner(context.Background(), study.Graph, study.Profiles, o.ID, rec, o.Confidence)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := diffOwnerRuns(clean, run); d != "" {
+		t.Fatalf("resumed run differs from uninterrupted: %s", d)
+	}
+	var shown []graph.UserID
+	for _, round := range rec.shown {
+		if len(round) == 0 {
+			t.Fatal("an empty round was shown")
+		}
+		for _, s := range round {
+			if cached[s] {
+				t.Fatalf("round %v shows checkpointed stranger %d", round, s)
+			}
+		}
+		shown = append(shown, round...)
+	}
+	if !slices.Equal(shown, rec.asked) {
+		t.Fatalf("shown strangers %v differ from the asked ones %v", shown, rec.asked)
+	}
+	if len(rec.asked) != clean.QueriedCount()-len(cached) {
+		t.Fatalf("asked %d fresh questions, want %d", len(rec.asked), clean.QueriedCount()-len(cached))
+	}
 }
 
 // TestCancellationStopsAtQueryBoundary: after the run's context is

@@ -38,10 +38,18 @@ func isInterrupt(err error) bool {
 // without consulting the inner annotator. A cached answer drives the
 // session exactly as the original answer did, so a resumed run issues
 // the exact query sequence the original did and never re-asks an
-// answered question.
+// answered question. Over a RoundAsker it shows the owner only the
+// round's strangers missing from the cache.
 type replayAnnotator struct {
 	cache map[graph.UserID]label.Label
 	inner active.FallibleAnnotator
+}
+
+// newReplayAnnotator wraps inner with the cache, keeping inner's
+// RoundAsker extension.
+func newReplayAnnotator(cache map[graph.UserID]label.Label, inner active.FallibleAnnotator) active.FallibleAnnotator {
+	r := replayAnnotator{cache: cache, inner: inner}
+	return active.ForwardRounds(r, inner, r.askRound)
 }
 
 func (r replayAnnotator) LabelStranger(ctx context.Context, s graph.UserID) (label.Label, error) {
@@ -49,6 +57,20 @@ func (r replayAnnotator) LabelStranger(ctx context.Context, s graph.UserID) (lab
 		return l, nil
 	}
 	return r.inner.LabelStranger(ctx, s)
+}
+
+// askRound forwards the round's uncached strangers, if any, to the
+// inner RoundAsker.
+func (r replayAnnotator) askRound(ctx context.Context, strangers []graph.UserID) {
+	var missing []graph.UserID
+	for _, s := range strangers {
+		if _, ok := r.cache[s]; !ok {
+			missing = append(missing, s)
+		}
+	}
+	if len(missing) > 0 {
+		r.inner.(active.RoundAsker).AskRound(ctx, missing)
+	}
 }
 
 // recordAnnotator feeds every successful answer into the shared
@@ -59,6 +81,12 @@ type recordAnnotator struct {
 	k      *checkpointer
 	poolID string
 	inner  active.FallibleAnnotator
+}
+
+// newRecordAnnotator wraps inner with the recorder, keeping inner's
+// RoundAsker extension.
+func newRecordAnnotator(k *checkpointer, poolID string, inner active.FallibleAnnotator) active.FallibleAnnotator {
+	return active.ForwardRounds(recordAnnotator{k: k, poolID: poolID, inner: inner}, inner, nil)
 }
 
 func (r recordAnnotator) LabelStranger(ctx context.Context, s graph.UserID) (label.Label, error) {

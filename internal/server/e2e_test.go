@@ -3,12 +3,17 @@ package server_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	sight "sightrisk"
 	"sightrisk/client"
 	"sightrisk/internal/dataset"
+	"sightrisk/internal/obs"
 	"sightrisk/internal/server"
 )
 
@@ -59,6 +64,116 @@ func TestServedRemoteMatchesSerial(t *testing.T) {
 	}
 	if got := wireBytes(t, rep); !bytes.Equal(got, want) {
 		t.Errorf("remote-annotated report differs from serial run\nserved: %s\nserial: %s", got, want)
+	}
+}
+
+// TestRemoteRoundAskedTogether: a remote job shows the owner a whole
+// round at once. Every non-empty long-poll returns exactly the next
+// round's questions (min(per_round, unlabeled), or all of a trivial
+// pool's members), in the order the session asks them, so a client
+// that answers each poll in one POST makes one POST per round event
+// of the job's trace, and the report still equals the serial run's.
+func TestRemoteRoundAskedTogether(t *testing.T) {
+	ds := testDataset(t, 1, 120, 53)
+	owner := ds.Owners[0].ID
+	_, _, c := newTestServer(t, server.Config{Datasets: map[string]*dataset.Dataset{"study": ds}, Workers: 1})
+	answer := answerFromDataset(ds, owner)
+	for _, perRound := range []int{1, 3, 5} {
+		t.Run(fmt.Sprintf("per_round=%d", perRound), func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			opts := sight.DefaultOptions()
+			opts.Learning.PerRound = perRound
+			want := serialWireBytesWith(t, ds, owner, opts)
+
+			st, err := c.Submit(ctx, &client.EstimateRequest{Dataset: "study", Owner: int64(owner),
+				Options: &client.OptionsPayload{PerRound: &perRound}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var polls [][]int64 // the strangers of each non-empty poll, in seq order
+			for {
+				qr, err := c.Questions(ctx, st.ID)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if qr.Status == client.StatusDone || qr.Status == client.StatusFailed {
+					break
+				}
+				if len(qr.Questions) == 0 {
+					continue
+				}
+				var poll []int64
+				answers := make([]client.Answer, 0, len(qr.Questions))
+				for i, q := range qr.Questions {
+					if i > 0 && q.Seq <= qr.Questions[i-1].Seq {
+						t.Fatalf("questions out of seq order: %+v", qr.Questions)
+					}
+					lab, _ := answer(q.Stranger)
+					poll = append(poll, q.Stranger)
+					answers = append(answers, client.Answer{Stranger: q.Stranger, Label: lab})
+				}
+				if n, err := c.Answer(ctx, st.ID, answers); err != nil || n != len(answers) {
+					t.Fatalf("answer POST accepted %d of %d: %v", n, len(answers), err)
+				}
+				polls = append(polls, poll)
+			}
+			fin, err := c.Get(ctx, st.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fin.Status != client.StatusDone {
+				t.Fatalf("status %q, error %v", fin.Status, fin.Error)
+			}
+			if got := wireBytes(t, fin.Report); !bytes.Equal(got, want) {
+				t.Errorf("report differs from serial run\nserved: %s\nserial: %s", got, want)
+			}
+
+			// Rebuild each round's query set from the trace.
+			trace, err := c.Trace(ctx, st.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var (
+				rounds      [][]int64
+				roundEvents int
+				poolSize    int
+				cur         []int64
+				labeled     int
+			)
+			for _, line := range strings.Split(strings.TrimSpace(string(trace)), "\n") {
+				var ev obs.Event
+				if err := json.Unmarshal([]byte(line), &ev); err != nil {
+					t.Fatal(err)
+				}
+				switch ev.Kind {
+				case obs.KindPoolStart:
+					poolSize, labeled = ev.N, 0
+				case obs.KindQuery:
+					cur = append(cur, ev.User)
+				case obs.KindRound:
+					roundEvents++
+					wantSize := min(perRound, poolSize-labeled)
+					if poolSize <= perRound {
+						wantSize = poolSize
+					}
+					if len(cur) != wantSize {
+						t.Errorf("round %d of a %d-member pool asked %d questions, want %d", ev.Round, poolSize, len(cur), wantSize)
+					}
+					labeled += len(cur)
+					rounds = append(rounds, cur)
+					cur = nil
+				}
+			}
+			if len(polls) != roundEvents {
+				t.Fatalf("%d answer POSTs for %d round events", len(polls), roundEvents)
+			}
+			for i := range polls {
+				if !slices.Equal(polls[i], rounds[i]) {
+					t.Fatalf("poll %d returned %v, round %d asked %v", i, polls[i], i, rounds[i])
+				}
+			}
+		})
 	}
 }
 
@@ -152,6 +267,88 @@ func TestRestartResumeMatchesSerial(t *testing.T) {
 	}
 	if gotB := wireBytes(t, rep); !bytes.Equal(gotB, want) {
 		t.Errorf("post-restart report differs from serial run\nserved: %s\nserial: %s", gotB, want)
+	}
+}
+
+// TestDrainKeepsPostedRoundAnswers: the owner sees a whole round and
+// answers its 2nd and 3rd questions while the session still waits on
+// the 1st. A drain then interrupts the job. The parked checkpoint keeps
+// both posted answers, so after a restart on the same state directory
+// no answered stranger is asked again, and the report still equals the
+// uninterrupted serial run's.
+func TestDrainKeepsPostedRoundAnswers(t *testing.T) {
+	stateDir := t.TempDir()
+	mkConfig := func() server.Config {
+		return server.Config{
+			Datasets: map[string]*dataset.Dataset{"study": testDataset(t, 1, 120, 57)},
+			Workers:  1,
+			StateDir: stateDir,
+		}
+	}
+	ds := testDataset(t, 1, 120, 57)
+	owner := ds.Owners[0].ID
+	want := serialWireBytes(t, ds, owner)
+	answer := answerFromDataset(ds, owner)
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+
+	srvA, hsA, cA := newTestServer(t, mkConfig())
+	st, err := cA.Submit(ctx, &client.EstimateRequest{Dataset: "study", Owner: int64(owner)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	answered := map[int64]bool{}
+	post := func(qs []client.Question) {
+		t.Helper()
+		answers := make([]client.Answer, 0, len(qs))
+		for _, q := range qs {
+			lab, _ := answer(q.Stranger)
+			answers = append(answers, client.Answer{Stranger: q.Stranger, Label: lab})
+			answered[q.Stranger] = true
+		}
+		if n, err := cA.Answer(ctx, st.ID, answers); err != nil || n != len(answers) {
+			t.Fatalf("answer POST accepted %d of %d: %v", n, len(answers), err)
+		}
+	}
+	for full := 0; ; {
+		qr, err := cA.Questions(ctx, st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if qr.Status == client.StatusDone || qr.Status == client.StatusFailed {
+			t.Fatalf("job reached %q before a round of 3 questions was pending", qr.Status)
+		}
+		if len(qr.Questions) == 3 && full >= 2 {
+			post(qr.Questions[1:])
+			break
+		}
+		if len(qr.Questions) > 0 {
+			post(qr.Questions)
+			full++
+		}
+	}
+	drainCtx, drainCancel := context.WithTimeout(ctx, 30*time.Second)
+	if err := srvA.Drain(drainCtx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	drainCancel()
+	hsA.Close()
+
+	_, _, cB := newTestServer(t, mkConfig())
+	rep, err := cB.Drive(ctx, st.ID, func(stranger int64) (int, error) {
+		if answered[stranger] {
+			t.Errorf("stranger %d asked again after the drain", stranger)
+		}
+		return answer(stranger)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Partial {
+		t.Fatalf("resumed run ended partial: interrupt %q", rep.Interrupt)
+	}
+	if got := wireBytes(t, rep); !bytes.Equal(got, want) {
+		t.Errorf("post-restart report differs from serial run\nserved: %s\nserial: %s", got, want)
 	}
 }
 

@@ -34,9 +34,12 @@ type job struct {
 	cancel       context.CancelFunc // cancels the run; set at launch
 	userCanceled bool               // DELETE arrived (vs. server drain)
 
-	// Wire annotator state: at most one question is pending at a time
-	// (the engine serializes owner queries), but pending is a slice so
-	// redelivered long-polls always see the full outstanding set.
+	// Wire annotator state: pending holds the current round's
+	// unanswered questions (the session shows the owner a whole round
+	// at once, up to per_round questions, in seq order), and answers
+	// holds posted answers the session has yet to take. An answered
+	// question leaves pending at once, so redelivered long-polls see
+	// exactly the outstanding set.
 	seq     int
 	pending []client.Question
 	answers map[int64]label.Label
@@ -279,38 +282,70 @@ func (j *job) countQuery() {
 // HTTP question/answer loop: each owner query becomes a pending
 // question surfaced by the long-poll endpoint, and the call blocks
 // until a matching answer is posted (or ctx ends — the engine then
-// degrades the run per its usual interruption contract).
+// degrades the run per its usual interruption contract). As an
+// active.RoundAsker it makes a whole round pending at once, so one
+// long-poll and one answer POST can serve the round.
 type wireAnnotator struct{ j *job }
 
-// LabelStranger implements active.FallibleAnnotator.
-func (w wireAnnotator) LabelStranger(ctx context.Context, s graph.UserID) (label.Label, error) {
+// AskRound implements active.RoundAsker: the round's questions become
+// pending together, under one lock and with one wake-up.
+func (w wireAnnotator) AskRound(_ context.Context, strangers []graph.UserID) {
 	j := w.j
 	j.mu.Lock()
-	j.seq++
-	j.pending = append(j.pending, client.Question{Seq: j.seq, Stranger: int64(s)})
+	defer j.mu.Unlock()
+	for _, s := range strangers {
+		j.askLocked(int64(s))
+	}
 	j.signalLocked()
+}
+
+// LabelStranger implements active.FallibleAnnotator. An answer that
+// was already posted is returned even after ctx ends, so an
+// interrupted session keeps every answer the owner gave.
+func (w wireAnnotator) LabelStranger(ctx context.Context, s graph.UserID) (label.Label, error) {
+	j, id := w.j, int64(s)
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.askLocked(id) {
+		j.signalLocked()
+	}
 	for {
-		if lab, ok := j.answers[int64(s)]; ok {
-			delete(j.answers, int64(s))
-			j.removePendingLocked(int64(s))
+		if lab, ok := j.answers[id]; ok {
+			delete(j.answers, id)
 			j.queries++
 			j.signalLocked()
-			j.mu.Unlock()
 			return lab, nil
+		}
+		if err := ctx.Err(); err != nil {
+			j.removePendingLocked(id)
+			j.signalLocked()
+			return 0, err
 		}
 		ch := j.notify
 		j.mu.Unlock()
 		select {
 		case <-ch:
 		case <-ctx.Done():
-			j.mu.Lock()
-			j.removePendingLocked(int64(s))
-			j.signalLocked()
-			j.mu.Unlock()
-			return 0, ctx.Err()
 		}
 		j.mu.Lock()
 	}
+}
+
+// askLocked makes the stranger's question pending, unless it already
+// is or its answer is waiting, and reports whether it added one.
+// Callers hold mu.
+func (j *job) askLocked(stranger int64) bool {
+	if _, ok := j.answers[stranger]; ok {
+		return false
+	}
+	for _, q := range j.pending {
+		if q.Stranger == stranger {
+			return false
+		}
+	}
+	j.seq++
+	j.pending = append(j.pending, client.Question{Seq: j.seq, Stranger: stranger})
+	return true
 }
 
 // removePendingLocked drops the stranger's pending question and

@@ -74,13 +74,19 @@ func newTestServer(t testing.TB, cfg server.Config) (*server.Server, *httptest.S
 // exactly what a library user gets — and renders the wire encoding.
 func serialWireBytes(t testing.TB, ds *dataset.Dataset, owner graph.UserID) []byte {
 	t.Helper()
+	return serialWireBytesWith(t, ds, owner, sight.DefaultOptions())
+}
+
+// serialWireBytesWith is serialWireBytes under the given options.
+func serialWireBytesWith(t testing.TB, ds *dataset.Dataset, owner graph.UserID, opts sight.Options) []byte {
+	t.Helper()
 	rec, ok := ds.Owner(owner)
 	if !ok {
 		t.Fatalf("owner %d not in dataset", owner)
 	}
 	net := sight.WrapNetwork(ds.Graph, ds.ProfileStore())
 	ann := dataset.StoredAnnotator{Labels: rec.Labels, Fallback: label.Risky}
-	rep, err := sight.EstimateRisk(context.Background(), net, owner, ann, sight.DefaultOptions())
+	rep, err := sight.EstimateRisk(context.Background(), net, owner, ann, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

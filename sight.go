@@ -96,7 +96,9 @@ const (
 // reproducible reports the annotator must be deterministic per
 // stranger: asking about the same stranger twice must yield the same
 // label, and the label must not depend on the order questions arrive
-// in.
+// in. LabelStranger is still called one question at a time when the
+// annotator is a RoundAsker, which is shown each round's questions
+// first.
 type Annotator interface {
 	// LabelStranger returns the owner's risk label for the stranger.
 	LabelStranger(s UserID) Label
@@ -119,6 +121,19 @@ type FallibleAnnotator = active.FallibleAnnotator
 
 // FallibleAnnotatorFunc adapts a function to FallibleAnnotator.
 type FallibleAnnotatorFunc = active.FallibleFunc
+
+// RoundAsker is the optional round-at-once extension of
+// FallibleAnnotator, for frontends that save a round trip per question
+// by showing the owner a whole round (Options.Learning.PerRound
+// strangers, or a small pool's members) at once. AskRound is called
+// once per round, before the round's first LabelStranger, with the
+// strangers in the order LabelStranger will then ask for them; reports
+// do not depend on it. When the run's context ends mid-round,
+// LabelStranger is called with the done context for the round's
+// strangers not yet asked, so answers the owner already gave are kept;
+// such a call must return at once, with a held answer or the context's
+// error.
+type RoundAsker = active.RoundAsker
 
 // ErrAbandoned is returned by an annotator when the owner has walked
 // away for good. The engine stops asking questions and returns a
