@@ -108,8 +108,8 @@ race:
 
 # Decoder fuzzing: run the snapshot-file corruption fuzzer and the
 # delta-batch fuzzer (decode, validate, ApplyCloned against Apply on a
-# deep copy) for a short bounded burst each (longer runs: raise
-# -fuzztime).
+# deep copy and on a .snap-shaped world) for a short bounded burst each
+# (longer runs: raise -fuzztime).
 fuzz:
 	$(GO) test -run Fuzz -fuzz=FuzzSnapfileOpen -fuzztime=10s ./internal/graph/snapfile
 	$(GO) test -run Fuzz -fuzz=FuzzApplyCloned -fuzztime=10s ./internal/delta

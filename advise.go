@@ -11,11 +11,13 @@ import (
 	"fmt"
 	"math"
 
+	"sightrisk/internal/active"
 	"sightrisk/internal/advisor"
 	"sightrisk/internal/autotune"
 	"sightrisk/internal/cluster"
 	"sightrisk/internal/core"
 	"sightrisk/internal/delta"
+	"sightrisk/internal/graph"
 	"sightrisk/internal/label"
 	"sightrisk/internal/profile"
 	"sightrisk/internal/similarity"
@@ -79,7 +81,7 @@ func (p AccessPolicy) Enforce(n *Network, rep *Report) (*AccessController, error
 	for _, sr := range rep.Strangers {
 		labels[sr.User] = sr.Label
 	}
-	e, err := advisor.NewEnforcer(n.snapshot(), rep.Owner, labels, p.inner)
+	e, err := advisor.NewEnforcer(n.g.Snapshot(), rep.Owner, labels, p.inner)
 	if err != nil {
 		return nil, err
 	}
@@ -257,30 +259,22 @@ func (p AccessPolicy) AssessRequest(before, after *Report, candidate UserID) (*F
 }
 
 // AdviseRequest evaluates a pending friendship request end to end
-// before the owner accepts it: run the owner's current estimate,
-// construct the counterfactual network with the candidate edge added,
-// revise the estimate incrementally against that run (see
-// internal/delta — only pools the new edge dirties are recomputed) and
-// assess the per-item exposure delta under the policy. The
-// counterfactual path is byte-identical to a full recompute on the
-// modified graph. The network must be graph-backed (ErrReadOnly
-// otherwise) and is not modified: the counterfactual edge lands on a
-// clone.
+// before the owner accepts it: run the owner's current estimate, then
+// assess the counterfactual with the candidate edge added (see
+// AdviseRun). The counterfactual path is byte-identical to a full
+// recompute on the modified graph. The network is not modified: the
+// counterfactual edge lands on a clone.
 func (p AccessPolicy) AdviseRequest(ctx context.Context, n *Network, owner, candidate UserID, ann AnyAnnotator, opts Options) (*FriendRequestAssessment, error) {
 	if n == nil {
 		return nil, fmt.Errorf("sight: network must not be nil")
 	}
-	g := n.Graph()
-	if g == nil {
-		return nil, ErrReadOnly
-	}
 	if owner == candidate {
 		return nil, fmt.Errorf("sight: candidate must differ from owner")
 	}
-	if !g.HasNode(owner) || !g.HasNode(candidate) {
+	if !n.g.HasNode(owner) || !n.g.HasNode(candidate) {
 		return nil, fmt.Errorf("sight: owner %d and candidate %d must both exist in the network", owner, candidate)
 	}
-	if g.HasEdge(owner, candidate) {
+	if n.g.HasEdge(owner, candidate) {
 		return nil, fmt.Errorf("sight: users %d and %d are already friends", owner, candidate)
 	}
 	fallible, err := AsFallible(ann)
@@ -291,20 +285,38 @@ func (p AccessPolicy) AdviseRequest(ctx context.Context, n *Network, owner, cand
 	if err != nil {
 		return nil, err
 	}
-	beforeRun, err := core.New(cfg).RunOwner(ctx, g, n.profiles, owner, fallible, math.NaN())
-	if err != nil {
-		return nil, err
+	a, _, err := p.AdviseRun(ctx, cfg, n.g, n.profiles, owner, candidate, fallible, nil)
+	return a, err
+}
+
+// AdviseRun is the friendship-request counterfactual every advise call
+// runs: it clones g, adds the owner–candidate edge to the clone,
+// revises the owner's current run against it (delta.Revise — only the
+// pools the edge dirties are recomputed) and assesses the two reports
+// under the policy. current is the owner's run on g and store under
+// cfg; nil means compute it first. g and store are not modified, and
+// the returned stats say what the revision recomputed. The caller
+// checks that both users exist in g and are not already friends.
+// Intended for code inside this module (the serving layer passes the
+// run it holds); external users call AdviseRequest.
+func (p AccessPolicy) AdviseRun(ctx context.Context, cfg core.Config, g *graph.Graph, store *profile.Store, owner, candidate UserID, ann active.FallibleAnnotator, current *core.OwnerRun) (*FriendRequestAssessment, delta.Stats, error) {
+	if current == nil {
+		var err error
+		if current, err = core.New(cfg).RunOwner(ctx, g, store, owner, ann, math.NaN()); err != nil {
+			return nil, delta.Stats{}, err
+		}
 	}
 	gc := g.Clone()
 	batch := delta.Batch{{Kind: delta.EdgeAdd, A: owner, B: candidate}}
-	if err := batch.Apply(gc, n.profiles); err != nil {
-		return nil, err
+	if err := batch.Apply(gc, store); err != nil {
+		return nil, delta.Stats{}, err
 	}
-	afterRun, _, err := delta.Revise(ctx, cfg, gc, n.profiles, owner, fallible, math.NaN(), beforeRun, batch)
+	after, stats, err := delta.Revise(ctx, cfg, gc, store, owner, ann, math.NaN(), current, batch)
 	if err != nil {
-		return nil, err
+		return nil, delta.Stats{}, err
 	}
-	return p.AssessRequest(AssembleReport(beforeRun), AssembleReport(afterRun), candidate)
+	a, err := p.AssessRequest(AssembleReport(current), AssembleReport(after), candidate)
+	return a, stats, err
 }
 
 // SettingsSuggestion is one privacy-settings recommendation, ranked by
@@ -372,7 +384,7 @@ func TuneParameters(n *Network, owner UserID, priorLabels map[UserID]Label) (Tun
 	if n == nil {
 		return TunedParameters{}, fmt.Errorf("sight: nil network")
 	}
-	snap := n.snapshot()
+	snap := n.g.Snapshot()
 	strangers := snap.Strangers(owner)
 	if len(strangers) == 0 {
 		return TunedParameters{}, fmt.Errorf("sight: owner %d has no strangers to tune on", owner)

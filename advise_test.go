@@ -2,7 +2,6 @@ package sight
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -330,13 +329,24 @@ func TestAdviseRequestFacade(t *testing.T) {
 	if _, err := policy.AdviseRequest(context.Background(), net, owner, friend, ann, opts); err == nil {
 		t.Fatal("existing friend accepted as a candidate")
 	}
-	snapNet := WrapSnapshot(net.Graph().Snapshot(), net.profiles)
-	if _, err := policy.AdviseRequest(context.Background(), snapNet, owner, candidate, ann, opts); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("snapshot-backed network: err = %v, want ErrReadOnly", err)
+	// A network over a frozen snapshot advises exactly like the
+	// graph-backed one, and the counterfactual edge never reaches the
+	// snapshot.
+	snap := net.Graph().Snapshot()
+	snapNet := WrapSnapshot(snap, net.profiles)
+	sa, err := policy.AdviseRequest(context.Background(), snapNet, owner, candidate, ann, opts)
+	if err != nil {
+		t.Fatalf("advise on a snapshot-backed network: %v", err)
+	}
+	if got := fmt.Sprintf("%+v", sa); got != ab {
+		t.Fatalf("snapshot-backed advise differs:\n got %s\nwant %s", got, ab)
+	}
+	if snapNet.Graph().Snapshot() != snap || snap.HasEdge(owner, candidate) {
+		t.Fatal("advise changed the snapshot-backed network")
 	}
 
-	// Tuning and access control only read the graph, so they work on
-	// the snapshot-backed network and match the graph-backed results.
+	// Tuning and access control match the graph-backed results on the
+	// snapshot-backed network too.
 	tuned, err := TuneParameters(net, owner, nil)
 	if err != nil {
 		t.Fatal(err)

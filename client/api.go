@@ -280,9 +280,9 @@ type ReviseRequest struct {
 // owner's current estimate.
 type AdviseRequest struct {
 	// Dataset names the dataset holding the owner's network and stored
-	// labels. It must be mutable (graph-backed): the counterfactual is
-	// built by cloning the live graph, so snapshot-only datasets cannot
-	// be advised on.
+	// labels, JSON or snapshot file alike: the counterfactual edge goes
+	// to an O(1) clone of the dataset's current graph, never to the
+	// dataset itself.
 	Dataset string `json:"dataset"`
 	// Owner is the user who received the friendship request; it is also
 	// the cluster routing key — in cluster mode the evaluation runs on

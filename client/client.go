@@ -94,27 +94,9 @@ type Client struct {
 	// HTTPClient issues the requests; http.DefaultClient when nil.
 	// Long-poll calls need a generous (or zero) Timeout.
 	HTTPClient *http.Client
-	// Options groups the per-call knobs. A zero-value knob falls back
-	// to the matching deprecated flat field below, then to the default —
-	// so both old and new callers keep working unchanged.
+	// Options groups the per-call knobs; a zero-value knob takes its
+	// default.
 	Options Options
-
-	// LongPoll is the questions long-poll wait.
-	//
-	// Deprecated: use Options.Estimate.LongPoll.
-	LongPoll time.Duration
-	// NoRetry disables automatic retry.
-	//
-	// Deprecated: use Options.Retry.Disabled.
-	NoRetry bool
-	// MaxRetries bounds the retry attempts.
-	//
-	// Deprecated: use Options.Retry.MaxAttempts.
-	MaxRetries int
-	// MaxRetryWait caps the wait before any single retry.
-	//
-	// Deprecated: use Options.Retry.MaxWait.
-	MaxRetryWait time.Duration
 }
 
 // longPoll resolves the effective questions long-poll wait.
@@ -122,29 +104,19 @@ func (c *Client) longPoll() time.Duration {
 	if c.Options.Estimate.LongPoll > 0 {
 		return c.Options.Estimate.LongPoll
 	}
-	if c.LongPoll > 0 {
-		return c.LongPoll
-	}
 	return DefaultLongPoll
 }
 
-// retryPolicy resolves the effective retry policy, folding the
-// deprecated flat fields under the grouped options.
+// retryPolicy resolves the effective retry policy.
 func (c *Client) retryPolicy() (maxRetries int, maxWait time.Duration) {
 	maxRetries = c.Options.Retry.MaxAttempts
 	if maxRetries <= 0 {
-		maxRetries = c.MaxRetries
-	}
-	if maxRetries <= 0 {
 		maxRetries = DefaultMaxRetries
 	}
-	if c.Options.Retry.Disabled || c.NoRetry {
+	if c.Options.Retry.Disabled {
 		maxRetries = 0
 	}
 	maxWait = c.Options.Retry.MaxWait
-	if maxWait <= 0 {
-		maxWait = c.MaxRetryWait
-	}
 	if maxWait <= 0 {
 		maxWait = DefaultMaxRetryWait
 	}

@@ -90,14 +90,14 @@ func TestNoRetryOptOut(t *testing.T) {
 	hs := httptest.NewServer(flakyHandler(99, http.StatusServiceUnavailable, "", &hits))
 	defer hs.Close()
 	c := New(hs.URL)
-	c.NoRetry = true
+	c.Options.Retry.Disabled = true
 	_, err := c.Get(context.Background(), "e000001")
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusServiceUnavailable {
 		t.Fatalf("err = %v, want the raw 503", err)
 	}
 	if got := hits.Load(); got != 1 {
-		t.Errorf("server saw %d requests, want exactly 1 with NoRetry", got)
+		t.Errorf("server saw %d requests, want exactly 1 with Retry.Disabled", got)
 	}
 }
 

@@ -93,10 +93,15 @@ func newBenchCluster(n int, stateDir string, mk func() map[string]*dataset.Datas
 			bc.close()
 			return nil, err
 		}
+		store, err := server.NewDirStore(stateDir)
+		if err != nil {
+			bc.close()
+			return nil, err
+		}
 		bc.metrics[i] = &obs.Metrics{}
 		cfg := server.Config{
 			Datasets:      mk(),
-			StateDir:      stateDir,
+			Store:         store,
 			Cluster:       roster,
 			Metrics:       bc.metrics[i],
 			ProbeInterval: 50 * time.Millisecond,
@@ -474,7 +479,7 @@ func auditCluster(seed int64) (int, string, error) {
 		return 0, "", err
 	}
 	for _, c := range cl.Clients {
-		c.LongPoll = time.Second
+		c.Options.Estimate.LongPoll = time.Second
 	}
 
 	victim := place.BuildRing(1, []string{"n1", "n2"}).Owner(int64(rec.ID))

@@ -44,7 +44,7 @@
 //	sightctl updates -server URL -dataset NAME [-owner ID] [-file updates.json] [-revise JOBID] [-v]
 //	    Apply a batch of graph/profile updates (a JSON array of
 //	    {"kind","a","b","attr","value","visible"} records, read from
-//	    -file or stdin) to a mutable dataset on a sightd server. With
+//	    -file or stdin) to a dataset on a sightd server. With
 //	    -revise the batch is applied through the revision endpoint of a
 //	    finished estimate and the per-pool report deltas are streamed
 //	    as they land — reused pools are marked, so the output shows how
@@ -799,7 +799,7 @@ type adviseAPI interface {
 func cmdAdvise(args []string) error {
 	fs := flag.NewFlagSet("advise", flag.ExitOnError)
 	serverURL := fs.String("server", "", "sightd base URL or comma-separated replica list (URLs or id=url); the request routes to the replica owning -owner")
-	dsName := fs.String("dataset", "", "dataset name on the server (required; must be mutable)")
+	dsName := fs.String("dataset", "", "dataset name on the server (required)")
 	ownerID := fs.Int64("owner", 0, "owner who received the friendship request (required)")
 	candID := fs.Int64("candidate", 0, "user asking to become a friend (required)")
 	seed := fs.Int64("seed", 1, "sampling seed; match the owner's standing estimate so the server can reuse it")

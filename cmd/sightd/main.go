@@ -182,7 +182,7 @@ func run() error {
 	flag.Var(&peers, "peer", "cluster mode: member as id=url (repeatable; must include an entry for -node itself)")
 	flag.Parse()
 
-	var cluster place.Placement
+	var cluster *place.Roster
 	if *nodeID != "" || len(peers) > 0 {
 		if *nodeID == "" {
 			return fmt.Errorf("-peer given without -node")
@@ -190,16 +190,23 @@ func run() error {
 		if *stateDir == "" {
 			return fmt.Errorf("cluster mode needs a shared -state directory")
 		}
-		roster, err := place.NewRoster(*nodeID, peers)
-		if err != nil {
+		var err error
+		if cluster, err = place.NewRoster(*nodeID, peers); err != nil {
 			return err
 		}
-		cluster = roster
 		ids := make([]string, 0, len(peers))
 		for _, n := range peers {
 			ids = append(ids, n.ID)
 		}
 		log.Printf("sightd: cluster mode — node %s, members %s, probe %v", *nodeID, strings.Join(ids, ","), *probe)
+	}
+	var store server.Store
+	if *stateDir != "" {
+		dir, err := server.NewDirStore(*stateDir)
+		if err != nil {
+			return err
+		}
+		store = dir
 	}
 
 	loaded := make(map[string]*dataset.Runtime, len(datasets))
@@ -224,7 +231,7 @@ func run() error {
 	srv, err := server.New(server.Config{
 		Runtimes:      loaded,
 		Workers:       *workers,
-		StateDir:      *stateDir,
+		Store:         store,
 		Limits:        limits,
 		Cluster:       cluster,
 		ProbeInterval: *probe,

@@ -67,18 +67,6 @@ func (e *Enforcer) CanSee(viewer graph.UserID, item profile.Item) Decision {
 	return Decision{false, fmt.Sprintf("stranger labeled %s blocked by policy", l)}
 }
 
-// VisibleItems lists the owner items the viewer may see, in the
-// canonical item order.
-func (e *Enforcer) VisibleItems(viewer graph.UserID) []profile.Item {
-	var out []profile.Item
-	for _, item := range profile.Items() {
-		if e.CanSee(viewer, item).Allow {
-			out = append(out, item)
-		}
-	}
-	return out
-}
-
 // Audience counts, per item, how many of the labeled strangers the
 // policy admits — the number the owner sees when previewing a policy
 // change.

@@ -120,23 +120,6 @@ func TestCanSeeInvalidLabelDenied(t *testing.T) {
 	}
 }
 
-func TestVisibleItems(t *testing.T) {
-	e := newTestEnforcer(t)
-	got := e.VisibleItems(3) // not risky: photo, work, education
-	want := map[profile.Item]bool{profile.ItemPhoto: true, profile.ItemWork: true, profile.ItemEdu: true}
-	if len(got) != len(want) {
-		t.Fatalf("visible items = %v", got)
-	}
-	for _, item := range got {
-		if !want[item] {
-			t.Fatalf("unexpected visible item %s", item)
-		}
-	}
-	if items := e.VisibleItems(7); len(items) != 0 {
-		t.Fatalf("disconnected viewer sees %v", items)
-	}
-}
-
 func TestAudience(t *testing.T) {
 	e := newTestEnforcer(t)
 	aud := e.Audience()

@@ -60,9 +60,9 @@ type Config struct {
 	// copy, shared by every reader until the next change).
 	//
 	// With a Snapshot set, RunOwner also accepts a nil graph: every
-	// structural query is answered by the snapshot. This is how
-	// mmap-backed snapshot files (graph/snapfile) run — no mutable
-	// graph is ever materialized.
+	// structural query is answered by the snapshot, so a caller that
+	// holds only a snapshot — one mapped from a snapshot file
+	// (graph/snapfile), say — needs no graph.
 	Snapshot *graph.Snapshot
 	// Weights, when non-nil, is a shared content-keyed cache for the
 	// per-pool PS weight kernels (classify.Kernel). Pools whose
@@ -259,28 +259,6 @@ func (r *OwnerRun) FinalRMSE() float64 {
 	return stats.MeanIgnoringNaN(vals)
 }
 
-// VeryRiskyShareByNSG returns, per network similarity group (1-based
-// index = slice index + 1), the share of strangers labeled very risky
-// — Figure 7's series. Groups without strangers yield NaN.
-func (r *OwnerRun) VeryRiskyShareByNSG() []float64 {
-	labels := r.Labels()
-	out := make([]float64, r.NSG.Alpha)
-	for gi, members := range r.NSG.Groups {
-		if len(members) == 0 {
-			out[gi] = math.NaN()
-			continue
-		}
-		very := 0
-		for _, m := range members {
-			if labels[m] == label.VeryRisky {
-				very++
-			}
-		}
-		out[gi] = float64(very) / float64(len(members))
-	}
-	return out
-}
-
 // Engine runs the pipeline.
 type Engine struct {
 	cfg Config
@@ -328,8 +306,7 @@ func (e *Engine) RunOwner(ctx context.Context, g *graph.Graph, store *profile.St
 		return nil, fmt.Errorf("core: profile store must not be nil")
 	}
 	// A nil graph is allowed when a frozen snapshot serves every
-	// structural query (the mmap-backed path, where no mutable graph
-	// ever exists).
+	// structural query.
 	snap := e.cfg.Snapshot
 	if snap == nil {
 		if g == nil {

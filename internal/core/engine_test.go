@@ -136,31 +136,6 @@ func TestConfidenceOverride(t *testing.T) {
 	}
 }
 
-func TestVeryRiskyShareByNSG(t *testing.T) {
-	study := studyWorld(t)
-	engine := New(DefaultConfig())
-	o := study.Owners[0]
-	run, err := engine.RunOwner(context.Background(), study.Graph, study.Profiles, o.ID, active.Infallible(o), o.Confidence)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shares := run.VeryRiskyShareByNSG()
-	if len(shares) != DefaultConfig().Pool.Alpha {
-		t.Fatalf("shares len = %d", len(shares))
-	}
-	for gi, members := range run.NSG.Groups {
-		if len(members) == 0 {
-			if !math.IsNaN(shares[gi]) {
-				t.Fatalf("empty group %d share = %g, want NaN", gi+1, shares[gi])
-			}
-			continue
-		}
-		if shares[gi] < 0 || shares[gi] > 1 {
-			t.Fatalf("group %d share = %g", gi+1, shares[gi])
-		}
-	}
-}
-
 func TestNSPStrategyRuns(t *testing.T) {
 	study := studyWorld(t)
 	cfg := DefaultConfig()

@@ -12,21 +12,25 @@ import (
 	"sightrisk/internal/profile"
 )
 
-// Runtime is a dataset in its serving shape: the frozen graph
-// snapshot, a profile store, and the owner roster — everything the
-// engine and the fleet need, decoupled from how the dataset is stored.
-// A JSON study materializes all of it up front; a packed .snap file
-// keeps the graph and profiles on mmap'd pages (Graph is nil,
-// profiles materialize lazily) so preloading a million-node dataset
-// costs page-table setup, not a parse.
+// Runtime is a dataset in its serving shape: the live graph, its
+// frozen snapshot, a profile store, and the owner roster — everything
+// the engine and the fleet need, decoupled from how the dataset is
+// stored. A JSON study materializes all of it up front; a packed .snap
+// file keeps the snapshot and profiles on mmap'd pages (profiles
+// materialize lazily) so preloading a million-node dataset costs
+// page-table setup, not a parse. Either way Graph is a graph over
+// Snapshot and takes updates the same way: a .snap runtime's graph is
+// graph.FromSnapshot of the mapped snapshot, whose changes go to the
+// graph's overlay and never to the mapped pages.
 type Runtime struct {
 	// Name labels the dataset.
 	Name string
-	// Graph is the live mutable graph, nil when snapshot-backed.
+	// Graph is the live mutable graph; never nil.
 	Graph *graph.Graph
-	// Snapshot is the frozen CSR view every job shares.
+	// Snapshot is the frozen CSR view every job shares: Graph's
+	// snapshot when the runtime was opened.
 	Snapshot *graph.Snapshot
-	// Profiles holds the user profiles (lazy when snapshot-backed).
+	// Profiles holds the user profiles (lazy when mapped).
 	Profiles *profile.Store
 	// Owners are the study participants with their ground truth.
 	Owners []OwnerRecord
@@ -126,13 +130,14 @@ func OpenRuntime(path string) (*Runtime, error) {
 
 // openSnapRuntime maps a snapshot file and assembles the runtime
 // around it: the snapshot and profile columns alias the mapped pages,
-// and the owner roster decodes from the aux section.
+// the graph is an O(1) graph over the snapshot, and the owner roster
+// decodes from the aux section.
 func openSnapRuntime(path string) (*Runtime, error) {
 	f, err := snapfile.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("dataset: open %s: %w", path, err)
 	}
-	rt := &Runtime{Snapshot: f.Snapshot(), closer: f}
+	rt := &Runtime{Graph: graph.FromSnapshot(f.Snapshot()), Snapshot: f.Snapshot(), closer: f}
 	if table := f.Profiles(); table != nil {
 		rt.Profiles = table.Store()
 	} else {

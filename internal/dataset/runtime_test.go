@@ -23,8 +23,8 @@ func TestPackSnapOpenRuntime(t *testing.T) {
 	if !rt.Mapped() {
 		t.Fatal("snapshot runtime not mapped")
 	}
-	if rt.Graph != nil {
-		t.Fatal("snapshot runtime carries a live graph")
+	if rt.Graph == nil || rt.Graph.Snapshot() != rt.Snapshot {
+		t.Fatal("snapshot runtime's graph is not a graph over its mapped snapshot")
 	}
 	if rt.Name != ds.Name {
 		t.Fatalf("name %q, want %q", rt.Name, ds.Name)

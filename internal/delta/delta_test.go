@@ -69,7 +69,7 @@ func TestBatchApplyIdempotent(t *testing.T) {
 	}
 }
 
-// dirtyWorld builds a fixed topology for the Affected rules:
+// dirtyWorld builds a fixed topology for the dirty rules:
 // owner 1 — friends 2, 3 — stranger 4 (via 2) — third-hop node 5
 // (via 4) — detached pair 6, 7.
 func dirtyWorld(t *testing.T) *graph.Graph {
@@ -83,9 +83,11 @@ func dirtyWorld(t *testing.T) *graph.Graph {
 	return g
 }
 
+// TestAffectedRules checks which single updates DirtyUsers finds able
+// to affect owner 1's report.
 func TestAffectedRules(t *testing.T) {
 	g := dirtyWorld(t)
-	one := func(u delta.Update) bool { return delta.Affected(g, 1, delta.Batch{u}) }
+	one := func(u delta.Update) bool { return delta.DirtyUsers(g, delta.Batch{u})[1] }
 
 	cases := []struct {
 		name string
@@ -108,18 +110,18 @@ func TestAffectedRules(t *testing.T) {
 	}
 	for _, c := range cases {
 		if got := one(c.u); got != c.want {
-			t.Errorf("%s: Affected = %v, want %v", c.name, got, c.want)
+			t.Errorf("%s: dirty = %v, want %v", c.name, got, c.want)
 		}
 	}
 
 	// Intra-batch cascade: edge(8,9) alone is invisible, but the batch
-	// also wires 8 to a friend — the friend-incident record trips the
-	// scan regardless of order.
+	// also wires 8 to a friend — the friend-incident record dirties the
+	// owner regardless of order.
 	cascade := delta.Batch{
 		{Kind: delta.EdgeAdd, A: 8, B: 9},
 		{Kind: delta.EdgeAdd, A: 2, B: 8},
 	}
-	if !delta.Affected(g, 1, cascade) {
+	if !delta.DirtyUsers(g, cascade)[1] {
 		t.Fatal("cascading batch not detected")
 	}
 
@@ -129,11 +131,11 @@ func TestAffectedRules(t *testing.T) {
 	if err := post.Apply(g, profile.NewStore()); err != nil {
 		t.Fatal(err)
 	}
-	if !delta.Affected(g, 1, post) {
+	if !delta.DirtyUsers(g, post)[1] {
 		t.Fatal("post-apply evaluation missed an applied edge")
 	}
 
-	if delta.Affected(g, 1, nil) {
+	if delta.DirtyUsers(g, nil)[1] {
 		t.Fatal("empty batch affected")
 	}
 }
@@ -148,12 +150,44 @@ func TestDirtyOwners(t *testing.T) {
 	}
 }
 
+// affected is the per-owner reference for DirtyUsers: whether the
+// batch can change owner's report, read from the owner's side — one
+// enumeration of the owner's 2-hop view R = {owner} ∪ friends ∪
+// strangers, then a scan of the batch. An edge update matters when an
+// endpoint lies in R, a profile update when its subject is the owner
+// or a stranger; node additions and visibility flips never do.
+func affected(g *graph.Graph, owner graph.UserID, b delta.Batch) bool {
+	friends, strangers := g.Friends(owner), g.Strangers(owner)
+	reach := map[graph.UserID]bool{owner: true}    // R
+	profiled := map[graph.UserID]bool{owner: true} // {owner} ∪ strangers
+	for _, f := range friends {
+		reach[f] = true
+	}
+	for _, s := range strangers {
+		reach[s] = true
+		profiled[s] = true
+	}
+	for _, u := range b {
+		switch u.Kind {
+		case delta.EdgeAdd, delta.EdgeRemove:
+			if reach[u.A] || reach[u.B] {
+				return true
+			}
+		case delta.ProfileSet:
+			if profiled[u.A] {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // referenceDirtyOwners is the per-owner loop DirtyOwners replaced: one
-// Affected call, so one 2-hop enumeration, per owner.
+// affected call, so one 2-hop enumeration, per owner.
 func referenceDirtyOwners(g *graph.Graph, owners []graph.UserID, b delta.Batch) []graph.UserID {
 	var dirty []graph.UserID
 	for _, o := range owners {
-		if delta.Affected(g, o, b) {
+		if affected(g, o, b) {
 			dirty = append(dirty, o)
 		}
 	}
@@ -165,9 +199,9 @@ func referenceDirtyOwners(g *graph.Graph, owners []graph.UserID, b delta.Batch) 
 // every kind — edge adds and removes between present nodes, to new
 // nodes and at owners, repeated endpoints, profile sets, node adds and
 // visibility flips — DirtyOwners returns exactly the per-owner
-// Affected loop's result, on the graph before the batch and after it,
-// and DirtyUsers holds exactly the ids, present or absent, that
-// Affected finds dirty.
+// reference loop's result, on the graph before the batch and after it,
+// and DirtyUsers holds exactly the ids, present or absent, that the
+// per-owner reference (affected) finds dirty.
 func TestPropDirtyOwnersMatchesAffected(t *testing.T) {
 	attrs := profile.ClusteringAttributes()
 	for seed := int64(1); seed <= 300; seed++ {
@@ -225,12 +259,12 @@ func TestPropDirtyOwnersMatchesAffected(t *testing.T) {
 			}
 			got, want := delta.DirtyOwners(g, owners, b), referenceDirtyOwners(g, owners, b)
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed %d, %s the batch: owners %v batch %+v: DirtyOwners = %v, Affected loop %v", seed, side, owners, b, got, want)
+				t.Fatalf("seed %d, %s the batch: owners %v batch %+v: DirtyOwners = %v, reference loop %v", seed, side, owners, b, got, want)
 			}
 			all := delta.DirtyUsers(g, b)
 			for id := graph.UserID(0); id < graph.UserID(n+5); id++ {
-				if all[id] != delta.Affected(g, id, b) {
-					t.Fatalf("seed %d, %s the batch: batch %+v: DirtyUsers has %d = %v, Affected says %v", seed, side, b, id, all[id], !all[id])
+				if all[id] != affected(g, id, b) {
+					t.Fatalf("seed %d, %s the batch: batch %+v: DirtyUsers has %d = %v, the reference says %v", seed, side, b, id, all[id], !all[id])
 				}
 			}
 			if len(all) > n+5 {
@@ -330,7 +364,7 @@ func TestReviseByteIdentical(t *testing.T) {
 	if err := batch.Apply(study.Graph, study.Profiles); err != nil {
 		t.Fatal(err)
 	}
-	if !delta.Affected(study.Graph, o.ID, batch) {
+	if !delta.DirtyUsers(study.Graph, batch)[o.ID] {
 		t.Fatal("batch should be dirty for the owner")
 	}
 
@@ -342,7 +376,7 @@ func TestReviseByteIdentical(t *testing.T) {
 	if d := core.DiffRuns(ref, revised); d != "" {
 		t.Fatalf("revised run diverges from full recompute: %s", d)
 	}
-	if !st.Affected || st.PoolsTotal != len(revised.Pools) || st.PoolsReused+st.PoolsRerun != st.PoolsTotal {
+	if st.PoolsTotal != len(revised.Pools) || st.PoolsReused+st.PoolsRerun != st.PoolsTotal {
 		t.Fatalf("inconsistent stats %+v", st)
 	}
 	if st.PoolsReused == 0 {
@@ -353,8 +387,9 @@ func TestReviseByteIdentical(t *testing.T) {
 	}
 }
 
-// TestReviseNoOp: a batch outside the owner's 2-hop view serves the
-// prior run untouched — same pointer, no pipeline work.
+// TestReviseNoOp: a batch outside the owner's 2-hop view leaves every
+// pool's inputs unchanged, so the revision splices every pool and
+// reproduces the prior run exactly.
 func TestReviseNoOp(t *testing.T) {
 	study, o := reviseStudy(t)
 	prior := fullRun(t, study, o)
@@ -367,15 +402,18 @@ func TestReviseNoOp(t *testing.T) {
 	if err := batch.Apply(study.Graph, study.Profiles); err != nil {
 		t.Fatal(err)
 	}
+	if delta.DirtyUsers(study.Graph, batch)[o.ID] {
+		t.Fatal("a batch outside the owner's view marked the owner dirty")
+	}
 	revised, st, err := delta.Revise(context.Background(), core.DefaultConfig(), study.Graph, study.Profiles, o.ID, active.Infallible(o), o.Confidence, prior, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if revised != prior {
-		t.Fatal("no-op revision did not serve the prior run")
+	if st.PoolsTotal != len(prior.Pools) || st.PoolsReused != len(prior.Pools) || st.PoolsRerun != 0 {
+		t.Fatalf("no-op stats %+v, want all %d pools spliced", st, len(prior.Pools))
 	}
-	if st.Affected || st.PoolsReused != len(prior.Pools) || st.PoolsRerun != 0 {
-		t.Fatalf("no-op stats %+v", st)
+	if d := core.DiffRuns(prior, revised); d != "" {
+		t.Fatalf("no-op revision diverges from prior: %s", d)
 	}
 }
 
@@ -395,7 +433,7 @@ func TestReviseConservativeBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.Affected {
+	if !delta.DirtyUsers(study.Graph, batch)[o.ID] {
 		t.Fatal("friend-incident removal should be conservatively dirty")
 	}
 	if st.PoolsRerun != 0 || st.PoolsReused != len(prior.Pools) {

@@ -4,75 +4,6 @@ import (
 	"sightrisk/internal/graph"
 )
 
-// Affected reports whether the batch can possibly change owner's risk
-// report — the owner-level dirty check. It is conservative (never
-// returns false for a batch that matters) and cheap: one enumeration
-// of the owner's 2-hop view, then a linear scan of the batch.
-//
-// The rule rests on what the report depends on: the stranger set
-// (distance-2 nodes), each stranger's NS score (mutual friends, the
-// owner's and the stranger's degrees, density among mutual friends)
-// and the strangers' profile attributes. Writing R = {owner} ∪
-// friends(owner) ∪ strangers(owner):
-//
-//   - an edge update with neither endpoint in R cannot change any of
-//     those inputs — it cannot create or sever a ≤2-hop path to the
-//     owner without an endpoint in R, and it cannot change the degree
-//     of the owner, a friend, or a stranger;
-//   - a profile update matters only for the owner or a stranger
-//     (pools and weights are built over stranger profiles only);
-//   - node additions are isolated until an edge arrives, and
-//     visibility flips feed benefit scoring, never the report.
-//
-// The check is sound whether g is the graph before or after the batch
-// was applied: a batch that changes the 2-hop view necessarily
-// contains an edge update incident to R in both states. Updates are
-// scanned with an early return, so a batch whose first record touches
-// R costs O(|R|).
-func Affected(g *graph.Graph, owner graph.UserID, b Batch) bool {
-	if g == nil || len(b) == 0 {
-		return false
-	}
-	var reach map[graph.UserID]bool    // {owner} ∪ friends ∪ strangers
-	var profiled map[graph.UserID]bool // {owner} ∪ strangers
-	build := func() {
-		friends := g.Friends(owner)
-		strangers := g.Strangers(owner)
-		reach = make(map[graph.UserID]bool, 1+len(friends)+len(strangers))
-		profiled = make(map[graph.UserID]bool, 1+len(strangers))
-		reach[owner] = true
-		profiled[owner] = true
-		for _, f := range friends {
-			reach[f] = true
-		}
-		for _, s := range strangers {
-			reach[s] = true
-			profiled[s] = true
-		}
-	}
-	for _, u := range b {
-		switch u.Kind {
-		case EdgeAdd, EdgeRemove:
-			if reach == nil {
-				build()
-			}
-			if reach[u.A] || reach[u.B] {
-				return true
-			}
-		case ProfileSet:
-			if reach == nil {
-				build()
-			}
-			if profiled[u.A] {
-				return true
-			}
-		case NodeAdd, VisibilitySet:
-			// Never dirties a report (see the kind docs).
-		}
-	}
-	return false
-}
-
 // DirtyOwners filters owners down to those the batch can affect,
 // preserving input order. This is the server's fan-out: an update
 // batch invalidates only the dirty owners' prior estimates. It is
@@ -89,13 +20,35 @@ func DirtyOwners(g *graph.Graph, owners []graph.UserID, b Batch) []graph.UserID 
 }
 
 // DirtyUsers returns the set of users whose report as owner the batch
-// can affect: for every user, what Affected returns, computed from the
-// batch's side instead. Hop distance is symmetric, so an edge endpoint
-// lies in a user's 2-hop view exactly when the user lies within two
-// hops of the endpoint, and a profile subject is the user or one of
-// its strangers exactly when the user is the subject or one of the
-// subject's strangers. Each distinct subject costs one enumeration of
-// its own 2-hop view, whatever the number of users.
+// can affect. It is conservative (it never leaves out a user whose
+// report the batch changes) and sound whether g is the graph before or
+// after the batch was applied.
+//
+// The rule rests on what an owner's report depends on: the stranger
+// set (distance-2 nodes), each stranger's NS score (mutual friends, the
+// owner's and the stranger's degrees, density among mutual friends)
+// and the strangers' profile attributes. Writing R = {owner} ∪
+// friends(owner) ∪ strangers(owner):
+//
+//   - an edge update dirties the owner when an endpoint lies in R —
+//     with neither endpoint in R it cannot create or sever a ≤2-hop
+//     path to the owner, nor change the degree of the owner, a friend
+//     or a stranger;
+//   - a profile update dirties the owner when its subject is the owner
+//     or a stranger (pools and weights are built over stranger
+//     profiles only);
+//   - node additions are isolated until an edge arrives, and
+//     visibility flips feed benefit scoring, never the report.
+//
+// A batch that changes an owner's 2-hop view contains an edge update
+// incident to R both before and after it is applied, which is why
+// either graph will do. The set is computed from the batch's side:
+// hop distance is symmetric, so an edge endpoint lies in a user's R
+// exactly when the user lies within two hops of the endpoint, and a
+// profile subject is the user or one of its strangers exactly when the
+// user is the subject or one of the subject's strangers. Each distinct
+// subject costs one enumeration of its own 2-hop view, whatever the
+// number of users.
 func DirtyUsers(g *graph.Graph, b Batch) map[graph.UserID]bool {
 	if g == nil || len(b) == 0 {
 		return nil
@@ -129,7 +82,7 @@ func DirtyUsers(g *graph.Graph, b Batch) map[graph.UserID]bool {
 		case ProfileSet:
 			reach(u.A, 1)
 		case NodeAdd, VisibilitySet:
-			// Never dirties a report (see Affected).
+			// Never dirties a report (see the kind docs).
 		}
 	}
 	return dirty

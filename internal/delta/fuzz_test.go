@@ -34,10 +34,41 @@ func fuzzWorld() (*graph.Graph, *profile.Store) {
 	return g, store
 }
 
-// storeBytes renders every profile of a store in user order.
-func storeBytes(t *testing.T, s *profile.Store) []byte {
+// snapWorld is fuzzWorld shaped like a served .snap dataset: a graph
+// over an index-less CSR copy of the world's snapshot (what
+// snapfile.Open hands out), and a lazy store that materializes a copy
+// of a world profile on first access. It also returns the base it
+// wraps.
+func snapWorld(t *testing.T) (*graph.Graph, *profile.Store, *graph.Snapshot) {
+	g, store := fuzzWorld()
+	ids, offsets, adj, adjIdx := g.Snapshot().CSR()
+	base, err := graph.SnapshotFromCSR(slices.Clone(ids), slices.Clone(offsets), slices.Clone(adj), slices.Clone(adjIdx), g.NumEdges())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lazy := profile.NewLazyStore(func(u graph.UserID) *profile.Profile {
+		if p := store.Get(u); p != nil {
+			return p.Clone()
+		}
+		return nil
+	})
+	return graph.FromSnapshot(base), lazy, base
+}
+
+// sameCSR reports whether two snapshots hold identical CSR arrays.
+func sameCSR(a, b *graph.Snapshot) bool {
+	ai, ao, aa, ax := a.CSR()
+	bi, bo, ba, bx := b.CSR()
+	return a.NumEdges() == b.NumEdges() && slices.Equal(ai, bi) && slices.Equal(ao, bo) &&
+		slices.Equal(aa, ba) && slices.Equal(ax, bx)
+}
+
+// profilesAt renders the given users' profiles, null for a user
+// without one: a lazy store lists only what it has materialized, so
+// stores are compared over a fixed set of users.
+func profilesAt(t *testing.T, s *profile.Store, users []graph.UserID) []byte {
 	var buf bytes.Buffer
-	for _, u := range s.Users() {
+	for _, u := range users {
 		b, err := json.Marshal(s.Get(u))
 		if err != nil {
 			t.Fatal(err)
@@ -46,6 +77,11 @@ func storeBytes(t *testing.T, s *profile.Store) []byte {
 		buf.WriteByte('\n')
 	}
 	return buf.Bytes()
+}
+
+// storeBytes renders every profile of a store in user order.
+func storeBytes(t *testing.T, s *profile.Store) []byte {
+	return profilesAt(t, s, s.Users())
 }
 
 // sameGraph reports whether two graphs hold the same nodes and rows.
@@ -66,7 +102,10 @@ func sameGraph(a, b *graph.Graph) bool {
 // ApplyCloned applies without touching its source store: the source
 // reads exactly as before, every profile the batch does not write stays
 // shared, and the returned store and graph equal Apply's on a deep copy
-// of the same world.
+// of the same world. Applied to the world shaped like a .snap dataset
+// (snapWorld), the batch leaves the wrapped base and the lazy source
+// store as they were, and the graph's fold and the returned profiles
+// equal Apply's.
 func FuzzApplyCloned(f *testing.F) {
 	f.Add([]byte(`[{"kind":"edge_add","a":1,"b":3}]`))
 	f.Add([]byte(`[{"kind":"edge_remove","a":2,"b":3},{"kind":"node_add","a":7}]`))
@@ -113,6 +152,28 @@ func FuzzApplyCloned(f *testing.F) {
 			if !written[u] && next.Get(u) != store.Get(u) {
 				t.Fatalf("profile %d, which the batch does not write, was copied", u)
 			}
+		}
+
+		gs, lazy, base := snapWorld(t)
+		nextS, err := b.ApplyCloned(gs, lazy)
+		if err != nil {
+			t.Fatalf("ApplyCloned on the .snap-shaped world: %v", err)
+		}
+		if !sameCSR(gs.Snapshot(), g2.Snapshot()) {
+			t.Fatal("the .snap-shaped world's fold differs from Apply's graph")
+		}
+		world, worldStore := fuzzWorld()
+		if !sameCSR(base, world.Snapshot()) {
+			t.Fatal("ApplyCloned wrote the base of the .snap-shaped world")
+		}
+		users := slices.Concat(g2.Nodes(), deep.Users(), b.Users())
+		slices.Sort(users)
+		users = slices.Compact(users)
+		if got, want := profilesAt(t, nextS, users), profilesAt(t, deep, users); !bytes.Equal(got, want) {
+			t.Fatalf("lazy ApplyCloned store differs from Apply on a deep copy:\ngot  %s\nwant %s", got, want)
+		}
+		if got, want := profilesAt(t, lazy, users), profilesAt(t, worldStore, users); !bytes.Equal(got, want) {
+			t.Fatalf("ApplyCloned changed its lazy source store:\ngot  %s\nwant %s", got, want)
 		}
 	})
 }

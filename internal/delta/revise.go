@@ -11,11 +11,7 @@ import (
 
 // Stats summarizes what one revision actually recomputed.
 type Stats struct {
-	// Affected reports whether the batch could have changed the owner's
-	// report at all; false means the prior run was served untouched
-	// without entering the pipeline.
-	Affected bool `json:"affected"`
-	// PoolsTotal is the pool count of the (possibly revised) run.
+	// PoolsTotal is the pool count of the revised run.
 	PoolsTotal int `json:"pools_total"`
 	// PoolsReused counts pools spliced verbatim from the prior run.
 	PoolsReused int `json:"pools_reused"`
@@ -25,7 +21,7 @@ type Stats struct {
 
 // StatsOf derives reuse statistics from a finished run's pool flags.
 func StatsOf(run *core.OwnerRun) Stats {
-	st := Stats{Affected: true, PoolsTotal: len(run.Pools)}
+	st := Stats{PoolsTotal: len(run.Pools)}
 	for _, p := range run.Pools {
 		if p.Reused {
 			st.PoolsReused++
@@ -39,30 +35,19 @@ func StatsOf(run *core.OwnerRun) Stats {
 // Revise re-estimates owner's report against the current graph and
 // store, reusing as much of prior as the batch left intact. g and
 // store must already reflect the batch (Batch.Apply, or the crawler's
-// own bookkeeping); the batch itself is used only for the dirty
-// pre-filter.
-//
-// Two levels of skipping apply, both preserving byte-identity with a
-// full recompute:
-//
-//   - owner level: when prior exists, matches cfg's owner and seed,
-//     completed fully, and Affected says no update reaches the owner's
-//     2-hop view, prior is returned as-is (Stats.Affected false) —
-//     the no-op fast path;
-//   - pool level: otherwise the pipeline re-runs with cfg.Reuse set to
-//     prior, so the engine rebuilds strangers, NSG and pools from the
-//     updated graph and re-runs only the pools whose membership or
-//     weight content actually changed.
+// own bookkeeping). The pipeline re-runs with cfg.Reuse set to prior,
+// so the engine rebuilds strangers, NSG and pools from the updated
+// graph and re-runs only the pools whose membership or weight content
+// actually changed: the revised run is byte-identical to a full
+// recompute, and a batch that cannot reach the owner has every pool
+// spliced. The splice finds what changed on its own, so the batch
+// itself is not read; callers serving many owners pick the ones to
+// revise with DirtyUsers.
 //
 // Any cfg.Snapshot is discarded: a frozen view of the pre-update graph
 // must not serve post-update structural queries. Passing a nil prior
 // degrades to a plain full run.
-func Revise(ctx context.Context, cfg core.Config, g *graph.Graph, store *profile.Store, owner graph.UserID, ann active.FallibleAnnotator, confidence float64, prior *core.OwnerRun, batch Batch) (*core.OwnerRun, Stats, error) {
-	if prior != nil && prior.Owner == owner && prior.Seed == cfg.Seed && !prior.Partial &&
-		!Affected(g, owner, batch) {
-		st := Stats{Affected: false, PoolsTotal: len(prior.Pools), PoolsReused: len(prior.Pools)}
-		return prior, st, nil
-	}
+func Revise(ctx context.Context, cfg core.Config, g *graph.Graph, store *profile.Store, owner graph.UserID, ann active.FallibleAnnotator, confidence float64, prior *core.OwnerRun, _ Batch) (*core.OwnerRun, Stats, error) {
 	cfg.Snapshot = nil
 	cfg.Reuse = prior
 	run, err := core.New(cfg).RunOwner(ctx, g, store, owner, ann, confidence)

@@ -251,13 +251,20 @@ func (g *Graph) Strangers(owner UserID) []UserID {
 	return []UserID{}
 }
 
+// FromSnapshot returns a graph whose base is s, in O(1): no row is
+// copied. The graph never writes s — its changes go to its overlay, and
+// a fold builds a new base — so s may alias read-only memory, such as
+// the mapped pages of a snapshot file (package snapfile).
+func FromSnapshot(s *Snapshot) *Graph {
+	return &Graph{base: s, edges: s.NumEdges()}
+}
+
 // Clone returns an independent copy of the graph. It folds any pending
 // changes into a new base (see Snapshot) and then shares that immutable
 // base, so cloning a graph whose snapshot is current costs O(1); each
 // side's later changes go to its own overlay.
 func (g *Graph) Clone() *Graph {
-	s := g.Snapshot()
-	return &Graph{base: s, edges: s.NumEdges()}
+	return FromSnapshot(g.Snapshot())
 }
 
 // DegreeStats summarizes the degree distribution.

@@ -60,27 +60,3 @@ func (g *Graph) ConnectedComponents() []int {
 	sort.Sort(sort.Reverse(sort.IntSlice(sizes)))
 	return sizes
 }
-
-// DegreeHistogram buckets node degrees into the given boundaries:
-// bucket i counts nodes with degree in [bounds[i-1]+1, bounds[i]]
-// (bucket 0 covers [0, bounds[0]]); a final overflow bucket counts
-// degrees above the last boundary. Returns one count per bucket plus
-// the overflow.
-func (g *Graph) DegreeHistogram(bounds []int) []int {
-	out := make([]int, len(bounds)+1)
-	for _, id := range g.Nodes() {
-		d := g.Degree(id)
-		placed := false
-		for i, b := range bounds {
-			if d <= b {
-				out[i]++
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			out[len(bounds)]++
-		}
-	}
-	return out
-}

@@ -61,24 +61,3 @@ func TestConnectedComponents(t *testing.T) {
 		t.Fatalf("empty graph components = %v", got)
 	}
 }
-
-func TestDegreeHistogram(t *testing.T) {
-	g := New()
-	// Degrees: node 1 has 3, nodes 2-4 have 1, node 99 has 0.
-	for _, f := range []UserID{2, 3, 4} {
-		mustEdge(t, g, 1, f)
-	}
-	g.AddNode(99)
-	h := g.DegreeHistogram([]int{0, 1, 2})
-	// Buckets: [0], [1], [2], overflow(>2).
-	if h[0] != 1 || h[1] != 3 || h[2] != 0 || h[3] != 1 {
-		t.Fatalf("histogram = %v, want [1 3 0 1]", h)
-	}
-	total := 0
-	for _, c := range h {
-		total += c
-	}
-	if total != g.NumNodes() {
-		t.Fatalf("histogram total %d != nodes %d", total, g.NumNodes())
-	}
-}

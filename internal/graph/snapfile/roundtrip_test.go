@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -306,7 +307,7 @@ func diffReports(a, b *sight.Report) string {
 
 // TestEstimateRiskIdenticalMmapVsMemory is the standing invariant at
 // the file boundary: a full EstimateRisk report computed on the
-// mmap-backed snapshot (graph-free, lazy profiles) is identical to the
+// mmap-backed snapshot (lazy profiles) is identical to the
 // in-memory build.
 func TestEstimateRiskIdenticalMmapVsMemory(t *testing.T) {
 	study := smallStudy(t, synthetic.Communities)
@@ -342,23 +343,60 @@ func TestEstimateRiskIdenticalMmapVsMemory(t *testing.T) {
 	}
 }
 
-// TestWrapSnapshotReadOnly pins the mutation contract of
-// snapshot-backed networks.
-func TestWrapSnapshotReadOnly(t *testing.T) {
+// TestWrapSnapshotTakesUpdates: a network over a mapped .snap takes a
+// new node and friendships like any other network. The changes go to
+// the graph's overlay and its folds, never to the mapped pages: the
+// original snapshot reads unchanged, and the file reopens with every
+// checksum intact.
+func TestWrapSnapshotTakesUpdates(t *testing.T) {
 	g := graph.New()
-	if err := g.AddEdge(1, 2); err != nil {
+	for _, e := range [][2]graph.UserID{{1, 2}, {2, 3}, {3, 4}} {
+		if err := g.AddEdge(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	orig := g.Snapshot()
+	path := filepath.Join(t.TempDir(), "g.snap")
+	if err := snapfile.Create(path, snapfile.Contents{Snapshot: orig}); err != nil {
 		t.Fatal(err)
 	}
-	net := sight.WrapSnapshot(g.Snapshot(), profile.NewStore())
-	if err := net.AddFriendship(3, 4); err != sight.ErrReadOnly {
-		t.Fatalf("AddFriendship = %v, want ErrReadOnly", err)
+	f, err := snapfile.Open(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AddUser on snapshot-backed network did not panic")
-		}
-	}()
+	defer f.Close()
+	mapped := f.Snapshot()
+
+	net := sight.WrapSnapshot(mapped, profile.NewStore())
+	// A friendship between present users folds over the mapped ids;
+	// a new user's friendship folds into fresh ones.
+	if err := net.AddFriendship(1, 3); err != nil {
+		t.Fatal(err)
+	}
+	if got := net.Graph().Snapshot(); got == mapped || !got.HasEdge(1, 3) {
+		t.Fatal("the friendship did not reach the network's snapshot")
+	}
 	net.AddUser(9)
+	if err := net.AddFriendship(9, 4); err != nil {
+		t.Fatal(err)
+	}
+	if !net.HasUser(9) || net.NumUsers() != 5 || net.NumFriendships() != 5 {
+		t.Fatalf("network after updates: users %d, friendships %d", net.NumUsers(), net.NumFriendships())
+	}
+	if got := net.Strangers(1); !slices.Equal(got, []sight.UserID{4}) {
+		t.Fatalf("Strangers(1) = %v, want [4]", got)
+	}
+
+	equalSnapshots(t, orig, mapped)
+	if mapped.HasNode(9) || mapped.HasEdge(1, 3) {
+		t.Fatal("the mapped snapshot sees the network's updates")
+	}
+	f2, err := snapfile.Open(path)
+	if err != nil {
+		t.Fatalf("reopen after updates: %v", err)
+	}
+	defer f2.Close()
+	equalSnapshots(t, orig, f2.Snapshot())
 }
 
 func TestOpenMissingFile(t *testing.T) {

@@ -156,43 +156,6 @@ type Observer interface {
 	Observe(Event)
 }
 
-// Emit forwards ev to o when o is non-nil — the nil-safe guard every
-// hot path uses. With a nil observer the call is a branch over a
-// stack-built value and performs no allocation.
-func Emit(o Observer, ev Event) {
-	if o != nil {
-		o.Observe(ev)
-	}
-}
-
-// multi fans events out to several observers in order.
-type multi []Observer
-
-func (m multi) Observe(ev Event) {
-	for _, o := range m {
-		o.Observe(ev)
-	}
-}
-
-// Multi combines observers into one, dropping nils. It returns nil
-// when nothing remains (so the engine's nil fast path still applies)
-// and the sole observer unwrapped when only one remains.
-func Multi(os ...Observer) Observer {
-	kept := make(multi, 0, len(os))
-	for _, o := range os {
-		if o != nil {
-			kept = append(kept, o)
-		}
-	}
-	switch len(kept) {
-	case 0:
-		return nil
-	case 1:
-		return kept[0]
-	}
-	return kept
-}
-
 // Buffer accumulates events in order for a later ordered flush. The
 // experiments harness gives each concurrently running owner its own
 // Buffer and flushes them in study order, which is what makes its

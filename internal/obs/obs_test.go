@@ -82,20 +82,7 @@ func TestRingWraparound(t *testing.T) {
 	}
 }
 
-func TestMultiAndBuffer(t *testing.T) {
-	if Multi(nil, nil) != nil {
-		t.Error("Multi of nils should be nil")
-	}
-	r1, r2 := NewRing(8), NewRing(8)
-	if got := Multi(nil, r1); got != Observer(r1) {
-		t.Error("Multi with one live observer should unwrap it")
-	}
-	m := Multi(r1, r2)
-	m.Observe(Event{Kind: KindQuery, User: 1})
-	if r1.Len() != 1 || r2.Len() != 1 {
-		t.Fatalf("fan-out failed: %d / %d", r1.Len(), r2.Len())
-	}
-
+func TestBuffer(t *testing.T) {
 	var b Buffer
 	b.Observe(Event{Kind: KindPoolStart, Pool: "p"})
 	b.Observe(Event{Kind: KindPoolEnd, Pool: "p"})
@@ -106,23 +93,6 @@ func TestMultiAndBuffer(t *testing.T) {
 	}
 	if sink.Len() != 2 {
 		t.Errorf("flushed %d events, want 2", sink.Len())
-	}
-}
-
-func TestEmitNilAllocs(t *testing.T) {
-	allocs := testing.AllocsPerRun(1000, func() {
-		Emit(nil, Event{
-			Kind:  KindQuery,
-			Owner: 7,
-			Pool:  "nsg01/psg001",
-			Round: 3,
-			User:  1234,
-			Label: 2,
-			Value: 0.25,
-		})
-	})
-	if allocs != 0 {
-		t.Fatalf("Emit(nil, ...) allocates %.1f per call, want 0", allocs)
 	}
 }
 

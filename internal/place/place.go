@@ -2,7 +2,7 @@
 // sightd: a consistent-hash ring over the replica set plus a roster
 // that tracks which replicas are currently believed alive.
 //
-// Placement is deliberately coordination-free. Every replica is
+// Owner placement is deliberately coordination-free. Every replica is
 // configured with the same static member list; the ring is a pure
 // function of the ids believed alive, so replicas that agree on
 // liveness agree on every owner's placement without talking to each
@@ -38,41 +38,10 @@ type Member struct {
 	Alive bool `json:"alive"`
 }
 
-// Placement decides which replica serves which owner. The production
-// implementation is *Roster; tests may substitute their own. A nil
-// placement in the server config means single-node operation.
-type Placement interface {
-	// Self returns this replica's own identity.
-	Self() Node
-	// Owner returns the live node that owns the key and the membership
-	// version the answer was computed at.
-	Owner(key int64) (Node, int)
-	// Version returns the current membership version; it increases on
-	// every liveness change.
-	Version() int
-	// Members returns every configured member with its believed
-	// liveness, sorted by id.
-	Members() []Member
-	// MarkDead records that the node failed; it returns true when this
-	// changed the membership (and therefore the ring). Marking self or
-	// an unknown id is a no-op.
-	MarkDead(id string) bool
-	// MarkAlive records that the node is serving again; it returns true
-	// when this changed the membership.
-	MarkAlive(id string) bool
-	// SelfSlots counts the ring slots this replica currently owns (the
-	// owned-shard count surfaced by /healthz).
-	SelfSlots() int
-	// RingSize counts all slots on the current ring; SelfSlots/RingSize
-	// is the fraction of the keyspace this replica serves.
-	RingSize() int
-	// OnChange registers a callback invoked (on the mutating
-	// goroutine) after every membership change, with the new version.
-	OnChange(fn func(version int))
-}
-
-// Roster is the standard Placement: a static member list with local
-// liveness tracking. All methods are safe for concurrent use.
+// Roster decides which replica serves which owner: a static member
+// list with local liveness tracking. A nil roster in the server config
+// means single-node operation. All methods are safe for concurrent
+// use.
 type Roster struct {
 	mu      sync.Mutex
 	self    string
@@ -117,15 +86,16 @@ func (ro *Roster) rebuildLocked() {
 	ro.ring = BuildRing(ro.version, live)
 }
 
-// Self implements Placement.
+// Self returns this replica's own identity.
 func (ro *Roster) Self() Node {
 	ro.mu.Lock()
 	defer ro.mu.Unlock()
 	return ro.members[ro.self].Node
 }
 
-// Owner implements Placement. With every peer marked dead it degrades
-// to self-ownership: a lone survivor serves everything.
+// Owner returns the live node that owns the key and the membership
+// version the answer was computed at. With every peer marked dead it
+// degrades to self-ownership: a lone survivor serves everything.
 func (ro *Roster) Owner(key int64) (Node, int) {
 	ro.mu.Lock()
 	defer ro.mu.Unlock()
@@ -136,14 +106,16 @@ func (ro *Roster) Owner(key int64) (Node, int) {
 	return ro.members[id].Node, ro.version
 }
 
-// Version implements Placement.
+// Version returns the current membership version; it increases on
+// every liveness change.
 func (ro *Roster) Version() int {
 	ro.mu.Lock()
 	defer ro.mu.Unlock()
 	return ro.version
 }
 
-// Members implements Placement.
+// Members returns every configured member with its believed liveness,
+// sorted by id.
 func (ro *Roster) Members() []Member {
 	ro.mu.Lock()
 	defer ro.mu.Unlock()
@@ -176,42 +148,35 @@ func (ro *Roster) setAlive(id string, alive bool) bool {
 	return true
 }
 
-// MarkDead implements Placement.
+// MarkDead records that the node failed; it returns true when this
+// changed the membership (and therefore the ring). Marking self or an
+// unknown id is a no-op.
 func (ro *Roster) MarkDead(id string) bool { return ro.setAlive(id, false) }
 
-// MarkAlive implements Placement.
+// MarkAlive records that the node is serving again; it returns true
+// when this changed the membership.
 func (ro *Roster) MarkAlive(id string) bool { return ro.setAlive(id, true) }
 
-// SelfSlots implements Placement.
+// SelfSlots counts the ring slots this replica currently owns (the
+// owned-shard count surfaced by /healthz).
 func (ro *Roster) SelfSlots() int {
 	ro.mu.Lock()
 	defer ro.mu.Unlock()
 	return ro.ring.SlotsOwned(ro.self)
 }
 
-// RingSize implements Placement.
+// RingSize counts all slots on the current ring; SelfSlots/RingSize is
+// the fraction of the keyspace this replica serves.
 func (ro *Roster) RingSize() int {
 	ro.mu.Lock()
 	defer ro.mu.Unlock()
 	return ro.ring.Size()
 }
 
-// OnChange implements Placement.
+// OnChange registers a callback invoked (on the mutating goroutine)
+// after every membership change, with the new version.
 func (ro *Roster) OnChange(fn func(version int)) {
 	ro.mu.Lock()
 	defer ro.mu.Unlock()
 	ro.hooks = append(ro.hooks, fn)
-}
-
-// Single returns a one-node placement: the degenerate cluster where
-// self owns every shard. It behaves exactly like a single-node server
-// but exercises the cluster code paths — tests use it to pin that the
-// clustered request flow is byte-identical to the plain one.
-func Single(self Node) *Roster {
-	ro, err := NewRoster(self.ID, []Node{self})
-	if err != nil {
-		// Reachable only with an empty id, which is a programming error.
-		panic(err)
-	}
-	return ro
 }

@@ -198,15 +198,6 @@ func TestRostersAgree(t *testing.T) {
 	}
 }
 
-func TestSingle(t *testing.T) {
-	ro := Single(Node{ID: "solo", URL: "http://x"})
-	for key := int64(0); key < 100; key++ {
-		if n, _ := ro.Owner(key); n.ID != "solo" {
-			t.Fatalf("single placement sent key %d to %q", key, n.ID)
-		}
-	}
-}
-
 func ExampleBuildRing() {
 	r := BuildRing(1, []string{"n1", "n2"})
 	fmt.Println(len(r.Nodes()))

@@ -3,7 +3,6 @@ package server
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
 	"time"
 
@@ -12,7 +11,6 @@ import (
 	"sightrisk/internal/active"
 	"sightrisk/internal/core"
 	"sightrisk/internal/dataset"
-	"sightrisk/internal/delta"
 	"sightrisk/internal/graph"
 	"sightrisk/internal/label"
 )
@@ -29,15 +27,15 @@ import (
 // estimate of the owner with the same resolved options (see runKey)
 // that is current at that generation — made at it or before, and no
 // drain since able to reach the owner (see lookupHeld) — and
-// recomputed from the generation's frozen snapshot otherwise. The
-// latter is the path a checkpoint-reconstructed (restarted or
-// failed-over) node takes, and the deterministic engine makes both
-// produce the same bytes. The counterfactual side rides the delta
-// engine: the candidate edge is applied to a clone of the generation's
-// graph and delta.Revise recomputes only the pools the edge dirties,
-// splicing the rest from the current run. Both sides read the
-// scheduler's weight cache, so pools an estimate already built are
-// not rebuilt.
+// recomputed from the generation otherwise. The latter is the path a
+// checkpoint-reconstructed (restarted or failed-over) node takes, and
+// the deterministic engine makes both produce the same bytes. The
+// counterfactual is sight.AccessPolicy.AdviseRun, the one the library's
+// AdviseRequest runs: the candidate edge is applied to a clone of the
+// generation's graph and delta.Revise recomputes only the pools the
+// edge dirties, splicing the rest from the current run. Both sides
+// read the scheduler's weight cache, so pools an estimate already
+// built are not rebuilt.
 
 // handleAdvise serves POST /v1/advise.
 func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
@@ -73,11 +71,6 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-	}
-	if d.rt.Graph == nil {
-		writeErr(w, http.StatusBadRequest, "bad_request",
-			fmt.Sprintf("dataset %q is snapshot-backed and read-only; advise needs a mutable dataset", req.Dataset), 0)
-		return
 	}
 	owner, cand := graph.UserID(req.Owner), graph.UserID(req.Candidate)
 	rec, ok := d.rt.Owner(owner)
@@ -116,10 +109,10 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	// Current side: reuse the run held under this request's key — a
 	// complete stored-annotator estimate of the owner with the same
 	// resolved options — when it is current at this generation;
-	// otherwise recompute from the generation's snapshot. The recompute
-	// branch is what a restarted or adopted node runs (held runs do not
-	// survive the process), and the deterministic engine guarantees it
-	// produces the same bytes.
+	// otherwise AdviseRun recomputes it from the generation. The
+	// recompute is what a restarted or adopted node runs (held runs do
+	// not survive the process), and the deterministic engine guarantees
+	// it produces the same bytes.
 	var before *core.OwnerRun
 	h, reused := d.lookupHeld(newRunKey(req.Dataset, owner, client.AnnotatorStored, opts), gen.num)
 	if reused {
@@ -127,32 +120,9 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 		d.reused.Add(1)
 	} else {
 		d.recomputed.Add(1)
-		bcfg := ecfg
-		bcfg.Snapshot = gen.snap
-		before, err = core.New(bcfg).RunOwner(r.Context(), nil, gen.profiles, owner, ann, math.NaN())
-		if err != nil {
-			writeErr(w, http.StatusInternalServerError, "internal", err.Error(), 0)
-			return
-		}
 	}
-
-	// Counterfactual side: add the candidate edge on a clone of the
-	// generation's graph and let the delta engine revise against the
-	// current run.
-	gc := gen.graph.Clone()
-	batch := delta.Batch{{Kind: delta.EdgeAdd, A: owner, B: cand}}
-	if err := batch.Apply(gc, gen.profiles); err != nil {
-		writeErr(w, http.StatusInternalServerError, "internal", err.Error(), 0)
-		return
-	}
-	after, stats, err := delta.Revise(r.Context(), ecfg, gc, gen.profiles, owner, ann, math.NaN(), before, batch)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, "internal", err.Error(), 0)
-		return
-	}
-
 	policy := sight.BuildAccessPolicy(sight.DefaultSensitivity())
-	assess, err := policy.AssessRequest(sight.AssembleReport(before), sight.AssembleReport(after), cand)
+	assess, stats, err := policy.AdviseRun(r.Context(), ecfg, gen.graph, gen.profiles, owner, cand, ann, before)
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, "internal", err.Error(), 0)
 		return

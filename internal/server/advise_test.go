@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
-	"path/filepath"
 	"testing"
 
 	"sightrisk/client"
@@ -241,23 +240,6 @@ func TestAdviseValidation(t *testing.T) {
 		})
 	}
 
-	// Snapshot-backed datasets are read-only: advise needs the mutable
-	// graph to build the counterfactual.
-	snapPath := filepath.Join(t.TempDir(), "study.snap")
-	if err := dataset.PackSnap(ds, snapPath); err != nil {
-		t.Fatal(err)
-	}
-	rt, err := dataset.OpenRuntime(snapPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-	_, _, cs := newTestServer(t, server.Config{Runtimes: map[string]*dataset.Runtime{"study": rt}, Workers: 1})
-	_, err = cs.Advise(ctx, &client.AdviseRequest{Dataset: "study", Owner: int64(owner), Candidate: adviseCandidateFor(t, ds, owner)})
-	var apiErr *client.APIError
-	if !errors.As(err, &apiErr) || apiErr.Status != 400 {
-		t.Fatalf("advise on snapshot-backed dataset: %v, want 400 APIError", err)
-	}
 }
 
 // TestErrorEnvelopeAllStatuses is the API-surface contract test: every
@@ -398,7 +380,7 @@ func TestClusterAdviseRoutesByOwner(t *testing.T) {
 	// Through n1's front door: the request is forwarded to the ring
 	// owner and succeeds anyway.
 	front := client.New(tc.nodes[0].URL)
-	front.NoRetry = true
+	front.Options.Retry.Disabled = true
 	forwarded, err := front.Advise(ctx, req)
 	if err != nil {
 		t.Fatalf("advise through non-owner front door: %v", err)

@@ -82,7 +82,7 @@ func newTestCluster(t *testing.T, n int, stateDir string, mkDatasets func() map[
 		cfg := server.Config{
 			Datasets:      mkDatasets(),
 			Workers:       1,
-			StateDir:      stateDir,
+			Store:         dirStore(t, stateDir),
 			Cluster:       roster,
 			Metrics:       tc.metrics[i],
 			ProbeInterval: 25 * time.Millisecond,
@@ -137,7 +137,7 @@ func (tc *testCluster) clusterClient(t *testing.T) *client.Cluster {
 		t.Fatal(err)
 	}
 	for _, c := range cl.Clients {
-		c.LongPoll = 250 * time.Millisecond
+		c.Options.Estimate.LongPoll = 250 * time.Millisecond
 	}
 	return cl
 }
@@ -165,7 +165,7 @@ func TestClusterRoutesByOwner(t *testing.T) {
 
 	// Every request goes through node n1's front door.
 	front := client.New(tc.nodes[0].URL)
-	front.NoRetry = true
+	front.Options.Retry.Disabled = true
 	sawRemote := false
 	for _, rec := range ds.Owners {
 		want := serialWireBytes(t, ds, rec.ID)
@@ -415,7 +415,7 @@ func TestClusterPartitionFallsBackToSelf(t *testing.T) {
 	part.Block(u.Host)
 
 	front := client.New(tc.nodes[0].URL)
-	front.NoRetry = true
+	front.Options.Retry.Disabled = true
 	st, err := front.Submit(ctx, &client.EstimateRequest{
 		Dataset: "study", Owner: remote, Annotator: client.AnnotatorStored,
 	})

@@ -54,8 +54,8 @@ type datasetState struct {
 // parent's, or else by the first release that needs it.
 type generation struct {
 	num      uint64
-	graph    *graph.Graph // an O(1) clone of the live graph; nil when snapshot-backed
-	snap     *graph.Snapshot
+	graph    *graph.Graph    // an O(1) clone of the live graph
+	snap     *graph.Snapshot // graph's snapshot
 	profiles *profile.Store
 
 	build sync.Once
@@ -77,10 +77,8 @@ func newDatasetState(name string, rt *dataset.Runtime) *datasetState {
 	for _, rec := range rt.Owners {
 		d.owners = append(d.owners, rec.ID)
 	}
-	g := &generation{snap: rt.Snapshot, profiles: rt.Profiles}
-	if rt.Graph != nil {
-		g.graph = rt.Graph.Clone()
-	}
+	g := &generation{graph: rt.Graph.Clone(), profiles: rt.Profiles}
+	g.snap = g.graph.Snapshot()
 	d.cur.Store(g)
 	return d
 }

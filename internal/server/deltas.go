@@ -18,7 +18,7 @@ import (
 // Incremental re-estimation over the wire:
 //
 //	POST /v1/updates                 apply a graph/profile delta batch
-//	                                 to a mutable dataset
+//	                                 to a dataset
 //	POST /v1/estimates/{id}/revise   re-estimate a finished job against
 //	                                 the updated dataset, splicing every
 //	                                 pool the updates left untouched
@@ -167,7 +167,7 @@ func (s *Server) heldVarz() map[string]map[string]int64 {
 	return out
 }
 
-// handleUpdates applies a delta batch to a mutable dataset. In cluster
+// handleUpdates applies a delta batch to a dataset. In cluster
 // mode the batch is forwarded to the replica owning UpdatesRequest.
 // Owner, so a follow-up revision for that owner (routed identically)
 // sees the updated graph.
@@ -207,11 +207,6 @@ func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-	}
-	if d.rt.Graph == nil {
-		writeErr(w, http.StatusBadRequest, "bad_request",
-			fmt.Sprintf("dataset %q is snapshot-backed and read-only; updates need a mutable dataset", req.Dataset), 0)
-		return
 	}
 	resp, _, err := s.applyUpdates(d, batch)
 	if err != nil {
@@ -375,11 +370,6 @@ func (s *Server) handleRevise(w http.ResponseWriter, r *http.Request) {
 	// current one without a batch.
 	gen := d.current()
 	if len(batch) > 0 {
-		if d.rt.Graph == nil {
-			writeErr(w, http.StatusBadRequest, "bad_request",
-				fmt.Sprintf("dataset %q is snapshot-backed and read-only; updates need a mutable dataset", j.req.Dataset), 0)
-			return
-		}
 		_, g, err := s.applyUpdates(d, batch)
 		if err != nil {
 			writeErr(w, http.StatusInternalServerError, "internal", err.Error(), 0)

@@ -3,6 +3,11 @@ package server_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"io"
+	"net/http"
+	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -218,8 +223,8 @@ func TestClusterUpdatesRouteToOwner(t *testing.T) {
 	wantNode := ringOwner(tc.nodes, owner)
 
 	front := client.New(tc.nodes[0].URL)
-	front.NoRetry = true
-	front.LongPoll = 250 * time.Millisecond
+	front.Options.Retry.Disabled = true
+	front.Options.Estimate.LongPoll = 250 * time.Millisecond
 
 	st, err := front.Submit(ctx, &client.EstimateRequest{Dataset: "study", Owner: owner, Annotator: client.AnnotatorStored})
 	if err != nil {
@@ -286,4 +291,151 @@ func TestUpdatesValidation(t *testing.T) {
 		t.Fatalf("revise of unknown job: %d", resp.StatusCode)
 	}
 	resp.Body.Close()
+}
+
+// exchange sends one JSON request and returns the response status and
+// body.
+func exchange(t testing.TB, method, url string, body any) (int, []byte) {
+	t.Helper()
+	var rd io.Reader
+	if body != nil {
+		b, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rd = bytes.NewReader(b)
+	}
+	req, err := http.NewRequest(method, url, rd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, raw
+}
+
+// TestUpdateSnapMatchesJSONTwin: a dataset served from its packed,
+// mmap'd .snap file takes updates, revisions and advise exactly like
+// its JSON twin. The same sequence — an estimate, /v1/updates, a revise
+// carrying a batch, /v1/advise and /v1/stats — returns byte-identical
+// bodies from both servers.
+func TestUpdateSnapMatchesJSONTwin(t *testing.T) {
+	ds := testDataset(t, 2, 200, 71)
+	owner := int64(ds.Owners[0].ID)
+	path := filepath.Join(t.TempDir(), "study.snap")
+	if err := dataset.PackSnap(ds, path); err != nil {
+		t.Fatal(err)
+	}
+	rt, err := dataset.OpenRuntime(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rt.Close() }) // after both servers drain
+	if !rt.Mapped() {
+		t.Fatal("runtime is not mapped")
+	}
+
+	// Every id is picked before the JSON server's drains change ds.Graph.
+	updates := reviseBatch(t, ds, owner)
+	friends := ds.Graph.Friends(graph.UserID(owner))
+	strangers := ds.Graph.Strangers(graph.UserID(owner))
+	gone := ds.Graph.Friends(friends[1])[0]
+	more := []client.Update{
+		{Kind: "edge_add", A: int64(strangers[5]), B: int64(friends[1])},
+		{Kind: "edge_remove", A: int64(friends[1]), B: int64(gone)},
+		{Kind: "profile_set", A: int64(strangers[9]), Attr: sight.AttrGender, Value: "male"},
+	}
+	cand := adviseCandidateFor(t, ds, graph.UserID(owner))
+
+	_, hsJSON, cJSON := newTestServer(t, server.Config{Datasets: map[string]*dataset.Dataset{"study": ds}, Workers: 1})
+	_, hsSnap, cSnap := newTestServer(t, server.Config{Runtimes: map[string]*dataset.Runtime{"study": rt}, Workers: 1})
+	type side struct {
+		base string
+		c    *client.Client
+	}
+	sides := []side{{hsJSON.URL, cJSON}, {hsSnap.URL, cSnap}}
+	ctx := context.Background()
+
+	// same sends one request to both sides and wants one 2xx body.
+	same := func(step, method, path string, body any) []byte {
+		t.Helper()
+		stJ, j := exchange(t, method, sides[0].base+path, body)
+		stS, s := exchange(t, method, sides[1].base+path, body)
+		if stJ/100 != 2 || stS != stJ || !bytes.Equal(j, s) {
+			t.Fatalf("%s: JSON twin answered %d, .snap %d:\n%s\n%s", step, stJ, stS, j, s)
+		}
+		return j
+	}
+	// finished waits for the job on both sides and compares its body.
+	finished := func(step string, accepted []byte) {
+		t.Helper()
+		var st client.EstimateStatus
+		if err := json.Unmarshal(accepted, &st); err != nil {
+			t.Fatal(err)
+		}
+		for _, sd := range sides {
+			if fin, err := sd.c.Wait(ctx, st.ID); err != nil || fin.Status != client.StatusDone {
+				t.Fatalf("%s: job %s: %v %+v", step, st.ID, err, fin)
+			}
+		}
+		same(step, "GET", "/v1/estimates/"+st.ID, nil)
+	}
+	// accept sends a request that starts a job on both sides; the
+	// accepted bodies may differ in the job's status at that moment.
+	accept := func(step, path string, body any) []byte {
+		t.Helper()
+		var first []byte
+		for _, sd := range sides {
+			st, b := exchange(t, "POST", sd.base+path, body)
+			if st != http.StatusAccepted {
+				t.Fatalf("%s: %s answered %d: %s", step, sd.base, st, b)
+			}
+			if first == nil {
+				first = b
+			}
+		}
+		return first
+	}
+
+	base := accept("estimate", "/v1/estimates", &client.EstimateRequest{Dataset: "study", Owner: owner, Annotator: client.AnnotatorStored})
+	finished("estimate", base)
+	var baseSt client.EstimateStatus
+	if err := json.Unmarshal(base, &baseSt); err != nil {
+		t.Fatal(err)
+	}
+
+	var ur client.UpdatesResponse
+	if err := json.Unmarshal(same("updates", "POST", "/v1/updates", &client.UpdatesRequest{Dataset: "study", Owner: owner, Updates: updates}), &ur); err != nil {
+		t.Fatal(err)
+	}
+	if ur.Applied != len(updates) || !slices.Contains(ur.DirtyOwners, owner) {
+		t.Fatalf("updates response %+v: want %d applied and owner %d dirty", ur, len(updates), owner)
+	}
+
+	rev := accept("revise", "/v1/estimates/"+baseSt.ID+"/revise", &client.ReviseRequest{Updates: more})
+	finished("revise", rev)
+
+	var adv client.AdviseResponse
+	if err := json.Unmarshal(same("advise", "POST", "/v1/advise", &client.AdviseRequest{Dataset: "study", Owner: owner, Candidate: cand}), &adv); err != nil {
+		t.Fatal(err)
+	}
+	if adv.Candidate != cand || adv.Verdict == "" {
+		t.Fatalf("advise response %+v", adv)
+	}
+
+	var sr client.StatsResponse
+	if err := json.Unmarshal(same("stats", "POST", "/v1/stats", &client.StatsRequest{Dataset: "study", Tenant: "acme", Epoch: 1}), &sr); err != nil {
+		t.Fatal(err)
+	}
+	if sr.Generation != 2 {
+		t.Fatalf("stats generation = %d, want 2 (two drains)", sr.Generation)
+	}
 }

@@ -214,7 +214,7 @@ func TestRestartResumeMatchesSerial(t *testing.T) {
 		return server.Config{
 			Datasets: map[string]*dataset.Dataset{"study": testDataset(t, 1, 120, 57)},
 			Workers:  1,
-			StateDir: stateDir,
+			Store:    dirStore(t, stateDir),
 		}
 	}
 	ds := testDataset(t, 1, 120, 57) // content-identical replica for the baseline and answers
@@ -282,7 +282,7 @@ func TestDrainKeepsPostedRoundAnswers(t *testing.T) {
 		return server.Config{
 			Datasets: map[string]*dataset.Dataset{"study": testDataset(t, 1, 120, 57)},
 			Workers:  1,
-			StateDir: stateDir,
+			Store:    dirStore(t, stateDir),
 		}
 	}
 	ds := testDataset(t, 1, 120, 57)
@@ -359,7 +359,7 @@ func TestRestartRecoversFinishedJobs(t *testing.T) {
 		return server.Config{
 			Datasets: map[string]*dataset.Dataset{"study": testDataset(t, 1, 80, 59)},
 			Workers:  1,
-			StateDir: stateDir,
+			Store:    dirStore(t, stateDir),
 		}
 	}
 	ctx := context.Background()

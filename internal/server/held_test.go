@@ -61,8 +61,8 @@ func heldStudyServer(t *testing.T, owners, strangers int, seed int64) (*Server, 
 		hs.Close()
 	})
 	c := client.New(hs.URL)
-	c.LongPoll = 250 * time.Millisecond
-	c.NoRetry = true
+	c.Options.Estimate.LongPoll = 250 * time.Millisecond
+	c.Options.Retry.Disabled = true
 	return srv, c
 }
 

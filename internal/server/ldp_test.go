@@ -51,7 +51,7 @@ func statsTestServer(t *testing.T) (*Server, string, *client.Client) {
 		hs.Close()
 	})
 	c := client.New(hs.URL)
-	c.NoRetry = true
+	c.Options.Retry.Disabled = true
 	return srv, hs.URL, c
 }
 

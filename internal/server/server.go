@@ -51,31 +51,30 @@ type Config struct {
 	// Runtimes are preloaded datasets already in serving shape —
 	// typically mmap-backed snapshot files via dataset.OpenRuntime.
 	// They share the Datasets namespace; a duplicate name is a
-	// configuration error. The server stops writing a runtime's
-	// Snapshot and Profiles after New: they stay at the load-time
-	// generation, and the generations updates publish live in the
-	// server, which keeps no reference to the load-time pair once a
-	// drain supersedes it. A caller that keeps the runtime keeps that
-	// pair alive.
+	// configuration error. POST /v1/updates mutates a runtime's Graph
+	// in place, as it does a dataset's; a mapped runtime's changes go
+	// to the graph's overlay, never to the file. The server stops
+	// writing a runtime's Snapshot and Profiles after New: they stay
+	// at the load-time generation, and the generations updates publish
+	// live in the server, which keeps no reference to the load-time
+	// pair once a drain supersedes it. A caller that keeps the runtime
+	// keeps that pair alive.
 	Runtimes map[string]*dataset.Runtime
 	// Workers bounds how many jobs run concurrently across all tenants
 	// (the fleet scheduler's shared budget). 0 means one per CPU; a
 	// negative value is an error.
 	Workers int
-	// StateDir, when non-"", persists job records, per-round
-	// checkpoints and final reports so jobs survive server restarts.
-	// "" disables durability. Shorthand for Store =
-	// NewDirStore(StateDir); ignored when Store is set.
-	StateDir string
-	// Store overrides the durable state backend. In cluster mode every
-	// replica must share one store (a common directory works) — it is
-	// the channel checkpoints hand off through when a node dies.
+	// Store, when non-nil, persists job records, per-round checkpoints
+	// and final reports so jobs survive server restarts (NewDirStore
+	// keeps them in a directory); nil disables durability. In cluster
+	// mode every replica must share one store (a common directory
+	// works) — it is the channel checkpoints hand off through when a
+	// node dies.
 	Store Store
 	// Cluster enables multi-node operation: this replica serves the
-	// shards the placement assigns it and forwards everything else to
-	// the ring owner. nil means single-node (exactly the old behavior).
-	// Requires a Store (or StateDir).
-	Cluster place.Placement
+	// shards the roster assigns it and forwards everything else to the
+	// ring owner. nil means single-node. Requires a Store.
+	Cluster *place.Roster
 	// Transport is the HTTP transport for peer forwarding and probing;
 	// nil means http.DefaultTransport. Tests inject fault transports
 	// (faults.Partition) here.
@@ -121,7 +120,7 @@ type Server struct {
 
 	// Cluster state: nil cluster means single-node. nodeID caches
 	// cluster.Self().ID (""), forward is the peer HTTP client.
-	cluster      place.Placement
+	cluster      *place.Roster
 	nodeID       string
 	forward      *http.Client
 	onCheckpoint func(string)
@@ -149,7 +148,7 @@ type Server struct {
 
 // New builds a server: it validates the engine defaults, stands up the
 // fleet scheduler, freezes one graph snapshot per dataset, and — when
-// Config.StateDir is set — recovers persisted jobs, requeueing
+// Config.Store is set — recovers persisted jobs, requeueing
 // unfinished ones with their checkpoints so they resume where the
 // previous process stopped.
 func New(cfg Config) (*Server, error) {
@@ -189,14 +188,6 @@ func New(cfg Config) (*Server, error) {
 	if s.statsBudget <= 0 {
 		s.statsBudget = DefaultStatsBudget
 	}
-	if s.store == nil && cfg.StateDir != "" {
-		st, err := NewDirStore(cfg.StateDir)
-		if err != nil {
-			baseCancel()
-			return nil, err
-		}
-		s.store = st
-	}
 	for name, ds := range cfg.Datasets {
 		s.datasets[name] = newDatasetState(name, ds.Runtime())
 	}
@@ -210,7 +201,7 @@ func New(cfg Config) (*Server, error) {
 	if s.cluster != nil {
 		if s.store == nil {
 			baseCancel()
-			return nil, fmt.Errorf("server: cluster mode requires a shared store (set Store or StateDir)")
+			return nil, fmt.Errorf("server: cluster mode requires a shared store")
 		}
 		s.nodeID = s.cluster.Self().ID
 		s.forward = &http.Client{Transport: cfg.Transport}
@@ -580,14 +571,13 @@ func (s *Server) resolve(req *client.EstimateRequest) (*resolved, *client.APIErr
 		if !ok {
 			return nil, bad("unknown dataset %q", req.Dataset)
 		}
-		// Every dataset job runs off the frozen snapshot of the
-		// dataset's current generation — for mmap'd .snap files because
-		// there is no live graph at all, and for graph-backed datasets so
-		// POST /v1/updates can mutate the live graph without racing
-		// running estimates. One generation carries the snapshot and the
-		// profile store, so a job never sees a half-applied batch.
+		// Every dataset job runs off the dataset's current generation,
+		// so POST /v1/updates can mutate the live graph without racing
+		// running estimates. One generation carries the graph, its
+		// snapshot and the profile store, so a job never sees a
+		// half-applied batch.
 		g := d.current()
-		res.net = sight.WrapSnapshot(g.snap, g.profiles)
+		res.net = sight.WrapNetwork(g.graph, g.profiles)
 		res.snap, res.ds, res.gen = g.snap, d, g.num
 	default:
 		net, err := buildNetwork(req.Network)

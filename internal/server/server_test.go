@@ -63,11 +63,21 @@ func newTestServer(t testing.TB, cfg server.Config) (*server.Server, *httptest.S
 		}
 	})
 	c := client.New(hs.URL)
-	c.LongPoll = 250 * time.Millisecond
+	c.Options.Estimate.LongPoll = 250 * time.Millisecond
 	// The 429/503 tests assert on the first response; retries would turn
 	// those immediate rejections into sleeps.
-	c.NoRetry = true
+	c.Options.Retry.Disabled = true
 	return srv, hs, c
+}
+
+// dirStore opens a DirStore over dir, the store of a -state server.
+func dirStore(t testing.TB, dir string) *server.DirStore {
+	t.Helper()
+	st, err := server.NewDirStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 // serialWireBytes runs the owner in-process on the serial path —
@@ -580,8 +590,8 @@ func TestSnapshotBackedDataset(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rt.Close()
-	if !rt.Mapped() || rt.Graph != nil {
-		t.Fatalf("runtime not snapshot-backed: mapped=%v graph=%v", rt.Mapped(), rt.Graph != nil)
+	if !rt.Mapped() {
+		t.Fatal("runtime is not mapped")
 	}
 
 	_, _, c := newTestServer(t, server.Config{

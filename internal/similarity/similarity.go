@@ -30,11 +30,6 @@ func Jaccard(s *graph.Snapshot, a, b graph.UserID) float64 {
 	return float64(mutual) / float64(union)
 }
 
-// CommonNeighbors returns the number of mutual friends of a and b.
-func CommonNeighbors(s *graph.Snapshot, a, b graph.UserID) int {
-	return s.CountMutualFriends(a, b)
-}
-
 // NS returns the network similarity between owner o and stranger t,
 // in [0,1].
 //

@@ -36,13 +36,6 @@ func TestJaccard(t *testing.T) {
 	}
 }
 
-func TestCommonNeighbors(t *testing.T) {
-	g := build(t, [][2]graph.UserID{{1, 10}, {2, 10}, {1, 11}, {2, 12}})
-	if got := CommonNeighbors(g, 1, 2); got != 1 {
-		t.Fatalf("CommonNeighbors = %d, want 1", got)
-	}
-}
-
 func TestNSZeroWithoutMutuals(t *testing.T) {
 	g := build(t, [][2]graph.UserID{{1, 10}, {2, 20}})
 	if got := NS(g, 1, 2); got != 0 {

@@ -6,7 +6,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -38,35 +37,6 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation, or NaN for empty
-// input.
-func StdDev(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	sum := 0.0
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(xs)))
-}
-
-// Median returns the median, or NaN for empty input.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	n := len(s)
-	if n%2 == 1 {
-		return s[n/2]
-	}
-	return (s[n/2-1] + s[n/2]) / 2
 }
 
 // MeanIgnoringNaN averages the finite entries only; NaN when none are.
@@ -116,33 +86,6 @@ func NewTable(title string, header ...string) *Table {
 
 // AddRow appends a row of cells; shorter rows are padded.
 func (t *Table) AddRow(cells ...string) { t.rows = append(t.rows, cells) }
-
-// AddRowf appends a row applying Sprintf-style formatting per cell:
-// cells come in (format, value) pairs when values are not strings.
-func (t *Table) AddRowf(cells ...interface{}) {
-	row := make([]string, len(cells))
-	for i, c := range cells {
-		switch v := c.(type) {
-		case string:
-			row[i] = v
-		case float64:
-			row[i] = fmt.Sprintf("%.4g", v)
-		case int:
-			row[i] = fmt.Sprintf("%d", v)
-		default:
-			row[i] = fmt.Sprint(v)
-		}
-	}
-	t.rows = append(t.rows, row)
-}
-
-// NumRows returns the number of data rows (excluding the header).
-func (t *Table) NumRows() int {
-	if len(t.rows) == 0 {
-		return 0
-	}
-	return len(t.rows) - 1
-}
 
 // String renders the table.
 func (t *Table) String() string {

@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"slices"
 
 	"sightrisk/internal/active"
 	"sightrisk/internal/benefit"
@@ -183,14 +182,8 @@ const (
 // internals (the cmd tools do the latter).
 type Network struct {
 	g        *graph.Graph
-	snap     *graph.Snapshot // non-nil for snapshot-backed (read-only) networks
 	profiles *profile.Store
 }
-
-// ErrReadOnly is the panic value of structural mutation on a
-// snapshot-backed Network (WrapSnapshot): frozen snapshots — often
-// mmap-backed file pages — cannot grow nodes or edges.
-var ErrReadOnly = errors.New("sight: network is snapshot-backed and read-only")
 
 // NewNetwork returns an empty network.
 func NewNetwork() *Network {
@@ -204,76 +197,51 @@ func WrapNetwork(g *graph.Graph, store *profile.Store) *Network {
 	return &Network{g: g, profiles: store}
 }
 
-// WrapSnapshot builds a read-only Network over a frozen snapshot —
-// typically one mapped straight from a .snap file (internal
-// graph/snapfile), where no mutable graph ever exists. Reads and
-// EstimateRisk work exactly as on a graph-backed network and return
-// byte-identical reports; structural mutations (AddUser,
-// AddFriendship) panic with ErrReadOnly. Intended for code inside
+// WrapSnapshot builds a Network over a frozen snapshot — typically one
+// mapped straight from a .snap file (internal graph/snapfile) — through
+// graph.FromSnapshot, in O(1). It behaves like any other Network:
+// changes go to the graph's copy-on-write overlay and never write the
+// snapshot, so mapped pages stay untouched. Intended for code inside
 // this module, like WrapNetwork.
 func WrapSnapshot(snap *graph.Snapshot, store *profile.Store) *Network {
-	return &Network{snap: snap, profiles: store}
+	return WrapNetwork(graph.FromSnapshot(snap), store)
 }
 
 // AddUser ensures the user exists (users are also added implicitly by
-// AddFriendship). Panics with ErrReadOnly on a snapshot-backed
-// network.
+// AddFriendship).
 func (n *Network) AddUser(u UserID) {
-	if n.g == nil {
-		panic(ErrReadOnly)
-	}
 	n.g.AddNode(u)
 }
 
-// AddFriendship links two users as friends. Snapshot-backed networks
-// return ErrReadOnly.
+// AddFriendship links two users as friends.
 func (n *Network) AddFriendship(a, b UserID) error {
-	if n.g == nil {
-		return ErrReadOnly
-	}
 	return n.g.AddEdge(a, b)
 }
 
 // HasUser reports whether the user exists in the network.
 func (n *Network) HasUser(u UserID) bool {
-	if n.g == nil {
-		return n.snap.HasNode(u)
-	}
 	return n.g.HasNode(u)
 }
 
 // NumUsers returns the number of users.
 func (n *Network) NumUsers() int {
-	if n.g == nil {
-		return n.snap.NumNodes()
-	}
 	return n.g.NumNodes()
 }
 
 // NumFriendships returns the number of friendship links.
 func (n *Network) NumFriendships() int {
-	if n.g == nil {
-		return n.snap.NumEdges()
-	}
 	return n.g.NumEdges()
 }
 
 // Friends returns a user's friends in ascending order, in a slice the
 // caller owns.
 func (n *Network) Friends(u UserID) []UserID {
-	if n.g == nil {
-		// The snapshot row may live in a read-only mmap page.
-		return slices.Clone(n.snap.Friends(u))
-	}
 	return n.g.Friends(u)
 }
 
 // Strangers returns the owner's second-hop contacts — the users risk
 // labels are estimated for.
 func (n *Network) Strangers(owner UserID) []UserID {
-	if n.g == nil {
-		return n.snap.Strangers(owner)
-	}
 	return n.g.Strangers(owner)
 }
 
@@ -310,21 +278,11 @@ func (n *Network) SetVisibility(u UserID, item string, visible bool) {
 
 // NetworkSimilarity returns NS(o,s) ∈ [0,1]: the mutual-friend overlap
 // of the two users boosted by the density of the community their
-// mutual friends form. On a graph-backed network it reads the graph's
-// snapshot, which is built on the first call after each change to the
-// network's users or friendships and shared by every call until the
-// next one.
+// mutual friends form. It reads the graph's snapshot, which is built on
+// the first call after each change to the network's users or
+// friendships and shared by every call until the next one.
 func (n *Network) NetworkSimilarity(o, s UserID) float64 {
-	return similarity.NS(n.snapshot(), o, s)
-}
-
-// snapshot returns the frozen view the structural algorithms read: the
-// wrapped snapshot, or the graph's cached one.
-func (n *Network) snapshot() *graph.Snapshot {
-	if n.g == nil {
-		return n.snap
-	}
-	return n.g.Snapshot()
+	return similarity.NS(n.g.Snapshot(), o, s)
 }
 
 // Benefit returns B(o,s): the θ-weighted share of the stranger's
@@ -342,14 +300,8 @@ func (n *Network) Benefit(theta map[string]float64, s UserID) (float64, error) {
 }
 
 // Graph exposes the underlying graph (read-mostly; intended for code
-// inside this module). Nil on snapshot-backed networks — use
-// FrozenSnapshot there.
+// inside this module).
 func (n *Network) Graph() *graph.Graph { return n.g }
-
-// FrozenSnapshot exposes the frozen snapshot of a snapshot-backed
-// network (nil on graph-backed ones). Intended for code inside this
-// module.
-func (n *Network) FrozenSnapshot() *graph.Snapshot { return n.snap }
 
 // Profiles exposes the underlying profile store.
 func (n *Network) Profiles() *profile.Store { return n.profiles }
@@ -725,9 +677,6 @@ func EstimateRisk(ctx context.Context, n *Network, owner UserID, ann AnyAnnotato
 	if err != nil {
 		return nil, err
 	}
-	// On a snapshot-backed network the engine runs entirely on the
-	// frozen (possibly mmap-backed) CSR view, graph-free.
-	cfg.Snapshot = n.snapshot()
 	engine := core.New(cfg)
 	run, err := engine.RunOwner(ctx, n.g, n.profiles, owner, fallible, math.NaN())
 	if err != nil {
