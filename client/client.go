@@ -205,6 +205,9 @@ func (c *Client) doOnce(ctx context.Context, method, path string, body []byte, h
 	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
 		return fmt.Errorf("client: decode response: %w", err)
 	}
+	// Read what the decoder left (the encoder's newline, a chunked
+	// body's terminator) so the connection can be reused.
+	io.Copy(io.Discard, resp.Body)
 	return nil
 }
 

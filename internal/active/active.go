@@ -235,7 +235,8 @@ type Session struct {
 	clf     classify.Classifier
 	sampler Sampler
 	stopper Stopper
-	rng     *rand.Rand
+	rng     *rand.Rand // nil until the first draw when Config.Rand is nil
+	opening []int      // round 1's query set, once drawn
 }
 
 // NewSession prepares a session over the pool members with the pool's
@@ -272,10 +273,6 @@ func NewSession(members []graph.UserID, k *classify.Kernel, ann FallibleAnnotato
 	if stopper == nil {
 		stopper = CombinedStopper{RMSEThreshold: cfg.RMSEThreshold, StableRounds: cfg.StableRounds}
 	}
-	rng := cfg.Rand
-	if rng == nil {
-		rng = rand.New(rand.NewSource(1))
-	}
 	var dense [][]float64
 	if _, ok := clf.(kernelClassifier); !ok {
 		dense = k.Dense()
@@ -289,8 +286,50 @@ func NewSession(members []graph.UserID, k *classify.Kernel, ann FallibleAnnotato
 		clf:     clf,
 		sampler: sampler,
 		stopper: stopper,
-		rng:     rng,
+		rng:     cfg.Rand,
 	}, nil
+}
+
+// OpeningRound returns the strangers the session's first round asks, in
+// the order it asks them: every member of a pool of at most PerRound
+// members, otherwise the sampler's round-1 pick. Round 1 is fixed
+// before any label exists, so it can be drawn ahead of the run:
+// RunContext then asks exactly these strangers in round 1 and does not
+// draw them again. The core engine uses it to show a RoundAsker every
+// pool's opening round at once.
+func (s *Session) OpeningRound() []graph.UserID {
+	idxs := s.openingIdx()
+	out := make([]graph.UserID, len(idxs))
+	for i, idx := range idxs {
+		out[i] = s.members[idx]
+	}
+	return out
+}
+
+// openingIdx returns round 1's query set as member indices, drawing it
+// on the first call.
+func (s *Session) openingIdx() []int {
+	if s.opening == nil {
+		all := make([]int, len(s.members))
+		for i := range all {
+			all[i] = i
+		}
+		s.opening = all
+		if len(all) > s.cfg.PerRound {
+			s.opening = s.draw(all, nil, s.cfg.PerRound)
+		}
+	}
+	return s.opening
+}
+
+// draw picks a round's query set from unlabeled, seeding the default
+// RNG on the first draw: a pool labeled outright never draws, so it
+// never pays for seeding one.
+func (s *Session) draw(unlabeled []int, prev []classify.Prediction, k int) []int {
+	if s.rng == nil {
+		s.rng = rand.New(rand.NewSource(1))
+	}
+	return s.sampler.Select(s.rng, unlabeled, prev, s.kernel, k)
 }
 
 // Run executes the session without external cancellation; it is
@@ -329,11 +368,7 @@ func (s *Session) RunContext(ctx context.Context) (*Result, error) {
 	// prediction would save no owner effort.
 	if n <= s.cfg.PerRound {
 		tr := Round{Number: 1, RMSE: math.NaN(), Unstabilized: -1}
-		all := make([]int, n)
-		for i := range all {
-			all[i] = i
-		}
-		cause, err := s.ask(ctx, 1, all, func(idx int, l label.Label) {
+		cause, err := s.ask(ctx, 1, s.openingIdx(), func(idx int, l label.Label) {
 			m := s.members[idx]
 			res.Labels[m] = l
 			res.OwnerLabeled[m] = true
@@ -409,11 +444,12 @@ func (s *Session) RunContext(ctx context.Context) (*Result, error) {
 			return interrupt(err)
 		}
 		// Sample this round's query set from the unlabeled pool.
-		k := s.cfg.PerRound
-		if k > len(unlabeled) {
-			k = len(unlabeled)
+		var queryIdx []int
+		if round == 1 {
+			queryIdx = s.openingIdx()
+		} else {
+			queryIdx = s.draw(unlabeled, prev, min(s.cfg.PerRound, len(unlabeled)))
 		}
-		queryIdx := s.sampler.Select(s.rng, unlabeled, prev, s.kernel, k)
 		tr := Round{Number: round, RMSE: math.NaN(), Unstabilized: -1}
 
 		// Collect owner labels; validate the previous round's

@@ -61,11 +61,16 @@ func (f FallibleFunc) LabelStranger(ctx context.Context, s graph.UserID) (label.
 // will then be called for it; a trivial pool's round is all its
 // members. LabelStranger calls stay serialized and in the same order as
 // for any other annotator, so outputs do not depend on whether an
-// annotator implements AskRound.
+// annotator implements AskRound. The core engine goes further: since
+// no session's first round depends on an answer (see
+// Session.OpeningRound), it first shows a RoundAsker one opening page,
+// every pool's first round in pool order, and takes those answers
+// before any pool runs (see core.Engine.RunOwner); each later AskRound
+// is one round.
 //
-// When the session's ctx ends mid-round, the session calls
-// LabelStranger with the done ctx for each of the round's strangers it
-// has not asked yet, keeping the answers the owner had already given,
+// When the ctx ends mid-round (or mid-page), the session (or engine)
+// calls LabelStranger with the done ctx for each of the strangers shown
+// but not asked yet, keeping the answers the owner had already given,
 // and then returns its partial result. Such a call must return at once:
 // with an answer the annotator already holds, or with the ctx's error.
 type RoundAsker interface {

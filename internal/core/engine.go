@@ -289,12 +289,26 @@ func New(cfg Config) *Engine { return &Engine{cfg: cfg} }
 // function of the inputs for any deterministic annotator. The
 // annotator is asked one question at a time and never needs to be
 // thread-safe; it must only be deterministic per stranger if
-// reproducible reports are wanted. An annotator that implements
-// active.RoundAsker is shown each round's questions before the first
-// of them is asked, through the retry, replay and checkpoint layers
-// (the replay shows only the questions its cache cannot answer).
-// Callers with many owners get concurrency by running owners on
-// separate engines at once.
+// reproducible reports are wanted.
+//
+// An annotator that implements active.RoundAsker is shown every
+// question before it is asked. A pool's first round is fixed before
+// any label exists, so such a run first shows one opening page: for
+// every pool it will not splice from Reuse, in pool order, the round-1
+// query set that pool's session selects (all members of a pool of at
+// most PerRound members, else its sampler's pick from its own RNG
+// stream and kernel), minus the strangers the Resume checkpoint
+// answers. It takes those answers through each pool's retry, replay
+// and checkpoint layers and commits them with one checkpoint; then the
+// pools run one after another as above, each session asking its
+// round 1 from the page and showing each later round as it starts.
+// Each pool's questions, events, results and checkpoint entries are
+// those of a run without AskRound; the owner only sees questions
+// sooner, and a remote owner pays 1 + Σ(rounds − 1) round trips. An
+// interruption during the page keeps every answer the owner already
+// gave (see RoundAsker), and a partial run shows them as owner labels
+// of their pools, reached or not. Callers with many owners get
+// concurrency by running owners on separate engines at once.
 func (e *Engine) RunOwner(ctx context.Context, g *graph.Graph, store *profile.Store, owner graph.UserID, ann active.FallibleAnnotator, confidence float64) (*OwnerRun, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -366,7 +380,7 @@ func (e *Engine) RunOwner(ctx context.Context, g *graph.Graph, store *profile.St
 
 	// Wrap the caller's annotator in retries for transient failures.
 	// The per-pool layers (replay cache, checkpoint recorder) are
-	// stacked on top by chain().
+	// stacked on top by ownerPools.chain.
 	var k *checkpointer
 	if e.cfg.Checkpoint != nil {
 		k = newCheckpointer(owner, e.cfg.Seed, e.cfg.Checkpoint)
@@ -375,26 +389,12 @@ func (e *Engine) RunOwner(ctx context.Context, g *graph.Graph, store *profile.St
 	if m := e.cfg.Metrics; m != nil {
 		onRetry = func() { m.Retries.Add(1) }
 	}
-	base := active.WithRetryHook(ann, e.cfg.Retry, onRetry)
-	chain := func(poolID string) active.FallibleAnnotator {
-		a := base
-		if e.cfg.Resume != nil {
-			if pc := e.cfg.Resume.Pools[poolID]; pc != nil && len(pc.Answers) > 0 {
-				a = newReplayAnnotator(pc.answers(), a)
-			}
-		}
-		if k != nil {
-			a = newRecordAnnotator(k, poolID, a)
-		}
-		return a
-	}
-
 	exp := e.cfg.WeightExponent
 	if exp == 0 {
 		exp = 4
 	}
 	p := &ownerPools{e: e, store: store, owner: owner, pools: pools, learn: learn, exp: exp,
-		chain: chain, k: k, reuse: e.reusePlan(store, owner, pools, exp)}
+		base: active.WithRetryHook(ann, e.cfg.Retry, onRetry), k: k, reuse: e.reusePlan(store, owner, pools, exp)}
 	if err := p.run(ctx, run); err != nil {
 		return nil, err
 	}
@@ -559,15 +559,76 @@ type ownerPools struct {
 	pools []cluster.Pool
 	learn active.Config
 	exp   float64
-	chain func(poolID string) active.FallibleAnnotator
+	base  active.FallibleAnnotator // the caller's annotator under the retry policy
 	k     *checkpointer
 	reuse []*PoolRun
+	// opened holds, per pool, the session the opening page prepared
+	// (see openPage) until the pool runs; nil where none was.
+	opened []*poolSession
+}
+
+// chain stacks a pool's layers on the base annotator: the resume
+// checkpoint's replay cache when it holds answers for the pool, then
+// the checkpoint recorder. It also returns that cache (nil without
+// one).
+func (p *ownerPools) chain(poolID string) (active.FallibleAnnotator, map[graph.UserID]label.Label) {
+	a := p.base
+	var cache map[graph.UserID]label.Label
+	if r := p.e.cfg.Resume; r != nil {
+		if pc := r.Pools[poolID]; pc != nil && len(pc.Answers) > 0 {
+			cache = pc.answers()
+			a = newReplayAnnotator(cache, a)
+		}
+	}
+	if p.k != nil {
+		a = newRecordAnnotator(p.k, poolID, a)
+	}
+	return a, cache
+}
+
+// poolSession is a pool's prepared session with its weight build's
+// content key and duration, and the answers the opening page took for
+// the pool (nil without a page).
+type poolSession struct {
+	sess *active.Session
+	wkey cluster.Key
+	took time.Duration
+	page map[graph.UserID]label.Label
+}
+
+// newSession builds and content-keys pool i's weights and prepares its
+// active-learning session over ann.
+func (p *ownerPools) newSession(i int, ann active.FallibleAnnotator) (*poolSession, error) {
+	e, pool := p.e, p.pools[i]
+	poolID := pool.ID()
+	start := time.Now()
+	kernel, wkey, err := e.poolKernel(p.store, pool, p.exp)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	took := time.Since(start)
+	cfg := p.learn
+	if len(pool.Members) > cfg.PerRound {
+		// Only a pool larger than a round draws its queries.
+		cfg.Rand = rand.New(rand.NewSource(poolSeed(e.cfg.Seed, p.owner, i)))
+	}
+	cfg.Classifier = p.classifier()
+	if p.k != nil {
+		cfg.AfterRound = func(r active.Round) error { return p.k.afterRound(poolID, r) }
+	}
+	cfg.Observe = e.poolObserve(p.owner, poolID)
+	cfg.Digests = e.cfg.Trace.Digests
+	sess, err := active.NewSession(pool.Members, kernel, ann, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("core: pool %s: %w", poolID, err)
+	}
+	return &poolSession{sess: sess, wkey: wkey, took: took}, nil
 }
 
 // runPool is the step for pool i. A pool with a reuse plan entry
 // splices the prior result and skips its weight build and session; any
-// other pool builds and content-keys its weights, then runs its
-// active-learning session. The step emits the pool's pool.start,
+// other pool runs its session, prepared by the opening page or else
+// built now (weights included). The step emits the pool's pool.start,
 // pool.weights and pool.end events and counts the pool in the metrics.
 // An interrupted session returns its partial PoolRun with the
 // interruption as cause; any other failure returns err.
@@ -589,33 +650,25 @@ func (p *ownerPools) runPool(ctx context.Context, i int) (pr PoolRun, cause, err
 		}
 		return pr, nil, nil
 	}
-	start := time.Now()
-	kernel, wkey, err := e.poolKernel(p.store, pool, p.exp)
-	if err != nil {
-		return PoolRun{}, nil, fmt.Errorf("core: %w", err)
+	ps := p.opened[i]
+	if ps == nil {
+		ann, _ := p.chain(poolID)
+		if ps, err = p.newSession(i, ann); err != nil {
+			return PoolRun{}, nil, err
+		}
 	}
+	p.opened[i] = nil
 	if observe != nil {
-		observe(obs.Event{Kind: obs.KindPoolWeights, N: len(pool.Members), Dur: time.Since(start)})
+		observe(obs.Event{Kind: obs.KindPoolWeights, N: len(pool.Members), Dur: ps.took})
 	}
-	cfg := p.learn
-	cfg.Rand = rand.New(rand.NewSource(poolSeed(e.cfg.Seed, p.owner, i)))
-	cfg.Classifier = p.classifier()
-	if p.k != nil {
-		cfg.AfterRound = func(r active.Round) error { return p.k.afterRound(poolID, r) }
-	}
-	cfg.Observe = observe
-	cfg.Digests = e.cfg.Trace.Digests
-	sess, err := active.NewSession(pool.Members, kernel, p.chain(poolID), cfg)
-	if err != nil {
-		return PoolRun{}, nil, fmt.Errorf("core: pool %s: %w", poolID, err)
-	}
-	res, err := sess.RunContext(ctx)
-	pr = PoolRun{Pool: pool, Result: res, Status: PoolComplete, WeightKey: wkey}
+	res, err := ps.sess.RunContext(ctx)
+	pr = PoolRun{Pool: pool, Result: res, Status: PoolComplete, WeightKey: ps.wkey}
 	switch {
 	case err == nil:
 		p.k.markDone(poolID)
 	case isInterrupt(err) && res != nil:
 		pr.Status, cause = PoolPartial, err
+		keepAnswers(res, ps.page)
 	default:
 		return PoolRun{}, nil, fmt.Errorf("core: pool %s: %w", poolID, err)
 	}
@@ -652,18 +705,33 @@ func (p *ownerPools) classifier() classify.Classifier {
 	return h
 }
 
-// run is the pool loop: it runs the pools one after another, so the
-// owner is asked pool by pool, and it delivers each pool's events,
+// run is the pool loop. A RoundAsker is first shown the opening page
+// (see openPage). Then the pools run one after another, so the owner
+// is asked pool by pool, and the loop delivers each pool's events,
 // OnPool call and Progress report as the pool finishes. After an
-// interruption it asks nothing more: every later pool gets an empty
-// interrupted placeholder for fillFallbacks to complete.
+// interruption it asks nothing more: every later pool gets an
+// interrupted placeholder, holding the pool's page answers, for
+// fillFallbacks to complete.
 func (p *ownerPools) run(ctx context.Context, run *OwnerRun) error {
+	p.opened = make([]*poolSession, len(p.pools))
+	if ra, ok := p.base.(active.RoundAsker); ok {
+		cause, err := p.openPage(ctx, ra)
+		if err != nil {
+			return err
+		}
+		if cause != nil {
+			run.Partial, run.Cause = true, cause
+		}
+	}
 	e, total := p.e, len(p.pools)
 	labels := 0 // owner answers collected by this run; reused pools add none
 	for i, pool := range p.pools {
 		var pr PoolRun
 		if run.Partial {
 			pr = PoolRun{Pool: pool, Result: emptyInterruptedResult(pool), Status: PoolPartial}
+			if ps := p.opened[i]; ps != nil {
+				keepAnswers(pr.Result, ps.page)
+			}
 			if observe := e.poolObserve(p.owner, pool.ID()); observe != nil {
 				observe(obs.Event{Kind: obs.KindPoolStart, N: len(pool.Members)})
 				observe(obs.Event{Kind: obs.KindPoolEnd, Note: "interrupted"})
@@ -690,6 +758,119 @@ func (p *ownerPools) run(ctx context.Context, run *OwnerRun) error {
 		}
 	}
 	return nil
+}
+
+// openPage is the opening page a RoundAsker is shown before any pool
+// runs. A pool's first round is fixed before any label exists (see
+// active.Session.OpeningRound), so the page prepares the session of
+// every pool the run will not splice from Config.Reuse, shows the
+// union of their opening rounds in one AskRound, in pool order, minus
+// what the resume checkpoint already answers, and then takes those
+// answers in the same order, each through its pool's chain, so the
+// checkpoint records them once, and commits them with one checkpoint.
+// Each prepared session asks its round 1 through a replay of the
+// pool's page answers, which shows the owner nothing again and records
+// nothing twice, so sessions, events, reports and checkpoints are
+// those of a pool-by-pool run.
+//
+// An interruption while answers are taken is returned as cause, after
+// every answer the owner already posted is taken — with an ended ctx,
+// as RoundAsker allows — and committed. Any other failure returns err.
+func (p *ownerPools) openPage(ctx context.Context, ra active.RoundAsker) (cause, err error) {
+	type opening struct {
+		id        string
+		ps        *poolSession
+		ann       active.FallibleAnnotator
+		strangers []graph.UserID // shown, not yet asked
+	}
+	var (
+		opens []opening
+		shown []graph.UserID
+	)
+	for i, pool := range p.pools {
+		if p.reuse != nil && p.reuse[i] != nil {
+			continue
+		}
+		ann, cached := p.chain(pool.ID())
+		page := map[graph.UserID]label.Label{}
+		ps, err := p.newSession(i, newReplayAnnotator(page, ann))
+		if err != nil {
+			return nil, err
+		}
+		ps.page, p.opened[i] = page, ps
+		first := ps.sess.OpeningRound()
+		for _, s := range first {
+			if _, ok := cached[s]; !ok {
+				shown = append(shown, s)
+			}
+		}
+		opens = append(opens, opening{id: pool.ID(), ps: ps, ann: ann, strangers: first})
+	}
+	if len(shown) > 0 {
+		ra.AskRound(ctx, shown)
+	}
+	taken := 0
+	take := func(ctx context.Context, o opening, s graph.UserID) (cause, err error) {
+		l, cause := o.ann.LabelStranger(ctx, s)
+		if cause != nil {
+			return cause, nil
+		}
+		if !l.Valid() {
+			return nil, fmt.Errorf("core: pool %s: annotator returned invalid label %d for %d", o.id, int(l), s)
+		}
+		o.ps.page[s] = l
+		taken++
+		return nil, nil
+	}
+	for oi := 0; oi < len(opens) && cause == nil; oi++ {
+		o := &opens[oi]
+		for len(o.strangers) > 0 && cause == nil {
+			if cause = ctx.Err(); cause == nil {
+				if cause, err = take(ctx, *o, o.strangers[0]); err != nil {
+					return nil, err
+				}
+				if cause != nil && !isInterrupt(cause) {
+					return nil, fmt.Errorf("core: pool %s: %w", o.id, cause)
+				}
+				o.strangers = o.strangers[1:] // asked: only the rest are left
+			}
+		}
+	}
+	if cause != nil {
+		// Keep every answer the owner already gave. After an abandonment
+		// ctx is still live: ask with an ended one, so no call waits.
+		done, end := context.WithCancel(ctx)
+		end()
+		for _, o := range opens {
+			for _, s := range o.strangers {
+				if _, err := take(done, o, s); err != nil {
+					return nil, err
+				}
+			}
+		}
+	}
+	if taken > 0 {
+		err = p.k.flush()
+	}
+	return cause, err
+}
+
+// keepAnswers adds the page answers an interrupted result lacks as
+// owner labels, so a partial report shows every answer the owner gave,
+// in pools the run never reached too.
+func keepAnswers(res *active.Result, page map[graph.UserID]label.Label) {
+	for s, l := range page {
+		if !res.OwnerLabeled[s] {
+			res.Labels[s], res.OwnerLabeled[s], res.Predicted[s] = l, true, certainPrediction(l)
+		}
+	}
+}
+
+// certainPrediction is the prediction that puts all weight on l.
+func certainPrediction(l label.Label) classify.Prediction {
+	var scores [3]float64
+	scores[int(l)-1] = 1
+	return classify.Prediction{Label: l, Scores: scores, Expected: float64(l)}
 }
 
 // emptyInterruptedResult stands in for a session that was never

@@ -5,7 +5,6 @@ import (
 	"errors"
 
 	"sightrisk/internal/active"
-	"sightrisk/internal/classify"
 	"sightrisk/internal/graph"
 	"sightrisk/internal/label"
 )
@@ -135,9 +134,7 @@ func fillFallbacks(run *OwnerRun) {
 			p.Fallback[m] = true
 			if _, ok := p.Result.Labels[m]; !ok {
 				p.Result.Labels[m] = fallback
-				var scores [3]float64
-				scores[int(fallback)-1] = 1
-				p.Result.Predicted[m] = classify.Prediction{Label: fallback, Scores: scores, Expected: float64(fallback)}
+				p.Result.Predicted[m] = certainPrediction(fallback)
 			}
 		}
 	}

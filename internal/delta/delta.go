@@ -167,6 +167,11 @@ func (b Batch) ApplyCloned(g *graph.Graph, store *profile.Store) (*profile.Store
 // or re-removing a missing edge, is a no-op), so replaying a batch is
 // safe. The batch should be validated first; an invalid record aborts
 // mid-batch.
+//
+// A node new to the graph, whether added by node_add or as an edge_add
+// endpoint, gets an empty profile when the store has none, as the user
+// of a profile_set or visibility_set does: a stranger without a profile
+// would fail every pool build that reaches it.
 func (b Batch) Apply(g *graph.Graph, store *profile.Store) error {
 	if g == nil || store == nil {
 		return fmt.Errorf("delta: Apply needs a mutable graph and a profile store")
@@ -174,30 +179,41 @@ func (b Batch) Apply(g *graph.Graph, store *profile.Store) error {
 	for i, u := range b {
 		switch u.Kind {
 		case EdgeAdd:
+			newA, newB := !g.HasNode(u.A), !g.HasNode(u.B)
 			if err := g.AddEdge(u.A, u.B); err != nil {
 				return fmt.Errorf("update[%d]: %w", i, err)
+			}
+			if newA {
+				profileOf(store, u.A)
+			}
+			if newB {
+				profileOf(store, u.B)
 			}
 		case EdgeRemove:
 			g.RemoveEdge(u.A, u.B)
 		case NodeAdd:
-			g.AddNode(u.A)
+			if !g.HasNode(u.A) {
+				g.AddNode(u.A)
+				profileOf(store, u.A)
+			}
 		case ProfileSet:
-			p := store.Get(u.A)
-			if p == nil {
-				p = profile.NewProfile(u.A)
-				store.Put(p)
-			}
-			p.SetAttr(profile.Attribute(u.Attr), u.Value)
+			profileOf(store, u.A).SetAttr(profile.Attribute(u.Attr), u.Value)
 		case VisibilitySet:
-			p := store.Get(u.A)
-			if p == nil {
-				p = profile.NewProfile(u.A)
-				store.Put(p)
-			}
-			p.SetVisible(profile.Item(u.Attr), u.Visible)
+			profileOf(store, u.A).SetVisible(profile.Item(u.Attr), u.Visible)
 		default:
 			return fmt.Errorf("update[%d]: %w", i, u.Validate())
 		}
 	}
 	return nil
+}
+
+// profileOf returns u's profile, first giving u an empty one when the
+// store has none.
+func profileOf(store *profile.Store, u graph.UserID) *profile.Profile {
+	p := store.Get(u)
+	if p == nil {
+		p = profile.NewProfile(u)
+		store.Put(p)
+	}
+	return p
 }

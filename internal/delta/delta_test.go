@@ -69,6 +69,55 @@ func TestBatchApplyIdempotent(t *testing.T) {
 	}
 }
 
+// TestApplyProfilesNewNodes: a node new to the graph, added by node_add
+// or as an edge_add endpoint, gets an empty profile when the store has
+// none; a profile it already has is kept, and a node already in the
+// graph gets none. ApplyCloned leaves the original store as it was.
+func TestApplyProfilesNewNodes(t *testing.T) {
+	g := graph.New()
+	if err := g.AddEdge(1, 2); err != nil {
+		t.Fatal(err)
+	}
+	g.AddNode(3) // in the graph without a profile
+	store := profile.NewStore()
+	kept := profile.NewProfile(21)
+	kept.SetAttr(profile.AttrGender, "female")
+	store.Put(kept)
+	b := delta.Batch{
+		{Kind: delta.NodeAdd, A: 10},
+		{Kind: delta.NodeAdd, A: 3},
+		{Kind: delta.EdgeAdd, A: 20, B: 2},
+		{Kind: delta.EdgeAdd, A: 21, B: 22},
+	}
+	next, err := b.ApplyCloned(g, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range []graph.UserID{10, 20, 22} {
+		p := next.Get(u)
+		if p == nil {
+			t.Fatalf("new node %d has no profile", u)
+		}
+		set := 0
+		p.EachAttr(func(profile.Attribute, string) { set++ })
+		p.EachVisible(func(profile.Item, bool) { set++ })
+		if set != 0 {
+			t.Fatalf("new node %d got a profile with %d entries, want an empty one", u, set)
+		}
+		if store.Get(u) != nil {
+			t.Fatalf("ApplyCloned gave the original store a profile for %d", u)
+		}
+	}
+	if next.Get(21) != kept {
+		t.Fatal("an existing profile was replaced")
+	}
+	for _, u := range []graph.UserID{1, 2, 3} {
+		if next.Get(u) != nil {
+			t.Fatalf("node %d, already in the graph, got a profile", u)
+		}
+	}
+}
+
 // dirtyWorld builds a fixed topology for the dirty rules:
 // owner 1 — friends 2, 3 — stranger 4 (via 2) — third-hop node 5
 // (via 4) — detached pair 6, 7.

@@ -62,6 +62,10 @@ func runTenants(t testing.TB, s *Scheduler, tenants map[string][]Job) map[string
 	)
 	for tenant, jobs := range tenants {
 		runs[tenant] = make([]*core.OwnerRun, len(jobs))
+	}
+	// The map is complete before any run starts: the goroutines below
+	// only read it.
+	for tenant, jobs := range tenants {
 		for i, job := range jobs {
 			adm, err := s.Admit(tenant)
 			if err != nil {

@@ -15,6 +15,7 @@ import (
 	"sightrisk/client"
 	"sightrisk/internal/dataset"
 	"sightrisk/internal/graph"
+	"sightrisk/internal/profile"
 	"sightrisk/internal/server"
 )
 
@@ -106,6 +107,64 @@ func TestUpdatesAndReviseByteIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(wireBytes(t, final.Report), wireBytes(t, ref.Report)) {
 		t.Fatal("revised report differs from from-scratch recompute")
+	}
+}
+
+// TestUpdateProfilelessNodeEstimates: an update batch that adds a node
+// with no profile and befriends it with one of the owner's friends
+// makes it a stranger of that owner. The node gets an empty profile, so
+// a stored estimate of the owner and /v1/advise still succeed and equal
+// the in-process run on the updated dataset, and a server preloaded
+// with that dataset.
+func TestUpdateProfilelessNodeEstimates(t *testing.T) {
+	ds := testDataset(t, 2, 150, 73)
+	owner := ds.Owners[0].ID
+	friend := ds.Graph.Friends(owner)[0]
+	_, _, c := newTestServer(t, server.Config{Datasets: map[string]*dataset.Dataset{"study": ds}, Workers: 1})
+	ctx := context.Background()
+
+	ur, err := c.Updates(ctx, &client.UpdatesRequest{Dataset: "study", Owner: int64(owner), Updates: []client.Update{
+		{Kind: "node_add", A: 900001},
+		{Kind: "edge_add", A: 900001, B: int64(friend)},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Contains(ur.DirtyOwners, int64(owner)) {
+		t.Fatalf("owner %d missing from dirty set %v", owner, ur.DirtyOwners)
+	}
+
+	// The updated dataset, built by hand: the new node, its edge and an
+	// empty profile.
+	updated := testDataset(t, 2, 150, 73)
+	if err := updated.Graph.AddEdge(900001, friend); err != nil {
+		t.Fatal(err)
+	}
+	updated.Profiles = append(updated.Profiles, profile.NewProfile(900001))
+
+	st, err := c.Submit(ctx, &client.EstimateRequest{Dataset: "study", Owner: int64(owner), Annotator: client.AnnotatorStored})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err = c.Wait(ctx, st.ID); err != nil || st.Status != client.StatusDone {
+		t.Fatalf("estimate after the update: %v, status %+v", err, st)
+	}
+	if got, want := wireBytes(t, st.Report), serialWireBytes(t, updated, owner); !bytes.Equal(got, want) {
+		t.Fatalf("estimate differs from the in-process run on the updated dataset\nserved: %s\nserial: %s", got, want)
+	}
+
+	req := &client.AdviseRequest{Dataset: "study", Owner: int64(owner), Candidate: adviseCandidateFor(t, updated, owner)}
+	got, err := c.Advise(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, fresh := newTestServer(t, server.Config{Datasets: map[string]*dataset.Dataset{"study": updated}, Workers: 1})
+	want, err := fresh.Advise(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(adviseBytes(t, got), adviseBytes(t, want)) {
+		t.Fatalf("advise differs from a server preloaded with the updated dataset\nupdated: %s\nfresh:   %s", adviseBytes(t, got), adviseBytes(t, want))
 	}
 }
 

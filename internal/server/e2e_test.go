@@ -67,12 +67,15 @@ func TestServedRemoteMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestRemoteRoundAskedTogether: a remote job shows the owner a whole
-// round at once. Every non-empty long-poll returns exactly the next
-// round's questions (min(per_round, unlabeled), or all of a trivial
-// pool's members), in the order the session asks them, so a client
-// that answers each poll in one POST makes one POST per round event
-// of the job's trace, and the report still equals the serial run's.
+// TestRemoteRoundAskedTogether: a remote job shows the owner every
+// pool's opening round at once, then one round at a time. The first
+// non-empty long-poll returns the concatenation of every pool's round-1
+// query set in pool order (all of a trivial pool's members, else
+// per_round questions), and every later one exactly the next adaptive
+// round's min(per_round, unlabeled) questions, each in the order the
+// session asks them. A client that answers each poll in one POST thus
+// makes 1 + Σ(rounds − 1) POSTs over the pools of the job's trace, and
+// the report still equals the serial run's.
 func TestRemoteRoundAskedTogether(t *testing.T) {
 	ds := testDataset(t, 1, 120, 53)
 	owner := ds.Owners[0].ID
@@ -129,17 +132,19 @@ func TestRemoteRoundAskedTogether(t *testing.T) {
 				t.Errorf("report differs from serial run\nserved: %s\nserial: %s", got, want)
 			}
 
-			// Rebuild each round's query set from the trace.
+			// Rebuild the opening page and each later round's query set
+			// from the trace.
 			trace, err := c.Trace(ctx, st.ID)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var (
-				rounds      [][]int64
-				roundEvents int
-				poolSize    int
-				cur         []int64
-				labeled     int
+				page     []int64   // every pool's round 1, in pool order
+				later    [][]int64 // every later round, in trace order
+				pools    int
+				poolSize int
+				cur      []int64
+				labeled  int
 			)
 			for _, line := range strings.Split(strings.TrimSpace(string(trace)), "\n") {
 				var ev obs.Event
@@ -152,7 +157,6 @@ func TestRemoteRoundAskedTogether(t *testing.T) {
 				case obs.KindQuery:
 					cur = append(cur, ev.User)
 				case obs.KindRound:
-					roundEvents++
 					wantSize := min(perRound, poolSize-labeled)
 					if poolSize <= perRound {
 						wantSize = poolSize
@@ -161,16 +165,27 @@ func TestRemoteRoundAskedTogether(t *testing.T) {
 						t.Errorf("round %d of a %d-member pool asked %d questions, want %d", ev.Round, poolSize, len(cur), wantSize)
 					}
 					labeled += len(cur)
-					rounds = append(rounds, cur)
+					if ev.Round == 1 {
+						pools++
+						page = append(page, cur...)
+					} else {
+						later = append(later, cur)
+					}
 					cur = nil
 				}
 			}
-			if len(polls) != roundEvents {
-				t.Fatalf("%d answer POSTs for %d round events", len(polls), roundEvents)
+			if pools < 2 {
+				t.Fatalf("trace holds %d pools with rounds, want several", pools)
 			}
-			for i := range polls {
-				if !slices.Equal(polls[i], rounds[i]) {
-					t.Fatalf("poll %d returned %v, round %d asked %v", i, polls[i], i, rounds[i])
+			if len(polls) != 1+len(later) {
+				t.Fatalf("%d answer POSTs, want 1 + Σ(rounds − 1) = %d over %d pools", len(polls), 1+len(later), pools)
+			}
+			if !slices.Equal(polls[0], page) {
+				t.Fatalf("first poll returned %v, the opening rounds in pool order are %v", polls[0], page)
+			}
+			for i, round := range later {
+				if !slices.Equal(polls[i+1], round) {
+					t.Fatalf("poll %d returned %v, later round %d asked %v", i+1, polls[i+1], i, round)
 				}
 			}
 		})
@@ -339,6 +354,96 @@ func TestDrainKeepsPostedRoundAnswers(t *testing.T) {
 		if answered[stranger] {
 			t.Errorf("stranger %d asked again after the drain", stranger)
 		}
+		return answer(stranger)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Partial {
+		t.Fatalf("resumed run ended partial: interrupt %q", rep.Interrupt)
+	}
+	if got := wireBytes(t, rep); !bytes.Equal(got, want) {
+		t.Errorf("post-restart report differs from serial run\nserved: %s\nserial: %s", got, want)
+	}
+}
+
+// TestOpeningPageDrainKeepsAnswers: the first poll of a remote job is
+// every pool's opening round. The owner answers only the questions of
+// the page's last pool while the session still waits on the first
+// pool's. A drain then interrupts the page: the run takes the posted
+// answers and commits them, so after a restart on the same state
+// directory none of them is asked again, and the report still equals
+// the uninterrupted serial run's.
+func TestOpeningPageDrainKeepsAnswers(t *testing.T) {
+	stateDir := t.TempDir()
+	mkConfig := func() server.Config {
+		return server.Config{
+			Datasets: map[string]*dataset.Dataset{"study": testDataset(t, 1, 120, 57)},
+			Workers:  1,
+			Store:    dirStore(t, stateDir),
+		}
+	}
+	ds := testDataset(t, 1, 120, 57)
+	owner := ds.Owners[0].ID
+	want := serialWireBytes(t, ds, owner)
+	var serial client.Report
+	if err := json.Unmarshal(want, &serial); err != nil {
+		t.Fatal(err)
+	}
+	poolOf := map[int64]string{}
+	for _, sr := range serial.Strangers {
+		poolOf[sr.User] = sr.Pool
+	}
+	answer := answerFromDataset(ds, owner)
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+
+	srvA, hsA, cA := newTestServer(t, mkConfig())
+	st, err := cA.Submit(ctx, &client.EstimateRequest{Dataset: "study", Owner: int64(owner)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first []client.Question
+	for len(first) == 0 {
+		qr, err := cA.Questions(ctx, st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if qr.Status == client.StatusDone || qr.Status == client.StatusFailed {
+			t.Fatalf("job reached %q before asking anything", qr.Status)
+		}
+		first = qr.Questions
+	}
+	last := poolOf[first[len(first)-1].Stranger]
+	if last == poolOf[first[0].Stranger] {
+		t.Fatalf("the first poll holds one pool's questions (%s), want every pool's opening round", last)
+	}
+	answered := map[int64]bool{}
+	var answers []client.Answer
+	for _, q := range first {
+		if poolOf[q.Stranger] == last {
+			lab, _ := answer(q.Stranger)
+			answers = append(answers, client.Answer{Stranger: q.Stranger, Label: lab})
+			answered[q.Stranger] = true
+		}
+	}
+	if n, err := cA.Answer(ctx, st.ID, answers); err != nil || n != len(answers) {
+		t.Fatalf("answer POST accepted %d of %d: %v", n, len(answers), err)
+	}
+	drainCtx, drainCancel := context.WithTimeout(ctx, 30*time.Second)
+	if err := srvA.Drain(drainCtx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	drainCancel()
+	hsA.Close()
+
+	_, _, cB := newTestServer(t, mkConfig())
+	asked := map[int64]bool{}
+	rep, err := cB.Drive(ctx, st.ID, func(stranger int64) (int, error) {
+		if answered[stranger] || asked[stranger] {
+			return 0, fmt.Errorf("stranger %d asked twice", stranger)
+		}
+		asked[stranger] = true
 		return answer(stranger)
 	})
 	if err != nil {

@@ -34,12 +34,12 @@ type job struct {
 	cancel       context.CancelFunc // cancels the run; set at launch
 	userCanceled bool               // DELETE arrived (vs. server drain)
 
-	// Wire annotator state: pending holds the current round's
-	// unanswered questions (the session shows the owner a whole round
-	// at once, up to per_round questions, in seq order), and answers
-	// holds posted answers the session has yet to take. An answered
-	// question leaves pending at once, so redelivered long-polls see
-	// exactly the outstanding set.
+	// Wire annotator state: pending holds the current page's
+	// unanswered questions, in seq order (the engine first shows every
+	// pool's opening round at once, then one adaptive round at a time),
+	// and answers holds posted answers the run has yet to take. An
+	// answered question leaves pending at once, so redelivered
+	// long-polls see exactly the outstanding set.
 	seq     int
 	pending []client.Question
 	answers map[int64]label.Label
@@ -157,7 +157,7 @@ func (j *job) complete(rep *client.Report, queries int) {
 	j.status = client.StatusDone
 	j.report = rep
 	j.queries = queries
-	j.pending = nil
+	j.pending, j.answers = nil, nil // a finished job takes no answers
 	j.signalLocked()
 }
 
@@ -192,7 +192,7 @@ func (j *job) fail(apiErr *client.APIError) {
 	defer j.mu.Unlock()
 	j.status = client.StatusFailed
 	j.apiErr = apiErr
-	j.pending = nil
+	j.pending, j.answers = nil, nil
 	j.signalLocked()
 }
 
@@ -283,11 +283,12 @@ func (j *job) countQuery() {
 // question surfaced by the long-poll endpoint, and the call blocks
 // until a matching answer is posted (or ctx ends — the engine then
 // degrades the run per its usual interruption contract). As an
-// active.RoundAsker it makes a whole round pending at once, so one
-// long-poll and one answer POST can serve the round.
+// active.RoundAsker it makes a whole page pending at once — the
+// opening page of every pool's first round, then one round at a time —
+// so one long-poll and one answer POST can serve the page.
 type wireAnnotator struct{ j *job }
 
-// AskRound implements active.RoundAsker: the round's questions become
+// AskRound implements active.RoundAsker: the page's questions become
 // pending together, under one lock and with one wake-up.
 func (w wireAnnotator) AskRound(_ context.Context, strangers []graph.UserID) {
 	j := w.j

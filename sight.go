@@ -96,8 +96,10 @@ const (
 // stranger: asking about the same stranger twice must yield the same
 // label, and the label must not depend on the order questions arrive
 // in. LabelStranger is still called one question at a time when the
-// annotator is a RoundAsker, which is shown each round's questions
-// first.
+// annotator is a RoundAsker, which is shown every question first: the
+// opening page of every pool's first round, whose questions are then
+// asked before any pool's later rounds, and each later round as its
+// pool reaches it.
 type Annotator interface {
 	// LabelStranger returns the owner's risk label for the stranger.
 	LabelStranger(s UserID) Label
@@ -121,17 +123,20 @@ type FallibleAnnotator = active.FallibleAnnotator
 // FallibleAnnotatorFunc adapts a function to FallibleAnnotator.
 type FallibleAnnotatorFunc = active.FallibleFunc
 
-// RoundAsker is the optional round-at-once extension of
-// FallibleAnnotator, for frontends that save a round trip per question
-// by showing the owner a whole round (Options.Learning.PerRound
-// strangers, or a small pool's members) at once. AskRound is called
-// once per round, before the round's first LabelStranger, with the
-// strangers in the order LabelStranger will then ask for them; reports
-// do not depend on it. When the run's context ends mid-round,
-// LabelStranger is called with the done context for the round's
-// strangers not yet asked, so answers the owner already gave are kept;
-// such a call must return at once, with a held answer or the context's
-// error.
+// RoundAsker is the optional page-at-once extension of
+// FallibleAnnotator, for frontends that save round trips by showing
+// the owner many questions at once. AskRound is called once per page,
+// before the page's first LabelStranger, with the strangers in the
+// order LabelStranger will then ask for them; reports do not depend on
+// it. The first page is the opening page: every pool's first round, in
+// pool order (all members of a pool of at most
+// Options.Learning.PerRound members, else PerRound of them), since no
+// first round depends on an answer. Each later page is one round of
+// one pool. When the run's context ends mid-page, LabelStranger is
+// called with the done context for the page's strangers not yet asked,
+// so answers the owner already gave are kept, in the report and the
+// checkpoint; such a call must return at once, with a held answer or
+// the context's error.
 type RoundAsker = active.RoundAsker
 
 // ErrAbandoned is returned by an annotator when the owner has walked
